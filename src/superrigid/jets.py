@@ -140,6 +140,8 @@ class Jet:
     def x(cls, amb: Ambient, i: int, power: int = 1) -> "Jet":
         if not 1 <= i <= amb.n_even:
             raise ValueError(f"x{i} not in {amb!r}")
+        if power < 0:
+            raise ValueError(f"negative power {power} of x{i}")
         ex = [0] * amb.n_even
         ex[i - 1] = power
         return cls(amb, {(tuple(ex), ()): F(1)})
@@ -211,6 +213,8 @@ class Jet:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Jet") -> "Jet":
+        if other.ambient is not self.ambient:
+            _same_ambient(self, other)
         out = dict(self.terms)
         for m, c in other.terms.items():
             s = out.get(m, F(0)) + c
@@ -239,6 +243,8 @@ class Jet:
             return self.scale(other)
         if not isinstance(other, Jet):
             return NotImplemented
+        if other.ambient is not self.ambient:
+            _same_ambient(self, other)
         out: dict = {}
         for (ex1, od1), c1 in self.terms.items():
             for (ex2, od2), c2 in other.terms.items():
@@ -260,6 +266,8 @@ class Jet:
         return NotImplemented
 
     def __pow__(self, k: int) -> "Jet":
+        if k < 0:
+            raise ValueError(f"negative power {k} of a jet")
         out = Jet.one(self.ambient).truncate(self.order)
         for _ in range(k):
             out = out * self
@@ -331,6 +339,12 @@ class Jet:
         return Jet(self.ambient, out, self.order)
 
 
+def _same_ambient(f: Jet, g: Jet) -> None:
+    if f.ambient != g.ambient:
+        raise ValueError(f"jets from {f.ambient!r} and {g.ambient!r} "
+                         "do not combine")
+
+
 def _min_order(a: int | None, b: int | None) -> int | None:
     if a is None:
         return b
@@ -386,6 +400,9 @@ class ExprError(ValueError):
     """Raised on malformed jet expressions."""
 
 
+# Each nesting level costs the parser three frames: stay far below the limit.
+MAX_NESTING = 100
+
 _TOKEN = re.compile(r"\s*(?:(\d+(?:/\d+)?)|([A-Za-z]+\d*)|([+\-*^()]))")
 
 
@@ -422,6 +439,7 @@ class _JetParser:
         self.amb = amb
         self.params = params
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -456,13 +474,21 @@ class _JetParser:
             raise ExprError("unexpected end of expression")
         self.pos += 1
         if t == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ExprError(f"parentheses nested deeper than {MAX_NESTING}")
             inner = self.expr()
             if self.peek() != ")":
                 raise ExprError("missing ')'")
             self.pos += 1
+            self.depth -= 1
             return self._power(inner)
         if t[0].isdigit():
-            return self._power(Jet.const(self.amb, Fraction(t)))
+            try:
+                c = Fraction(t)
+            except ZeroDivisionError:
+                raise ExprError(f"zero denominator in {t!r}") from None
+            return self._power(Jet.const(self.amb, c))
         return self._power(self._generator(t))
 
     def _power(self, base: Jet) -> Jet:

@@ -5,6 +5,13 @@ Fractions.  A Subspace is a canonical reduced-echelon basis of such vectors:
 each basis row has a pivot (its smallest key), pivot coefficient 1, and no row
 contains another row's pivot.  Equal spans produce identical Subspace values,
 so subspaces compare by ==.
+
+Spans grow one vector at a time through a single elimination step: the
+vector's remainder against the rows is normalised at its pivot and that pivot
+is cleared from the other rows.  span_reduce, Subspace.extended and
+closure_under all grow their spans this way.  closure_under is the one closure
+routine: a worklist closure under bilinear maps, either against a fixed
+partner space or, with partners=None, against the growing span itself.
 """
 from __future__ import annotations
 
@@ -40,11 +47,12 @@ def vec_scale(v: Vec, scale: Fraction) -> Vec:
 class Subspace:
     """Canonical span of sparse vectors; immutable once built."""
 
-    __slots__ = ("rows", "pivots")
+    __slots__ = ("rows", "_by_pivot")
 
-    def __init__(self, rows: Sequence[Vec], pivots: Sequence[Key]):
-        self.rows = tuple(rows)
-        self.pivots = tuple(pivots)
+    def __init__(self, by_pivot: dict):
+        """Span of reduced-echelon rows {pivot: row}; keeps the dict."""
+        self._by_pivot = by_pivot
+        self.rows = tuple(by_pivot[p] for p in sorted(by_pivot, key=_key_rank))
 
     @property
     def dim(self) -> int:
@@ -61,55 +69,53 @@ class Subspace:
 
     def reduce(self, v: Vec) -> Vec:
         """Remainder of v after elimination against the basis."""
-        v = vec_clean(v)
-        for row, piv in zip(self.rows, self.pivots):
-            c = v.get(piv)
-            if c:
-                v = vec_add(v, row, -c)
-        return v
+        return _remainder(self._by_pivot, v)
 
     def contains(self, v: Vec) -> bool:
         return not self.reduce(v)
 
-    def contains_all(self, vecs: Iterable[Vec]) -> bool:
-        return all(self.contains(v) for v in vecs)
-
-    def basis(self) -> list[Vec]:
-        return [dict(r) for r in self.rows]
-
     def extended(self, vectors: Iterable[Vec]) -> "Subspace":
         """Canonical span of self plus the given vectors."""
-        return span_reduce(list(self.rows) + list(vectors))
+        rows = dict(self._by_pivot)
+        for v in vectors:
+            _accept(rows, v)
+        return Subspace(rows)
+
+
+def _remainder(rows: dict, v: Vec) -> Vec:
+    """Remainder of v against reduced-echelon rows keyed by pivot.
+
+    No row holds another row's pivot, so each pivot coefficient of v is read
+    before any elimination can change it.
+    """
+    v = vec_clean(v)
+    for piv in [k for k in v if k in rows]:
+        v = vec_add(v, rows[piv], -v[piv])
+    return v
+
+
+def _accept(rows: dict, v: Vec) -> Vec:
+    """Grow the rows {pivot: row} by v; returns v's remainder, empty when v
+    already lies in their span.
+
+    The remainder is normalised at its pivot (its smallest key) and that
+    pivot is cleared from the other rows, which keeps them reduced-echelon.
+    """
+    r = _remainder(rows, v)
+    if r:
+        piv = min(r)
+        row = vec_scale(r, Fraction(1) / r[piv])
+        for p, other in rows.items():
+            c = other.get(piv)
+            if c:
+                rows[p] = vec_add(other, row, -c)
+        rows[piv] = row
+    return r
 
 
 def span_reduce(vectors: Iterable[Vec]) -> Subspace:
-    """Canonical reduced-echelon Subspace spanning the given vectors.
-
-    Pivot of a row is its smallest key; rows are sorted by pivot; every pivot
-    column is cleared in all other rows and normalized to 1.
-    """
-    rows: list[Vec] = []
-    pivots: list[Key] = []
-    for v in vectors:
-        v = vec_clean(v)
-        for row, piv in zip(rows, pivots):
-            c = v.get(piv)
-            if c:
-                v = vec_add(v, row, -c)
-        if not v:
-            continue
-        piv = min(v)
-        c = v[piv]
-        v = vec_scale(v, Fraction(1) / c)
-        # clear the new pivot from existing rows
-        for i, row in enumerate(rows):
-            c2 = row.get(piv)
-            if c2:
-                rows[i] = vec_add(row, v, -c2)
-        rows.append(v)
-        pivots.append(piv)
-    order = sorted(range(len(rows)), key=lambda i: _key_rank(pivots[i]))
-    return Subspace([rows[i] for i in order], [pivots[i] for i in order])
+    """Canonical reduced-echelon Subspace spanning the given vectors."""
+    return ZERO.extended(vectors)
 
 
 def _key_rank(k):
@@ -118,64 +124,39 @@ def _key_rank(k):
     return (0, k) if isinstance(k, tuple) else (1, (k,))
 
 
-ZERO = span_reduce([])
+ZERO = Subspace({})
 
 
 def closure_under(
     seed: Subspace,
     maps: Sequence[Callable[[Vec, Vec], Vec]],
-    partners: Subspace,
-    max_rounds: int | None = None,
+    partners: Subspace | None = None,
 ) -> Subspace:
     """Smallest subspace containing seed and closed under each bilinear map
-    applied with any partner element (map(partner, v) and map(v, partner)).
+    with a partner in either slot.
 
-    Terminates because the dimension strictly increases each round.
+    With partners given, m(p, v) and m(v, p) lie in the result for each map
+    m, each basis row p of partners and each v in the result.  With
+    partners=None the partners are the result itself, so m(a, b) lies in it
+    for all a, b in it: the Lie-subalgebra closure when m is a bracket.
+
+    A worklist starts with the seed rows.  Each popped vector v meets every
+    partner p as m(p, v) and m(v, p), once if p is v, and the remainder of
+    each value outside the span so far joins the span and the worklist.  With
+    partners=None the partners of v are the vectors popped before it and v
+    itself, so each unordered pair is met once.  The returned span is
+    canonical, so the visiting order does not change it.
     """
-    current = seed
-    frontier = list(seed.rows)
-    rounds = 0
-    while frontier:
-        rounds += 1
-        if max_rounds is not None and rounds > max_rounds:
-            break
-        new_vecs = []
-        for v in frontier:
-            for m in maps:
-                for p in partners.rows:
-                    for cand in (m(p, v), m(v, p)):
-                        r = current.reduce(cand)
-                        if r:
-                            new_vecs.append(cand)
-                            current = current.extended([cand])
-        frontier = new_vecs
-    return current
-
-
-def pairwise_closure(
-    seed: Subspace,
-    bracket: Callable[[Vec, Vec], Vec],
-    max_rounds: int | None = None,
-) -> Subspace:
-    """Smallest subspace containing seed closed under bracket(a, b) for all
-    pairs a, b drawn from it (Lie-subalgebra closure)."""
-    current = seed
-    frontier = list(seed.rows)
-    rounds = 0
-    while frontier:
-        rounds += 1
-        if max_rounds is not None and rounds > max_rounds:
-            break
-        new_vecs = []
-        for v in frontier:
-            for w in current.rows:
-                for cand in (bracket(v, w), bracket(w, v)):
-                    r = current.reduce(cand)
+    rows = dict(seed._by_pivot)
+    queue = list(seed.rows)
+    for i, v in enumerate(queue):  # the queue grows while it is walked
+        for m in maps:
+            for p in queue[:i + 1] if partners is None else partners.rows:
+                for a, b in [(p, v)] if p is v else [(p, v), (v, p)]:
+                    r = _accept(rows, m(a, b))
                     if r:
-                        new_vecs.append(cand)
-                        current = current.extended([cand])
-        frontier = new_vecs
-    return current
+                        queue.append(r)
+    return Subspace(rows)
 
 
 def nullspace(

@@ -23,7 +23,6 @@ from .linalg import (
     Vec,
     ZERO,
     closure_under,
-    pairwise_closure,
     span_reduce,
     vec_add,
     vec_clean,
@@ -65,13 +64,6 @@ def _key_parity(key, parities):
     for a in args:
         s += parities[a]
     return s % 2
-
-
-def _split_by_parity(vec, parities):
-    parts: dict[int, Vec] = {}
-    for key, c in vec.items():
-        parts.setdefault(_key_parity(key, parities), {})[key] = c
-    return parts
 
 
 class MultiLinMap:
@@ -471,31 +463,58 @@ def left_mult_op(J: FinSuperAlg, a) -> MultiLinMap:
     return MultiLinMap(1, parity, J.parities, entries, check=False)
 
 
-def _w_bracket_vec(u: Vec, v: Vec, arity, parities) -> Vec:
-    """Bracket of two flattened maps of equal arity, split by parity."""
-    acc: Vec = {}
-    for pu, cu in _split_by_parity(u, parities).items():
-        fu = MultiLinMap.from_vec(cu, arity, parities, pu)
-        for pv, cv in _split_by_parity(v, parities).items():
-            fv = MultiLinMap.from_vec(cv, arity, parities, pv)
-            acc = vec_add(acc, w_bracket(fu, fv).as_vec())
-    return acc
+def _split_map(vec: Vec, arity, parities) -> list[MultiLinMap]:
+    """Parity-homogeneous maps summing to a flattened map."""
+    parts: dict[int, Vec] = {}
+    for key, c in vec.items():
+        parts.setdefault(_key_parity(key, parities), {})[key] = c
+    return [MultiLinMap.from_vec(comp, arity, parities, p)
+            for p, comp in parts.items()]
 
 
 def _homogeneous_maps(space: Subspace, arity, parities):
-    maps = []
-    for row in space.rows:
-        for p, comp in _split_by_parity(row, parities).items():
-            maps.append(MultiLinMap.from_vec(comp, arity, parities, p))
-    return maps
+    return [f for row in space.rows for f in _split_map(row, arity, parities)]
+
+
+def _flat(op, arity_u, arity_v, parities):
+    """Bilinear op on maps lifted to flattened maps of the given arities.
+
+    Each argument is split by parity and op is summed over every pair of
+    homogeneous parts; arguments of other arities give zero, so the lift can
+    be handed to closure_under, which tries both argument orders.
+    """
+    def lifted(u: Vec, v: Vec) -> Vec:
+        ku, kv = next(iter(u), None), next(iter(v), None)
+        if (ku is None or kv is None
+                or len(ku[0]) != arity_u or len(kv[0]) != arity_v):
+            return {}
+        acc: Vec = {}
+        for f in _split_map(u, arity_u, parities):
+            for g in _split_map(v, arity_v, parities):
+                acc = vec_add(acc, op(f, g).as_vec())
+        return acc
+    return lifted
+
+
+def _lie_closure(vecs, parities) -> Subspace:
+    """Smallest bracket-closed operator space containing the given flattened
+    operators."""
+    return closure_under(span_reduce(vecs), [_flat(w_bracket, 1, 1, parities)])
+
+
+def _one_step_orbit(mu: MultiLinMap, ops: Subspace) -> Subspace:
+    """Span of a product and its images under a space of operators."""
+    first = [mu.as_vec()]
+    for f in _homogeneous_maps(ops, 1, mu.parities):
+        first.append(act(f, mu).as_vec())
+    return span_reduce(first)
 
 
 def str_algebra(J: FinSuperAlg) -> Subspace:
     """Smallest bracket-closed operator space containing every left
     multiplication."""
-    seed = span_reduce([left_mult_op(J, i).as_vec() for i in range(J.dim)])
-    pars = J.parities
-    return pairwise_closure(seed, lambda u, v: _w_bracket_vec(u, v, 1, pars))
+    return _lie_closure([left_mult_op(J, i).as_vec() for i in range(J.dim)],
+                        J.parities)
 
 
 def related_products(J: FinSuperAlg, str_space: Subspace | None = None) -> Subspace:
@@ -505,22 +524,7 @@ def related_products(J: FinSuperAlg, str_space: Subspace | None = None) -> Subsp
     mu_vec = J.mu_map().as_vec()
     if not mu_vec:
         return ZERO
-    pars = J.parities
-
-    def apply(u, v):
-        ku = next(iter(u), None)
-        kv = next(iter(v), None)
-        if ku is None or kv is None or len(ku[0]) != 1 or len(kv[0]) != 2:
-            return {}
-        acc: Vec = {}
-        for pu, cu in _split_by_parity(u, pars).items():
-            f = MultiLinMap.from_vec(cu, 1, pars, pu)
-            for pv, cv in _split_by_parity(v, pars).items():
-                B = MultiLinMap.from_vec(cv, 2, pars, pv)
-                acc = vec_add(acc, act(f, B).as_vec())
-        return acc
-
-    return closure_under(span_reduce([mu_vec]), [apply], S)
+    return closure_under(span_reduce([mu_vec]), [_flat(act, 1, 2, J.parities)], S)
 
 
 @dataclass
@@ -539,14 +543,10 @@ def is_rigid(J: FinSuperAlg) -> RigidityReport:
     structure product (its act-image plus its scalar line)."""
     S = str_algebra(J)
     mu = J.mu_map()
-    mu_vec = mu.as_vec()
-    if not mu_vec:
+    if mu.is_zero():
         return RigidityReport(True, True, S.dim, 0, None, S, ZERO)
     R = related_products(J, S)
-    first = [mu_vec]
-    for f in _homogeneous_maps(S, 1, J.parities):
-        first.append(act(f, mu).as_vec())
-    one_step = span_reduce(first)
+    one_step = _one_step_orbit(mu, S)
     if one_step == R:
         return RigidityReport(True, False, S.dim, R.dim, None, S, R)
     witness = None
@@ -657,27 +657,16 @@ def check_admissible_findim(G: GradedLie) -> AdmissibleFindimReport:
     J = G.J
     pars = J.parities
     mu = J.mu_map()
-    mu_vec = mu.as_vec()
     g0 = G.components[0]
     g1 = G.components[1]
 
-    if mu_vec:
-        first = [mu_vec]
-        for f in _homogeneous_maps(g0, 1, pars):
-            first.append(act(f, mu).as_vec())
-        degree_one_spanned = span_reduce(first) == g1
+    if not mu.is_zero():
+        degree_one_spanned = _one_step_orbit(mu, g0) == g1
+        seeds = [w_bracket(MultiLinMap.vector({i: F(1)}, pars), mu).as_vec()
+                 for i in range(J.dim)]
+        degree_zero_generated = _lie_closure(seeds, pars) == g0
     else:
         degree_one_spanned = g1.dim == 0
-
-    if mu_vec:
-        seeds = []
-        for i in range(J.dim):
-            e = MultiLinMap.vector({i: F(1)}, pars)
-            seeds.append(w_bracket(e, mu).as_vec())
-        closure = pairwise_closure(
-            span_reduce(seeds), lambda u, v: _w_bracket_vec(u, v, 1, pars))
-        degree_zero_generated = closure == g0
-    else:
         degree_zero_generated = False
 
     chain_consistent = True

@@ -1,0 +1,22 @@
+"""Closure outputs on real catalog entries: Str, R and the graded expansion."""
+import pytest
+
+from superrigid.catalog import make
+from superrigid.walg import check_admissible_findim, is_rigid, tkk
+
+
+@pytest.mark.parametrize("name, dim_str, dim_r", [
+    ("JW_0_4", 10, 8),
+    ("JS_0_8", 20, 16),
+])
+def test_rigidity_dims(name, dim_str, dim_r):
+    rep = is_rigid(make(name).algebra)
+    assert (rep.dim_str, rep.dim_r) == (dim_str, dim_r)
+    assert rep.rigid and rep.witness is None
+
+
+def test_jw_0_4_graded_expansion():
+    G = tkk(make("JW_0_4").algebra, depth_cap=4)
+    assert G.dims == {-1: 4, 0: 10, 1: 8, 2: 2, 3: 0}
+    assert G.terminated
+    assert check_admissible_findim(G).admissible

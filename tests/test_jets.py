@@ -12,6 +12,7 @@ from superrigid.jets import (
     div_beta,
     format_jet,
     geometric_inverse,
+    MAX_NESTING,
     merge_sign,
     odd_laplacian,
     parse_jet,
@@ -60,6 +61,21 @@ class TestProduct:
     def test_mixed(self):
         f = (x(1) + xi(1)) * (x(1) - xi(1))
         assert f == Jet.x(A22, 1, 2)
+
+    def test_mixed_ambients_rejected(self):
+        f, g = Jet.x(A11, 1), Jet.x(Ambient(2, 0), 2)
+        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+            with pytest.raises(ValueError):
+                op(f, g)
+        # equal ambients built separately still combine
+        assert Jet.x(A11, 1) * Jet.x(Ambient(1, 1), 1) == Jet.x(A11, 1, 2)
+
+    def test_negative_powers_rejected(self):
+        with pytest.raises(ValueError):
+            x(1) ** -1
+        with pytest.raises(ValueError):
+            Jet.x(A22, 1, -2)
+        assert x(1) ** 0 == Jet.one(A22)
 
     @given(st.integers(0, 2**30), st.integers(0, 1), st.integers(0, 1))
     @settings(max_examples=150)
@@ -267,3 +283,18 @@ class TestParser:
             parse_jet("tau", A22)
         with pytest.raises(ExprError):
             parse_jet("xi3", A23)
+
+    def test_zero_denominator(self):
+        with pytest.raises(ExprError):
+            parse_jet("1/0", A22)
+        with pytest.raises(ExprError):
+            parse_jet("x1 + 3/0*x2", A22)
+
+    def test_nesting_limit(self):
+        def nested(n):
+            return "(" * n + "x1" + ")" * n
+
+        assert parse_jet(nested(MAX_NESTING), A22) == x(1)
+        for n in (MAX_NESTING + 1, 1400):
+            with pytest.raises(ExprError):
+                parse_jet(nested(n), A22)

@@ -6,7 +6,6 @@ from superrigid.linalg import (
     Subspace,
     closure_under,
     nullspace,
-    pairwise_closure,
     span_reduce,
     vec_add,
 )
@@ -116,7 +115,36 @@ class TestClosure:
             return out
 
         seed = span_reduce([v(((0,), 1)), v(((1,), 1))])
-        out = pairwise_closure(seed, br)
+        out = closure_under(seed, [br])
+        assert out.dim == 3
+        assert all(not out.reduce(br(a, b)) for a in out.rows for b in out.rows)
+
+    def test_partnerless_closure_is_closed(self):
+        # (a, b) -> (e0-coefficient of a) * (b shifted up one key, below 4):
+        # from e0 alone, e_k+1 appears only once e_k is paired with e0
+        def shift(a, b):
+            c = a.get((0,))
+            if not c:
+                return {}
+            return {(k[0] + 1,): c * x for k, x in b.items() if k[0] < 3}
+
+        out = closure_under(span_reduce([v(((0,), 1))]), [shift])
+        assert out == span_reduce([v(((i,), 1)) for i in range(4)])
+        assert all(not out.reduce(shift(a, b)) for a in out.rows for b in out.rows)
+
+    def test_closure_is_two_sided(self):
+        # a map reading only its first argument and one reading only its
+        # second close a seed to the same span: both argument orders are tried
+        def first(a, b):
+            return dict(a)
+
+        def second(a, b):
+            return dict(b)
+
+        seed = span_reduce([v(((0,), 1))])
+        partners = span_reduce([v(((1,), 1)), v(((2,), 1), ((3,), 2))])
+        out = closure_under(seed, [first], partners)
+        assert out == closure_under(seed, [second], partners)
         assert out.dim == 3
 
 
