@@ -309,8 +309,3 @@ def even_skew_defect(br, f: Jet, g: Jet) -> Jet:
     sign = -1 if pf & pg else 1
     return br(f, g) + br(g, f).scale(sign)
 
-
-def even_jacobi_defect(br, a: Jet, b: Jet, c: Jet) -> Jet:
-    pa, pb = _parity(a, "a"), _parity(b, "b")
-    sign = -1 if pa & pb else 1
-    return br(a, br(b, c)) - br(br(a, b), c) - br(b, br(a, c)).scale(sign)

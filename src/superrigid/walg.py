@@ -10,6 +10,15 @@ into a Z-graded Lie superalgebra with the space itself in degree -1, operators
 in degree 0, and supersymmetric products in degree 1.  On top of that live the
 structure operators of an algebra, the orbit of its product under them,
 rigidity and simplicity tests, and the graded expansion generated by degree 1.
+
+Str and the related products R are closures whose partners are only the n
+left multiplications L_i.  Str is the Lie superalgebra the L_i generate, the
+smallest space holding them and closed under bracketing with them; R is the
+smallest space holding the product and invariant under the L_i, because act is
+a representation of the operator algebra and so a subspace invariant under
+generators is invariant under all of Str.  act resolves the Koszul signs once
+per call, in integer entry tables of its two arguments; the operator bracket
+of Str is w_bracket, through box.
 """
 from __future__ import annotations
 
@@ -17,6 +26,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from math import lcm
 
 from .linalg import (
     Subspace,
@@ -91,9 +101,15 @@ class MultiLinMap:
                 continue
             slot = canon.setdefault(skey, {})
             for k, c in out.items():
-                s = slot.get(k, F(0)) + sign * F(c)
-                if s:
-                    slot[k] = s
+                if type(c) is not F:
+                    c = F(c)
+                if sign < 0:
+                    c = -c
+                s = slot.get(k)
+                if s is not None:
+                    c += s
+                if c:
+                    slot[k] = c
                 else:
                     slot.pop(k, None)
         self.entries = {k: v for k, v in canon.items() if v}
@@ -247,34 +263,56 @@ def act(f: MultiLinMap, B: MultiLinMap) -> MultiLinMap:
     """Operator action on a supersymmetric product, as a derivation-style
     commutator: (f.B)(x,y) = f(B(x,y)) - +/-(B(f(x),y) + +/-B(x,f(y))).
 
-    Agrees with w_bracket restricted to arity-1 by arity-2 arguments.
+    Agrees with w_bracket restricted to arity-1 by arity-2 arguments.  The
+    Koszul signs are resolved once per call, in the entry tables of f and B,
+    and the sums run over integers scaled by their common denominators, so
+    no lookup sorts its arguments.
     """
     if f.arity != 1 or B.arity != 2:
         raise ValueError("act expects an operator and a binary product")
     pars = f.parities
-    outer = -1 if (f.parity and B.parity) else 1
+    df, ft = _int_table(f)
+    dB, Bt = _int_table(B)
+    # Signs of the B(f(x), y) and B(x, f(y)) terms; the second also depends
+    # on the parity of x.
+    s2 = 1 if f.parity and B.parity else -1
+    s3 = (s2, 1 if f.parity and not B.parity else -1)
     entries: dict = {}
-    for (i, j) in _canonical_keys(len(pars), 2, pars):
-        acc: dict = {}
+    n = len(pars)
+    for i in range(n):
+        # Canonical pairs i <= j, without the square of an odd basis vector.
+        for j in range(i + pars[i], n):
+            acc: dict = {}
+            for k, c in Bt.get((i, j), ()):
+                for m, d in ft.get((k,), ()):
+                    acc[m] = acc.get(m, 0) + c * d
+            for k, c in ft.get((i,), ()):
+                for m, d in Bt.get((k, j), ()):
+                    acc[m] = acc.get(m, 0) + s2 * c * d
+            s = s3[pars[i]]
+            for k, c in ft.get((j,), ()):
+                for m, d in Bt.get((i, k), ()):
+                    acc[m] = acc.get(m, 0) + s * c * d
+            out = {m: F(c, df * dB) for m, c in acc.items() if c}
+            if out:
+                entries[(i, j)] = out
+    return MultiLinMap(2, f.parity + B.parity, pars, entries, check=False)
 
-        def bump(vecs, coeff):
-            for k, c in vecs.items():
-                s = acc.get(k, F(0)) + coeff * c
-                if s:
-                    acc[k] = s
-                else:
-                    acc.pop(k, None)
 
-        for k, c in B(i, j).items():
-            bump(f(k), c)
-        for k, c in f(i).items():
-            bump(B(k, j), outer * -c)
-        inner = -1 if (pars[i] and f.parity) else 1
-        for k, c in f(j).items():
-            bump(B(i, k), outer * inner * -c)
-        if acc:
-            entries[(i, j)] = acc
-    return MultiLinMap(2, (f.parity + B.parity) % 2, pars, entries, check=False)
+def _int_table(m: MultiLinMap):
+    """Common denominator d of a map and its entry table {args: [(k, c * d)]}.
+    A binary key also appears swapped, with its Koszul sign folded into the
+    coefficient, so any ordered pair looks up."""
+    pars = m.parities
+    d = lcm(*(c.denominator for out in m.entries.values() for c in out.values()))
+    tab: dict = {}
+    for args, out in m.entries.items():
+        row = [(k, c.numerator * (d // c.denominator)) for k, c in out.items()]
+        tab[args] = row
+        if len(args) == 2 and args[0] != args[1]:
+            a, b = args
+            tab[(b, a)] = [(k, -c) for k, c in row] if pars[a] & pars[b] else row
+    return d, tab
 
 
 class FinSuperAlg:
@@ -497,9 +535,18 @@ def _flat(op, arity_u, arity_v, parities):
 
 
 def _lie_closure(vecs, parities) -> Subspace:
-    """Smallest bracket-closed operator space containing the given flattened
-    operators."""
-    return closure_under(span_reduce(vecs), [_flat(w_bracket, 1, 1, parities)])
+    """Lie superalgebra generated by the given homogeneous flattened
+    operators.
+
+    This is the smallest space V containing the generators and closed under
+    bracketing with them (Jacobson, Lie Algebras, ch. I).  By the graded
+    Jacobi identity the x in V with [x, V] inside V form a subspace that
+    holds the generators and is closed under bracketing with them, so it is
+    all of V and V is a subalgebra.  The generators' span is therefore the
+    closure's partner space.
+    """
+    gens = span_reduce(vecs)
+    return closure_under(gens, [_flat(w_bracket, 1, 1, parities)], gens)
 
 
 def _one_step_orbit(mu: MultiLinMap, ops: Subspace) -> Subspace:
@@ -510,21 +557,32 @@ def _one_step_orbit(mu: MultiLinMap, ops: Subspace) -> Subspace:
     return span_reduce(first)
 
 
+def _left_mults(J: FinSuperAlg) -> list[Vec]:
+    return [left_mult_op(J, i).as_vec() for i in range(J.dim)]
+
+
 def str_algebra(J: FinSuperAlg) -> Subspace:
     """Smallest bracket-closed operator space containing every left
     multiplication."""
-    return _lie_closure([left_mult_op(J, i).as_vec() for i in range(J.dim)],
-                        J.parities)
+    return _lie_closure(_left_mults(J), J.parities)
 
 
-def related_products(J: FinSuperAlg, str_space: Subspace | None = None) -> Subspace:
+def related_products(J: FinSuperAlg) -> Subspace:
     """Smallest act-invariant space of supersymmetric products containing the
-    structure product."""
-    S = str_algebra(J) if str_space is None else str_space
+    structure product.
+
+    Invariance under Str follows from invariance under the left
+    multiplications alone: act is w_bracket restricted to operators on binary
+    products, so by the graded Jacobi identity it is a representation of the
+    operator algebra, and the operators that keep a subspace invariant form a
+    Lie subalgebra.  The closure's partners are therefore span(L_i), not Str.
+    """
     mu_vec = J.mu_map().as_vec()
     if not mu_vec:
         return ZERO
-    return closure_under(span_reduce([mu_vec]), [_flat(act, 1, 2, J.parities)], S)
+    return closure_under(span_reduce([mu_vec]),
+                         [_flat(act, 1, 2, J.parities)],
+                         span_reduce(_left_mults(J)))
 
 
 @dataclass
@@ -545,7 +603,7 @@ def is_rigid(J: FinSuperAlg) -> RigidityReport:
     mu = J.mu_map()
     if mu.is_zero():
         return RigidityReport(True, True, S.dim, 0, None, S, ZERO)
-    R = related_products(J, S)
+    R = related_products(J)
     one_step = _one_step_orbit(mu, S)
     if one_step == R:
         return RigidityReport(True, False, S.dim, R.dim, None, S, R)
@@ -616,7 +674,7 @@ def tkk(J: FinSuperAlg, depth_cap: int = 6) -> GradedLie:
         raise ValueError("depth_cap must be at least 1")
     pars = J.parities
     S = str_algebra(J)
-    R = related_products(J, S)
+    R = related_products(J)
     comps = {-1: span_reduce([{i: F(1)} for i in range(J.dim)]), 0: S, 1: R}
     terminated = R.dim == 0
     g1_maps = _homogeneous_maps(R, 2, pars)

@@ -4,9 +4,12 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from superrigid.catalog import make
+from superrigid.linalg import closure_under, span_reduce, vec_add
 from superrigid.walg import (
     FinSuperAlg,
     MultiLinMap,
+    _flat,
     act,
     box,
     check_admissible_findim,
@@ -239,6 +242,17 @@ class TestMultiLinMap:
         B = MultiLinMap(2, 1, pars, {(0, 1): {1: 1}})
         assert B(0, 0) == {}
 
+    def test_unsorted_keys_are_canonicalised(self):
+        pars = (1, 1, 0)
+        B = MultiLinMap(2, 0, pars, {(1, 0): {2: 1}, (2, 0): {0: F(1, 2)}})
+        assert B.entries == {(0, 1): {2: F(-1)}, (0, 2): {0: F(1, 2)}}
+        # Entries given on both orders of one key add up, with the sign.
+        C = MultiLinMap(2, 0, pars, {(0, 1): {2: 3}, (1, 0): {2: 3}})
+        assert C.is_zero()
+        D = MultiLinMap(2, 0, pars, {(0, 2): {1: 2}, (2, 0): {1: 1}})
+        assert D.entries == {(0, 2): {1: F(3)}}
+        assert all(type(c) is F for c in D.entries[(0, 2)].values())
+
     def test_parity_check(self):
         with pytest.raises(ValueError):
             MultiLinMap(1, 0, (0, 1), {(0,): {1: 1}})
@@ -374,6 +388,90 @@ class TestAct:
             f = random_mlm(pars, 1, pf, rng)
             B = random_mlm(pars, 2, pb, rng)
             assert act(f, B) == w_bracket(f, B)
+
+
+@pytest.mark.parametrize("name", ["JS_0_8", "LW_0_2"])
+def test_act_agrees_with_w_bracket_on_str(name):
+    J = make(name).algebra
+    mu = J.mu_map()
+    # A row of mixed parity would fail the parity check.
+    ops = [MultiLinMap.from_vec(row, 1, J.parities, check=True)
+           for row in str_algebra(J).rows]
+    assert {f.parity for f in ops} == {0, 1}
+    for f in ops:
+        assert act(f, mu) == w_bracket(f, mu)
+
+
+def _vsum(vecs):
+    out = {}
+    for v in vecs:
+        out = vec_add(out, v)
+    return out
+
+
+@pytest.mark.parametrize("op, arity_v", [(act, 2), (w_bracket, 1)])
+def test_lift_on_mixed_parity_arguments(op, arity_v):
+    """The closures' lift of act or of the operator bracket splits each
+    argument by parity and sums w_bracket over the homogeneous parts."""
+    rng = random.Random(31)
+    pars = (0, 1, 0, 1, 1)
+    lifted = _flat(op, 1, arity_v, pars)
+    for _ in range(10):
+        fs = [random_mlm(pars, 1, p, rng) for p in (0, 1)]
+        gs = [random_mlm(pars, arity_v, p, rng) for p in (0, 1)]
+        got = lifted(_vsum(f.as_vec() for f in fs), _vsum(g.as_vec() for g in gs))
+        assert got == _vsum(w_bracket(f, g).as_vec() for f in fs for g in gs)
+        if arity_v == 2:
+            # The closure tries both orders; the swapped one gives zero.
+            assert lifted(gs[0].as_vec(), fs[0].as_vec()) == {}
+
+
+def _permuted(J, seed):
+    perm = list(range(J.dim))
+    random.Random(seed).shuffle(perm)
+    parities = [0] * J.dim
+    for i, p in enumerate(J.parities):
+        parities[perm[i]] = p
+    table = {(perm[i], perm[j]): {perm[k]: c for k, c in out.items()}
+             for (i, j), out in J.table.items()}
+    return FinSuperAlg(parities, J.product_parity, table,
+                       anticommutative_presentation=J.anticommutative_presentation)
+
+
+def _lifted(op, arity_u, arity_v, pars):
+    """op on maps as a bilinear map of homogeneous flattened maps, zero on
+    other arities."""
+    def lifted(u, v):
+        if len(next(iter(u))[0]) != arity_u or len(next(iter(v))[0]) != arity_v:
+            return {}
+        f = MultiLinMap.from_vec(u, arity_u, pars, check=True)
+        g = MultiLinMap.from_vec(v, arity_v, pars, check=True)
+        return op(f, g).as_vec()
+    return lifted
+
+
+SHORTCUT_CASES = {name: make(name).algebra
+                  for name in ("JW_0_4", "JS_0_8", "JW_0_8")}
+SHORTCUT_CASES["JW_0_8 permuted"] = _permuted(SHORTCUT_CASES["JW_0_8"], 5)
+
+
+@pytest.mark.parametrize("J", SHORTCUT_CASES.values(), ids=SHORTCUT_CASES)
+class TestGeneratorShortcut:
+    """Str and R from the left multiplications alone equal the closures
+    against the whole growing span and against the whole of Str."""
+
+    def test_related_products_under_all_of_str(self, J):
+        pars = J.parities
+        S = str_algebra(J)
+        R = closure_under(span_reduce([J.mu_map().as_vec()]),
+                          [_lifted(act, 1, 2, pars)], S)
+        assert R == related_products(J)
+
+    def test_str_as_full_lie_closure(self, J):
+        pars = J.parities
+        gens = span_reduce([left_mult_op(J, i).as_vec() for i in range(J.dim)])
+        S = closure_under(gens, [_lifted(w_bracket, 1, 1, pars)])
+        assert S == str_algebra(J)
 
 
 class TestLeftMult:
