@@ -19,14 +19,19 @@ a representation of the operator algebra and so a subspace invariant under
 generators is invariant under all of Str.  act resolves the Koszul signs once
 per call, in integer entry tables of its two arguments; the operator bracket
 of Str is w_bracket, through box.
+
+box, and with it every w_bracket of the graded expansion and its
+admissibility check, is driven by the stored entries of its two arguments:
+each entry of g meets only the entries of f whose first argument it hits,
+and the MultiLinMap constructor sorts the combined key and applies its
+Koszul sign, the same rule as a lookup through MultiLinMap.__call__.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
-from math import lcm
+from math import comb, lcm
 
 from .linalg import (
     Subspace,
@@ -59,13 +64,6 @@ def _sort_sign(idxs, parities):
         if a == b and parities[a]:
             return 0, tuple(lst)
     return sign, tuple(lst)
-
-
-def _canonical_keys(n, arity, parities):
-    for key in combinations_with_replacement(range(n), arity):
-        if any(a == b and parities[a] for a, b in zip(key, key[1:])):
-            continue
-        yield key
 
 
 def _key_parity(key, parities):
@@ -169,7 +167,9 @@ class MultiLinMap:
         images = self.entries.get(key)
         if not images:
             return {}
-        return {k: sign * c for k, c in images.items()}
+        if sign > 0:
+            return dict(images)
+        return {k: -c for k, c in images.items()}
 
     def add(self, other: "MultiLinMap") -> "MultiLinMap":
         if self.arity != other.arity or self.parities != other.parities:
@@ -213,6 +213,15 @@ def box(f: MultiLinMap, g: MultiLinMap) -> MultiLinMap:
 
     A map with a arguments sits in degree a-1; the result lives in the degree
     sum, so two degree -1 maps underflow.
+
+    The sum is driven by the stored entries.  f is tabled by its first
+    argument, k -> (rest, f(k, *rest)), through f's own lookup, and each entry
+    A -> {k: c} of g meets the rows for k on the unsorted key A + rest; the
+    constructor sorts that key and applies its Koszul sign.  Position subsets
+    that pick different copies of a repeated even index give the same split
+    with the same sign, so a split is counted once and weighted by their
+    number, the product over indices v of C(m_A(v) + m_rest(v), m_rest(v)).
+    The sums run over integers scaled by the common denominators.
     """
     p, q = f.arity - 1, g.arity - 1
     if p + q < -1:
@@ -224,33 +233,47 @@ def box(f: MultiLinMap, g: MultiLinMap) -> MultiLinMap:
         raise ValueError("operands live over different spaces")
     if f.arity == 0:
         return MultiLinMap.zero(arity, parity, pars)
-    entries: dict = {}
-    n = len(pars)
-    for key in _canonical_keys(n, arity, pars):
-        argpars = tuple(pars[i] for i in key)
-        acc: dict = {}
-        for S in combinations(range(arity), g.arity):
-            sgn = 1
-            inS = set(S)
-            for u in S:
-                if argpars[u]:
-                    for v in range(u):
-                        if v not in inS and argpars[v]:
-                            sgn = -sgn
-            inner = g(*(key[i] for i in S))
-            if not inner:
+    df, ftab = _first_arg_table(f)
+    dg = _common_denominator(g)
+    acc: dict = {}
+    for A, out in g.entries.items():
+        for k, c in out.items():
+            rows = ftab.get(k)
+            if not rows:
                 continue
-            rest = tuple(key[i] for i in range(arity) if i not in inS)
-            for k, c in inner.items():
-                for m, cm in f(k, *rest).items():
-                    s = acc.get(m, F(0)) + sgn * c * cm
-                    if s:
-                        acc[m] = s
-                    else:
-                        acc.pop(m, None)
-        if acc:
-            entries[key] = acc
+            c = c.numerator * (dg // c.denominator)
+            for rest, img in rows:
+                w = c
+                for v in set(A).intersection(rest):
+                    w *= comb(A.count(v) + rest.count(v), rest.count(v))
+                slot = acc.setdefault(A + rest, {})
+                for m, d in img:
+                    slot[m] = slot.get(m, 0) + w * d
+    den = df * dg
+    entries = {key: {m: F(c, den) for m, c in slot.items() if c}
+               for key, slot in acc.items()}
     return MultiLinMap(arity, parity, pars, entries, check=False)
+
+
+def _common_denominator(m: MultiLinMap) -> int:
+    return lcm(*(c.denominator for out in m.entries.values() for c in out.values()))
+
+
+def _first_arg_table(f: MultiLinMap):
+    """Common denominator d of a map and its table {k: [(rest, [(m, c * d)])]}
+    over every stored key and each distinct index k in it, where rest is the
+    key less one k and the image is f(k, *rest), so the sign of moving k to
+    the front comes from f's lookup."""
+    d = _common_denominator(f)
+    tab: dict = {}
+    for key in f.entries:
+        for k in dict.fromkeys(key):
+            i = key.index(k)
+            rest = key[:i] + key[i + 1:]
+            img = [(m, c.numerator * (d // c.denominator))
+                   for m, c in f(k, *rest).items()]
+            tab.setdefault(k, []).append((rest, img))
+    return d, tab
 
 
 def w_bracket(f: MultiLinMap, g: MultiLinMap) -> MultiLinMap:
@@ -304,7 +327,7 @@ def _int_table(m: MultiLinMap):
     A binary key also appears swapped, with its Koszul sign folded into the
     coefficient, so any ordered pair looks up."""
     pars = m.parities
-    d = lcm(*(c.denominator for out in m.entries.values() for c in out.values()))
+    d = _common_denominator(m)
     tab: dict = {}
     for args, out in m.entries.items():
         row = [(k, c.numerator * (d // c.denominator)) for k, c in out.items()]
@@ -736,12 +759,14 @@ def check_admissible_findim(G: GradedLie) -> AdmissibleFindimReport:
         if k < 2:
             continue
         vecs = []
-        for i in range(1, k):
+        # w_bracket(v, u) = -(-1)^{|u||v|} w_bracket(u, v), so each unordered
+        # splitting is bracketed once: i <= j, and u before v when i == j.
+        for i in range(1, k // 2 + 1):
             j = k - i
             if i not in maps_by_deg or j not in maps_by_deg:
                 continue
-            for u in maps_by_deg[i]:
-                for v in maps_by_deg[j]:
+            for a, u in enumerate(maps_by_deg[i]):
+                for v in maps_by_deg[j][a if i == j else 0:]:
                     vecs.append(w_bracket(u, v).as_vec())
         if span_reduce(vecs) != G.components[k]:
             chain_consistent = False

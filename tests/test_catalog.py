@@ -24,3 +24,20 @@ def test_jw_0_4_graded_expansion():
     assert G.dims == {-1: 4, 0: 10, 1: 8, 2: 2, 3: 0}
     assert G.terminated
     assert check_admissible_findim(G).admissible
+
+
+# JW_0_8 fails its degree-one condition along with its rigidity check and is
+# deliberately not pinned.
+GRADED = {
+    "JS_0_2": ({-1: 2, 0: 3, 1: 4, 2: 5, 3: 6, 4: 7}, False),
+    "LW_0_2": ({-1: 2, 0: 4, 1: 4, 2: 4, 3: 4, 4: 4}, False),
+    "JS_0_8": ({-1: 8, 0: 20, 1: 16, 2: 5, 3: 0}, True),
+    "JS_0_16": ({-1: 16, 0: 48, 1: 48, 2: 17, 3: 0}, True),
+}
+
+
+@pytest.mark.parametrize("name", GRADED)
+def test_graded_expansion(name):
+    G = tkk(make(name).algebra, depth_cap=4)
+    assert (G.dims, G.terminated) == GRADED[name]
+    assert check_admissible_findim(G).admissible

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
@@ -8,6 +8,7 @@ from superrigid.catalog import make
 from superrigid.linalg import closure_under, span_reduce, vec_add
 from superrigid.walg import (
     FinSuperAlg,
+    GradedLie,
     MultiLinMap,
     _flat,
     act,
@@ -58,7 +59,8 @@ def canonical_keys(n, arity, pars):
         yield key
 
 
-def random_mlm(pars, arity, parity, rng):
+def random_mlm(pars, arity, parity, rng, den=1):
+    """Random map; den > 1 draws each denominator from 1..den."""
     entries = {}
     for key in canonical_keys(len(pars), arity, pars):
         base = sum(pars[i] for i in key) % 2
@@ -66,9 +68,11 @@ def random_mlm(pars, arity, parity, rng):
             if (base + pars[k]) % 2 != parity:
                 continue
             if rng.random() < 0.4:
-                c = rng.randint(-3, 3)
+                c = F(rng.randint(-3, 3))
+                if c and den > 1:
+                    c /= rng.randint(1, den)
                 if c:
-                    entries.setdefault(key, {})[k] = F(c)
+                    entries.setdefault(key, {})[k] = c
     return MultiLinMap(arity, parity, pars, entries)
 
 
@@ -309,6 +313,117 @@ class TestBox:
             rhs = box(box(a, c), b).add(box(a, box(c, b)).scale(-1))
             sign = -1 if (pb and pc) else 1
             assert lhs.add(rhs.scale(-sign)).is_zero()
+
+
+# The library's box before its entry-driven kernel, verbatim; the helper it
+# called is the tests' canonical_keys.
+_canonical_keys = canonical_keys
+
+
+def _box_reference(f: MultiLinMap, g: MultiLinMap) -> MultiLinMap:
+    """Insertion product: sum over shuffles of g into the first slot of f.
+
+    A map with a arguments sits in degree a-1; the result lives in the degree
+    sum, so two degree -1 maps underflow.
+    """
+    p, q = f.arity - 1, g.arity - 1
+    if p + q < -1:
+        raise ValueError("arity underflow: both operands are plain vectors")
+    arity = p + q + 1
+    parity = (f.parity + g.parity) % 2
+    pars = f.parities
+    if pars != g.parities:
+        raise ValueError("operands live over different spaces")
+    if f.arity == 0:
+        return MultiLinMap.zero(arity, parity, pars)
+    entries: dict = {}
+    n = len(pars)
+    for key in _canonical_keys(n, arity, pars):
+        argpars = tuple(pars[i] for i in key)
+        acc: dict = {}
+        for S in combinations(range(arity), g.arity):
+            sgn = 1
+            inS = set(S)
+            for u in S:
+                if argpars[u]:
+                    for v in range(u):
+                        if v not in inS and argpars[v]:
+                            sgn = -sgn
+            inner = g(*(key[i] for i in S))
+            if not inner:
+                continue
+            rest = tuple(key[i] for i in range(arity) if i not in inS)
+            for k, c in inner.items():
+                for m, cm in f(k, *rest).items():
+                    s = acc.get(m, F(0)) + sgn * c * cm
+                    if s:
+                        acc[m] = s
+                    else:
+                        acc.pop(m, None)
+        if acc:
+            entries[key] = acc
+    return MultiLinMap(arity, parity, pars, entries, check=False)
+
+
+KERNEL_PARITIES = {
+    "even": (0, 0, 0),
+    "even and odd": (0, 1),
+    "odd": (1, 1, 1, 1),
+    "mixed": (1, 0, 1, 0, 0),
+}
+
+
+class TestBoxKernel:
+    """The entry-driven box against the subset-sum sum over every canonical
+    output key and every position subset that it replaced."""
+
+    @pytest.mark.parametrize("pars", KERNEL_PARITIES.values(),
+                             ids=KERNEL_PARITIES)
+    def test_matches_subset_sum_reference(self, pars):
+        rng = random.Random(len(pars) * 10 + sum(pars))
+        nonzero = 0
+        for af in range(4):
+            for ag in range(4):
+                if af + ag == 0:
+                    continue
+                for pf, pg, _ in product((0, 1), (0, 1), range(3)):
+                    f = random_mlm(pars, af, pf, rng, den=4)
+                    g = random_mlm(pars, ag, pg, rng, den=4)
+                    got, want = box(f, g), _box_reference(f, g)
+                    assert (got.arity, got.parity) == (want.arity,
+                                                       want.parity)
+                    assert got == want
+                    nonzero += not want.is_zero()
+        assert nonzero > 20
+
+    def test_repeated_even_index_multiplicity(self):
+        # Over one even basis vector e, mu(e, e) = e and box(mu, mu)(e, e, e)
+        # picks the inner pair in C(3, 2) = 3 ways.
+        mu = MultiLinMap(2, 0, (0,), {(0, 0): {0: 1}})
+        assert box(mu, mu).entries == {(0, 0, 0): {0: F(3)}}
+        assert box(mu, mu) == _box_reference(mu, mu)
+
+    def test_different_spaces(self):
+        # Arity underflow is test_arity_underflow in TestBox.
+        f = MultiLinMap.identity((0, 1))
+        g = MultiLinMap.identity((0, 0))
+        with pytest.raises(ValueError, match="different spaces"):
+            box(f, g)
+        with pytest.raises(ValueError, match="different spaces"):
+            w_bracket(f, g)
+
+    def test_w_bracket_graded_antisymmetry(self):
+        """w_bracket(v, u) = -(-1)^{|u||v|} w_bracket(u, v), as values; the
+        admissibility chain check brackets each unordered pair once by it."""
+        rng = random.Random(37)
+        pars = (0, 1, 0, 1)
+        for _ in range(30):
+            au, av = rng.randint(1, 3), rng.randint(1, 3)
+            pu, pv = rng.randint(0, 1), rng.randint(0, 1)
+            u = random_mlm(pars, au, pu, rng, den=3)
+            v = random_mlm(pars, av, pv, rng, den=3)
+            sign = -1 if (pu and pv) else 1
+            assert w_bracket(v, u) == w_bracket(u, v).scale(-sign)
 
 
 class TestWBracket:
@@ -687,6 +802,18 @@ class TestAdmissibleFindim:
     def test_zero_product_fails_generation(self):
         rep = check_admissible_findim(tkk(FinSuperAlg((0, 0), 0, {})))
         assert not rep.degree_zero_generated
+
+    def test_chain_brackets_an_odd_map_with_itself(self):
+        # Degree 1 is the line of one odd product whose square is nonzero,
+        # so degree 2 is spanned by its bracket with itself alone.
+        J = FinSuperAlg((0, 1, 1, 0), 1,
+                        {(0, 0): {2: 1}, (0, 1): {3: 1}, (2, 3): {0: 1}})
+        mu = J.mu_map()
+        square = w_bracket(mu, mu)
+        assert not square.is_zero()
+        G = GradedLie(J, {0: str_algebra(J), 1: span_reduce([mu.as_vec()]),
+                          2: span_reduce([square.as_vec()])})
+        assert check_admissible_findim(G).chain_consistent
 
 
 class TestOddSquareZeroGivesLie:
