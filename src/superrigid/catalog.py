@@ -1365,18 +1365,18 @@ def ideal_spot_checks(entry, seeds: Sequence | None = None,
     window shadow of the true ideal; a seed that reaches every target of
     degree below the window edge is reported complete.
     """
-    basis = entry.basis(order)
-    vecs = [entry.to_vec(elem_truncate(b, order)
-                         if entry.kind == "oracle" else b) for b in basis]
-    partners = span_reduce(vecs)
+    def window(a):
+        return entry.to_vec(elem_truncate(a, order)
+                            if entry.kind == "oracle" else a)
 
-    def step(p, v):
+    basis = entry.basis(order)
+    vecs = [window(b) for b in basis]
+    # The left and right product with each partner, converted once.
+    sides = []
+    for p in span_reduce(vecs).rows:
         u = entry.from_vec(p)
-        w = entry.from_vec(v)
-        pr = entry.product(u, w)
-        if entry.kind == "oracle":
-            pr = elem_truncate(pr, order)
-        return entry.to_vec(pr)
+        sides += [lambda v, u=u: window(entry.product(u, entry.from_vec(v))),
+                  lambda v, u=u: window(entry.product(entry.from_vec(v), u))]
 
     if seeds is None:
         seeds = getattr(entry, "default_seeds", None)
@@ -1393,10 +1393,8 @@ def ideal_spot_checks(entry, seeds: Sequence | None = None,
 
     out = []
     for seed in seeds:
-        sv = entry.to_vec(elem_truncate(seed, order)
-                          if entry.kind == "oracle" else seed)
-        closed = closure_under(span_reduce([sv] if sv else []),
-                               [step], partners)
+        sv = window(seed)
+        closed = closure_under(span_reduce([sv] if sv else []), sides)
         missing = [entry.format(b) for b, v in targets
                    if not closed.contains(v)]
         out.append(SeedReach(entry.format(seed), closed.dim,
@@ -1503,58 +1501,64 @@ def make(name: str, *, alpha=None, beta=None):
 
     Names are normalized first, so decorated spellings resolve to the same
     entry.  Parametrized entries take exact rationals for alpha and beta;
-    out-of-range parameters raise CatalogError naming the constraint.
+    a parameter the entry does not take raises CatalogError naming the ones
+    it does, and an out-of-range one raises CatalogError naming the
+    constraint.
     """
     key = normalize_name(name)
-    if key in _FIXED:
-        wanted, _, builder = _FIXED[key]
-        kwargs = {}
-        if "alpha" in wanted:
-            kwargs["alpha"] = F(0) if alpha is None else F(alpha)
-        if "beta" in wanted:
-            if beta is None:
-                raise CatalogError(f"{key} needs an explicit beta")
-            kwargs["beta"] = F(beta)
-        return builder(**kwargs)
     parts = key.split("_")
-    base = parts[0] if parts else ""
-    if base in _PATTERNS and len(parts) == 3:
-        try:
-            a, b = int(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise CatalogError(f"unknown entry {name!r}") from exc
-        if base == "OJP":
-            return _entry_ojp(a, b)
-        if base == "LP":
-            return _entry_lp(a, b)
-        if base == "LSHO":
-            if a < 2 or b != 2 ** (a - 1):
-                raise CatalogError(
-                    f"indices must be n, 2^(n-1) with n >= 2; got {key}")
-            return _entry_lsho(a)
-        if base == "LSKO":
-            if a < 1 or b != 2 ** a:
-                raise CatalogError(
-                    f"indices must be n, 2^n with n >= 1; got {key}")
-            if beta is None:
-                raise CatalogError(f"{key} needs an explicit beta")
-            return _entry_lsko(a, F(beta))
-    raise CatalogError(f"unknown entry {name!r}")
+    if key in _FIXED:
+        wanted = _FIXED[key][0]
+    elif parts[0] in _PATTERNS and len(parts) == 3:
+        wanted = _PATTERNS[parts[0]][0]
+    else:
+        raise CatalogError(f"unknown entry {name!r}")
+    takes = [p for p in wanted if p in ("alpha", "beta")]
+    named = ", ".join(takes) or "no parameters"
+    for p, val in (("alpha", alpha), ("beta", beta)):
+        if val is not None and p not in takes:
+            raise CatalogError(f"{key} takes {named}, not {p}")
+    if "beta" in takes and beta is None:
+        raise CatalogError(f"{key} needs an explicit beta")
+    if key in _FIXED:
+        kwargs = {}
+        if "alpha" in takes:
+            kwargs["alpha"] = F(0) if alpha is None else F(alpha)
+        if "beta" in takes:
+            kwargs["beta"] = F(beta)
+        return _FIXED[key][2](**kwargs)
+    base = parts[0]
+    try:
+        a, b = int(parts[1]), int(parts[2])
+    except ValueError as exc:
+        raise CatalogError(f"unknown entry {name!r}") from exc
+    if base == "OJP":
+        return _entry_ojp(a, b)
+    if base == "LP":
+        return _entry_lp(a, b)
+    if base == "LSHO":
+        if a < 2 or b != 2 ** (a - 1):
+            raise CatalogError(
+                f"indices must be n, 2^(n-1) with n >= 2; got {key}")
+        return _entry_lsho(a)
+    # The remaining pattern is LSKO.
+    if a < 1 or b != 2 ** a:
+        raise CatalogError(f"indices must be n, 2^n with n >= 1; got {key}")
+    return _entry_lsko(a, F(beta))
 
 
 def registry_listing() -> list:
     """All catalog entries with parameters and constraints, JSON-friendly."""
     rows = []
     for name, (params, constraints, builder) in _FIXED.items():
-        kind = "finite" if name in ("JS_0_2", "JW_0_4", "JW_0_8", "JS_0_8",
-                                    "JS_0_16", "LW_0_2") else "oracle"
         probe_kwargs = {}
         if "alpha" in params:
             probe_kwargs["alpha"] = F(0)
         if "beta" in params:
             probe_kwargs["beta"] = F(1, 2)
-        summary = builder(**probe_kwargs).summary
-        rows.append(RegistryRow(name, kind, params, constraints, summary))
+        entry = builder(**probe_kwargs)
+        rows.append(RegistryRow(name, entry.kind, params, constraints,
+                                entry.summary))
     for base, (params, constraints, summary) in _PATTERNS.items():
         rows.append(RegistryRow(f"{base}_<n>_<s>", "oracle", params,
                                 constraints, summary))

@@ -10,8 +10,9 @@ Spans grow one vector at a time through a single elimination step: the
 vector's remainder against the rows is normalised at its pivot and that pivot
 is cleared from the other rows.  span_reduce, Subspace.extended and
 closure_under all grow their spans this way.  closure_under is the one closure
-routine: a worklist closure under bilinear maps, either against a fixed
-partner space or, with partners=None, against the growing span itself.
+routine: the smallest span holding a seed that a list of linear maps sends
+into itself.  A caller closing under a bilinear operation binds each partner
+into a unary map once.
 """
 from __future__ import annotations
 
@@ -129,33 +130,26 @@ ZERO = Subspace({})
 
 def closure_under(
     seed: Subspace,
-    maps: Sequence[Callable[[Vec, Vec], Vec]],
-    partners: Subspace | None = None,
+    maps: Sequence[Callable[[Vec], Vec]],
 ) -> Subspace:
-    """Smallest subspace containing seed and closed under each bilinear map
-    with a partner in either slot.
+    """Smallest subspace containing seed that each linear map in maps sends
+    into itself.
 
-    With partners given, m(p, v) and m(v, p) lie in the result for each map
-    m, each basis row p of partners and each v in the result.  With
-    partners=None the partners are the result itself, so m(a, b) lies in it
-    for all a, b in it: the Lie-subalgebra closure when m is a bracket.
-
-    A worklist starts with the seed rows.  Each popped vector v meets every
-    partner p as m(p, v) and m(v, p), once if p is v, and the remainder of
-    each value outside the span so far joins the span and the worklist.  With
-    partners=None the partners of v are the vectors popped before it and v
-    itself, so each unordered pair is met once.  The returned span is
-    canonical, so the visiting order does not change it.
+    A worklist starts with the seed rows.  Each popped vector is sent through
+    every map, and the remainder of each image outside the span so far joins
+    the span and the worklist.  Every vector that joined is popped, so each
+    map sends a spanning set, and by linearity the whole span, into the
+    result; every vector that joined lies in any invariant space holding the
+    seed.  The returned span is canonical, so the visiting order does not
+    change it.
     """
     rows = dict(seed._by_pivot)
     queue = list(seed.rows)
-    for i, v in enumerate(queue):  # the queue grows while it is walked
+    for v in queue:  # the queue grows while it is walked
         for m in maps:
-            for p in queue[:i + 1] if partners is None else partners.rows:
-                for a, b in [(p, v)] if p is v else [(p, v), (v, p)]:
-                    r = _accept(rows, m(a, b))
-                    if r:
-                        queue.append(r)
+            r = _accept(rows, m(v))
+            if r:
+                queue.append(r)
     return Subspace(rows)
 
 

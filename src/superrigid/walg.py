@@ -11,14 +11,14 @@ in degree 0, and supersymmetric products in degree 1.  On top of that live the
 structure operators of an algebra, the orbit of its product under them,
 rigidity and simplicity tests, and the graded expansion generated by degree 1.
 
-Str and the related products R are closures whose partners are only the n
-left multiplications L_i.  Str is the Lie superalgebra the L_i generate, the
-smallest space holding them and closed under bracketing with them; R is the
-smallest space holding the product and invariant under the L_i, because act is
-a representation of the operator algebra and so a subspace invariant under
-generators is invariant under all of Str.  act resolves the Koszul signs once
-per call, in integer entry tables of its two arguments; the operator bracket
-of Str is w_bracket, through box.
+Str and the related products R are closures under the n left
+multiplications L_i alone, each bound once into a unary map.  Str is the Lie
+superalgebra the L_i generate, the smallest space holding them that ad L_i
+sends into itself; R is the smallest space holding the product that act by
+each L_i sends into itself, because act is a representation of the operator
+algebra and so a subspace invariant under generators is invariant under all
+of Str.  act resolves the Koszul signs once per call, in integer entry tables
+of its two arguments; the operator bracket of Str is w_bracket, through box.
 
 box, and with it every w_bracket of the graded expansion and its
 admissibility check, is driven by the stored entries of its two arguments:
@@ -537,39 +537,31 @@ def _homogeneous_maps(space: Subspace, arity, parities):
     return [f for row in space.rows for f in _split_map(row, arity, parities)]
 
 
-def _flat(op, arity_u, arity_v, parities):
-    """Bilinear op on maps lifted to flattened maps of the given arities.
-
-    Each argument is split by parity and op is summed over every pair of
-    homogeneous parts; arguments of other arities give zero, so the lift can
-    be handed to closure_under, which tries both argument orders.
-    """
-    def lifted(u: Vec, v: Vec) -> Vec:
-        ku, kv = next(iter(u), None), next(iter(v), None)
-        if (ku is None or kv is None
-                or len(ku[0]) != arity_u or len(kv[0]) != arity_v):
-            return {}
+def _bound(op, f: MultiLinMap, arity, parities):
+    """The linear map v -> op(f, v) on flattened maps of the given arity,
+    summed over the homogeneous parts of v."""
+    def bound(v: Vec) -> Vec:
         acc: Vec = {}
-        for f in _split_map(u, arity_u, parities):
-            for g in _split_map(v, arity_v, parities):
-                acc = vec_add(acc, op(f, g).as_vec())
+        for g in _split_map(v, arity, parities):
+            acc = vec_add(acc, op(f, g).as_vec())
         return acc
-    return lifted
+    return bound
 
 
 def _lie_closure(vecs, parities) -> Subspace:
     """Lie superalgebra generated by the given homogeneous flattened
     operators.
 
-    This is the smallest space V containing the generators and closed under
-    bracketing with them (Jacobson, Lie Algebras, ch. I).  By the graded
-    Jacobi identity the x in V with [x, V] inside V form a subspace that
-    holds the generators and is closed under bracketing with them, so it is
-    all of V and V is a subalgebra.  The generators' span is therefore the
-    closure's partner space.
+    This is the smallest space V containing the generators that ad f sends
+    into itself for each generator f (Jacobson, Lie Algebras, ch. I).  By the
+    graded Jacobi identity the x in V with [x, V] inside V form a subspace
+    that holds the generators and is closed under bracketing with them, so it
+    is all of V and V is a subalgebra.  The closure's maps are therefore ad f
+    for the homogeneous parts f of the generators' span.
     """
     gens = span_reduce(vecs)
-    return closure_under(gens, [_flat(w_bracket, 1, 1, parities)], gens)
+    return closure_under(gens, [_bound(w_bracket, f, 1, parities)
+                                for f in _homogeneous_maps(gens, 1, parities)])
 
 
 def _one_step_orbit(mu: MultiLinMap, ops: Subspace) -> Subspace:
@@ -598,14 +590,15 @@ def related_products(J: FinSuperAlg) -> Subspace:
     multiplications alone: act is w_bracket restricted to operators on binary
     products, so by the graded Jacobi identity it is a representation of the
     operator algebra, and the operators that keep a subspace invariant form a
-    Lie subalgebra.  The closure's partners are therefore span(L_i), not Str.
+    Lie subalgebra.  The closure's maps are therefore act(f, .) for the
+    homogeneous parts f of span(L_i), not for all of Str.
     """
     mu_vec = J.mu_map().as_vec()
     if not mu_vec:
         return ZERO
+    ops = _homogeneous_maps(span_reduce(_left_mults(J)), 1, J.parities)
     return closure_under(span_reduce([mu_vec]),
-                         [_flat(act, 1, 2, J.parities)],
-                         span_reduce(_left_mults(J)))
+                         [_bound(act, f, 2, J.parities) for f in ops])
 
 
 @dataclass
@@ -658,7 +651,12 @@ def is_simple(J: FinSuperAlg, probes: int = 3) -> SimplicityReport:
     if not J.table:
         witness = span_reduce([{0: F(1)}]) if n > 1 else None
         return SimplicityReport(False, witness)
-    full = span_reduce([{i: F(1)} for i in range(n)])
+    # Left and right multiplication by each basis vector.
+    sides = []
+    for i in range(n):
+        e = {i: F(1)}
+        sides += [lambda v, e=e: J.mult_vec(e, v),
+                  lambda v, e=e: J.mult_vec(v, e)]
     rng = random.Random(11)
     candidates = [{i: F(1)} for i in range(n)]
     for _ in range(probes):
@@ -667,7 +665,7 @@ def is_simple(J: FinSuperAlg, probes: int = 3) -> SimplicityReport:
         if v:
             candidates.append(v)
     for v in candidates:
-        closed = closure_under(span_reduce([v]), [J.mult_vec], full)
+        closed = closure_under(span_reduce([v]), sides)
         if closed.dim < n:
             return SimplicityReport(False, closed)
     return SimplicityReport(True, None)

@@ -1,8 +1,17 @@
-"""Closure outputs on real catalog entries: Str, R and the graded expansion."""
+"""Catalog entries: their closure outputs (Str, R, the graded expansion and
+the ideal spot checks) and the entry points make and registry_listing."""
+from fractions import Fraction as F
+
 import pytest
 
-from superrigid.catalog import make
-from superrigid.walg import check_admissible_findim, is_rigid, tkk
+from superrigid.catalog import (
+    CatalogError,
+    FiniteEntry,
+    ideal_spot_checks,
+    make,
+    registry_listing,
+)
+from superrigid.walg import FinSuperAlg, check_admissible_findim, is_rigid, tkk
 
 
 # JW_0_8 (24/24) fails its rigidity check and is deliberately not pinned.
@@ -41,3 +50,65 @@ def test_graded_expansion(name):
     G = tkk(make(name).algebra, depth_cap=4)
     assert (G.dims, G.terminated) == GRADED[name]
     assert check_admissible_findim(G).admissible
+
+
+def test_spot_check_is_two_sided():
+    # o.a = x and o.b = y: left products with the seed a + b give x + y,
+    # right products give x - y, so only both sides reach x and y.
+    J = FinSuperAlg((0, 1, 1, 1, 0), 0, {(2, 0): {3: 1}, (2, 1): {4: 1}})
+    rep = ideal_spot_checks(FiniteEntry("toy", J), seeds=[{0: 1, 1: 1}])
+    (seed,) = rep.seeds
+    assert (seed.dim, seed.reached, seed.targets) == (3, 2, 5)
+
+
+# (reached, targets) for each default seed, for the fixed oracle entries
+# whose spot check is fast; parameters are probed as registry_listing does.
+SPOT_REACH = {
+    "JS_1_1": [(3, 3), (0, 3)], "JSHO_2_2": [(12, 12), (0, 12)],
+    "JSKO_1_2": [(6, 6), (0, 6)], "LW_1_2": [(6, 6), (0, 6)],
+    "LHO_1_2": [(5, 5), (0, 5)], "LSHOp_2_2": [(11, 11), (0, 11)],
+    "LSKOp_1_2": [(6, 6), (0, 6)], "LHa_1_2": [(5, 5), (0, 5)],
+    "LWa_1_2": [(6, 6), (0, 6)], "LWa_2_2": [(12, 12), (0, 12)],
+    "LSa_2_2": [(12, 12), (0, 12)], "LS_1_3": [(9, 9), (0, 9)],
+    "LHOa_3_1": [(9, 9), (0, 9)], "LKO_2_1": [(6, 6), (0, 6)],
+}
+
+
+@pytest.mark.parametrize("name", SPOT_REACH)
+def test_spot_reach(name):
+    params = {r["name"]: r["params"] for r in registry_listing()}[name]
+    kw = {"alpha": F(0)} if "alpha" in params else {}
+    if "beta" in params:
+        kw["beta"] = F(1, 2)
+    rep = ideal_spot_checks(make(name, **kw))
+    assert [(s.reached, s.targets) for s in rep.seeds] == SPOT_REACH[name]
+    assert rep.passed
+
+
+FINITE = {"JS_0_2", "JW_0_4", "JW_0_8", "JS_0_8", "JS_0_16", "LW_0_2"}
+
+
+def test_registry_kinds():
+    rows = registry_listing()
+    assert {r["name"] for r in rows if r["kind"] == "finite"} == FINITE
+    assert {r["kind"] for r in rows} == {"finite", "oracle"}
+
+
+@pytest.mark.parametrize("name, kw, takes", [
+    ("JS_1_8", {"beta": 2}, "takes alpha, not beta"),
+    ("JS_0_2", {"alpha": 5}, "takes no parameters, not alpha"),
+    ("OJP_1_1", {"beta": 3}, "takes no parameters, not beta"),
+    ("LSKO_1_2", {"alpha": 1, "beta": 3}, "takes beta, not alpha"),
+])
+def test_make_rejects_parameters_not_taken(name, kw, takes):
+    with pytest.raises(CatalogError, match=f"{name} {takes}"):
+        make(name, **kw)
+
+
+@pytest.mark.parametrize("spelling, name, kw", [
+    ("LHa_2_2", "LHa_1_2", {}),
+    ("JSa(1,8)", "JS_1_8", {}),
+    ("LSKO'(1,2)", "LSKOp_1_2", {"beta": F(1, 2)}),
+])
+def test_make_aliases(spelling, name, kw):
+    assert make(spelling, **kw).name == name

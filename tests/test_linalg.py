@@ -76,27 +76,27 @@ class TestSpanProperties:
             assert s.contains(u)
 
 
+def shift(a):
+    """Nilpotent shift e0 -> e1 -> e2 -> 0 on F^3."""
+    return {(k[0] + 1,): c for k, c in a.items() if k[0] < 2}
+
+
 class TestClosure:
     def test_closure_fixed_point(self):
-        # multiplication by a nilpotent shift on F^3
-        def shift(a, b):  # bilinear stand-in: acts through the first slot only
-            return {}
-
-        seed = span_reduce([v(((0,), 1))])
-        assert closure_under(seed, [shift], seed) == seed
+        for seed in (span_reduce([v(((2,), 1))]),
+                     span_reduce([v(((1,), 1)), v(((2,), 3))])):
+            assert closure_under(seed, [shift]) == seed
 
     def test_closure_grows(self):
-        # map (p, w) -> p acting as "add the partner" forces the span of both
-        def inject(p, w):
-            return dict(p)
-
-        seed = span_reduce([v(((0,), 1))])
-        partners = span_reduce([v(((1,), 1))])
-        out = closure_under(seed, [inject], partners)
-        assert out.dim == 2
+        # e0 + e2 reaches e1 and then e2 through the shift alone
+        seed = span_reduce([v(((0,), 1), ((2,), 1))])
+        out = closure_under(seed, [shift])
+        assert out == span_reduce([v(((i,), 1)) for i in range(3)])
+        assert all(out.contains(shift(r)) for r in out.rows)
 
     def test_pairwise_closure_sl2_like(self):
-        # bracket on basis e,f,h given by structure constants of sl2
+        # sl2 on basis e, f, h is the closure of span(e, f) under ad e and
+        # ad f, which adds h = [e, f]
         table = {
             ((0,), (1,)): v(((2,), 1)),
             ((1,), (0,)): v(((2,), -1)),
@@ -114,38 +114,11 @@ class TestClosure:
                         out = vec_add(out, {kc: cc * ca * cb})
             return out
 
-        seed = span_reduce([v(((0,), 1)), v(((1,), 1))])
-        out = closure_under(seed, [br])
+        e, f = v(((0,), 1)), v(((1,), 1))
+        out = closure_under(span_reduce([e, f]),
+                            [lambda x: br(e, x), lambda x: br(f, x)])
         assert out.dim == 3
         assert all(not out.reduce(br(a, b)) for a in out.rows for b in out.rows)
-
-    def test_partnerless_closure_is_closed(self):
-        # (a, b) -> (e0-coefficient of a) * (b shifted up one key, below 4):
-        # from e0 alone, e_k+1 appears only once e_k is paired with e0
-        def shift(a, b):
-            c = a.get((0,))
-            if not c:
-                return {}
-            return {(k[0] + 1,): c * x for k, x in b.items() if k[0] < 3}
-
-        out = closure_under(span_reduce([v(((0,), 1))]), [shift])
-        assert out == span_reduce([v(((i,), 1)) for i in range(4)])
-        assert all(not out.reduce(shift(a, b)) for a in out.rows for b in out.rows)
-
-    def test_closure_is_two_sided(self):
-        # a map reading only its first argument and one reading only its
-        # second close a seed to the same span: both argument orders are tried
-        def first(a, b):
-            return dict(a)
-
-        def second(a, b):
-            return dict(b)
-
-        seed = span_reduce([v(((0,), 1))])
-        partners = span_reduce([v(((1,), 1)), v(((2,), 1), ((3,), 2))])
-        out = closure_under(seed, [first], partners)
-        assert out == closure_under(seed, [second], partners)
-        assert out.dim == 3
 
 
 class TestNullspace:
