@@ -1364,6 +1364,16 @@ def ideal_spot_checks(entry, seeds: Sequence | None = None,
     Products are truncated back into the window, so the closure is the
     window shadow of the true ideal; a seed that reaches every target of
     degree below the window edge is reported complete.
+
+    Each SeedReach's ``dim`` is the dimension of that closure.  It can
+    exceed the dimension of the window basis's span: truncating a product
+    need not land back in that span (on LSKOp_2_4 at order 3 the basis spans
+    40 dimensions and a closure reaches 80).  The closure stops once it
+    fills the coordinates that the seed and every truncated product can
+    occupy: for an oracle entry each (slot, monomial of degree <= order)
+    that the slot's ``excluded`` set keeps, for a finite entry each basis
+    index, and in both cases the seed's own keys.  The window span is not a
+    valid bound for that stop, since products leave it.
     """
     def window(a):
         return entry.to_vec(elem_truncate(a, order)
@@ -1388,13 +1398,18 @@ def ideal_spot_checks(entry, seeds: Sequence | None = None,
             return max((f.even_degree() for f in b.values()), default=0)
         targets = [(b, v) for b, v in zip(basis, vecs)
                    if deg(b) <= order - 1]
+        coords = {(i,) + m for i, s in enumerate(entry.slots)
+                  for m in entry.ambient.monomials(order)
+                  if m not in entry.excluded.get(s, ())}
     else:
         targets = list(zip(basis, vecs))
+        coords = set(range(entry.dim))
 
     out = []
     for seed in seeds:
         sv = window(seed)
-        closed = closure_under(span_reduce([sv] if sv else []), sides)
+        closed = closure_under(span_reduce([sv] if sv else []), sides,
+                               full_dim=len(coords.union(sv)))
         missing = [entry.format(b) for b, v in targets
                    if not closed.contains(v)]
         out.append(SeedReach(entry.format(seed), closed.dim,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Iterator
 
 F = Fraction
@@ -122,6 +123,18 @@ class Jet:
         else:
             self.terms = {}
 
+    @classmethod
+    def _clean(cls, ambient: Ambient, terms: dict,
+               order: int | None) -> "Jet":
+        """Jet holding ``terms`` as given: the caller vouches that every
+        coefficient is nonzero, no term lies above ``order``, and no other
+        jet holds the dict."""
+        out = object.__new__(cls)
+        out.ambient = ambient
+        out.terms = terms
+        out.order = order
+        return out
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -217,26 +230,37 @@ class Jet:
             _same_ambient(self, other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, F(0)) + c
-            if s:
-                out[m] = s
+            if m in out:
+                s = out[m] + c
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
             else:
-                out.pop(m, None)
+                out[m] = c
+        if self.order == other.order:
+            return Jet._clean(self.ambient, out, self.order)
         return Jet(self.ambient, out, _min_order(self.order, other.order))
 
     def __sub__(self, other: "Jet") -> "Jet":
         return self + (-other)
 
     def __neg__(self) -> "Jet":
-        return Jet(self.ambient, {m: -c for m, c in self.terms.items()},
-                   self.order)
+        return Jet._clean(self.ambient,
+                          {m: -c for m, c in self.terms.items()}, self.order)
 
     def scale(self, c) -> "Jet":
-        c = F(c)
+        if c == 1:
+            return Jet._clean(self.ambient, dict(self.terms), self.order)
+        if c == -1:
+            return -self
+        if not isinstance(c, Fraction):
+            c = F(c)
         if not c:
-            return Jet(self.ambient, {}, self.order)
-        return Jet(self.ambient, {m: c * v for m, v in self.terms.items()},
-                   self.order)
+            return Jet._clean(self.ambient, {}, self.order)
+        return Jet._clean(self.ambient,
+                          {m: c * v for m, v in self.terms.items()},
+                          self.order)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -245,20 +269,26 @@ class Jet:
             return NotImplemented
         if other.ambient is not self.ambient:
             _same_ambient(self, other)
+        order = _min_order(self.order, other.order)
         out: dict = {}
         for (ex1, od1), c1 in self.terms.items():
             for (ex2, od2), c2 in other.terms.items():
                 sign, odds = merge_sign(od1, od2)
                 if sign == 0:
                     continue
-                ex = tuple(a + b for a, b in zip(ex1, ex2))
-                key = (ex, odds)
-                s = out.get(key, F(0)) + sign * c1 * c2
-                if s:
-                    out[key] = s
+                key = (tuple(map(add, ex1, ex2)), odds)
+                p = c1 * c2 if sign > 0 else -(c1 * c2)
+                if key in out:
+                    s = out[key] + p
+                    if s:
+                        out[key] = s
+                    else:
+                        del out[key]
                 else:
-                    out.pop(key, None)
-        return Jet(self.ambient, out, _min_order(self.order, other.order))
+                    out[key] = p
+        if order is None:
+            return Jet._clean(self.ambient, out, None)
+        return Jet(self.ambient, out, order)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -283,8 +313,8 @@ class Jet:
             if e:
                 ex2 = ex[: i - 1] + (e - 1,) + ex[i:]
                 out[(ex2, odds)] = c * e
-        return Jet(self.ambient, out,
-                   None if self.order is None else self.order - 1)
+        return Jet._clean(self.ambient, out,
+                          None if self.order is None else self.order - 1)
 
     def d_odd(self, j: int) -> "Jet":
         """Left partial derivative in the j-th anticommuting generator."""
@@ -294,9 +324,8 @@ class Jet:
                 continue
             pos = odds.index(j)
             odds2 = odds[:pos] + odds[pos + 1:]
-            sign = -1 if pos & 1 else 1
-            out[(ex, odds2)] = sign * c
-        return Jet(self.ambient, out, self.order)
+            out[(ex, odds2)] = -c if pos & 1 else c
+        return Jet._clean(self.ambient, out, self.order)
 
     def d_tau(self) -> "Jet":
         return self.d_odd(self.ambient.n_odd)
@@ -336,7 +365,7 @@ class Jet:
             w += sum(1 for j in odds if j in od)
             if w:
                 out[(ex, odds)] = c * w
-        return Jet(self.ambient, out, self.order)
+        return Jet._clean(self.ambient, out, self.order)
 
 
 def _same_ambient(f: Jet, g: Jet) -> None:

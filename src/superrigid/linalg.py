@@ -12,7 +12,11 @@ is cleared from the other rows.  span_reduce, Subspace.extended and
 closure_under all grow their spans this way.  closure_under is the one closure
 routine: the smallest span holding a seed that a list of linear maps sends
 into itself.  A caller closing under a bilinear operation binds each partner
-into a unary map once.
+into a unary map once.  A caller that knows a finite coordinate space holding
+the seed and every image of the maps may pass its dimension as ``full_dim``;
+the closure then stops once the span fills that space, which is exact because
+a span of full dimension is the whole space.  The bound must hold every image,
+not just the vectors the caller cares about.
 """
 from __future__ import annotations
 
@@ -131,6 +135,7 @@ ZERO = Subspace({})
 def closure_under(
     seed: Subspace,
     maps: Sequence[Callable[[Vec], Vec]],
+    full_dim: int | None = None,
 ) -> Subspace:
     """Smallest subspace containing seed that each linear map in maps sends
     into itself.
@@ -142,14 +147,24 @@ def closure_under(
     result; every vector that joined lies in any invariant space holding the
     seed.  The returned span is canonical, so the visiting order does not
     change it.
+
+    ``full_dim`` is the dimension of a coordinate space known to hold the
+    seed and every image of every map.  The walk stops as soon as the span
+    reaches it: a span of that dimension inside that space is the whole
+    space, which every map sends into itself.  The stop is exact only under
+    that promise; a bound that some image can leave gives a span too small.
     """
     rows = dict(seed._by_pivot)
     queue = list(seed.rows)
     for v in queue:  # the queue grows while it is walked
+        if len(rows) == full_dim:
+            break
         for m in maps:
             r = _accept(rows, m(v))
             if r:
                 queue.append(r)
+                if len(rows) == full_dim:
+                    break
     return Subspace(rows)
 
 

@@ -643,7 +643,8 @@ def is_simple(J: FinSuperAlg, probes: int = 3) -> SimplicityReport:
 
     Checks the multiplicative closure of every basis vector and of a few
     deterministic pseudo-random vectors; any proper closure is returned as a
-    witness.  A zero product is never simple.
+    witness.  Each closure stops once it spans the whole algebra.  A zero
+    product is never simple.
     """
     n = J.dim
     if n == 0:
@@ -665,7 +666,7 @@ def is_simple(J: FinSuperAlg, probes: int = 3) -> SimplicityReport:
         if v:
             candidates.append(v)
     for v in candidates:
-        closed = closure_under(span_reduce([v]), sides)
+        closed = closure_under(span_reduce([v]), sides, full_dim=n)
         if closed.dim < n:
             return SimplicityReport(False, closed)
     return SimplicityReport(True, None)

@@ -4,13 +4,17 @@ from fractions import Fraction as F
 
 import pytest
 
+from superrigid import catalog
 from superrigid.catalog import (
     CatalogError,
     FiniteEntry,
+    elem_add,
     ideal_spot_checks,
     make,
     registry_listing,
 )
+from superrigid.jets import Jet
+from superrigid.linalg import Subspace, _accept
 from superrigid.walg import FinSuperAlg, check_admissible_findim, is_rigid, tkk
 
 
@@ -61,28 +65,61 @@ def test_spot_check_is_two_sided():
     assert (seed.dim, seed.reached, seed.targets) == (3, 2, 5)
 
 
-# (reached, targets) for each default seed, for the fixed oracle entries
+# (dim, reached, targets) for each default seed, for the fixed oracle entries
 # whose spot check is fast; parameters are probed as registry_listing does.
 SPOT_REACH = {
-    "JS_1_1": [(3, 3), (0, 3)], "JSHO_2_2": [(12, 12), (0, 12)],
-    "JSKO_1_2": [(6, 6), (0, 6)], "LW_1_2": [(6, 6), (0, 6)],
-    "LHO_1_2": [(5, 5), (0, 5)], "LSHOp_2_2": [(11, 11), (0, 11)],
-    "LSKOp_1_2": [(6, 6), (0, 6)], "LHa_1_2": [(5, 5), (0, 5)],
-    "LWa_1_2": [(6, 6), (0, 6)], "LWa_2_2": [(12, 12), (0, 12)],
-    "LSa_2_2": [(12, 12), (0, 12)], "LS_1_3": [(9, 9), (0, 9)],
-    "LHOa_3_1": [(9, 9), (0, 9)], "LKO_2_1": [(6, 6), (0, 6)],
+    "JS_1_1": [(4, 3, 3), (0, 0, 3)], "JSHO_2_2": [(20, 12, 12), (0, 0, 12)],
+    "JSKO_1_2": [(8, 6, 6), (0, 0, 6)], "LW_1_2": [(8, 6, 6), (0, 0, 6)],
+    "LHO_1_2": [(7, 5, 5), (0, 0, 5)], "LSHOp_2_2": [(19, 11, 11), (0, 0, 11)],
+    "LSKOp_1_2": [(8, 6, 6), (0, 0, 6)], "LHa_1_2": [(7, 5, 5), (0, 0, 5)],
+    "LWa_1_2": [(8, 6, 6), (0, 0, 6)], "LWa_2_2": [(20, 12, 12), (0, 0, 12)],
+    "LSa_2_2": [(20, 12, 12), (0, 0, 12)], "LS_1_3": [(12, 9, 9), (0, 0, 9)],
+    "LHOa_3_1": [(19, 9, 9), (0, 0, 9)], "LKO_2_1": [(10, 6, 6), (0, 0, 6)],
 }
 
 
-@pytest.mark.parametrize("name", SPOT_REACH)
-def test_spot_reach(name):
+def probe(name):
+    """The entry made with the parameters registry_listing probes."""
     params = {r["name"]: r["params"] for r in registry_listing()}[name]
     kw = {"alpha": F(0)} if "alpha" in params else {}
     if "beta" in params:
         kw["beta"] = F(1, 2)
-    rep = ideal_spot_checks(make(name, **kw))
-    assert [(s.reached, s.targets) for s in rep.seeds] == SPOT_REACH[name]
+    return make(name, **kw)
+
+
+@pytest.mark.parametrize("name", SPOT_REACH)
+def test_spot_reach(name):
+    rep = ideal_spot_checks(probe(name))
+    assert [(s.dim, s.reached, s.targets) for s in rep.seeds] == SPOT_REACH[name]
     assert rep.passed
+
+
+def unbounded_closure(seed, maps, full_dim=None):
+    """closure_under without its saturation stop: every queued vector goes
+    through every map."""
+    rows = dict(seed._by_pivot)
+    queue = list(seed.rows)
+    for v in queue:
+        for m in maps:
+            r = _accept(rows, m(v))
+            if r:
+                queue.append(r)
+    return Subspace(rows)
+
+
+# Entries that drop the unit monomial from one slot.  A seed holding it has
+# a coordinate that no truncated product reaches, so the closure's bound must
+# count the seed's keys as well as the window's.
+@pytest.mark.parametrize("name", ["LHO_1_2", "LSHOp_2_2", "LHa_1_2"])
+def test_spot_seed_outside_window_coordinates(name, monkeypatch):
+    entry = probe(name)
+    ((slot, (unit,)),) = entry.excluded.items()
+    outside = {slot: Jet(entry.ambient, {unit: F(1)})}
+    seeds = [outside, elem_add(entry.basis(3)[-1], outside),
+             elem_add(entry.basis(3)[0], outside)]
+    got = ideal_spot_checks(entry, seeds=seeds)
+    monkeypatch.setattr(catalog, "closure_under", unbounded_closure)
+    assert got == ideal_spot_checks(entry, seeds=seeds)
 
 
 FINITE = {"JS_0_2", "JW_0_4", "JW_0_8", "JS_0_8", "JS_0_16", "LW_0_2"}

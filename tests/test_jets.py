@@ -13,6 +13,7 @@ from superrigid.jets import (
     format_jet,
     geometric_inverse,
     MAX_NESTING,
+    _min_order,
     merge_sign,
     odd_laplacian,
     parse_jet,
@@ -298,3 +299,130 @@ class TestParser:
         for n in (MAX_NESTING + 1, 1400):
             with pytest.raises(ExprError):
                 parse_jet(nested(n), A22)
+
+
+# -- kernel properties: each operation against a reference built through the
+# filtering constructor Jet(amb, terms, order) ------------------------------
+
+A32 = Ambient(2, 3, tau=True)
+MONOS = sorted(A32.monomials(4))
+ORDERS = st.one_of(st.none(), st.integers(0, 4))
+COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def jets(draw):
+    terms = draw(st.dictionaries(st.sampled_from(MONOS), COEFFS, max_size=6))
+    return Jet(A32, terms, draw(ORDERS))
+
+
+def ref_add(f, g):
+    out = dict(f.terms)
+    for m, c in g.terms.items():
+        out[m] = out.get(m, F(0)) + c
+    return Jet(f.ambient, out, _min_order(f.order, g.order))
+
+
+def ref_mul(f, g):
+    out = {}
+    for (ex1, od1), c1 in f.terms.items():
+        for (ex2, od2), c2 in g.terms.items():
+            sign, odds = merge_sign(od1, od2)
+            key = (tuple(a + b for a, b in zip(ex1, ex2)), odds)
+            out[key] = out.get(key, F(0)) + sign * c1 * c2
+    return Jet(f.ambient, out, _min_order(f.order, g.order))
+
+
+def ref_map(f, fn, order):
+    """Jet with each term (m, c) of f sent to fn(m, c) -> (m', c') or None."""
+    out = {}
+    for m, c in f.terms.items():
+        hit = fn(m, c)
+        if hit is not None:
+            out[hit[0]] = hit[1]
+    return Jet(f.ambient, out, order)
+
+
+def assert_clean(h, *inputs):
+    """No zero coefficient, no term above the order, no shared dict."""
+    assert all(c != 0 for c in h.terms.values())
+    if h.order is not None:
+        assert all(sum(m[0]) <= h.order for m in h.terms)
+    assert all(h.terms is not f.terms for f in inputs)
+
+
+def _lower(order):
+    return None if order is None else order - 1
+
+
+class TestKernelProperties:
+    @given(jets(), jets())
+    @settings(max_examples=60)
+    def test_add_sub_neg(self, f, g):
+        for got, want in ((f + g, ref_add(f, g)),
+                          (f - g, ref_add(f, ref_map(
+                              g, lambda m, c: (m, -c), g.order))),
+                          (-f, ref_map(f, lambda m, c: (m, -c), f.order))):
+            assert got == want
+            assert_clean(got, f, g)
+
+    @given(jets())
+    @settings(max_examples=25)
+    def test_add_to_itself_negated(self, f):
+        h = f + (-f)
+        assert h.is_zero() and h.order == f.order
+
+    @given(jets(), jets())
+    @settings(max_examples=60)
+    def test_mul(self, f, g):
+        h = f * g
+        assert h == ref_mul(f, g)
+        assert_clean(h, f, g)
+
+    @given(jets(), st.sampled_from([0, 1, -1, 2, -3, F(0), F(1), F(-1),
+                                    F(2, 3), F(-5, 2)]))
+    @settings(max_examples=60)
+    def test_scale(self, f, c):
+        h = f.scale(c)
+        assert h == ref_map(f, lambda m, v: (m, F(c) * v), f.order)
+        assert_clean(h, f)
+        assert h == c * f == f * c
+
+    @given(jets(), st.integers(1, 2))
+    @settings(max_examples=40)
+    def test_d_even(self, f, i):
+        def d(m, c):
+            ex, odds = m
+            if ex[i - 1]:
+                ex2 = ex[:i - 1] + (ex[i - 1] - 1,) + ex[i:]
+                return (ex2, odds), c * ex[i - 1]
+        h = f.d_even(i)
+        assert h == ref_map(f, d, _lower(f.order))
+        assert_clean(h, f)
+
+    @given(jets(), st.integers(1, 3))
+    @settings(max_examples=40)
+    def test_d_odd(self, f, j):
+        def d(m, c):
+            ex, odds = m
+            if j in odds:
+                pos = odds.index(j)
+                return (ex, odds[:pos] + odds[pos + 1:]), (-1) ** pos * c
+        h = f.d_odd(j)
+        assert h == ref_map(f, d, f.order)
+        assert_clean(h, f)
+
+    @given(jets(), st.one_of(st.none(), st.sets(st.integers(1, 2))),
+           st.one_of(st.none(), st.sets(st.integers(1, 3))))
+    @settings(max_examples=40)
+    def test_euler(self, f, ev, od):
+        ev_w = {1, 2} if ev is None else ev
+        od_w = {1, 2} if od is None else od   # tau (xi3) is skipped
+
+        def e(m, c):
+            ex, odds = m
+            w = sum(ex[i - 1] for i in ev_w) + sum(1 for j in odds if j in od_w)
+            return ((ex, odds), c * w) if w else None
+        h = f.euler(ev, od)
+        assert h == ref_map(f, e, f.order)
+        assert_clean(h, f)

@@ -121,6 +121,36 @@ class TestClosure:
         assert all(not out.reduce(br(a, b)) for a in out.rows for b in out.rows)
 
 
+    def test_full_dim_stop(self):
+        # e0 reaches all of F^3 through the shift and the swap of e0 and e2.
+        # Told that F^3 holds every image, the closure stops once it has
+        # three rows, with the same span and fewer map calls.
+        def swap(a):
+            return {(2 - k[0],): c for k, c in a.items() if k[0] != 1}
+
+        calls = []
+
+        def counted(m):
+            def call(a):
+                calls.append(m)
+                return m(a)
+            return call
+
+        seed = span_reduce([v(((0,), 1))])
+        unbounded = closure_under(seed, [counted(shift), counted(swap)])
+        n_unbounded = len(calls)
+        calls.clear()
+        stopped = closure_under(seed, [counted(shift), counted(swap)],
+                                full_dim=3)
+        assert stopped == unbounded == span_reduce(
+            [v(((i,), 1)) for i in range(3)])
+        assert len(calls) < n_unbounded
+        # A seed that already fills the space sends nothing through a map.
+        calls.clear()
+        assert closure_under(stopped, [counted(shift)], full_dim=3) == stopped
+        assert calls == []
+
+
 class TestNullspace:
     def test_kernel_of_projection(self):
         # operator sending (a,b,c) -> (a+b, 0, 0)

@@ -6,7 +6,14 @@ from typing import Callable, Sequence
 import pytest
 
 from superrigid.catalog import make
-from superrigid.linalg import Subspace, Vec, _accept, span_reduce, vec_add
+from superrigid.linalg import (
+    Subspace,
+    Vec,
+    _accept,
+    closure_under,
+    span_reduce,
+    vec_add,
+)
 from superrigid.walg import (
     FinSuperAlg,
     GradedLie,
@@ -728,6 +735,32 @@ class TestSimplicity:
 
     def test_zero_product_not_simple(self):
         assert not is_simple(FinSuperAlg((0, 1), 0, {})).simple
+
+    def test_witness_needs_both_sides(self):
+        # Odd a0, a1 and even b0, b1, with an odd product and no unit (the
+        # even part of every product with b0 lies on the line of b0 + 3 b1).
+        # In the basis e0 = a1, e1 = a0 + 2 a1, e2 = b0 + b1, e3 = b1 the
+        # product is e0 e1 = -e1, e0 e2 = -e2, e0 e3 = 2 e3, e3 e3 = -e0.
+        # Every basis vector generates the algebra, but the first probe
+        # a0 + 2 a1 + b0 + b1 = e1 + e2 does not.  Left multiplications keep
+        # its line; the right product with a1 gives e1 - e2, so the
+        # two-sided closure is the ideal span(e1, e2).
+        J = FinSuperAlg((1, 1, 0, 0), 1, {
+            (0, 1): {0: 1, 1: 2}, (0, 2): {2: 2, 3: 6}, (0, 3): {3: -4},
+            (1, 2): {2: -1, 3: -3}, (1, 3): {3: 2}, (2, 2): {1: -1},
+            (2, 3): {1: 1}, (3, 3): {1: -1}})
+        basis = [{i: F(1)} for i in range(4)]
+        sides = [lambda u, e=e: J.mult_vec(e, u) for e in basis]
+        sides += [lambda u, e=e: J.mult_vec(u, e) for e in basis]
+        assert all(closure_under(span_reduce([e]), sides).dim == 4
+                   for e in basis)
+        probe = {0: F(1), 1: F(2), 2: F(1), 3: F(1)}
+        left = closure_under(span_reduce([probe]), sides[:4])
+        assert left == span_reduce([probe])
+        rep = is_simple(J)
+        assert not rep.simple
+        assert rep.witness == span_reduce([{0: F(1), 1: F(2)},
+                                           {2: F(1), 3: F(1)}])
 
 
 class TestParityReverse:
