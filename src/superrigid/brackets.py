@@ -1,7 +1,15 @@
-"""Bracket structures on jets: the odd bracket on paired generators, its
-extension with a contact-type correction in tau, the even generalized
-Poisson bracket, bivector-driven quasi-Poisson brackets, a 3x3 determinant
+"""Bracket structures on jets: one engine for the Poisson, Buttin and
+contact brackets, bivector-driven quasi-Poisson brackets, a 3x3 determinant
 bracket, gauge twists, and the associated Jordan-type product on pairs.
+
+A Pairing lists the generator pairs of a bracket:
+  even-even (p, q):  d_p f d_q g - d_q f d_p g;
+  even-odd (i, j):   d_{x_i} f d_{xi_j} g + (-1)^p(f) d_{xi_j} f d_{x_i} g;
+  odd-odd (j, k):    (-1)^p(f) d_{xi_j} f d_{xi_k} g;
+and an optional contact generator, with E the Euler operator on the indices
+it names: odd tau adds (E-2)(f) dg/dtau + (-1)^p(f) df/dtau (E-2)(g), even t
+adds -(E-2)(f) dg/dt + df/dt (E-2)(g).  paired_bracket evaluates any Pairing;
+the brackets of H, K, HO, SHO, KO and SKO are each a Pairing and that call.
 
 Parity conventions: signs use the parity of the function argument itself;
 operations that need a homogeneous argument raise ParityError on mixed input.
@@ -9,9 +17,10 @@ operations that need a homogeneous argument raise ParityError on mixed input.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Sequence
+from functools import lru_cache, partial
+from typing import Callable, NamedTuple, Sequence
 
-from .jets import Ambient, Jet, geometric_inverse
+from .jets import Ambient, Jet, _min_order, geometric_inverse
 
 F = Fraction
 
@@ -35,27 +44,86 @@ def _parity(f: Jet, what: str) -> int:
     return p or 0
 
 
-def _homogeneous(f: Jet):
-    """Split into parity-homogeneous pieces, yielding (part, parity)."""
-    for p in (0, 1):
-        t = {m: c for m, c in f.terms.items() if len(m[1]) & 1 == p}
-        if t:
-            yield Jet(f.ambient, t, f.order), p
+class Pairing(NamedTuple):
+    """Generator pairs of a bracket, as in the module docstring; contact is
+    ("xi", k) or ("x", k), and euler the (even, odd) indices E counts."""
+
+    even: tuple = ()
+    mixed: tuple = ()
+    odd: tuple = ()
+    contact: tuple | None = None
+    euler: tuple = ((), ())
+
+
+def paired_bracket(spec: Pairing, f: Jet, g: Jet,
+                   _forced_parity: int | None = None) -> Jet:
+    """The bracket {f, g} of a Pairing, summed over the parity parts of f,
+    or with all of f taken at ``_forced_parity`` when that is given.
+
+    g's operands are taken once per call.  The result's validity order is
+    the least order over every term the pairing defines, vanishing ones
+    included, so skipping a vanishing term cannot change it.
+    """
+    plan = []  # (f operand, g operand, sign); sign None is (-1)^p(f)
+    for p, q in spec.even:
+        plan += [(("x", p), ("x", q), 1), (("x", q), ("x", p), -1)]
+    for i, j in spec.mixed:
+        plan += [(("x", i), ("xi", j), 1), (("xi", j), ("x", i), None)]
+    plan += [(("xi", j), ("xi", k), None) for j, k in spec.odd]
+    t = spec.contact
+    odd = t is not None and t[0] == "xi"
+    if t is not None:
+        plan += [("E", t, 1 if odd else -1), (t, "E", None if odd else 1)]
+    parts = (f.parity_parts() if _forced_parity is None
+             else [(f, _forced_parity)])
+    if not plan or not parts:
+        return Jet.zero(f.ambient)
+    order = _min_order(f.order, g.order)
+    if order is not None and (spec.even or spec.mixed or t and not odd):
+        order -= 1
+    dg = {gk: _operand(g, gk, spec.euler) for _, gk, _ in plan}
+    out = Jet.zero(f.ambient)
+    for part, p in parts:
+        for fk, gk, sign in plan:
+            if dg[gk].terms:
+                term = _operand(part, fk, spec.euler)
+                if term.terms:
+                    term = term * dg[gk]
+                    neg = p if sign is None else sign < 0
+                    out = out - term if neg else out + term
+    return Jet(f.ambient, out.terms, order)
+
+
+def _operand(h: Jet, key, euler: tuple) -> Jet:
+    if key == "E":
+        return h.euler(*euler) - h.scale(2)
+    return h.d_even(key[1]) if key[0] == "x" else h.d_odd(key[1])
+
+
+@lru_cache
+def _odd_pairing(amb: Ambient) -> Pairing:
+    """x_i paired with xi_i, and tau as contact generator when designated."""
+    idx = tuple(range(1, amb.n_even + 1))
+    return Pairing(mixed=tuple(zip(idx, idx)),
+                   contact=("xi", amb.n_odd) if amb.tau else None,
+                   euler=(idx, tuple(range(1, amb.n_odd))))
+
+
+@lru_cache
+def _even_pairing(amb: Ambient, antidiagonal: bool) -> Pairing:
+    """Consecutive even pairs, and the odd generators paired j <-> j, with a
+    leftover last even generator as contact generator, or j <-> n+1-j."""
+    m, n = amb.n_even, amb.n_odd
+    return Pairing(even=tuple((p, p + 1) for p in range(1, m, 2)),
+                   odd=tuple((j, n + 1 - j if antidiagonal else j)
+                             for j in range(1, n + 1)),
+                   contact=("x", m) if m % 2 and not antidiagonal else None,
+                   euler=(tuple(range(1, m)), tuple(range(1, n + 1))))
 
 
 def _check_paired(amb: Ambient):
-    odd = amb.n_odd - (1 if amb.tau else 0)
-    if amb.n_even != odd:
+    if amb.n_even != amb.n_odd - amb.tau:
         raise ValueError(f"ambient {amb!r} has no x_i/xi_i pairing")
-
-
-def _odd_pair_sum(f: Jet, g: Jet, pf: int, n_pairs: int) -> Jet:
-    out = Jet.zero(f.ambient)
-    sign = -1 if pf else 1
-    for i in range(1, n_pairs + 1):
-        out = out + f.d_even(i) * g.d_odd(i)
-        out = out + (f.d_odd(i) * g.d_even(i)).scale(sign)
-    return out
 
 
 def buttin(f: Jet, g: Jet) -> Jet:
@@ -64,63 +132,42 @@ def buttin(f: Jet, g: Jet) -> Jet:
     _check_paired(f.ambient)
     if f.ambient.tau:
         raise ValueError("ambient with tau: use k_bracket")
-    return _odd_pair_sum(f, g, _parity(f, "first argument"), f.ambient.n_even)
+    return paired_bracket(_odd_pairing(f.ambient), f, g,
+                          _parity(f, "first argument"))
 
 
 def k_bracket(f: Jet, g: Jet) -> Jet:
-    """Odd bracket on an ambient with tau: the paired bracket plus
-    (E-2)(f) dg/dtau + (-1)^p(f) df/dtau (E-2)(g), with E counting all
-    generators except tau.  Extends bilinearly over a mixed-parity f."""
+    """Odd bracket on an ambient with tau: the paired bracket plus the tau
+    terms, with E counting all generators except tau.  Extends bilinearly
+    over a mixed-parity f."""
     amb = f.ambient
     if not amb.tau:
         raise ValueError("k_bracket needs a designated tau generator")
     _check_paired(amb)
-    out = Jet.zero(amb)
-    eg = g.euler() - g.scale(2)
-    for part, pf in _homogeneous(f):
-        out = out + _odd_pair_sum(part, g, pf, amb.n_even)
-        ef = part.euler() - part.scale(2)
-        out = out + ef * g.d_tau()
-        out = out + (part.d_tau() * eg).scale(-1 if pf else 1)
-    return out
+    return paired_bracket(_odd_pairing(amb), f, g)
 
 
 def gen_poisson_even(f: Jet, g: Jet) -> Jet:
-    """Even generalized Poisson bracket: (p_i, q_i) pairs on consecutive
-    even generators, a diagonal odd-odd term with sign (-1)^p(f), and, when
-    the even count is odd, corrections in the final generator t weighted by
-    (2 - E) with E skipping t."""
+    """Even generalized Poisson bracket: consecutive even pairs, diagonal
+    odd pairs, and a last even generator t as contact generator when the
+    even count is odd (E skips t)."""
     amb = f.ambient
     if amb.tau:
         raise ValueError("even bracket does not use a tau generator")
-    k = amb.n_even // 2
-    out = Jet.zero(amb)
-    for part, pf in _homogeneous(f):
-        for i in range(1, k + 1):
-            p, q = 2 * i - 1, 2 * i
-            out = (out + part.d_even(p) * g.d_even(q)
-                   - part.d_even(q) * g.d_even(p))
-        sign = -1 if pf else 1
-        for j in range(1, amb.n_odd + 1):
-            out = out + (part.d_odd(j) * g.d_odd(j)).scale(sign)
-        if amb.n_even % 2:
-            t = amb.n_even
-            ev = list(range(1, amb.n_even))
-            wf = part.scale(2) - part.euler(even_idx=ev)
-            wg = g.scale(2) - g.euler(even_idx=ev)
-            out = out + wf * g.d_even(t) - part.d_even(t) * wg
-    return out
+    return paired_bracket(_even_pairing(amb, False), f, g)
+
+
+def poisson_antidiagonal(f: Jet, g: Jet) -> Jet:
+    """Even Poisson bracket with consecutive even pairs and the odd
+    generators paired j <-> n+1-j."""
+    return paired_bracket(_even_pairing(f.ambient, True), f, g)
 
 
 def bracket_unit_derivation(bracket: Callable[[Jet, Jet], Jet],
                             amb: Ambient) -> Callable[[Jet], Jet]:
     """The operator a -> {e, a} attached to a bracket (e the unit)."""
     one = Jet.one(amb)
-
-    def D(a: Jet) -> Jet:
-        return bracket(one, a)
-
-    return D
+    return lambda a: bracket(one, a)
 
 
 def quasi_poisson(
@@ -156,9 +203,9 @@ class GaugedBracket:
     """Twist of an odd bracket by an invertible even element phi:
     evaluate as phi^{-1} {phi a, phi b}.
 
-    The admissibility condition {phi, phi} == 0 is re-checked at every
-    evaluation order; the check treats phi as even, so an inhomogeneous
-    phi is rejected with the nonzero bracket as witness.
+    {phi, phi} == 0 is checked, treating phi as even, and phi^{-1} built
+    once at the bracket's order; an evaluation, at no higher order, truncates
+    the inverse.  A failed check raises GaugeError with {phi, phi} as witness.
     """
 
     def __init__(self, base: Callable[[Jet, Jet], Jet], phi: Jet,
@@ -171,29 +218,16 @@ class GaugedBracket:
         unit = ((0,) * phi.ambient.n_even, ())
         if not phi.terms.get(unit):
             raise GaugeError("gauge element has no invertible constant term")
-        self._check_square(order)
-
-    def _square(self, order: int) -> Jet:
-        # evaluate the base bracket on (phi, phi) with parity forced even:
-        # split phi into parity parts and use sign +1 throughout
-        parts = [part for part, _ in _homogeneous(self.phi)]
-        out = Jet.zero(self.phi.ambient)
-        for a in parts:
-            for b in parts:
-                out = out + _square_term(a, b)
-        return out.truncate(order)
-
-    def _check_square(self, order: int):
-        w = self._square(order)
+        # {phi, phi} in the ambient's own odd bracket, phi taken as even
+        w = paired_bracket(_odd_pairing(phi.ambient), phi, phi, 0)
+        w = w.truncate(order)
         if not w.is_zero():
             raise GaugeError("gauge element does not square to zero", w)
+        self._inverse = geometric_inverse(phi, order)
 
     def __call__(self, f: Jet, g: Jet) -> Jet:
-        from .jets import _min_order
-
         order = _min_order(_min_order(f.order, g.order), self.order)
-        self._check_square(order)
-        inv = geometric_inverse(self.phi, order)
+        inv = self._inverse.truncate(order)
         return (inv * self.base(self.phi * f, self.phi * g)).truncate(order)
 
     def D(self, a: Jet) -> Jet:
@@ -203,17 +237,6 @@ class GaugedBracket:
         if self.base_D is not None:
             out = out - self.base_D(self.phi) * a
         return out
-
-
-def _square_term(a: Jet, b: Jet) -> Jet:
-    # built-in odd bracket of the ambient, first argument treated as even
-    amb = a.ambient
-    if amb.tau:
-        out = _odd_pair_sum(a, b, 0, amb.n_even)
-        ea = a.euler() - a.scale(2)
-        eb = b.euler() - b.scale(2)
-        return out + ea * b.d_tau() + a.d_tau() * eb
-    return _odd_pair_sum(a, b, 0, amb.n_even)
 
 
 def gauge_transform(base: Callable[[Jet, Jet], Jet], phi: Jet,
@@ -240,19 +263,11 @@ def fd_bracket(
     derivations are odd.  Returns slot -> coefficient."""
     p1 = _parity(f1, "first coefficient")
     p2 = _parity(f2, "second coefficient")
-    if odd_type:
-        eps = (p1 ^ 1) & (p2 ^ 1)
-    else:
-        eps = p1 & p2
+    eps = (p1 ^ odd_type) & (p2 ^ odd_type)
     sign = (1 if plus else -1) * (-1 if eps else 1)
-    out: dict[int, Jet] = {}
-    first = f1 * derivations[i1](f2)
-    out[i2] = first
+    out = {i2: f1 * derivations[i1](f2)}
     second = (f2 * derivations[i2](f1)).scale(sign)
-    if i1 in out:
-        out[i1] = out[i1] + second
-    else:
-        out[i1] = second
+    out[i1] = out[i1] + second if i1 in out else second
     return {i: c for i, c in out.items() if not c.is_zero()}
 
 
@@ -273,9 +288,9 @@ def jp_product(
     b0, b1 = b
     plain = a0 * b0
     barred = a1 * b0
-    for u, pu in _homogeneous(a0):
+    for u, pu in a0.parity_parts():
         barred = barred + (u * b1).scale(-1 if pu else 1)
-    for u, pu in _homogeneous(a1):
+    for u, pu in a1.parity_parts():
         duv = bracket(u, b1) - (u * D(b1) - D(u) * b1).scale(F(1, 2))
         plain = plain + duv.scale(-1 if pu else 1)
     return plain, barred
@@ -284,10 +299,14 @@ def jp_product(
 # -- property defects (zero iff the law holds) ----------------------------
 
 
-def odd_skew_defect(br, f: Jet, g: Jet) -> Jet:
-    pf, pg = _parity(f, "f"), _parity(g, "g")
-    sign = -1 if (pf ^ 1) & (pg ^ 1) else 1
-    return br(f, g) + br(g, f).scale(sign)
+def _skew_defect(br, f: Jet, g: Jet, shift: int) -> Jet:
+    # skew-symmetry in the parities shifted by one for an odd bracket
+    pf, pg = _parity(f, "f") ^ shift, _parity(g, "g") ^ shift
+    return br(f, g) + br(g, f).scale(-1 if pf & pg else 1)
+
+
+odd_skew_defect = partial(_skew_defect, shift=1)
+even_skew_defect = partial(_skew_defect, shift=0)
 
 
 def odd_jacobi_defect(br, a: Jet, b: Jet, c: Jet) -> Jet:
@@ -302,10 +321,3 @@ def odd_leibniz_defect(br, D, a: Jet, b: Jet, c: Jet) -> Jet:
     s2 = -1 if pa == 0 else 1
     rhs = br(a, b) * c + (b * br(a, c)).scale(s1) + (D(a) * b * c).scale(s2)
     return br(a, b * c) - rhs
-
-
-def even_skew_defect(br, f: Jet, g: Jet) -> Jet:
-    pf, pg = _parity(f, "f"), _parity(g, "g")
-    sign = -1 if pf & pg else 1
-    return br(f, g) + br(g, f).scale(sign)
-

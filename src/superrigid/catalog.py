@@ -25,9 +25,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction as F
 from typing import Callable, Iterable, Sequence
 
-from .brackets import _homogeneous, buttin, fd_bracket, k_bracket, quasi_poisson
+from .brackets import (Pairing, buttin, fd_bracket, k_bracket, paired_bracket,
+                       quasi_poisson)
 from .fields import FamilyRealization, GradingSpec, VectorField
-from .jets import Ambient, Jet, div_beta, format_jet
+from .jets import Ambient, Jet, div_beta, format_jet, odd_laplacian
 from .linalg import closure_under, nullspace, span_reduce, vec_clean
 from .walg import FinSuperAlg, format_element, is_rigid, is_simple
 
@@ -171,9 +172,9 @@ class OracleEntry:
                         f"{self.name} has slots {self.slots}, not {s!r}")
         out: Element = {}
         for s1, f1 in a.items():
-            for part1, _ in _homogeneous(f1):
+            for part1, _ in f1.parity_parts():
                 for s2, f2 in b.items():
-                    for part2, _ in _homogeneous(f2):
+                    for part2, _ in f2.parity_parts():
                         out = elem_add(
                             out, self.pair_product(s1, part1, s2, part2))
         return elem_clean(self.reduce(out))
@@ -280,18 +281,16 @@ class OjpSpace:
         self.ambient = Ambient(n + 1, n_odd, tau=self.has_d)
         self.x_i = n + 1
         self.eta_j = n + 1
+        # x_i paired with xi_i for i <= n; E in the tau terms counts these
+        idx = tuple(range(1, n + 1))
+        self._pairing = Pairing(mixed=tuple(zip(idx, idx)), euler=(idx, idx),
+                                contact=("xi", n_odd) if self.has_d else None)
 
     def __repr__(self):
         return f"OjpSpace({self.n}, {self.m})"
 
-    def zero(self) -> Jet:
-        return Jet.zero(self.ambient)
-
     def one(self) -> Jet:
         return Jet.one(self.ambient)
-
-    def x(self) -> Jet:
-        return Jet.x(self.ambient, self.x_i)
 
     def eta(self) -> Jet:
         return Jet.xi(self.ambient, self.eta_j)
@@ -310,19 +309,7 @@ class OjpSpace:
     def pbracket(self, f: Jet, g: Jet) -> Jet:
         """Odd Poisson bracket of the coefficient algebra; the series
         variable and the marker ride along as passengers."""
-        n = self.n
-        out = Jet.zero(self.ambient)
-        for part, p in _homogeneous(f):
-            s = _sgn(p)
-            for i in range(1, n + 1):
-                out = out + part.d_even(i) * g.d_odd(i)
-                out = out + (part.d_odd(i) * g.d_even(i)).scale(s)
-            if self.has_d:
-                idx = range(1, n + 1)
-                ef = part.euler(even_idx=idx, odd_idx=idx) - part.scale(2)
-                eg = g.euler(even_idx=idx, odd_idx=idx) - g.scale(2)
-                out = out + ef * g.d_tau() + (part.d_tau() * eg).scale(s)
-        return out
+        return paired_bracket(self._pairing, f, g)
 
     def jbracket(self, f: Jet, g: Jet) -> Jet:
         """Full odd bracket of the enlarged ambient (series variable and
@@ -342,9 +329,9 @@ class OjpSpace:
 
     def product(self, u: Jet, v: Jet) -> Jet:
         out = Jet.zero(self.ambient)
-        for pu_part, pu in _homogeneous(u):
+        for pu_part, pu in u.parity_parts():
             f1, g1 = self.split(pu_part)
-            for pv_part, pv in _homogeneous(v):
+            for pv_part, pv in v.parity_parts():
                 f2, g2 = self.split(pv_part)
                 if not f1.is_zero() and not f2.is_zero():
                     out = out + self._pp(f1, pu, f2)
@@ -384,7 +371,7 @@ def _op_apply(space: OjpSpace, tag: str, e: Jet, u: Jet) -> Jet:
 
 
 def _ops_of(tag: str, e: Jet, coeff=1) -> list:
-    return [(tag, coeff, part) for part, _ in _homogeneous(e)]
+    return [(tag, coeff, part) for part, _ in e.parity_parts()]
 
 
 def _apply_ops(space: OjpSpace, ops: Iterable, u: Jet) -> Jet:
@@ -1100,20 +1087,13 @@ def _entry_lsho(n: int) -> OracleEntry:
     xi1 = Jet.xi(amb, 1)
     w = Jet.x(amb, 2) * xi1 * Jet.xi(amb, 2)
     top = ((0,) * n, tuple(range(1, n + 1)))
-
-    def laplace(f: Jet) -> Jet:
-        out = Jet.zero(amb)
-        for i in range(1, n + 1):
-            out = out + f.d_odd(i).d_even(i)
-        return out
-
-    gen, member = _kernel_carrier(amb, laplace, top)
+    gen, member = _kernel_carrier(amb, odd_laplacian, top)
+    twist = Jet.one(amb) + w.scale(2)
 
     def pp(s1, f1, s2, f2):
         p1 = f1.parity()
-        res = buttin(f1, f2)
+        res = buttin(twist * f1, f2)
         res = res + (xi1 * (f1 * f2)).scale(2 * _sgn(p1 + 1))
-        res = res + buttin(w * f1, f2).scale(2)
         res = res + (buttin(w, f1) * f2).scale(2 * _sgn(p1))
         return {"j": res}
 
@@ -1145,10 +1125,11 @@ def _entry_lsko(n: int, beta) -> OracleEntry:
     top_xi = ((0,) * n, tuple(range(1, n + 1)))
     special = {F(1): top_all, F(n - 1, n + 1): top_xi}.get(beta)
     gen, member = _kernel_carrier(amb, op, special)
+    twist = Jet.one(amb) + w
 
     def pp(s1, f1, s2, f2):
         p1 = f1.parity()
-        res = k_bracket(f1, f2) + k_bracket(w * f1, f2)
+        res = k_bracket(twist * f1, f2)
         extra = xi1 * ((f1.euler().scale(2) - f1.scale(c)) * f2)
         extra = extra + k_bracket(w, f1) * f2
         extra = extra - (tau * f1.d_even(1) * f2).scale(2)
@@ -1174,10 +1155,11 @@ def _entry_lskop_2_4() -> OracleEntry:
         return div_beta(f, 1)
 
     gen, member = _kernel_carrier(amb, op, top)
+    twist = Jet.one(amb) + w - xx
 
     def pp(s1, f1, s2, f2):
         p1 = f1.parity()
-        res = k_bracket(f1, f2) + k_bracket((w - xx) * f1, f2)
+        res = k_bracket(twist * f1, f2)
         extra = xi1 * ((f1.euler().scale(2) - f1.scale(3)) * f2)
         extra = extra + k_bracket(w + xx, f1) * f2
         extra = extra - (tau * f1.d_even(1) * f2).scale(2)

@@ -11,9 +11,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from . import brackets as br
+from .brackets import poisson_antidiagonal
 from .jets import Ambient, Jet, div_beta, format_jet, odd_laplacian, parse_jet
 from .linalg import nullspace
 
@@ -63,6 +64,17 @@ class VectorField:
         if len(ps) == 1:
             return ps.pop()
         return None
+
+    def parity_parts(self) -> list[tuple["VectorField", int]]:
+        """Parity-homogeneous parts as (part, parity) pairs: none for zero,
+        the field itself when it is homogeneous."""
+        parts: dict = {}
+        for s, c in self.coeffs.items():
+            for part, p in c.parity_parts():
+                parts.setdefault(p ^ (s[0] == "xi"), {})[s] = part
+        if len(parts) == 1:
+            return [(self, p) for p in parts]
+        return [(VectorField(self.ambient, cs), p) for p, cs in parts.items()]
 
     def __eq__(self, other) -> bool:
         return (
@@ -121,8 +133,8 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
     """Superbracket of derivations, in coefficient form; extends bilinearly
     over mixed-parity inputs."""
     out = VectorField.zero(X.ambient)
-    for Xh, px in _homogeneous_fields(X):
-        for Yh, py in _homogeneous_fields(Y):
+    for Xh, px in X.parity_parts():
+        for Yh, py in Y.parity_parts():
             sign = -1 if px and py else 1
             coeffs = {}
             for s, c in Yh.coeffs.items():
@@ -134,19 +146,6 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
     return out
 
 
-def _homogeneous_fields(X: VectorField) -> Iterator[tuple[VectorField, int]]:
-    for p in (0, 1):
-        coeffs = {}
-        for (kind, idx), c in X.coeffs.items():
-            pslot = 0 if kind == "x" else 1
-            t = {m: v for m, v in c.terms.items()
-                 if (len(m[1]) + pslot) & 1 == p}
-            if t:
-                coeffs[(kind, idx)] = Jet(c.ambient, t, c.order)
-        if coeffs:
-            yield VectorField(X.ambient, coeffs), p
-
-
 def divergence(X: VectorField) -> Jet:
     """Sum of slot-derivatives of the coefficients; each odd-slot term is
     signed by the parity of its coefficient."""
@@ -155,9 +154,8 @@ def divergence(X: VectorField) -> Jet:
         if kind == "x":
             out = out + c.d_even(idx)
         else:
-            for m, v in c.terms.items():
-                sign = -1 if len(m[1]) & 1 else 1
-                out = out + Jet(c.ambient, {m: sign * v}, c.order).d_odd(idx)
+            for part, p in c.parity_parts():
+                out = out + part.d_odd(idx).scale(-1 if p else 1)
     return out
 
 
@@ -321,24 +319,6 @@ def family_shift(family: str, spec: GradingSpec) -> int:
             raise ValueError("pairing weights are not constant")
         return sums.pop() if sums else 0
     raise ValueError(f"no function-side shift for family {family!r}")
-
-
-def poisson_antidiagonal(f: Jet, g: Jet) -> Jet:
-    """Even Poisson bracket with consecutive even pairs and the odd
-    generators paired j <-> n+1-j."""
-    amb = f.ambient
-    n = amb.n_odd
-    k = amb.n_even // 2
-    out = Jet.zero(amb)
-    for part, pf in br._homogeneous(f):
-        for i in range(1, k + 1):
-            p, q = 2 * i - 1, 2 * i
-            out = (out + part.d_even(p) * g.d_even(q)
-                   - part.d_even(q) * g.d_even(p))
-        sign = -1 if pf else 1
-        for j in range(1, n + 1):
-            out = out + (part.d_odd(j) * g.d_odd(n + 1 - j)).scale(sign)
-    return out
 
 
 def _drop_unit(f: Jet) -> Jet:

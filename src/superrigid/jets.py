@@ -15,6 +15,8 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Iterator
 
+from .linalg import split_parity
+
 F = Fraction
 
 # monomial: (tuple of even exponents, strictly increasing tuple of odd indices)
@@ -32,10 +34,6 @@ class Ambient:
         self.n_even = n_even
         self.n_odd = n_odd
         self.tau = tau
-
-    @property
-    def tau_index(self) -> int | None:
-        return self.n_odd if self.tau else None
 
     def odd_name(self, j: int) -> str:
         return "tau" if self.tau and j == self.n_odd else f"xi{j}"
@@ -192,6 +190,13 @@ class Jet:
             return ps.pop()
         return None
 
+    def parity_parts(self) -> list[tuple["Jet", int]]:
+        """Parity-homogeneous parts as (part, parity) pairs: none for zero,
+        the jet itself when it is homogeneous."""
+        return [(self if t is self.terms
+                 else Jet._clean(self.ambient, t, self.order), p)
+                for t, p in split_parity(self.terms, lambda m: len(m[1]) & 1)]
+
     def even_degree(self) -> int:
         """Largest total degree in the commuting generators (0 if zero)."""
         return max((sum(m[0]) for m in self.terms), default=0)
@@ -225,25 +230,29 @@ class Jet:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other: "Jet") -> "Jet":
+    def _combine(self, other: "Jet", negate: bool) -> "Jet":
+        # self + other, or self - other in the same pass when negate is set
         if other.ambient is not self.ambient:
             _same_ambient(self, other)
         out = dict(self.terms)
         for m, c in other.terms.items():
             if m in out:
-                s = out[m] + c
+                s = out[m] - c if negate else out[m] + c
                 if s:
                     out[m] = s
                 else:
                     del out[m]
             else:
-                out[m] = c
+                out[m] = -c if negate else c
         if self.order == other.order:
             return Jet._clean(self.ambient, out, self.order)
         return Jet(self.ambient, out, _min_order(self.order, other.order))
 
+    def __add__(self, other: "Jet") -> "Jet":
+        return self._combine(other, False)
+
     def __sub__(self, other: "Jet") -> "Jet":
-        return self + (-other)
+        return self._combine(other, True)
 
     def __neg__(self) -> "Jet":
         return Jet._clean(self.ambient,

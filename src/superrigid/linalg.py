@@ -16,7 +16,8 @@ into a unary map once.  A caller that knows a finite coordinate space holding
 the seed and every image of the maps may pass its dimension as ``full_dim``;
 the closure then stops once the span fills that space, which is exact because
 a span of full dimension is the whole space.  The bound must hold every image,
-not just the vectors the caller cares about.
+not just the vectors the caller cares about.  split_parity is the one
+parity splitter, for jets, vector fields and flattened multilinear maps.
 """
 from __future__ import annotations
 
@@ -47,6 +48,21 @@ def vec_scale(v: Vec, scale: Fraction) -> Vec:
     if scale == 0:
         return {}
     return {k: scale * c for k, c in v.items()}
+
+
+def split_parity(v: Vec, parity_of: Callable[[Key], int]) -> list:
+    """Parity-homogeneous parts of v as (part, parity) pairs, by the parity
+    parity_of(k) of each key; a homogeneous v comes back as is, uncopied."""
+    if not v:
+        return []
+    keys = iter(v)
+    p = parity_of(next(keys))
+    if all(parity_of(k) == p for k in keys):
+        return [(v, p)]
+    parts: tuple = ({}, {})
+    for k, c in v.items():
+        parts[parity_of(k)][k] = c
+    return [(parts[p], p), (parts[1 - p], 1 - p)]
 
 
 class Subspace:

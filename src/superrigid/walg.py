@@ -39,6 +39,7 @@ from .linalg import (
     ZERO,
     closure_under,
     span_reduce,
+    split_parity,
     vec_add,
     vec_clean,
 )
@@ -524,25 +525,21 @@ def left_mult_op(J: FinSuperAlg, a) -> MultiLinMap:
     return MultiLinMap(1, parity, J.parities, entries, check=False)
 
 
-def _split_map(vec: Vec, arity, parities) -> list[MultiLinMap]:
-    """Parity-homogeneous maps summing to a flattened map."""
-    parts: dict[int, Vec] = {}
-    for key, c in vec.items():
-        parts.setdefault(_key_parity(key, parities), {})[key] = c
-    return [MultiLinMap.from_vec(comp, arity, parities, p)
-            for p, comp in parts.items()]
-
-
 def _homogeneous_maps(space: Subspace, arity, parities):
-    return [f for row in space.rows for f in _split_map(row, arity, parities)]
+    key_parity = lambda key: _key_parity(key, parities)
+    return [MultiLinMap.from_vec(part, arity, parities, p)
+            for row in space.rows for part, p in split_parity(row, key_parity)]
 
 
 def _bound(op, f: MultiLinMap, arity, parities):
     """The linear map v -> op(f, v) on flattened maps of the given arity,
     summed over the homogeneous parts of v."""
+    key_parity = lambda key: _key_parity(key, parities)
+
     def bound(v: Vec) -> Vec:
         acc: Vec = {}
-        for g in _split_map(v, arity, parities):
+        for part, p in split_parity(v, key_parity):
+            g = MultiLinMap.from_vec(part, arity, parities, p)
             acc = vec_add(acc, op(f, g).as_vec())
         return acc
     return bound

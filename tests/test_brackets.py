@@ -22,7 +22,9 @@ from superrigid.brackets import (
     odd_skew_defect,
     quasi_poisson,
 )
-from superrigid.jets import Ambient, Jet, parse_jet
+from superrigid.catalog import OjpSpace, _sgn
+from superrigid.fields import poisson_antidiagonal
+from superrigid.jets import Ambient, Jet, geometric_inverse, parse_jet
 
 O11 = Ambient(1, 1)
 O22 = Ambient(2, 2)
@@ -306,3 +308,260 @@ class TestJpProduct:
                          (Jet.zero(amb), one))
         # odd plain part picks up a minus sign when passing the bar
         assert out == (Jet.zero(amb), -xi)
+
+
+# -- reference brackets ------------------------------------------------------
+# The hand-written brackets that the pairing engine replaced, kept verbatim
+# as references: each rebuilt bracket must equal its reference under ==,
+# validity order included.
+
+
+def _homogeneous(f: Jet):
+    """Split into parity-homogeneous pieces, yielding (part, parity)."""
+    for p in (0, 1):
+        t = {m: c for m, c in f.terms.items() if len(m[1]) & 1 == p}
+        if t:
+            yield Jet(f.ambient, t, f.order), p
+
+
+def _parity(f: Jet, what: str) -> int:
+    p = f.parity()
+    if p is None and not f.is_zero():
+        raise ParityError(f"{what} must be parity-homogeneous")
+    return p or 0
+
+
+def _check_paired(amb: Ambient):
+    odd = amb.n_odd - (1 if amb.tau else 0)
+    if amb.n_even != odd:
+        raise ValueError(f"ambient {amb!r} has no x_i/xi_i pairing")
+
+
+def _odd_pair_sum(f: Jet, g: Jet, pf: int, n_pairs: int) -> Jet:
+    out = Jet.zero(f.ambient)
+    sign = -1 if pf else 1
+    for i in range(1, n_pairs + 1):
+        out = out + f.d_even(i) * g.d_odd(i)
+        out = out + (f.d_odd(i) * g.d_even(i)).scale(sign)
+    return out
+
+
+def _buttin_reference(f: Jet, g: Jet) -> Jet:
+    _check_paired(f.ambient)
+    if f.ambient.tau:
+        raise ValueError("ambient with tau: use k_bracket")
+    return _odd_pair_sum(f, g, _parity(f, "first argument"), f.ambient.n_even)
+
+
+def _k_bracket_reference(f: Jet, g: Jet) -> Jet:
+    amb = f.ambient
+    if not amb.tau:
+        raise ValueError("k_bracket needs a designated tau generator")
+    _check_paired(amb)
+    out = Jet.zero(amb)
+    eg = g.euler() - g.scale(2)
+    for part, pf in _homogeneous(f):
+        out = out + _odd_pair_sum(part, g, pf, amb.n_even)
+        ef = part.euler() - part.scale(2)
+        out = out + ef * g.d_tau()
+        out = out + (part.d_tau() * eg).scale(-1 if pf else 1)
+    return out
+
+
+def _gen_poisson_even_reference(f: Jet, g: Jet) -> Jet:
+    amb = f.ambient
+    if amb.tau:
+        raise ValueError("even bracket does not use a tau generator")
+    k = amb.n_even // 2
+    out = Jet.zero(amb)
+    for part, pf in _homogeneous(f):
+        for i in range(1, k + 1):
+            p, q = 2 * i - 1, 2 * i
+            out = (out + part.d_even(p) * g.d_even(q)
+                   - part.d_even(q) * g.d_even(p))
+        sign = -1 if pf else 1
+        for j in range(1, amb.n_odd + 1):
+            out = out + (part.d_odd(j) * g.d_odd(j)).scale(sign)
+        if amb.n_even % 2:
+            t = amb.n_even
+            ev = list(range(1, amb.n_even))
+            wf = part.scale(2) - part.euler(even_idx=ev)
+            wg = g.scale(2) - g.euler(even_idx=ev)
+            out = out + wf * g.d_even(t) - part.d_even(t) * wg
+    return out
+
+
+def _poisson_antidiagonal_reference(f: Jet, g: Jet) -> Jet:
+    amb = f.ambient
+    n = amb.n_odd
+    k = amb.n_even // 2
+    out = Jet.zero(amb)
+    for part, pf in _homogeneous(f):
+        for i in range(1, k + 1):
+            p, q = 2 * i - 1, 2 * i
+            out = (out + part.d_even(p) * g.d_even(q)
+                   - part.d_even(q) * g.d_even(p))
+        sign = -1 if pf else 1
+        for j in range(1, n + 1):
+            out = out + (part.d_odd(j) * g.d_odd(n + 1 - j)).scale(sign)
+    return out
+
+
+def _square_term(a: Jet, b: Jet) -> Jet:
+    # built-in odd bracket of the ambient, first argument treated as even
+    amb = a.ambient
+    if amb.tau:
+        out = _odd_pair_sum(a, b, 0, amb.n_even)
+        ea = a.euler() - a.scale(2)
+        eb = b.euler() - b.scale(2)
+        return out + ea * b.d_tau() + a.d_tau() * eb
+    return _odd_pair_sum(a, b, 0, amb.n_even)
+
+
+def _square_reference(phi: Jet, order: int) -> Jet:
+    parts = [part for part, _ in _homogeneous(phi)]
+    out = Jet.zero(phi.ambient)
+    for a in parts:
+        for b in parts:
+            out = out + _square_term(a, b)
+    return out.truncate(order)
+
+
+def _pbracket_reference(self: OjpSpace, f: Jet, g: Jet) -> Jet:
+    n = self.n
+    out = Jet.zero(self.ambient)
+    for part, p in _homogeneous(f):
+        s = _sgn(p)
+        for i in range(1, n + 1):
+            out = out + part.d_even(i) * g.d_odd(i)
+            out = out + (part.d_odd(i) * g.d_even(i)).scale(s)
+        if self.has_d:
+            idx = range(1, n + 1)
+            ef = part.euler(even_idx=idx, odd_idx=idx) - part.scale(2)
+            eg = g.euler(even_idx=idx, odd_idx=idx) - g.scale(2)
+            out = out + ef * g.d_tau() + (part.d_tau() * eg).scale(s)
+    return out
+
+
+def _gauged_reference(gb, f: Jet, g: Jet) -> Jet:
+    # the twisted bracket with phi^{-1} recomputed at each evaluation order
+    order = min(o for o in (f.order, g.order, gb.order) if o is not None)
+    inv = geometric_inverse(gb.phi, order)
+    return (inv * gb.base(gb.phi * f, gb.phi * g)).truncate(order)
+
+
+ORDERS = st.sampled_from([None, 0, 1, 2, 3])
+PARITIES = st.sampled_from([0, 1, None])
+
+
+def _pair(amb, seed, pf, of, og):
+    """A first argument of parity pf (None: mixed), a mixed second argument,
+    each truncated to its order; sometimes one of them is zero."""
+    rng = random.Random(seed)
+    if not amb.n_odd:
+        pf = 0
+    f = random_jet(amb, rng, parity=pf, n_terms=rng.randint(0, 4))
+    g = random_jet(amb, rng, n_terms=rng.randint(0, 5))
+    return f.truncate(of), g.truncate(og)
+
+
+def _same(got_call, want_call):
+    """Both calls return == jets, or both raise the same exception type."""
+    try:
+        want = want_call()
+    except ValueError as e:
+        with pytest.raises(type(e)):
+            got_call()
+        return
+    got = got_call()
+    assert got == want
+
+
+class TestAgainstReferences:
+    @given(st.integers(0, 2**30), PARITIES, ORDERS, ORDERS,
+           st.sampled_from([O11, O22, Ambient(3, 3), Ambient(2, 1),
+                            Ambient(0, 0), O12]))
+    @settings(max_examples=120)
+    def test_buttin(self, seed, pf, of, og, amb):
+        f, g = _pair(amb, seed, pf, of, og)
+        _same(lambda: buttin(f, g), lambda: _buttin_reference(f, g))
+
+    @given(st.integers(0, 2**30), PARITIES, ORDERS, ORDERS,
+           st.sampled_from([O12, O23, Ambient(0, 1, tau=True),
+                            Ambient(3, 4, tau=True), Ambient(2, 2, tau=True),
+                            O22]))
+    @settings(max_examples=120)
+    def test_k_bracket(self, seed, pf, of, og, amb):
+        f, g = _pair(amb, seed, pf, of, og)
+        _same(lambda: k_bracket(f, g), lambda: _k_bracket_reference(f, g))
+
+    @given(st.integers(0, 2**30), PARITIES, ORDERS, ORDERS,
+           st.sampled_from([Ambient(3, 2), Ambient(2, 3), Ambient(1, 1),
+                            Ambient(0, 2), E30, Ambient(1, 0), O12]))
+    @settings(max_examples=120)
+    def test_gen_poisson_even(self, seed, pf, of, og, amb):
+        f, g = _pair(amb, seed, pf, of, og)
+        _same(lambda: gen_poisson_even(f, g),
+              lambda: _gen_poisson_even_reference(f, g))
+
+    @given(st.integers(0, 2**30), PARITIES, ORDERS, ORDERS,
+           st.sampled_from([Ambient(2, 3), Ambient(3, 2), Ambient(2, 2),
+                            Ambient(0, 3), Ambient(0, 0)]))
+    @settings(max_examples=100)
+    def test_poisson_antidiagonal(self, seed, pf, of, og, amb):
+        f, g = _pair(amb, seed, pf, of, og)
+        _same(lambda: poisson_antidiagonal(f, g),
+              lambda: _poisson_antidiagonal_reference(f, g))
+
+    @given(st.integers(0, 2**30), PARITIES, ORDERS, ORDERS,
+           st.sampled_from([(0, 0), (1, 1), (1, 2), (2, 3)]))
+    @settings(max_examples=100)
+    def test_ojp_pbracket(self, seed, pf, of, og, nm):
+        space = OjpSpace(*nm)
+        f, g = _pair(space.ambient, seed, pf, of, og)
+        _same(lambda: space.pbracket(f, g),
+              lambda: _pbracket_reference(space, f, g))
+
+    @given(st.integers(0, 2**30), ORDERS, st.integers(0, 3),
+           st.sampled_from([O11, O22, O12, O23, Ambient(2, 1)]))
+    @settings(max_examples=100)
+    def test_gauge_square(self, seed, of, order, amb):
+        """The gauge check's {phi, phi} (phi taken as even) against the
+        reference: a nonzero square is the GaugeError's witness."""
+        rng = random.Random(seed)
+        phi = (Jet.one(amb) + random_jet(amb, rng, n_terms=rng.randint(0, 3))
+               ).truncate(of)
+        if phi.terms.get(((0,) * amb.n_even, ())) is None:
+            return
+        want = _square_reference(phi, order)
+        base = k_bracket if amb.tau else buttin
+        if want.is_zero():
+            gauge_transform(base, phi, order=order)
+            return
+        with pytest.raises(GaugeError) as exc:
+            gauge_transform(base, phi, order=order)
+        got = exc.value.witness
+        assert got == want
+
+
+class TestGaugeOnce:
+    @given(st.integers(0, 2**30), st.integers(0, 3), ORDERS, ORDERS,
+           st.sampled_from([("1 + x1", O11), ("1 + x1 - x1^2", O11),
+                            ("2 + x1*x2 + x2^2", O22),
+                            ("1 + x1 + 3*x1^3", O12)]))
+    @settings(max_examples=80)
+    def test_matches_per_call_inverse(self, seed, order, of, og, case):
+        text, amb = case
+        base = k_bracket if amb.tau else buttin
+        gb = gauge_transform(base, parse_jet(text, amb), order=order)
+        rng = random.Random(seed)
+        f = random_jet(amb, rng, parity=rng.randrange(2)).truncate(of)
+        g = random_jet(amb, rng).truncate(og)
+        got, want = gb(f, g), _gauged_reference(gb, f, g)
+        assert got == want
+
+    def test_rejects_at_construction(self):
+        phi = j("1 + x1*xi1")
+        for order in range(1, 4):
+            with pytest.raises(GaugeError):
+                gauge_transform(buttin, phi, order=order)

@@ -1,12 +1,18 @@
 from fractions import Fraction as F
 
+import random
+
 from hypothesis import given, settings, strategies as st
 
+from conftest import random_field, random_jet
+from superrigid.fields import VectorField
+from superrigid.jets import Ambient, Jet
 from superrigid.linalg import (
     Subspace,
     closure_under,
     nullspace,
     span_reduce,
+    split_parity,
     vec_add,
 )
 
@@ -74,6 +80,66 @@ class TestSpanProperties:
         s = span_reduce(vs)
         for u in vs:
             assert s.contains(u)
+
+
+class TestSplitParity:
+    """The one parity splitter, on plain dicts, jets and vector fields."""
+
+    keys = st.integers(min_value=0, max_value=9).map(lambda i: (i,))
+    vecs = st.dictionaries(keys, st.fractions().filter(bool), max_size=6)
+
+    @staticmethod
+    def key_parity(k):
+        return k[0] & 1
+
+    @given(vecs)
+    @settings(max_examples=100)
+    def test_parts_sum_to_input(self, u):
+        parts = split_parity(u, self.key_parity)
+        total: dict = {}
+        for part, p in parts:
+            assert part and {self.key_parity(k) for k in part} == {p}
+            total = vec_add(total, part)
+        assert total == u
+        assert len({p for _, p in parts}) == len(parts) <= 2
+
+    @given(vecs)
+    @settings(max_examples=50)
+    def test_homogeneous_comes_back_as_is(self, u):
+        even = {k: c for k, c in u.items() if not self.key_parity(k)}
+        parts = split_parity(even, self.key_parity)
+        assert parts == ([(even, 0)] if even else [])
+        if even:
+            assert parts[0][0] is even
+
+    @given(st.integers(0, 2**30), st.sampled_from([0, 1, None]),
+           st.sampled_from([None, 0, 2]))
+    @settings(max_examples=60)
+    def test_jet_parts(self, seed, parity, order):
+        amb = Ambient(2, 3)
+        f = random_jet(amb, random.Random(seed), parity=parity).truncate(order)
+        parts = f.parity_parts()
+        total = Jet.zero(amb).truncate(order)
+        for part, p in parts:
+            assert part.parity() == p and part.order == f.order
+            total = total + part
+        assert total == f
+        if f.parity() is not None:
+            assert parts == [(f, f.parity())] and parts[0][0] is f
+
+    @given(st.integers(0, 2**30), st.sampled_from([0, 1, None]))
+    @settings(max_examples=60)
+    def test_field_parts(self, seed, parity):
+        amb = Ambient(2, 2)
+        X = random_field(amb, random.Random(seed), parity=parity)
+        parts = X.parity_parts()
+        total = VectorField.zero(amb)
+        for part, p in parts:
+            assert part.parity() == p
+            total = total + part
+        assert total == X
+        if X.parity() is not None:
+            assert parts == [(X, X.parity())] and parts[0][0] is X
 
 
 def shift(a):
