@@ -29,7 +29,7 @@ from .brackets import (Pairing, buttin, fd_bracket, k_bracket, paired_bracket,
                        quasi_poisson)
 from .fields import FamilyRealization, GradingSpec, VectorField
 from .jets import Ambient, Jet, div_beta, format_jet, odd_laplacian
-from .linalg import closure_under, nullspace, span_reduce, vec_clean
+from .linalg import ideal_closure, nullspace, span_reduce, vec_clean
 from .walg import FinSuperAlg, format_element, is_rigid, is_simple
 
 
@@ -281,6 +281,7 @@ class OjpSpace:
         self.ambient = Ambient(n + 1, n_odd, tau=self.has_d)
         self.x_i = n + 1
         self.eta_j = n + 1
+        self._eta = Jet.xi(self.ambient, self.eta_j)
         # x_i paired with xi_i for i <= n; E in the tau terms counts these
         idx = tuple(range(1, n + 1))
         self._pairing = Pairing(mixed=tuple(zip(idx, idx)), euler=(idx, idx),
@@ -293,7 +294,7 @@ class OjpSpace:
         return Jet.one(self.ambient)
 
     def eta(self) -> Jet:
-        return Jet.xi(self.ambient, self.eta_j)
+        return self._eta
 
     def dx(self, f: Jet) -> Jet:
         return f.d_even(self.x_i)
@@ -1340,12 +1341,16 @@ class SpotIdealReport:
 
 def ideal_spot_checks(entry, seeds: Sequence | None = None,
                       order: int = 3) -> SpotIdealReport:
-    """Grow the two-sided multiplicative closure of each seed inside the
-    degree window and report which window basis elements it reaches.
+    """Grow the two-sided ideal of each seed inside the degree window and
+    report which window basis elements it reaches.
 
     Products are truncated back into the window, so the closure is the
     window shadow of the true ideal; a seed that reaches every target of
-    degree below the window edge is reported complete.
+    degree below the window edge is reported complete.  The ideal comes
+    from ``linalg.ideal_closure``: left products with every partner first,
+    right products too only while that span stays proper.  That is exact
+    for any product; the entry's symmetry is never assumed, it only makes
+    the right products idle when a homogeneous seed fills the window.
 
     Each SeedReach's ``dim`` is the dimension of that closure.  It can
     exceed the dimension of the window basis's span: truncating a product
@@ -1364,11 +1369,11 @@ def ideal_spot_checks(entry, seeds: Sequence | None = None,
     basis = entry.basis(order)
     vecs = [window(b) for b in basis]
     # The left and right product with each partner, converted once.
-    sides = []
-    for p in span_reduce(vecs).rows:
-        u = entry.from_vec(p)
-        sides += [lambda v, u=u: window(entry.product(u, entry.from_vec(v))),
-                  lambda v, u=u: window(entry.product(entry.from_vec(v), u))]
+    partners = [entry.from_vec(p) for p in span_reduce(vecs).rows]
+    lefts = [lambda v, u=u: window(entry.product(u, entry.from_vec(v)))
+             for u in partners]
+    rights = [lambda v, u=u: window(entry.product(entry.from_vec(v), u))
+              for u in partners]
 
     if seeds is None:
         seeds = getattr(entry, "default_seeds", None)
@@ -1390,7 +1395,7 @@ def ideal_spot_checks(entry, seeds: Sequence | None = None,
     out = []
     for seed in seeds:
         sv = window(seed)
-        closed = closure_under(span_reduce([sv] if sv else []), sides,
+        closed = ideal_closure(span_reduce([sv] if sv else []), lefts, rights,
                                full_dim=len(coords.union(sv)))
         missing = [entry.format(b) for b, v in targets
                    if not closed.contains(v)]

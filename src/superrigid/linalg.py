@@ -16,7 +16,12 @@ into a unary map once.  A caller that knows a finite coordinate space holding
 the seed and every image of the maps may pass its dimension as ``full_dim``;
 the closure then stops once the span fills that space, which is exact because
 a span of full dimension is the whole space.  The bound must hold every image,
-not just the vectors the caller cares about.  split_parity is the one
+not just the vectors the caller cares about.  ideal_closure builds the
+two-sided ideal of a seed from closure_under walks: under left products
+first, then, only when that span is proper, under left and right products
+together.  A full span is the whole space and holds every right image, and a
+proper one lies inside the ideal, so the result is exact for any product;
+a symmetric product only makes the second walk rare.  split_parity is the one
 parity splitter, for jets, vector fields and flattened multilinear maps.
 """
 from __future__ import annotations
@@ -182,6 +187,30 @@ def closure_under(
                 if len(rows) == full_dim:
                     break
     return Subspace(rows)
+
+
+def ideal_closure(
+    seed: Subspace,
+    lefts: Sequence[Callable[[Vec], Vec]],
+    rights: Sequence[Callable[[Vec], Vec]],
+    full_dim: int,
+) -> Subspace:
+    """Smallest subspace containing seed that every map in lefts and rights
+    sends into itself: the two-sided ideal a seed generates.
+
+    The seed is first closed under lefts alone.  A span that fills
+    ``full_dim`` (as in closure_under) is the whole space, which every map
+    sends into itself, so it is returned.  Otherwise the walk goes on from
+    that span under lefts and rights together; the first span lies inside
+    the two-sided closure, so the result is that closure, for any maps.
+    With a supercommutative or anticommutative product and a homogeneous
+    seed each right product is +- a left one, so no right map runs when the
+    left closure fills the space.
+    """
+    span = closure_under(seed, lefts, full_dim)
+    if span.dim == full_dim:
+        return span
+    return closure_under(span, list(lefts) + list(rights), full_dim)
 
 
 def nullspace(

@@ -38,6 +38,7 @@ from .linalg import (
     Vec,
     ZERO,
     closure_under,
+    ideal_closure,
     span_reduce,
     split_parity,
     vec_add,
@@ -638,10 +639,12 @@ class SimplicityReport:
 def is_simple(J: FinSuperAlg, probes: int = 3) -> SimplicityReport:
     """Whether no proper nonzero subspace absorbs multiplication.
 
-    Checks the multiplicative closure of every basis vector and of a few
-    deterministic pseudo-random vectors; any proper closure is returned as a
-    witness.  Each closure stops once it spans the whole algebra.  A zero
-    product is never simple.
+    Checks the two-sided ideal of every basis vector and of a few
+    deterministic pseudo-random vectors; any proper ideal is returned as a
+    witness.  Each ideal comes from ``linalg.ideal_closure``: the closure
+    under left multiplications, closed under right ones too only when it is
+    proper.  That is exact for any table; the table's supersymmetry only
+    makes the right maps idle.  A zero product is never simple.
     """
     n = J.dim
     if n == 0:
@@ -650,20 +653,18 @@ def is_simple(J: FinSuperAlg, probes: int = 3) -> SimplicityReport:
         witness = span_reduce([{0: F(1)}]) if n > 1 else None
         return SimplicityReport(False, witness)
     # Left and right multiplication by each basis vector.
-    sides = []
-    for i in range(n):
-        e = {i: F(1)}
-        sides += [lambda v, e=e: J.mult_vec(e, v),
-                  lambda v, e=e: J.mult_vec(v, e)]
+    units = [{i: F(1)} for i in range(n)]
+    lefts = [lambda v, e=e: J.mult_vec(e, v) for e in units]
+    rights = [lambda v, e=e: J.mult_vec(v, e) for e in units]
     rng = random.Random(11)
-    candidates = [{i: F(1)} for i in range(n)]
+    candidates = list(units)
     for _ in range(probes):
         v = {i: F(rng.randint(-2, 2)) for i in range(n)}
         v = vec_clean(v)
         if v:
             candidates.append(v)
     for v in candidates:
-        closed = closure_under(span_reduce([v]), sides, full_dim=n)
+        closed = ideal_closure(span_reduce([v]), lefts, rights, full_dim=n)
         if closed.dim < n:
             return SimplicityReport(False, closed)
     return SimplicityReport(True, None)

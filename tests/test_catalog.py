@@ -65,16 +65,21 @@ def test_spot_check_is_two_sided():
     assert (seed.dim, seed.reached, seed.targets) == (3, 2, 5)
 
 
-# (dim, reached, targets) for each default seed, for the fixed oracle entries
-# whose spot check is fast; parameters are probed as registry_listing does.
+# (dim, reached, targets) for each default seed, for all 18 fixed oracle
+# entries; parameters are probed as registry_listing does.
 SPOT_REACH = {
     "JS_1_1": [(4, 3, 3), (0, 0, 3)], "JSHO_2_2": [(20, 12, 12), (0, 0, 12)],
-    "JSKO_1_2": [(8, 6, 6), (0, 0, 6)], "LW_1_2": [(8, 6, 6), (0, 0, 6)],
-    "LHO_1_2": [(7, 5, 5), (0, 0, 5)], "LSHOp_2_2": [(19, 11, 11), (0, 0, 11)],
+    "JSKO_1_2": [(8, 6, 6), (0, 0, 6)], "JS_1_8": [(32, 24, 24), (0, 0, 24)],
+    "LW_1_2": [(8, 6, 6), (0, 0, 6)], "LHO_1_2": [(7, 5, 5), (0, 0, 5)],
+    "LSHOp_2_2": [(19, 11, 11), (0, 0, 11)],
+    "LSKOp_2_4": [(80, 27, 27), (0, 0, 27)],
     "LSKOp_1_2": [(8, 6, 6), (0, 0, 6)], "LHa_1_2": [(7, 5, 5), (0, 0, 5)],
     "LWa_1_2": [(8, 6, 6), (0, 0, 6)], "LWa_2_2": [(20, 12, 12), (0, 0, 12)],
     "LSa_2_2": [(20, 12, 12), (0, 0, 12)], "LS_1_3": [(12, 9, 9), (0, 0, 9)],
-    "LHOa_3_1": [(19, 9, 9), (0, 0, 9)], "LKO_2_1": [(10, 6, 6), (0, 0, 6)],
+    "LHOa_3_1": [(19, 9, 9), (0, 0, 9)],
+    "LSHOa_4_1": [(34, 14, 14), (0, 0, 14)],
+    "LKO_2_1": [(10, 6, 6), (0, 0, 6)],
+    "LSKOa_3_1": [(20, 10, 10), (0, 0, 10)],
 }
 
 
@@ -94,7 +99,7 @@ def test_spot_reach(name):
     assert rep.passed
 
 
-def unbounded_closure(seed, maps, full_dim=None):
+def unbounded_closure(seed, maps):
     """closure_under without its saturation stop: every queued vector goes
     through every map."""
     rows = dict(seed._by_pivot)
@@ -118,16 +123,51 @@ def test_spot_seed_outside_window_coordinates(name, monkeypatch):
     seeds = [outside, elem_add(entry.basis(3)[-1], outside),
              elem_add(entry.basis(3)[0], outside)]
     got = ideal_spot_checks(entry, seeds=seeds)
-    monkeypatch.setattr(catalog, "closure_under", unbounded_closure)
+    # The reference has neither the left-first walk nor the saturation stop.
+    calls = []
+
+    def unbounded_ideal(seed, lefts, rights, full_dim):
+        calls.append(seed)
+        return unbounded_closure(seed, list(lefts) + list(rights))
+
+    monkeypatch.setattr(catalog, "ideal_closure", unbounded_ideal)
     assert got == ideal_spot_checks(entry, seeds=seeds)
+    assert len(calls) == len(seeds)
 
 
 FINITE = {"JS_0_2", "JW_0_4", "JW_0_8", "JS_0_8", "JS_0_16", "LW_0_2"}
+
+# The fixed oracle entries, the family instances next to them and the finite
+# entries.  Family instances: beta = 1/3 for LSKO_1_2, none for the others.
+VERIFIED = list(SPOT_REACH) + [
+    "OJP_1_1", "LP_1_1", "OJP_2_2", "LP_2_2", "LSHO_2_2", "LSKO_1_2",
+] + sorted(FINITE)
+
+
+@pytest.mark.parametrize("name", VERIFIED)
+def test_verify_entry(name):
+    if name in FINITE:
+        entry = make(name)
+    elif name in SPOT_REACH:
+        entry = probe(name)
+    else:
+        entry = make(name, **({"beta": F(1, 3)} if name == "LSKO_1_2" else {}))
+    rep = catalog.verify_entry(entry)
+    assert rep.name == name
+    if name == "JW_0_8":
+        # Str and R are both 24-dimensional, but the one-step orbit is not:
+        # the entry fails its own rigidity check, and that stays visible.
+        assert rep.passed is False
+        assert (rep.stats["dim_str"], rep.stats["dim_r"]) == (24, 24)
+    else:
+        assert rep.passed, [c for c in rep.checks if not c.passed]
 
 
 def test_registry_kinds():
     rows = registry_listing()
     assert {r["name"] for r in rows if r["kind"] == "finite"} == FINITE
+    assert {r["name"] for r in rows if r["kind"] == "oracle"
+            and "<" not in r["name"]} == set(SPOT_REACH)
     assert {r["kind"] for r in rows} == {"finite", "oracle"}
 
 

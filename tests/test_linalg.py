@@ -5,16 +5,20 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_field, random_jet
+from superrigid import catalog, linalg, walg
 from superrigid.fields import VectorField
 from superrigid.jets import Ambient, Jet
 from superrigid.linalg import (
     Subspace,
     closure_under,
+    ideal_closure,
     nullspace,
     span_reduce,
     split_parity,
     vec_add,
+    vec_clean,
 )
+from superrigid.walg import FinSuperAlg
 
 
 def v(*pairs):
@@ -215,6 +219,126 @@ class TestClosure:
         calls.clear()
         assert closure_under(stopped, [counted(shift)], full_dim=3) == stopped
         assert calls == []
+
+
+def counted(maps, calls):
+    """The maps, each appending to calls when it runs."""
+    def wrap(m):
+        def call(a):
+            calls.append(m)
+            return m(a)
+        return call
+    return [wrap(m) for m in maps]
+
+
+def random_product(rng, kind):
+    """Parities and the product of a random graded algebra of dimension 1-5.
+
+    kind is "super" (a FinSuperAlg, supercommutative), "anti" (a_i a_j =
+    -(-1)^{p_i p_j} a_j a_i, checked by FinSuperAlg.from_anticommutative) or
+    "arbitrary" (no symmetry).  Every product respects the grading.
+    """
+    n = rng.randint(1, 5)
+    pars = [rng.randint(0, 1) for _ in range(n)]
+    pp = rng.randint(0, 1)
+    density = rng.choice([0.2, 0.4, 0.7])
+    upper = {}
+    for i in range(n):
+        for j in range(n):
+            if kind != "arbitrary" and j < i or rng.random() > density:
+                continue
+            if i == j and kind != "arbitrary" and pars[i] == (kind == "super"):
+                continue   # a square that the symmetry forces to vanish
+            hits = [k for k in range(n) if pars[k] == (pars[i] + pars[j] + pp) % 2]
+            upper[(i, j)] = vec_clean({k: F(rng.randint(-2, 2))
+                                       for k in hits if rng.random() < 0.6})
+    if kind == "super":
+        return pars, FinSuperAlg(pars, pp, upper).mult_vec
+    table = dict(upper)
+    if kind == "anti":
+        FinSuperAlg.from_anticommutative(pars, pp, upper)
+        for (i, j), out in upper.items():
+            sign = 1 if pars[i] and pars[j] else -1
+            table[(j, i)] = {k: sign * c for k, c in out.items()}
+    return pars, table_product(table)
+
+
+def table_product(table):
+    """The bilinear product whose basis products are table[(i, j)], zero
+    where the table has no entry."""
+    def mult(u, w):
+        out = {}
+        for i, a in u.items():
+            for j, b in w.items():
+                out = vec_add(out, table.get((i, j), {}), a * b)
+        return out
+    return mult
+
+
+def sides(mult, n):
+    """Left and right multiplication by each of the n basis vectors."""
+    units = [{i: F(1)} for i in range(n)]
+    return ([lambda w, e=e: mult(e, w) for e in units],
+            [lambda w, e=e: mult(w, e) for e in units])
+
+
+class TestIdealClosure:
+    """ideal_closure is the two-sided closure for any product; a symmetric
+    product and a homogeneous seed only make its right maps idle."""
+
+    @given(st.integers(0, 2**30), st.sampled_from(["super", "anti", "arbitrary"]),
+           st.sampled_from(["homogeneous", "mixed", "zero"]))
+    @settings(max_examples=300)
+    def test_equals_unbounded_two_sided_closure(self, seed, kind, seed_kind):
+        rng = random.Random(seed)
+        pars, mult = random_product(rng, kind)
+        n = len(pars)
+        lefts, rights = sides(mult, n)
+        if seed_kind == "zero":
+            keys = []
+        elif seed_kind == "homogeneous":
+            p = rng.choice(pars)
+            keys = [i for i in range(n) if pars[i] == p]
+        else:
+            keys = list(range(n))
+        sv = vec_clean({i: F(rng.choice([-2, -1, 1, 3])) for i in keys})
+        start = span_reduce([sv])
+        right_calls = []
+        got = ideal_closure(start, lefts, counted(rights, right_calls), n)
+        assert got == closure_under(start, lefts + rights)
+        if kind != "arbitrary" and seed_kind != "mixed":
+            # Right products are +- left ones: the left closure is the ideal.
+            assert got == closure_under(start, lefts)
+            if got.dim == n:
+                assert right_calls == []
+
+    def test_fills_without_right_maps(self, monkeypatch):
+        # JS_1_1's homogeneous default seed and every is_simple candidate
+        # of JS_0_8 fill their space under left products alone.
+        right_calls, dims = [], []
+
+        def spy(seed, lefts, rights, full_dim):
+            got = linalg.ideal_closure(seed, lefts,
+                                       counted(rights, right_calls), full_dim)
+            dims.append((got.dim, full_dim))
+            return got
+
+        monkeypatch.setattr(catalog, "ideal_closure", spy)
+        rep = catalog.ideal_spot_checks(catalog.make("JS_1_1"))
+        assert rep.passed and dims[0][0] == dims[0][1] > 0
+        dims.clear()
+        monkeypatch.setattr(walg, "ideal_closure", spy)
+        assert walg.is_simple(catalog.make("JS_0_8").algebra).simple
+        assert len(dims) > 8 and all(d == full for d, full in dims)
+        assert right_calls == []
+
+    def test_right_products_feed_left_ones(self):
+        # s.e = x and e.x = y with nothing else: the left closure of s is
+        # span(s); the right product adds x, and only a left product of x
+        # reaches y.
+        mult = table_product({(0, 3): {1: F(1)}, (3, 1): {2: F(1)}})
+        got = ideal_closure(span_reduce([{0: F(1)}]), *sides(mult, 4), 4)
+        assert got == span_reduce([{i: F(1)} for i in range(3)])
 
 
 class TestNullspace:
