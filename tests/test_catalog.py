@@ -1,5 +1,6 @@
 """Catalog entries: their closure outputs (Str, R, the graded expansion and
 the ideal spot checks) and the entry points make and registry_listing."""
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -189,3 +190,92 @@ def test_make_rejects_parameters_not_taken(name, kw, takes):
 ])
 def test_make_aliases(spelling, name, kw):
     assert make(spelling, **kw).name == name
+
+
+# sha256 over sorted(to_vec(a o b).items()) for every ordered pair of
+# entry.basis(2): the exact structure constants of each oracle entry at the
+# parameters the registry covers, and of the family instances verified below.
+STRUCTURE_DIGESTS = [
+    ("JS_1_1", {},
+     "21d59018a62bf4fa0c583471e0f94f4ba98ee9f3145b53358dcc29c04c2b9622"),
+    ("JSHO_2_2", {},
+     "7daacd3a45a973e3f6162deb74a55eba4d720214cd86f836792d7337b480a7a0"),
+    ("JSKO_1_2", {},
+     "9e7010bef93d04018cd6bddeaa0da5675db04cb8bbee80ada1d2e23922bee1d7"),
+    ("LW_1_2", {},
+     "000a78f65972b50fdab80c3f92d2bacddc2fec27223e924ef79f1a31e9088abb"),
+    ("LHO_1_2", {},
+     "e0c148c0d9ef354f0b12b6aca15488daa0a82a5e547147e0e7332163953b8365"),
+    ("LSHOp_2_2", {},
+     "271e87fc9fc91d939c4546a0e070ecfadc7c9ac258d8a3ed861eb5045e0093ce"),
+    ("LSKOp_2_4", {},
+     "00e0d87b37c6748679a751fdddd11e9e4271766f46fbeeecfadaac510066e3cb"),
+    ("LS_1_3", {},
+     "b4eda98f3e3ed5af7a2eb33fc69a3f0e0490551f2992c4a4ebc00495d8418ab1"),
+    ("LKO_2_1", {},
+     "b47e477c6358b170a78fee0538ffde36b0ac30471e9a6d73bae41cdc00af6d38"),
+    ("JS_1_8", {"alpha": F(0)},
+     "6ce0161423ffd2263b480dc1234783d449d026c2ad1f44da472d0f74f457f473"),
+    ("JS_1_8", {"alpha": F(1)},
+     "96d60b851e5034b89ce4ae384886de17fff8c794de83503a02440fd0f65f2e17"),
+    ("LHa_1_2", {"alpha": F(0)},
+     "a83ae7c5638bf88c2f14dbabdc8c03c4fc13c11941940da1b29f2f626b5a051f"),
+    ("LHa_1_2", {"alpha": F(1)},
+     "40a21848fc58aa9a602a6dbcd34ca587bc475e3b9ae03ee4e74de1d309de712b"),
+    ("LWa_1_2", {"alpha": F(0)},
+     "99369bc11f5cdaf2c28c421b750c29e6c7963b5e9cd161c3132333a1e25d55a1"),
+    ("LWa_1_2", {"alpha": F(1)},
+     "6dcf5ac1dadb3945951afc99042d669ec8cc50f4ea9330afbbd93abaa239c499"),
+    ("LWa_2_2", {"alpha": F(0)},
+     "d900ca498d4d454cd09f6fbc2242f773d3c401eac925517120a4160db4f5b973"),
+    ("LWa_2_2", {"alpha": F(1)},
+     "54804d7c452586b40a3ad71ef28cafb39d8e2ea4597ea189da098de49c7c4c68"),
+    ("LSa_2_2", {"alpha": F(0)},
+     "cdc0b83cf2644dfbb1d5ea6d0166228800a27d886f9b868e4ecc64153c10a881"),
+    ("LSa_2_2", {"alpha": F(1)},
+     "965363eaa94b76e08e713712e522e7c832ff19e39e5f9adf154b9e01968ea918"),
+    ("LHOa_3_1", {"alpha": F(0)},
+     "a58cbbe5c518b4b8203fe44cf54f48496bf92c973feed9c8ddd3a7ee55b3c07b"),
+    ("LHOa_3_1", {"alpha": F(1)},
+     "aa8e500980ed739ea7931cc40289d84ba278dc0727876789d3270f4228fe3a92"),
+    ("LSHOa_4_1", {"alpha": F(0)},
+     "dd8543cc34e31ba87b7012f06ece3bb82fac96b9a67a02b8c5b8afd5914e2015"),
+    ("LSHOa_4_1", {"alpha": F(1)},
+     "f7513da3d855335c214c88035a9fdff97934c39ca8c3fb9ccedad420b1d4a4f4"),
+    ("LSKOp_1_2", {"beta": F(1, 2)},
+     "d8c06d7581603922fb09d40190efa71d30f682116ea8030e6d7970066a088c97"),
+    ("LSKOp_1_2", {"beta": F(3, 2)},
+     "55ec48bb70a45b8e954c46725d85bd6cce34cbf604b79dbeeb9a4ad55e432c8f"),
+    ("LSKOa_3_1", {"alpha": F(0), "beta": F(1, 2)},
+     "98c0b6c66f0345a988cfe5ae04af262aebbe232878eb4966dbe72d1836d884ca"),
+    ("LSKOa_3_1", {"alpha": F(0), "beta": F(2)},
+     "f9edbdb59fed56cc6027614734fbf8ba4e336b8e972b746319dec7f7d8c8bdf7"),
+    ("LSKOa_3_1", {"alpha": F(1), "beta": F(1, 2)},
+     "c1f346c999bbd1c4ad76b7953943bfd27df6dfe99f9b75a08515a31e35ea1039"),
+    ("LSKOa_3_1", {"alpha": F(1), "beta": F(2)},
+     "24a0f46e17736b0747a6e86d2be81551c07527c56bf775522c71eb37fa0a1ea3"),
+    ("OJP_1_1", {},
+     "d09e2c0c38fbb3ddab142bb368dedc6fa4d0a5b7bdced9f139cf141d498ee327"),
+    ("LP_1_1", {},
+     "a96b4f7f09840a4f84336bef216a54843015f5a32889cc5d472a65b1e7afeafc"),
+    ("OJP_2_2", {},
+     "c8d9d56b7d5f309284d93dafc55a78f387c763649b166a0745614ba9266007df"),
+    ("LP_2_2", {},
+     "fe08d691f31e85787dcd54e332e140506a762e62ffdb9c23bed293de265fa94b"),
+    ("LSHO_2_2", {},
+     "1a9405c8f7e62141f82491b235588d37b34360951d60f7f21411fd64c86159e6"),
+    ("LSKO_1_2", {"beta": F(1, 3)},
+     "ec8985e1c3f34477168f43497795e07e35031523af7b5c589d26ee3543e1e51a"),
+]
+
+
+@pytest.mark.parametrize("name, kw, digest", STRUCTURE_DIGESTS)
+def test_structure_constants(name, kw, digest):
+    entry = make(name, **kw)
+    basis = entry.basis(2)
+    h = hashlib.sha256()
+    for a in basis:
+        for b in basis:
+            h.update(repr(sorted(entry.to_vec(entry.product(a, b)).items()))
+                     .encode())
+    assert h.hexdigest() == digest
