@@ -3,8 +3,9 @@
 Entries come in two kinds.  Finite entries carry exact structure constants
 in a FinSuperAlg and run the full simplicity and rigidity machinery.  Oracle
 entries describe infinite-dimensional products through jet coefficients: a
-carrier (an ambient, a kernel, or a quotient), a named slot layout, and an
-explicit product rule for every ordered slot pair.
+carrier (an ambient, a kernel, or a quotient), a named slot layout, and a
+table of product rules keyed by ordered slot pair.  A pair missing from the
+table multiplies to zero, and each mirror pair is a row of its own.
 
 Conventions shared by all entries:
 
@@ -61,14 +62,6 @@ def elem_scale(a: Element, c) -> Element:
     return {s: f.scale(c) for s, f in a.items()}
 
 
-def elem_sub(a: Element, b: Element) -> Element:
-    return elem_add(a, elem_scale(b, -1))
-
-
-def elem_is_zero(a: Element) -> bool:
-    return all(f.is_zero() for f in a.values())
-
-
 def elem_truncate(a: Element, order: int | None) -> Element:
     return elem_clean({s: f.truncate(order) for s, f in a.items()})
 
@@ -77,35 +70,38 @@ def elem_truncate(a: Element, order: int | None) -> Element:
 
 
 class OracleEntry:
-    """Infinite-dimensional product described by an explicit slot-pair rule.
+    """Infinite-dimensional product given by a table of slot-pair rules.
 
-    ``pair_product(s1, f1, s2, f2)`` receives parity-homogeneous jets and
-    returns an element; ``product`` extends it bilinearly and applies the
-    quotient reduction.  ``excluded`` lists monomials projected away per
-    slot; entries with a non-monomial carrier override ``member`` and
-    ``slot_basis`` instead.
+    ``rules`` maps an ordered slot pair (s1, s2) to a callable
+    ``rule(f1, p1, f2, p2)`` on parity-homogeneous coefficient jets and
+    their jet parities, returning an element.  A pair missing from the table
+    multiplies to zero.  A mirror pair (s2, s1) is its own row, never derived
+    from the declared symmetry, so that verify_entry tests the symmetry.
+    ``product`` extends the table bilinearly and applies the quotient
+    reduction.
+
+    Each slot carries the monomials outside ``excluded[slot]``, or, with
+    ``kernel=(op, dropped_key)``, the kernel of ``op`` with the component
+    along ``dropped_key`` (None for none) removed.  The slot order is the key
+    order of ``slot_parity``.
     """
 
     kind = "oracle"
 
-    def __init__(self, name: str, ambient: Ambient, slots: Sequence[str],
-                 slot_parity: dict, symmetry: str, product_parity: int,
-                 pair_product: Callable, *, excluded: dict | None = None,
-                 member: Callable | None = None, slot_basis: dict | None = None,
-                 params: dict | None = None, summary: str = "",
-                 extra_checks: Sequence = ()):
+    def __init__(self, name: str, ambient: Ambient, slot_parity: dict,
+                 symmetry: str, rules: dict, *, excluded: dict | None = None,
+                 kernel: tuple | None = None, params: dict | None = None,
+                 summary: str = "", extra_checks: Sequence = ()):
         if symmetry not in ("commutative", "anticommutative"):
             raise ValueError(f"unknown symmetry {symmetry!r}")
         self.name = name
         self.ambient = ambient
-        self.slots = tuple(slots)
         self.slot_parity = dict(slot_parity)
+        self.slots = tuple(self.slot_parity)
         self.symmetry = symmetry
-        self.product_parity = product_parity
-        self.pair_product = pair_product
+        self.rules = dict(rules)
         self.excluded = {s: set(v) for s, v in (excluded or {}).items()}
-        self._member = member
-        self._slot_basis = slot_basis or {}
+        self.kernel = kernel
         self.params = dict(params or {})
         self.summary = summary
         self.extra_checks = tuple(extra_checks)
@@ -118,24 +114,28 @@ class OracleEntry:
     # -- carrier ----------------------------------------------------------
 
     def slot_jets(self, slot: str, max_deg: int) -> list[Jet]:
-        gen = self._slot_basis.get(slot)
-        if gen is not None:
-            return gen(max_deg)
-        excl = self.excluded.get(slot, ())
-        return [Jet(self.ambient, {m: F(1)})
-                for m in sorted(self.ambient.monomials(max_deg))
-                if m not in excl]
+        amb = self.ambient
+        monos = sorted(amb.monomials(max_deg))
+        if self.kernel is None:
+            excl = self.excluded.get(slot, ())
+            return [Jet(amb, {m: F(1)}) for m in monos if m not in excl]
+        op, dropped = self.kernel
+        vec_of = lambda key: dict(op(Jet(amb, {key: F(1)})).terms)
+        return [Jet(amb, dict(v)) for v in
+                nullspace([m for m in monos if m != dropped], vec_of)]
 
     def basis(self, max_deg: int) -> list[Element]:
         return [{s: f} for s in self.slots for f in self.slot_jets(s, max_deg)]
 
     def member(self, a: Element) -> bool:
-        if self._member is not None:
-            return self._member(a)
         for s, f in a.items():
             excl = self.excluded.get(s)
             if excl and any(m in excl for m in f.terms):
                 return False
+            if self.kernel is not None:
+                op, dropped = self.kernel
+                if dropped in f.terms or not op(f).is_zero():
+                    return False
         return True
 
     def reduce(self, a: Element) -> Element:
@@ -170,24 +170,29 @@ class OracleEntry:
                 if s not in self.slot_parity:
                     raise CatalogError(
                         f"{self.name} has slots {self.slots}, not {s!r}")
+        rights = [(s2, part2, p2) for s2, f2 in b.items()
+                  for part2, p2 in f2.parity_parts()]
         out: Element = {}
         for s1, f1 in a.items():
-            for part1, _ in f1.parity_parts():
-                for s2, f2 in b.items():
-                    for part2, _ in f2.parity_parts():
-                        out = elem_add(
-                            out, self.pair_product(s1, part1, s2, part2))
+            for part1, p1 in f1.parity_parts():
+                for s2, part2, p2 in rights:
+                    rule = self.rules.get((s1, s2))
+                    if rule is None:
+                        continue
+                    for s, f in rule(part1, p1, part2, p2).items():
+                        out[s] = out[s] + f if s in out else f
         return elem_clean(self.reduce(out))
 
     # -- flattening --------------------------------------------------------
 
     def to_vec(self, a: Element) -> dict:
+        # Jet terms are nonzero and each slot occurs once, so the keys are
+        # distinct and the vector is clean as built.
         out = {}
         for s, f in a.items():
             i = self.slots.index(s)
-            for m, c in f.terms.items():
-                out[(i,) + m] = out.get((i,) + m, F(0)) + c
-        return vec_clean(out)
+            out.update(((i,) + m, c) for m, c in f.terms.items())
+        return out
 
     def from_vec(self, v: dict) -> Element:
         terms: dict = {s: {} for s in self.slots}
@@ -673,56 +678,86 @@ def _entry_js_0_16() -> FiniteEntry:
                 "derivations twisted, no cross correction")
 
 
+# -- oracle builders: shared rows -------------------------------------------
+
+
+def _dx(f: Jet) -> Jet:
+    return f.d_even(1)
+
+
+def _witt(f: Jet, g: Jet) -> Jet:
+    """Coefficient of the bracket of the one-variable fields f d and g d."""
+    return f * _dx(g) - g * _dx(f)
+
+
+def _acting(slot: str, sign: int) -> dict:
+    """Rows of one-variable fields acting on ``slot``: the field f acts on g
+    as f g', and the mirror row is ``sign`` times that."""
+    return {("field", slot): lambda f, p, g, q: {slot: f * _dx(g)},
+            (slot, "field"): lambda g, q, f, p: {
+                slot: (f * _dx(g)).scale(sign)}}
+
+
+def _fd_rules(derivs: dict, *, plus: bool, odd_type: bool,
+              cross: Callable | None = None) -> dict:
+    """Rows of the formal bracket ``brackets.fd_bracket`` of f D_a and g D_b
+    over the named derivation slots ``derivs``.  ``cross(f, g)`` is added to
+    the row of the first slot with the second, and minus ``cross(g, f)`` to
+    its mirror row."""
+    names = tuple(derivs)
+    fns = [derivs[s] for s in names]
+    extras = {}
+    if cross is not None:
+        extras = {(0, 1): cross,
+                  (1, 0): lambda f, g: elem_scale(cross(g, f), -1)}
+
+    def row(i1, i2):
+        extra = extras.get((i1, i2))
+
+        def rule(f1, p1, f2, p2):
+            res = fd_bracket(f1, i1, f2, i2, fns, plus=plus,
+                             odd_type=odd_type)
+            out = {names[k]: v for k, v in res.items()}
+            return out if extra is None else elem_add(out, extra(f1, f2))
+        return rule
+
+    return {(s1, s2): row(i1, i2) for i1, s1 in enumerate(names)
+            for i2, s2 in enumerate(names)}
+
+
 # -- oracle builders: commutative series entries ---------------------------
 
 
 def _entry_js_1_1() -> OracleEntry:
-    amb = Ambient(1, 0)
-
-    def pp(s1, f1, s2, f2):
-        return {"field": (f1 * f2).d_even(1)}
-
     return OracleEntry(
-        "JS_1_1", amb, ("field",), {"field": 0}, "commutative", 0, pp,
+        "JS_1_1", Ambient(1, 0), {"field": 0}, "commutative",
+        {("field", "field"): lambda f, p, g, q: {"field": _dx(f * g)}},
         summary="one-variable fields multiplying to the derivative of the "
                 "coefficient product")
 
 
+def _field_bar_rules(bar_bar: Callable) -> dict:
+    """The rows JSHO_2_2 and JSKO_1_2 share: fields multiply to f g' + g f'
+    and act on the odd copy; ``bar_bar`` is the odd square."""
+    return {("field", "field"): lambda f, p, g, q: {
+                "field": f * _dx(g) + g * _dx(f)},
+            **_acting("bar", 1), ("bar", "bar"): bar_bar}
+
+
 def _entry_jsho_2_2() -> OracleEntry:
-    amb = Ambient(2, 0)
-
-    def pp(s1, f1, s2, f2):
-        if s1 == "field" and s2 == "field":
-            return {"field": f1 * f2.d_even(1) + f2 * f1.d_even(1)}
-        if s1 == "field" and s2 == "bar":
-            return {"bar": f1 * f2.d_even(1)}
-        if s1 == "bar" and s2 == "field":
-            return {"bar": f2 * f1.d_even(1)}
-        return {"field": f1.d_even(1) * f2.d_even(2)
-                - f1.d_even(2) * f2.d_even(1)}
-
+    d2 = lambda f: f.d_even(2)
     return OracleEntry(
-        "JSHO_2_2", amb, ("field", "bar"), {"field": 0, "bar": 1},
-        "commutative", 0, pp,
+        "JSHO_2_2", Ambient(2, 0), {"field": 0, "bar": 1}, "commutative",
+        _field_bar_rules(lambda f, p, g, q: {
+            "field": _dx(f) * d2(g) - d2(f) * _dx(g)}),
         summary="two-variable fields along the first coordinate paired with "
                 "an odd copy of the functions")
 
 
 def _entry_jsko_1_2() -> OracleEntry:
-    amb = Ambient(1, 0)
-
-    def pp(s1, f1, s2, f2):
-        if s1 == "field" and s2 == "field":
-            return {"field": f1 * f2.d_even(1) + f2 * f1.d_even(1)}
-        if s1 == "field" and s2 == "bar":
-            return {"bar": f1 * f2.d_even(1)}
-        if s1 == "bar" and s2 == "field":
-            return {"bar": f2 * f1.d_even(1)}
-        return {"field": (f1 * f2.d_even(1) - f2 * f1.d_even(1)).scale(2)}
-
     return OracleEntry(
-        "JSKO_1_2", amb, ("field", "bar"), {"field": 0, "bar": 1},
-        "commutative", 0, pp,
+        "JSKO_1_2", Ambient(1, 0), {"field": 0, "bar": 1}, "commutative",
+        _field_bar_rules(lambda f, p, g, q: {"field": _witt(f, g).scale(2)}),
         summary="one-variable fields paired with an odd copy of the "
                 "functions, the odd square landing back in the fields")
 
@@ -735,18 +770,10 @@ def _entry_js_1_8(alpha) -> OracleEntry:
     d1 = VectorField(amb, {("xi", 1): one, ("x", 1): xi1 + xi2.scale(alpha)})
     d2 = VectorField(amb, {("xi", 2): one, ("x", 1): x * xi2,
                            ("xi", 1): (xi1 * xi2).scale(-1)})
-    derivs = [None, d1.apply, d2.apply]
-    idx = {"D1": 1, "D2": 2}
-    back = {1: "D1", 2: "D2"}
-
-    def pp(s1, f1, s2, f2):
-        res = fd_bracket(f1, idx[s1], f2, idx[s2], derivs,
-                         plus=True, odd_type=True)
-        return {back[k]: v for k, v in res.items()}
-
     return OracleEntry(
-        "JS_1_8", amb, ("D1", "D2"), {"D1": 1, "D2": 1}, "commutative", 0,
-        pp, params={"alpha": alpha},
+        "JS_1_8", amb, {"D1": 1, "D2": 1}, "commutative",
+        _fd_rules({"D1": d1.apply, "D2": d2.apply}, plus=True, odd_type=True),
+        params={"alpha": alpha},
         summary="rank-two module of odd derivations on one even and two odd "
                 "coordinates, product given by the formal plus-bracket")
 
@@ -755,41 +782,26 @@ def _entry_js_1_8(alpha) -> OracleEntry:
 
 
 def _entry_lw_1_2() -> OracleEntry:
-    amb = Ambient(1, 0)
-
-    def pp(s1, f1, s2, f2):
-        if s1 == "fun" and s2 == "fun":
-            return {}
-        if s1 == "fun" and s2 == "bar":
-            return {"bar": f1 * f2}
-        if s1 == "bar" and s2 == "fun":
-            return {"bar": (f1 * f2).scale(-1)}
-        fg = f1 * f2
-        return {"fun": fg.scale(2) - fg.d_even(1)}
+    def bar_bar(f, p, g, q):
+        fg = f * g
+        return {"fun": fg.scale(2) - _dx(fg)}
 
     return OracleEntry(
-        "LW_1_2", amb, ("fun", "bar"), {"fun": 0, "bar": 1},
-        "anticommutative", 0, pp,
+        "LW_1_2", Ambient(1, 0), {"fun": 0, "bar": 1}, "anticommutative",
+        {("fun", "bar"): lambda f, p, g, q: {"bar": f * g},
+         ("bar", "fun"): lambda f, p, g, q: {"bar": (f * g).scale(-1)},
+         ("bar", "bar"): bar_bar},
         summary="functions with an odd copy; the odd square folds back "
                 "through twice-minus-derivative")
 
 
 def _entry_lho_1_2() -> OracleEntry:
-    amb = Ambient(1, 0)
-    unit = ((0,), ())
-
-    def pp(s1, f1, s2, f2):
-        if s1 == "fun" and s2 == "fun":
-            return {}
-        if s1 == "fun" and s2 == "bar":
-            return {"bar": f1.d_even(1) * f2}
-        if s1 == "bar" and s2 == "fun":
-            return {"bar": (f2.d_even(1) * f1).scale(-1)}
-        return {"fun": (f1 * f2).scale(2)}
-
     return OracleEntry(
-        "LHO_1_2", amb, ("fun", "bar"), {"fun": 0, "bar": 1},
-        "anticommutative", 0, pp, excluded={"fun": {unit}},
+        "LHO_1_2", Ambient(1, 0), {"fun": 0, "bar": 1}, "anticommutative",
+        {("fun", "bar"): lambda f, p, g, q: {"bar": _dx(f) * g},
+         ("bar", "fun"): lambda f, p, g, q: {"bar": (_dx(g) * f).scale(-1)},
+         ("bar", "bar"): lambda f, p, g, q: {"fun": (f * g).scale(2)}},
+        excluded={"fun": {((0,), ())}},
         summary="functions modulo constants with an odd copy; the odd "
                 "square is twice the product")
 
@@ -798,23 +810,17 @@ def _entry_lshop_2_2() -> OracleEntry:
     amb = Ambient(2, 0)
     one = Jet.one(amb)
     x1 = Jet.x(amb, 1)
-    unit = ((0, 0), ())
     d1 = lambda f: (one + x1) * f.d_even(1)
     d2 = lambda f: f.d_even(2)
     br = lambda f, g: d1(f) * d2(g) - d2(f) * d1(g)
-
-    def pp(s1, f1, s2, f2):
-        if s1 == "fun" and s2 == "fun":
-            return {"fun": br(f1, f2).scale(-1)}
-        if s1 == "fun" and s2 == "bar":
-            return {"bar": br(f1, f2) + f2 * d2(f1)}
-        if s1 == "bar" and s2 == "fun":
-            return {"bar": (br(f2, f1) + f1 * d2(f2)).scale(-1)}
-        return {"fun": (f1 * f2).scale(-2)}
-
     return OracleEntry(
-        "LSHOp_2_2", amb, ("fun", "bar"), {"fun": 0, "bar": 1},
-        "anticommutative", 0, pp, excluded={"fun": {unit}},
+        "LSHOp_2_2", amb, {"fun": 0, "bar": 1}, "anticommutative",
+        {("fun", "fun"): lambda f, p, g, q: {"fun": br(f, g).scale(-1)},
+         ("fun", "bar"): lambda f, p, g, q: {"bar": br(f, g) + g * d2(f)},
+         ("bar", "fun"): lambda f, p, g, q: {
+             "bar": (br(g, f) + f * d2(g)).scale(-1)},
+         ("bar", "bar"): lambda f, p, g, q: {"fun": (f * g).scale(-2)}},
+        excluded={"fun": {((0, 0), ())}},
         summary="two-variable functions modulo constants under a shifted "
                 "divergence-free bracket, with an odd copy")
 
@@ -822,49 +828,26 @@ def _entry_lshop_2_2() -> OracleEntry:
 def _entry_lwa_1_2(alpha) -> OracleEntry:
     amb = Ambient(1, 0)
     w = Jet.const(amb, alpha) + Jet.x(amb, 1)
-
-    def pp(s1, f1, s2, f2):
-        if s1 == "field" and s2 == "field":
-            return {"field": f1 * f2.d_even(1) - f2 * f1.d_even(1)}
-        if s1 == "field" and s2 == "fun":
-            return {"field": (w * (f1 * f2)).scale(-1),
-                    "fun": f1 * f2.d_even(1)}
-        if s1 == "fun" and s2 == "field":
-            return {"field": w * (f1 * f2),
-                    "fun": (f2 * f1.d_even(1)).scale(-1)}
-        return {}
-
     return OracleEntry(
-        "LWa_1_2", amb, ("field", "fun"), {"field": 0, "fun": 0},
-        "anticommutative", 0, pp, params={"alpha": alpha},
+        "LWa_1_2", amb, {"field": 0, "fun": 0}, "anticommutative",
+        {("field", "field"): lambda f, p, g, q: {"field": _witt(f, g)},
+         ("field", "fun"): lambda f, p, g, q: {
+             "field": (w * (f * g)).scale(-1), "fun": f * _dx(g)},
+         ("fun", "field"): lambda f, p, g, q: {
+             "field": w * (f * g), "fun": (g * _dx(f)).scale(-1)}},
+        params={"alpha": alpha},
         summary="one-variable fields acting on functions with a shifted "
                 "multiplication back into the fields")
 
 
 def _entry_ls_1_3() -> OracleEntry:
-    amb = Ambient(1, 0)
-
-    def pp(s1, f1, s2, f2):
-        d = lambda f: f.d_even(1)
-        if s1 == "field" and s2 == "field":
-            return {"field": f1 * d(f2) - f2 * d(f1)}
-        if s1 == "field" and s2 == "fun":
-            return {"fun": f1 * d(f2)}
-        if s1 == "fun" and s2 == "field":
-            return {"fun": (f2 * d(f1)).scale(-1)}
-        if s1 == "field" and s2 == "tilde":
-            return {"tilde": f1 * d(f2)}
-        if s1 == "tilde" and s2 == "field":
-            return {"tilde": (f2 * d(f1)).scale(-1)}
-        if s1 == "fun" and s2 == "tilde":
-            return {"field": f1 * f2}
-        if s1 == "tilde" and s2 == "fun":
-            return {"field": f1 * f2}
-        return {}
-
     return OracleEntry(
-        "LS_1_3", amb, ("field", "fun", "tilde"),
-        {"field": 0, "fun": 1, "tilde": 1}, "anticommutative", 0, pp,
+        "LS_1_3", Ambient(1, 0), {"field": 0, "fun": 1, "tilde": 1},
+        "anticommutative",
+        {("field", "field"): lambda f, p, g, q: {"field": _witt(f, g)},
+         **_acting("fun", -1), **_acting("tilde", -1),
+         ("fun", "tilde"): lambda f, p, g, q: {"field": f * g},
+         ("tilde", "fun"): lambda f, p, g, q: {"field": f * g}},
         summary="one-variable fields with two odd copies of the functions "
                 "pairing into the fields")
 
@@ -873,56 +856,31 @@ def _entry_lwa_2_2(alpha) -> OracleEntry:
     amb = Ambient(2, 0)
     one = Jet.one(amb)
     x1, x2 = Jet.x(amb, 1), Jet.x(amb, 2)
-    derivs = [None, lambda f: f.d_even(1), lambda f: f.d_even(2)]
-    idx = {"D1": 1, "D2": 2}
-    back = {1: "D1", 2: "D2"}
 
     def cross(f, g):
         fg = f * g
         return {"D1": fg * (one + x1), "D2": (x2 * fg).scale(-alpha)}
 
-    def pp(s1, f1, s2, f2):
-        i1, i2 = idx[s1], idx[s2]
-        res = fd_bracket(f1, i1, f2, i2, derivs, plus=False, odd_type=False)
-        out = {back[k]: v for k, v in res.items()}
-        if (i1, i2) == (1, 2):
-            out = elem_add(out, cross(f1, f2))
-        elif (i1, i2) == (2, 1):
-            out = elem_add(out, elem_scale(cross(f2, f1), -1))
-        return out
-
     return OracleEntry(
-        "LWa_2_2", amb, ("D1", "D2"), {"D1": 0, "D2": 0},
-        "anticommutative", 0, pp, params={"alpha": alpha},
+        "LWa_2_2", amb, {"D1": 0, "D2": 0}, "anticommutative",
+        _fd_rules({"D1": lambda f: f.d_even(1), "D2": lambda f: f.d_even(2)},
+                  plus=False, odd_type=False, cross=cross),
+        params={"alpha": alpha},
         summary="two coordinate fields with an affine correction on the "
                 "cross bracket")
 
 
 def _entry_lsa_2_2(alpha) -> OracleEntry:
     amb = Ambient(2, 0)
-    one = Jet.one(amb)
     x1, x2 = Jet.x(amb, 1), Jet.x(amb, 2)
-    w = one + x1.scale(alpha) + x1 * x2
-    derivs = [None, lambda f: f.d_even(1), lambda f: w * f.d_even(2)]
-    idx = {"D1": 1, "D2": 2}
-    back = {1: "D1", 2: "D2"}
-
-    def cross(f, g):
-        return {"D1": x1 * (f * g)}
-
-    def pp(s1, f1, s2, f2):
-        i1, i2 = idx[s1], idx[s2]
-        res = fd_bracket(f1, i1, f2, i2, derivs, plus=False, odd_type=False)
-        out = {back[k]: v for k, v in res.items()}
-        if (i1, i2) == (1, 2):
-            out = elem_add(out, cross(f1, f2))
-        elif (i1, i2) == (2, 1):
-            out = elem_add(out, elem_scale(cross(f2, f1), -1))
-        return out
-
+    w = Jet.one(amb) + x1.scale(alpha) + x1 * x2
     return OracleEntry(
-        "LSa_2_2", amb, ("D1", "D2"), {"D1": 0, "D2": 0},
-        "anticommutative", 0, pp, params={"alpha": alpha},
+        "LSa_2_2", amb, {"D1": 0, "D2": 0}, "anticommutative",
+        _fd_rules({"D1": lambda f: f.d_even(1),
+                   "D2": lambda f: w * f.d_even(2)},
+                  plus=False, odd_type=False,
+                  cross=lambda f, g: {"D1": x1 * (f * g)}),
+        params={"alpha": alpha},
         summary="rank-two module over a plain and a weighted coordinate "
                 "derivation with a linear cross correction")
 
@@ -931,20 +889,16 @@ def _entry_lskop_1_2(beta) -> OracleEntry:
     _check_lskop_1_2_beta(beta)
     amb = Ambient(1, 0)
     x = Jet.x(amb, 1)
-
-    def pp(s1, f1, s2, f2):
-        d = lambda f: f.d_even(1)
-        if s1 == "field" and s2 == "field":
-            return {"field": (f1 * d(f2) - f2 * d(f1)).scale(-beta)}
-        if s1 == "field" and s2 == "bar":
-            return {"bar": (f1 * d(f2)).scale(beta) - f2 * d(f1)}
-        if s1 == "bar" and s2 == "field":
-            return {"bar": f1 * d(f2) - (f2 * d(f1)).scale(beta)}
-        return {"field": x * (f1 * f2)}
-
     return OracleEntry(
-        "LSKOp_1_2", amb, ("field", "bar"), {"field": 0, "bar": 1},
-        "anticommutative", 0, pp, params={"beta": beta},
+        "LSKOp_1_2", amb, {"field": 0, "bar": 1}, "anticommutative",
+        {("field", "field"): lambda f, p, g, q: {
+            "field": _witt(f, g).scale(-beta)},
+         ("field", "bar"): lambda f, p, g, q: {
+             "bar": (f * _dx(g)).scale(beta) - g * _dx(f)},
+         ("bar", "field"): lambda f, p, g, q: {
+             "bar": f * _dx(g) - (g * _dx(f)).scale(beta)},
+         ("bar", "bar"): lambda f, p, g, q: {"field": x * (f * g)}},
+        params={"beta": beta},
         summary="one-variable fields scaled by a parameter with an odd copy "
                 "squaring to a multiple of x")
 
@@ -964,22 +918,13 @@ def _check_lskop_1_2_beta(beta) -> None:
 def _entry_lha_1_2(alpha) -> OracleEntry:
     amb = Ambient(1, 0)
     w = Jet.const(amb, alpha) + Jet.x(amb, 1)
-    unit = ((0,), ())
-
-    def pp(s1, f1, s2, f2):
-        d = lambda f: f.d_even(1)
-        if s1 == "field" and s2 == "field":
-            return {"field": f1 * d(f2) - f2 * d(f1)}
-        if s1 == "field" and s2 == "bar":
-            return {"bar": f1 * d(f2)}
-        if s1 == "bar" and s2 == "field":
-            return {"bar": (f2 * d(f1)).scale(-1)}
-        return {"field": (w * (d(f1) * d(f2))).scale(-2)}
-
     return OracleEntry(
-        "LHa_1_2", amb, ("field", "bar"), {"field": 0, "bar": 1},
-        "anticommutative", 0, pp, excluded={"bar": {unit}},
-        params={"alpha": alpha},
+        "LHa_1_2", amb, {"field": 0, "bar": 1}, "anticommutative",
+        {("field", "field"): lambda f, p, g, q: {"field": _witt(f, g)},
+         **_acting("bar", -1),
+         ("bar", "bar"): lambda f, p, g, q: {
+             "field": (w * (_dx(f) * _dx(g))).scale(-2)}},
+        excluded={"bar": {((0,), ())}}, params={"alpha": alpha},
         summary="one-variable fields with an odd copy modulo constants; the "
                 "odd square multiplies the two derivatives")
 
@@ -993,12 +938,10 @@ def _quasi_entry(name: str, amb: Ambient, z_field: VectorField | None,
     zfn = z_field.apply if z_field is not None else None
     pfn = [(X.apply, Y.apply) for X, Y in pairs]
     unit = ((0,) * amb.n_even, ())
-
-    def pp(s1, f1, s2, f2):
-        return {"fun": quasi_poisson(zfn, pfn, f1, f2)}
-
     return OracleEntry(
-        name, amb, ("fun",), {"fun": 0}, "anticommutative", 0, pp,
+        name, amb, {"fun": 0}, "anticommutative",
+        {("fun", "fun"): lambda f, p, g, q: {
+            "fun": quasi_poisson(zfn, pfn, f, g)}},
         excluded={"fun": {unit}} if drop_unit else None,
         params=params, summary=summary)
 
@@ -1060,27 +1003,6 @@ def _entry_lskoa_3_1(alpha, beta) -> OracleEntry:
 # -- oracle builders: kernel carriers --------------------------------------
 
 
-def _kernel_carrier(amb: Ambient, op: Callable, excluded_key=None):
-    """Slot generator and membership test for the kernel of ``op`` with the
-    component along ``excluded_key`` removed."""
-
-    def gen(max_deg: int) -> list[Jet]:
-        domain = [m for m in sorted(amb.monomials(max_deg))
-                  if m != excluded_key]
-        vec_of = lambda key: dict(op(Jet(amb, {key: F(1)})).terms)
-        return [Jet(amb, dict(v)) for v in nullspace(domain, vec_of)]
-
-    def member(a: Element) -> bool:
-        f = a.get("j")
-        if f is None:
-            return True
-        if excluded_key is not None and excluded_key in f.terms:
-            return False
-        return op(f).is_zero()
-
-    return gen, member
-
-
 def _entry_lsho(n: int) -> OracleEntry:
     if n < 2:
         raise CatalogError(f"carrier needs n >= 2, got n={n}")
@@ -1088,22 +1010,42 @@ def _entry_lsho(n: int) -> OracleEntry:
     xi1 = Jet.xi(amb, 1)
     w = Jet.x(amb, 2) * xi1 * Jet.xi(amb, 2)
     top = ((0,) * n, tuple(range(1, n + 1)))
-    gen, member = _kernel_carrier(amb, odd_laplacian, top)
     twist = Jet.one(amb) + w.scale(2)
 
-    def pp(s1, f1, s2, f2):
-        p1 = f1.parity()
+    def rule(f1, p1, f2, p2):
         res = buttin(twist * f1, f2)
         res = res + (xi1 * (f1 * f2)).scale(2 * _sgn(p1 + 1))
         res = res + (buttin(w, f1) * f2).scale(2 * _sgn(p1))
         return {"j": res}
 
     return OracleEntry(
-        f"LSHO_{n}_{2 ** (n - 1)}", amb, ("j",), {"j": 1},
-        "anticommutative", 0, pp, member=member, slot_basis={"j": gen},
-        params={"n": n},
+        f"LSHO_{n}_{2 ** (n - 1)}", amb, {"j": 1}, "anticommutative",
+        {("j", "j"): rule}, kernel=(odd_laplacian, top), params={"n": n},
         summary="kernel of the odd Laplacian with no top odd component, "
                 "under a twisted divergence-free bracket")
+
+
+def _contact_rules(amb: Ambient, c, xx: Jet | None = None) -> dict:
+    """The twisted contact row of LSKO_n, with c = beta (n + 1).  LSKOp_2_4
+    adds the mixed odd factor ``xx`` to the twist and its own term."""
+    xi1 = Jet.xi(amb, 1)
+    tau = Jet.tau_gen(amb)
+    w = xi1 * tau
+    twist, lift = Jet.one(amb) + w, w
+    if xx is not None:
+        twist, lift = twist - xx, w + xx
+
+    def rule(f1, p1, f2, p2):
+        res = k_bracket(twist * f1, f2)
+        extra = xi1 * ((f1.euler().scale(2) - f1.scale(c)) * f2)
+        extra = extra + k_bracket(lift, f1) * f2
+        extra = extra - (tau * f1.d_even(1) * f2).scale(2)
+        res = res + extra.scale(_sgn(p1 + 1))
+        if xx is not None:
+            res = res + (f1.d_tau() * (xx * f2)).scale(2)
+        return {"j": res}
+
+    return {("j", "j"): rule}
 
 
 def _entry_lsko(n: int, beta) -> OracleEntry:
@@ -1114,10 +1056,6 @@ def _entry_lsko(n: int, beta) -> OracleEntry:
         raise CatalogError(
             f"beta = 4/(n+1) is outside the family; got beta={beta} at n={n}")
     amb = Ambient(n, n + 1, tau=True)
-    xi1 = Jet.xi(amb, 1)
-    tau = Jet.tau_gen(amb)
-    w = xi1 * tau
-    c = beta * (n + 1)
 
     def op(f: Jet) -> Jet:
         return div_beta(f, beta) + f.d_tau().scale(1 - beta)
@@ -1125,20 +1063,9 @@ def _entry_lsko(n: int, beta) -> OracleEntry:
     top_all = ((0,) * n, tuple(range(1, n + 2)))
     top_xi = ((0,) * n, tuple(range(1, n + 1)))
     special = {F(1): top_all, F(n - 1, n + 1): top_xi}.get(beta)
-    gen, member = _kernel_carrier(amb, op, special)
-    twist = Jet.one(amb) + w
-
-    def pp(s1, f1, s2, f2):
-        p1 = f1.parity()
-        res = k_bracket(twist * f1, f2)
-        extra = xi1 * ((f1.euler().scale(2) - f1.scale(c)) * f2)
-        extra = extra + k_bracket(w, f1) * f2
-        extra = extra - (tau * f1.d_even(1) * f2).scale(2)
-        return {"j": res + extra.scale(_sgn(p1 + 1))}
-
     return OracleEntry(
-        f"LSKO_{n}_{2 ** n}", amb, ("j",), {"j": 1}, "anticommutative", 0,
-        pp, member=member, slot_basis={"j": gen},
+        f"LSKO_{n}_{2 ** n}", amb, {"j": 1}, "anticommutative",
+        _contact_rules(amb, beta * (n + 1)), kernel=(op, special),
         params={"n": n, "beta": beta},
         summary="kernel of a weighted divergence under a twisted contact "
                 "bracket; special weights drop one top odd component")
@@ -1146,31 +1073,11 @@ def _entry_lsko(n: int, beta) -> OracleEntry:
 
 def _entry_lskop_2_4() -> OracleEntry:
     amb = Ambient(2, 3, tau=True)
-    xi1, xi2 = Jet.xi(amb, 1), Jet.xi(amb, 2)
-    tau = Jet.tau_gen(amb)
-    w = xi1 * tau
-    xx = xi1 * xi2
-    top = ((0, 0), (1, 2, 3))
-
-    def op(f: Jet) -> Jet:
-        return div_beta(f, 1)
-
-    gen, member = _kernel_carrier(amb, op, top)
-    twist = Jet.one(amb) + w - xx
-
-    def pp(s1, f1, s2, f2):
-        p1 = f1.parity()
-        res = k_bracket(twist * f1, f2)
-        extra = xi1 * ((f1.euler().scale(2) - f1.scale(3)) * f2)
-        extra = extra + k_bracket(w + xx, f1) * f2
-        extra = extra - (tau * f1.d_even(1) * f2).scale(2)
-        res = res + extra.scale(_sgn(p1 + 1))
-        res = res + (f1.d_tau() * (xx * f2)).scale(2)
-        return {"j": res}
-
+    xx = Jet.xi(amb, 1) * Jet.xi(amb, 2)
     return OracleEntry(
-        "LSKOp_2_4", amb, ("j",), {"j": 1}, "anticommutative", 0, pp,
-        member=member, slot_basis={"j": gen},
+        "LSKOp_2_4", amb, {"j": 1}, "anticommutative",
+        _contact_rules(amb, 3, xx),
+        kernel=(lambda f: div_beta(f, 1), ((0, 0), (1, 2, 3))),
         summary="weight-one divergence kernel in two coordinates under a "
                 "contact bracket twisted by a mixed odd factor")
 
@@ -1207,13 +1114,10 @@ def _lp_closed_form(entry: OracleEntry, order: int, rng) -> tuple[bool, str]:
 
 def _entry_ojp(n: int, m: int) -> OracleEntry:
     space = OjpSpace(n, m)
-
-    def pp(s1, f1, s2, f2):
-        return {"j": space.product(f1, f2)}
-
     entry = OracleEntry(
-        f"OJP_{n}_{m}", space.ambient, ("j",), {"j": 0}, "commutative", 1,
-        pp, params={"n": n, "m": m},
+        f"OJP_{n}_{m}", space.ambient, {"j": 0}, "commutative",
+        {("j", "j"): lambda f, p, g, q: {"j": space.product(f, g)}},
+        params={"n": n, "m": m},
         extra_checks=(("operator_relations", _ojp_checks),),
         summary="commutative odd-type series product over an odd Poisson "
                 "coefficient algebra with marker and series variable")
@@ -1224,14 +1128,12 @@ def _entry_ojp(n: int, m: int) -> OracleEntry:
 
 def _entry_lp(n: int, m: int) -> OracleEntry:
     space = OjpSpace(n, m)
-
-    def pp(s1, f1, s2, f2):
-        return {"j": space.product(f1, f2).scale(_sgn(f1.parity()))}
-
     checks = (("closed_form", _lp_closed_form),) if n <= 2 and m == n else ()
     entry = OracleEntry(
-        f"LP_{n}_{m}", space.ambient, ("j",), {"j": 1}, "anticommutative",
-        0, pp, params={"n": n, "m": m}, extra_checks=checks,
+        f"LP_{n}_{m}", space.ambient, {"j": 1}, "anticommutative",
+        {("j", "j"): lambda f, p, g, q: {
+            "j": space.product(f, g).scale(_sgn(p))}},
+        params={"n": n, "m": m}, extra_checks=checks,
         summary="parity-reversed twin of the odd-type series product; "
                 "matches a closed-form bracket on the enlarged ambient")
     entry.space = space
@@ -1294,9 +1196,10 @@ def verify_entry(entry, order: int | None = None,
         pa, pb = entry.parity(a), entry.parity(b)
         ab = entry.product(a, b)
         if sym_ok:
-            mirror = elem_scale(entry.product(b, a),
-                                sym_sign * _sgn(pa & pb))
-            if not elem_is_zero(elem_sub(ab, mirror)):
+            mirror = entry.to_vec(entry.product(b, a))
+            if sym_sign * _sgn(pa & pb) < 0:
+                mirror = {k: -c for k, c in mirror.items()}
+            if entry.to_vec(ab) != mirror:
                 sym_ok = False
                 sym_detail = (f"broken at {entry.format(a)} | "
                               f"{entry.format(b)}")
@@ -1472,15 +1375,22 @@ _FIXED: dict = {
                   "beta = 1/3", _entry_lskoa_3_1),
 }
 
+# base -> (params, constraints, summary, index rule on (n, m), builder).
 _PATTERNS: dict = {
     "OJP": (("n", "m"), "n >= 0, m in {n, n+1}",
-            "odd-type series product over an odd Poisson carrier"),
+            "odd-type series product over an odd Poisson carrier",
+            lambda n, m: n >= 0 and m in (n, n + 1), _entry_ojp),
     "LP": (("n", "m"), "n >= 0, m in {n, n+1}",
-           "parity-reversed twin of the odd-type series product"),
+           "parity-reversed twin of the odd-type series product",
+           lambda n, m: n >= 0 and m in (n, n + 1), _entry_lp),
     "LSHO": (("n",), "n >= 2, second index 2^(n-1)",
-             "monomial divergence kernel under a twisted bracket"),
+             "monomial divergence kernel under a twisted bracket",
+             lambda n, m: n >= 2 and m == 2 ** (n - 1),
+             lambda n, m: _entry_lsho(n)),
     "LSKO": (("n", "beta"), "n >= 1, second index 2^n, beta != 4/(n+1)",
-             "weighted divergence kernel under a twisted contact bracket"),
+             "weighted divergence kernel under a twisted contact bracket",
+             lambda n, m: n >= 1 and m == 2 ** n,
+             lambda n, m, beta: _entry_lsko(n, beta)),
 }
 
 _ALIASES = {"LHa_2_2": "LHa_1_2", "JSa_1_8": "JS_1_8"}
@@ -1508,11 +1418,11 @@ def make(name: str, *, alpha=None, beta=None):
     constraint.
     """
     key = normalize_name(name)
-    parts = key.split("_")
+    base, *indices = key.split("_")
     if key in _FIXED:
         wanted = _FIXED[key][0]
-    elif parts[0] in _PATTERNS and len(parts) == 3:
-        wanted = _PATTERNS[parts[0]][0]
+    elif base in _PATTERNS and len(indices) == 2:
+        wanted = _PATTERNS[base][0]
     else:
         raise CatalogError(f"unknown entry {name!r}")
     takes = [p for p in wanted if p in ("alpha", "beta")]
@@ -1522,31 +1432,21 @@ def make(name: str, *, alpha=None, beta=None):
             raise CatalogError(f"{key} takes {named}, not {p}")
     if "beta" in takes and beta is None:
         raise CatalogError(f"{key} needs an explicit beta")
+    kwargs = {}
+    if "alpha" in takes:
+        kwargs["alpha"] = F(0) if alpha is None else F(alpha)
+    if "beta" in takes:
+        kwargs["beta"] = F(beta)
     if key in _FIXED:
-        kwargs = {}
-        if "alpha" in takes:
-            kwargs["alpha"] = F(0) if alpha is None else F(alpha)
-        if "beta" in takes:
-            kwargs["beta"] = F(beta)
         return _FIXED[key][2](**kwargs)
-    base = parts[0]
+    _, constraints, _, fits, build = _PATTERNS[base]
     try:
-        a, b = int(parts[1]), int(parts[2])
+        n, m = (int(i) for i in indices)
     except ValueError as exc:
         raise CatalogError(f"unknown entry {name!r}") from exc
-    if base == "OJP":
-        return _entry_ojp(a, b)
-    if base == "LP":
-        return _entry_lp(a, b)
-    if base == "LSHO":
-        if a < 2 or b != 2 ** (a - 1):
-            raise CatalogError(
-                f"indices must be n, 2^(n-1) with n >= 2; got {key}")
-        return _entry_lsho(a)
-    # The remaining pattern is LSKO.
-    if a < 1 or b != 2 ** a:
-        raise CatalogError(f"indices must be n, 2^n with n >= 1; got {key}")
-    return _entry_lsko(a, F(beta))
+    if not fits(n, m):
+        raise CatalogError(f"{key} is outside its family: {constraints}")
+    return build(n, m, **kwargs)
 
 
 def registry_listing() -> list:
@@ -1561,7 +1461,7 @@ def registry_listing() -> list:
         entry = builder(**probe_kwargs)
         rows.append(RegistryRow(name, entry.kind, params, constraints,
                                 entry.summary))
-    for base, (params, constraints, summary) in _PATTERNS.items():
+    for base, (params, constraints, summary, _, _) in _PATTERNS.items():
         rows.append(RegistryRow(f"{base}_<n>_<s>", "oracle", params,
                                 constraints, summary))
     return [{"name": r.name, "kind": r.kind, "params": list(r.params),

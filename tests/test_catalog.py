@@ -12,9 +12,12 @@ from superrigid.catalog import (
     elem_add,
     ideal_spot_checks,
     make,
+    normalize_name,
+    product_from_mu,
     registry_listing,
 )
-from superrigid.jets import Jet
+from superrigid.fields import FamilyRealization, GradingSpec, VectorField
+from superrigid.jets import Ambient, Jet
 from superrigid.linalg import Subspace, _accept
 from superrigid.walg import FinSuperAlg, check_admissible_findim, is_rigid, tkk
 
@@ -190,6 +193,96 @@ def test_make_rejects_parameters_not_taken(name, kw, takes):
 ])
 def test_make_aliases(spelling, name, kw):
     assert make(spelling, **kw).name == name
+
+
+# One instance of each named family.
+PATTERN_INSTANCES = {
+    "OJP": ("OJP_1_2", {}), "LP": ("LP_0_1", {}), "LSHO": ("LSHO_3_4", {}),
+    "LSKO": ("LSKO_2_4", {"beta": F(1, 2)}),
+}
+
+
+@pytest.mark.parametrize("row", registry_listing(), ids=lambda r: r["name"])
+def test_registry_row_builds(row):
+    if "<" in row["name"]:
+        name, kw = PATTERN_INSTANCES[row["name"].split("_")[0]]
+        entry = make(name, **kw)
+    else:
+        name, entry = row["name"], probe(row["name"])
+        assert entry.summary == row["summary"]
+    assert (entry.name, entry.kind) == (name, row["kind"])
+
+
+@pytest.mark.parametrize("name, kw, reason", [
+    ("LSKOp_1_2", {"beta": 0}, "beta must avoid"),
+    ("LSKOp_1_2", {"beta": 1}, "beta must avoid"),
+    ("LSKOp_1_2", {"beta": 3}, "beta must avoid"),
+    ("LSKOp_1_2", {"beta": F(5, 2)}, "beta must avoid"),
+    ("LSKOa_3_1", {"alpha": 1, "beta": F(1, 3)}, "outside the family"),
+    ("LSKO_1_2", {"beta": 2}, "outside the family"),
+    ("LSKO_2_5", {"beta": F(1, 2)}, "LSKO_2_5 is outside its family"),
+    ("LSHO_1_1", {}, "LSHO_1_1 is outside its family"),
+    ("OJP_1_3", {}, "OJP_1_3 is outside its family"),
+    ("LSHO_1.5_2", {}, "unknown entry"),
+    ("OJP_n_m", {}, "unknown entry"),
+])
+def test_make_rejects_out_of_range(name, kw, reason):
+    with pytest.raises(CatalogError, match=reason):
+        make(name, **kw)
+
+
+def decorated(name):
+    """The paper's spelling of a registry name: primes, alphas and
+    parenthesized indices."""
+    base, n, m = name.split("_")
+    if base.endswith("p"):
+        base = base[:-1] + "′"
+    elif base.endswith("a"):
+        base = base[:-1] + "α"
+    return f"{base}({n}, {m})"
+
+
+@pytest.mark.parametrize("name", [r["name"] for r in registry_listing()
+                                  if "<" not in r["name"]]
+                         + [n for n, _ in PATTERN_INSTANCES.values()])
+def test_normalize_name_round_trips(name):
+    assert normalize_name(name) == name
+    assert normalize_name(decorated(name)) == name
+
+
+# W(0|3) graded by odd weights (1, 1, 0), with an even mu of degree one.
+W03 = Ambient(0, 3)
+W03_SPEC = GradingSpec((), (1, 1, 0))
+
+
+def w03_d(j):
+    return VectorField.partial(W03, "xi", j)
+
+
+def w03_xi(*js):
+    out = Jet.one(W03)
+    for j in js:
+        out = out * Jet.xi(W03, j)
+    return out
+
+
+def test_product_from_mu():
+    mu = w03_xi(1, 2, 3) * w03_d(1) + w03_xi(2) * w03_d(3)
+    got = product_from_mu("W", W03_SPEC, mu, w03_d(1), w03_d(2))
+    assert got == (w03_xi(3) * w03_d(1)).scale(-1)
+    # The product stays in the bottom component.
+    real = FamilyRealization("W", W03_SPEC)
+    assert real.degrees(got) == {-1}
+
+
+@pytest.mark.parametrize("mu, reason", [
+    (w03_xi(1, 2) * w03_d(1) + w03_xi(1) * w03_d(3),
+     "mu must be parity-homogeneous"),
+    (w03_xi(1, 2) * w03_d(1) + w03_d(3), r"pure degree 1, found degrees"),
+])
+def test_product_from_mu_rejects(mu, reason):
+    with pytest.raises(CatalogError, match=reason):
+        product_from_mu("W", W03_SPEC, mu, w03_d(1), w03_d(2))
 
 
 # sha256 over sorted(to_vec(a o b).items()) for every ordered pair of
