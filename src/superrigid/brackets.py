@@ -8,8 +8,11 @@ A Pairing lists the generator pairs of a bracket:
   odd-odd (j, k):    (-1)^p(f) d_{xi_j} f d_{xi_k} g;
 and an optional contact generator, with E the Euler operator on the indices
 it names: odd tau adds (E-2)(f) dg/dtau + (-1)^p(f) df/dtau (E-2)(g), even t
-adds -(E-2)(f) dg/dt + df/dt (E-2)(g).  paired_bracket evaluates any Pairing;
-the brackets of H, K, HO, SHO, KO and SKO are each a Pairing and that call.
+adds -(E-2)(f) dg/dt + df/dt (E-2)(g).  bound_bracket(spec, f) is the one
+engine: it returns g -> {f, g}, splitting f by parity once and keeping each
+operand of f it has computed, so a caller with a fixed f and many g's pays
+for f's share once.  paired_bracket is that map applied to one g; the
+brackets of H, K, HO, SHO, KO and SKO are each a Pairing and that call.
 
 Parity conventions: signs use the parity of the function argument itself;
 operations that need a homogeneous argument raise ParityError on mixed input.
@@ -55,16 +58,56 @@ class Pairing(NamedTuple):
     euler: tuple = ((), ())
 
 
-def paired_bracket(spec: Pairing, f: Jet, g: Jet,
-                   _forced_parity: int | None = None) -> Jet:
-    """The bracket {f, g} of a Pairing, summed over the parity parts of f,
+def bound_bracket(spec: Pairing, f: Jet,
+                  _forced_parity: int | None = None) -> Callable[[Jet], Jet]:
+    """The map g -> {f, g} of a Pairing, summed over the parity parts of f,
     or with all of f taken at ``_forced_parity`` when that is given.
 
-    g's operands are taken once per call.  The result's validity order is
-    the least order over every term the pairing defines, vanishing ones
+    f's parity parts are taken once.  Each operand of f is computed on the
+    first g whose matching operand is nonzero and kept for later g's; each
+    g's operands are taken once per call.  A result's validity order is the
+    least order over every term the pairing defines, vanishing ones
     included, so skipping a vanishing term cannot change it.
     """
-    plan = []  # (f operand, g operand, sign); sign None is (-1)^p(f)
+    plan, lowers = _plan(spec)
+    parts = (f.parity_parts() if _forced_parity is None
+             else [(f, _forced_parity)])
+    if not plan or not parts:
+        return lambda g: Jet.zero(f.ambient)
+    memos = [{} for _ in parts]  # f operand key -> operand, per part
+
+    def bracket(g: Jet) -> Jet:
+        order = _min_order(f.order, g.order)
+        if order is not None and lowers:
+            order -= 1
+        dg = {gk: _operand(g, gk, spec.euler) for _, gk, _ in plan}
+        out = Jet.zero(f.ambient)
+        for (part, p), memo in zip(parts, memos):
+            for fk, gk, sign in plan:
+                if dg[gk].terms:
+                    term = memo.get(fk)
+                    if term is None:
+                        term = memo[fk] = _operand(part, fk, spec.euler)
+                    if term.terms:
+                        term = term * dg[gk]
+                        neg = p if sign is None else sign < 0
+                        out = out - term if neg else out + term
+        return Jet(f.ambient, out.terms, order)
+
+    return bracket
+
+
+def paired_bracket(spec: Pairing, f: Jet, g: Jet,
+                   _forced_parity: int | None = None) -> Jet:
+    """The bracket {f, g} of a Pairing: ``bound_bracket`` applied once."""
+    return bound_bracket(spec, f, _forced_parity)(g)
+
+
+@lru_cache
+def _plan(spec: Pairing) -> tuple[tuple, bool]:
+    """The terms of a Pairing as (f operand, g operand, sign), sign None
+    standing for (-1)^p(f), and whether the bracket lowers the order."""
+    plan = []
     for p, q in spec.even:
         plan += [(("x", p), ("x", q), 1), (("x", q), ("x", p), -1)]
     for i, j in spec.mixed:
@@ -74,24 +117,7 @@ def paired_bracket(spec: Pairing, f: Jet, g: Jet,
     odd = t is not None and t[0] == "xi"
     if t is not None:
         plan += [("E", t, 1 if odd else -1), (t, "E", None if odd else 1)]
-    parts = (f.parity_parts() if _forced_parity is None
-             else [(f, _forced_parity)])
-    if not plan or not parts:
-        return Jet.zero(f.ambient)
-    order = _min_order(f.order, g.order)
-    if order is not None and (spec.even or spec.mixed or t and not odd):
-        order -= 1
-    dg = {gk: _operand(g, gk, spec.euler) for _, gk, _ in plan}
-    out = Jet.zero(f.ambient)
-    for part, p in parts:
-        for fk, gk, sign in plan:
-            if dg[gk].terms:
-                term = _operand(part, fk, spec.euler)
-                if term.terms:
-                    term = term * dg[gk]
-                    neg = p if sign is None else sign < 0
-                    out = out - term if neg else out + term
-    return Jet(f.ambient, out.terms, order)
+    return tuple(plan), bool(spec.even or spec.mixed or t and not odd)
 
 
 def _operand(h: Jet, key, euler: tuple) -> Jet:
@@ -249,26 +275,32 @@ def gauge_transform(base: Callable[[Jet, Jet], Jet], phi: Jet,
 
 def fd_bracket(
     f1: Jet,
+    p1: int,
     i1: int,
-    f2: Jet,
     i2: int,
     derivations: Sequence[Callable[[Jet], Jet]],
     *,
     plus: bool,
     odd_type: bool,
-) -> dict[int, Jet]:
-    """Bracket of coefficient-times-derivation terms f1 D_{i1} and f2 D_{i2}:
+) -> Callable[[Jet, int], dict[int, Jet]]:
+    """The map (f2, p2) -> bracket of the coefficient-times-derivation terms
+    f1 D_{i1} and f2 D_{i2}:
     f1 D_{i1}(f2) D_{i2} +/- (-1)^eps f2 D_{i2}(f1) D_{i1}, with eps the
-    product of the coefficient parities, shifted by one each when the
-    derivations are odd.  Returns slot -> coefficient."""
-    p1 = _parity(f1, "first coefficient")
-    p2 = _parity(f2, "second coefficient")
-    eps = (p1 ^ odd_type) & (p2 ^ odd_type)
-    sign = (1 if plus else -1) * (-1 if eps else 1)
-    out = {i2: f1 * derivations[i1](f2)}
-    second = (f2 * derivations[i2](f1)).scale(sign)
-    out[i1] = out[i1] + second if i1 in out else second
-    return {i: c for i, c in out.items() if not c.is_zero()}
+    product of the coefficient parities p1 and p2, shifted by one each when
+    the derivations are odd.  D_{i2}(f1) is taken once.  Each map returns
+    slot -> coefficient."""
+    d2f1 = derivations[i2](f1)
+    d1 = derivations[i1]
+
+    def bracket(f2: Jet, p2: int) -> dict[int, Jet]:
+        eps = (p1 ^ odd_type) & (p2 ^ odd_type)
+        sign = (1 if plus else -1) * (-1 if eps else 1)
+        out = {i2: f1 * d1(f2)}
+        second = (f2 * d2f1).scale(sign)
+        out[i1] = out[i1] + second if i1 in out else second
+        return {i: c for i, c in out.items() if not c.is_zero()}
+
+    return bracket
 
 
 # -- pairs with a parity-reversed copy ------------------------------------

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction as F
 from typing import Callable, Iterable, Sequence
 
-from .brackets import (Pairing, buttin, fd_bracket, k_bracket, paired_bracket,
-                       quasi_poisson)
+from .brackets import (Pairing, _odd_pairing, bound_bracket, buttin,
+                       fd_bracket, k_bracket, paired_bracket, quasi_poisson)
 from .fields import FamilyRealization, GradingSpec, VectorField
 from .jets import Ambient, Jet, div_beta, format_jet, odd_laplacian
 from .linalg import ideal_closure, nullspace, span_reduce, vec_clean
@@ -72,13 +72,18 @@ def elem_truncate(a: Element, order: int | None) -> Element:
 class OracleEntry:
     """Infinite-dimensional product given by a table of slot-pair rules.
 
-    ``rules`` maps an ordered slot pair (s1, s2) to a callable
-    ``rule(f1, p1, f2, p2)`` on parity-homogeneous coefficient jets and
-    their jet parities, returning an element.  A pair missing from the table
-    multiplies to zero.  A mirror pair (s2, s1) is its own row, never derived
-    from the declared symmetry, so that verify_entry tests the symmetry.
-    ``product`` extends the table bilinearly and applies the quotient
-    reduction.
+    ``rules`` maps an ordered slot pair (s1, s2) to a curried rule:
+    ``rule(f1, p1)`` takes a parity-homogeneous coefficient jet of the left
+    factor and its jet parity, does the work that needs f1 alone, and
+    returns ``(f2, p2) -> element`` for the right factor.  A pair missing
+    from the table multiplies to zero.  A mirror pair (s2, s1) is its own
+    row, never derived from the declared symmetry, so that verify_entry
+    tests the symmetry.  ``product`` extends the table bilinearly and
+    applies the quotient reduction.
+
+    ``left(a)`` prepares a left factor once: a's parity parts and each
+    matching row's ``rule(f1, p1)``.  ``product`` takes it in place of a, so
+    a caller that multiplies one a by many b's does a's share once.
 
     Each slot carries the monomials outside ``excluded[slot]``, or, with
     ``kernel=(op, dropped_key)``, the kernel of ``op`` with the component
@@ -164,23 +169,34 @@ class OracleEntry:
             return None
         return seen.pop()
 
-    def product(self, a: Element, b: Element) -> Element:
-        for e in (a, b):
-            for s in e:
-                if s not in self.slot_parity:
-                    raise CatalogError(
-                        f"{self.name} has slots {self.slots}, not {s!r}")
+    def _check_slots(self, a: Element) -> None:
+        for s in a:
+            if s not in self.slot_parity:
+                raise CatalogError(
+                    f"{self.name} has slots {self.slots}, not {s!r}")
+
+    def left(self, a: Element) -> _Left:
+        """a prepared as a left factor: product(left(a), b) equals
+        product(a, b) for every b."""
+        self._check_slots(a)
+        return _Left([{s2: rule(part, p)
+                       for (r1, s2), rule in self.rules.items() if r1 == s1}
+                      for s1, f1 in a.items()
+                      for part, p in f1.parity_parts()])
+
+    def product(self, a: Element | _Left, b: Element) -> Element:
+        left = a if isinstance(a, _Left) else self.left(a)
+        self._check_slots(b)
         rights = [(s2, part2, p2) for s2, f2 in b.items()
                   for part2, p2 in f2.parity_parts()]
         out: Element = {}
-        for s1, f1 in a.items():
-            for part1, p1 in f1.parity_parts():
-                for s2, part2, p2 in rights:
-                    rule = self.rules.get((s1, s2))
-                    if rule is None:
-                        continue
-                    for s, f in rule(part1, p1, part2, p2).items():
-                        out[s] = out[s] + f if s in out else f
+        for rows in left.rows:
+            for s2, part2, p2 in rights:
+                inner = rows.get(s2)
+                if inner is None:
+                    continue
+                for s, f in inner(part2, p2).items():
+                    out[s] = out[s] + f if s in out else f
         return elem_clean(self.reduce(out))
 
     # -- flattening --------------------------------------------------------
@@ -212,6 +228,16 @@ class OracleEntry:
         return "; ".join(parts)
 
 
+class _Left:
+    """A left factor prepared by OracleEntry.left: for each parity part of
+    each slot, the right slot -> that row's rule bound to the part."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: list):
+        self.rows = rows
+
+
 class FiniteEntry:
     """Entry backed by exact structure constants; elements are index vecs."""
 
@@ -239,6 +265,10 @@ class FiniteEntry:
 
     def basis(self, max_deg: int | None = None) -> list[dict]:
         return [{i: F(1)} for i in range(self.dim)]
+
+    def left(self, u: dict) -> dict:
+        """A left factor needs no preparation: u itself."""
+        return u
 
     def product(self, u: dict, v: dict) -> dict:
         return self.algebra.mult_vec(u, v)
@@ -605,7 +635,8 @@ def _jdd_entry(name: str, amb: Ambient, d1: VectorField | None,
         for j in range(i, len(basis)):
             b2, m2 = basis[j]
             f2 = Jet(amb, {m2: F(1)})
-            res = fd_bracket(f1, b1, f2, b2, derivs, plus=True, odd_type=True)
+            res = fd_bracket(f1, len(m1[1]) & 1, b1, b2, derivs, plus=True,
+                             odd_type=True)(f2, len(m2[1]) & 1)
             if (b1, b2) == (1, 2) and (mu1 or mu2):
                 s = _sgn(len(m2[1]) & 1)
                 for blk, mu in ((1, mu1), (2, mu2)):
@@ -693,17 +724,17 @@ def _witt(f: Jet, g: Jet) -> Jet:
 def _acting(slot: str, sign: int) -> dict:
     """Rows of one-variable fields acting on ``slot``: the field f acts on g
     as f g', and the mirror row is ``sign`` times that."""
-    return {("field", slot): lambda f, p, g, q: {slot: f * _dx(g)},
-            (slot, "field"): lambda g, q, f, p: {
+    return {("field", slot): lambda f, p: lambda g, q: {slot: f * _dx(g)},
+            (slot, "field"): lambda g, q: lambda f, p: {
                 slot: (f * _dx(g)).scale(sign)}}
 
 
 def _fd_rules(derivs: dict, *, plus: bool, odd_type: bool,
               cross: Callable | None = None) -> dict:
     """Rows of the formal bracket ``brackets.fd_bracket`` of f D_a and g D_b
-    over the named derivation slots ``derivs``.  ``cross(f, g)`` is added to
-    the row of the first slot with the second, and minus ``cross(g, f)`` to
-    its mirror row."""
+    over the named derivation slots ``derivs``; binding f applies D_b to it.
+    ``cross(f, g)`` is added to the row of the first slot with the second,
+    and minus ``cross(g, f)`` to its mirror row."""
     names = tuple(derivs)
     fns = [derivs[s] for s in names]
     extras = {}
@@ -714,11 +745,14 @@ def _fd_rules(derivs: dict, *, plus: bool, odd_type: bool,
     def row(i1, i2):
         extra = extras.get((i1, i2))
 
-        def rule(f1, p1, f2, p2):
-            res = fd_bracket(f1, i1, f2, i2, fns, plus=plus,
-                             odd_type=odd_type)
-            out = {names[k]: v for k, v in res.items()}
-            return out if extra is None else elem_add(out, extra(f1, f2))
+        def rule(f1, p1):
+            bracket = fd_bracket(f1, p1, i1, i2, fns, plus=plus,
+                                 odd_type=odd_type)
+
+            def inner(f2, p2):
+                out = {names[k]: v for k, v in bracket(f2, p2).items()}
+                return out if extra is None else elem_add(out, extra(f1, f2))
+            return inner
         return rule
 
     return {(s1, s2): row(i1, i2) for i1, s1 in enumerate(names)
@@ -731,7 +765,8 @@ def _fd_rules(derivs: dict, *, plus: bool, odd_type: bool,
 def _entry_js_1_1() -> OracleEntry:
     return OracleEntry(
         "JS_1_1", Ambient(1, 0), {"field": 0}, "commutative",
-        {("field", "field"): lambda f, p, g, q: {"field": _dx(f * g)}},
+        {("field", "field"): lambda f, p: lambda g, q: {
+            "field": _dx(f * g)}},
         summary="one-variable fields multiplying to the derivative of the "
                 "coefficient product")
 
@@ -739,7 +774,7 @@ def _entry_js_1_1() -> OracleEntry:
 def _field_bar_rules(bar_bar: Callable) -> dict:
     """The rows JSHO_2_2 and JSKO_1_2 share: fields multiply to f g' + g f'
     and act on the odd copy; ``bar_bar`` is the odd square."""
-    return {("field", "field"): lambda f, p, g, q: {
+    return {("field", "field"): lambda f, p: lambda g, q: {
                 "field": f * _dx(g) + g * _dx(f)},
             **_acting("bar", 1), ("bar", "bar"): bar_bar}
 
@@ -748,7 +783,7 @@ def _entry_jsho_2_2() -> OracleEntry:
     d2 = lambda f: f.d_even(2)
     return OracleEntry(
         "JSHO_2_2", Ambient(2, 0), {"field": 0, "bar": 1}, "commutative",
-        _field_bar_rules(lambda f, p, g, q: {
+        _field_bar_rules(lambda f, p: lambda g, q: {
             "field": _dx(f) * d2(g) - d2(f) * _dx(g)}),
         summary="two-variable fields along the first coordinate paired with "
                 "an odd copy of the functions")
@@ -757,7 +792,8 @@ def _entry_jsho_2_2() -> OracleEntry:
 def _entry_jsko_1_2() -> OracleEntry:
     return OracleEntry(
         "JSKO_1_2", Ambient(1, 0), {"field": 0, "bar": 1}, "commutative",
-        _field_bar_rules(lambda f, p, g, q: {"field": _witt(f, g).scale(2)}),
+        _field_bar_rules(lambda f, p: lambda g, q: {
+            "field": _witt(f, g).scale(2)}),
         summary="one-variable fields paired with an odd copy of the "
                 "functions, the odd square landing back in the fields")
 
@@ -782,15 +818,15 @@ def _entry_js_1_8(alpha) -> OracleEntry:
 
 
 def _entry_lw_1_2() -> OracleEntry:
-    def bar_bar(f, p, g, q):
+    def bar_bar(f, g):
         fg = f * g
         return {"fun": fg.scale(2) - _dx(fg)}
 
     return OracleEntry(
         "LW_1_2", Ambient(1, 0), {"fun": 0, "bar": 1}, "anticommutative",
-        {("fun", "bar"): lambda f, p, g, q: {"bar": f * g},
-         ("bar", "fun"): lambda f, p, g, q: {"bar": (f * g).scale(-1)},
-         ("bar", "bar"): bar_bar},
+        {("fun", "bar"): lambda f, p: lambda g, q: {"bar": f * g},
+         ("bar", "fun"): lambda f, p: lambda g, q: {"bar": (f * g).scale(-1)},
+         ("bar", "bar"): lambda f, p: lambda g, q: bar_bar(f, g)},
         summary="functions with an odd copy; the odd square folds back "
                 "through twice-minus-derivative")
 
@@ -798,9 +834,11 @@ def _entry_lw_1_2() -> OracleEntry:
 def _entry_lho_1_2() -> OracleEntry:
     return OracleEntry(
         "LHO_1_2", Ambient(1, 0), {"fun": 0, "bar": 1}, "anticommutative",
-        {("fun", "bar"): lambda f, p, g, q: {"bar": _dx(f) * g},
-         ("bar", "fun"): lambda f, p, g, q: {"bar": (_dx(g) * f).scale(-1)},
-         ("bar", "bar"): lambda f, p, g, q: {"fun": (f * g).scale(2)}},
+        {("fun", "bar"): lambda f, p: lambda g, q: {"bar": _dx(f) * g},
+         ("bar", "fun"): lambda f, p: lambda g, q: {
+             "bar": (_dx(g) * f).scale(-1)},
+         ("bar", "bar"): lambda f, p: lambda g, q: {
+             "fun": (f * g).scale(2)}},
         excluded={"fun": {((0,), ())}},
         summary="functions modulo constants with an odd copy; the odd "
                 "square is twice the product")
@@ -815,11 +853,14 @@ def _entry_lshop_2_2() -> OracleEntry:
     br = lambda f, g: d1(f) * d2(g) - d2(f) * d1(g)
     return OracleEntry(
         "LSHOp_2_2", amb, {"fun": 0, "bar": 1}, "anticommutative",
-        {("fun", "fun"): lambda f, p, g, q: {"fun": br(f, g).scale(-1)},
-         ("fun", "bar"): lambda f, p, g, q: {"bar": br(f, g) + g * d2(f)},
-         ("bar", "fun"): lambda f, p, g, q: {
+        {("fun", "fun"): lambda f, p: lambda g, q: {
+            "fun": br(f, g).scale(-1)},
+         ("fun", "bar"): lambda f, p: lambda g, q: {
+             "bar": br(f, g) + g * d2(f)},
+         ("bar", "fun"): lambda f, p: lambda g, q: {
              "bar": (br(g, f) + f * d2(g)).scale(-1)},
-         ("bar", "bar"): lambda f, p, g, q: {"fun": (f * g).scale(-2)}},
+         ("bar", "bar"): lambda f, p: lambda g, q: {
+             "fun": (f * g).scale(-2)}},
         excluded={"fun": {((0, 0), ())}},
         summary="two-variable functions modulo constants under a shifted "
                 "divergence-free bracket, with an odd copy")
@@ -830,10 +871,11 @@ def _entry_lwa_1_2(alpha) -> OracleEntry:
     w = Jet.const(amb, alpha) + Jet.x(amb, 1)
     return OracleEntry(
         "LWa_1_2", amb, {"field": 0, "fun": 0}, "anticommutative",
-        {("field", "field"): lambda f, p, g, q: {"field": _witt(f, g)},
-         ("field", "fun"): lambda f, p, g, q: {
+        {("field", "field"): lambda f, p: lambda g, q: {
+            "field": _witt(f, g)},
+         ("field", "fun"): lambda f, p: lambda g, q: {
              "field": (w * (f * g)).scale(-1), "fun": f * _dx(g)},
-         ("fun", "field"): lambda f, p, g, q: {
+         ("fun", "field"): lambda f, p: lambda g, q: {
              "field": w * (f * g), "fun": (g * _dx(f)).scale(-1)}},
         params={"alpha": alpha},
         summary="one-variable fields acting on functions with a shifted "
@@ -844,10 +886,11 @@ def _entry_ls_1_3() -> OracleEntry:
     return OracleEntry(
         "LS_1_3", Ambient(1, 0), {"field": 0, "fun": 1, "tilde": 1},
         "anticommutative",
-        {("field", "field"): lambda f, p, g, q: {"field": _witt(f, g)},
+        {("field", "field"): lambda f, p: lambda g, q: {
+            "field": _witt(f, g)},
          **_acting("fun", -1), **_acting("tilde", -1),
-         ("fun", "tilde"): lambda f, p, g, q: {"field": f * g},
-         ("tilde", "fun"): lambda f, p, g, q: {"field": f * g}},
+         ("fun", "tilde"): lambda f, p: lambda g, q: {"field": f * g},
+         ("tilde", "fun"): lambda f, p: lambda g, q: {"field": f * g}},
         summary="one-variable fields with two odd copies of the functions "
                 "pairing into the fields")
 
@@ -891,13 +934,13 @@ def _entry_lskop_1_2(beta) -> OracleEntry:
     x = Jet.x(amb, 1)
     return OracleEntry(
         "LSKOp_1_2", amb, {"field": 0, "bar": 1}, "anticommutative",
-        {("field", "field"): lambda f, p, g, q: {
+        {("field", "field"): lambda f, p: lambda g, q: {
             "field": _witt(f, g).scale(-beta)},
-         ("field", "bar"): lambda f, p, g, q: {
+         ("field", "bar"): lambda f, p: lambda g, q: {
              "bar": (f * _dx(g)).scale(beta) - g * _dx(f)},
-         ("bar", "field"): lambda f, p, g, q: {
+         ("bar", "field"): lambda f, p: lambda g, q: {
              "bar": f * _dx(g) - (g * _dx(f)).scale(beta)},
-         ("bar", "bar"): lambda f, p, g, q: {"field": x * (f * g)}},
+         ("bar", "bar"): lambda f, p: lambda g, q: {"field": x * (f * g)}},
         params={"beta": beta},
         summary="one-variable fields scaled by a parameter with an odd copy "
                 "squaring to a multiple of x")
@@ -920,9 +963,10 @@ def _entry_lha_1_2(alpha) -> OracleEntry:
     w = Jet.const(amb, alpha) + Jet.x(amb, 1)
     return OracleEntry(
         "LHa_1_2", amb, {"field": 0, "bar": 1}, "anticommutative",
-        {("field", "field"): lambda f, p, g, q: {"field": _witt(f, g)},
+        {("field", "field"): lambda f, p: lambda g, q: {
+            "field": _witt(f, g)},
          **_acting("bar", -1),
-         ("bar", "bar"): lambda f, p, g, q: {
+         ("bar", "bar"): lambda f, p: lambda g, q: {
              "field": (w * (_dx(f) * _dx(g))).scale(-2)}},
         excluded={"bar": {((0,), ())}}, params={"alpha": alpha},
         summary="one-variable fields with an odd copy modulo constants; the "
@@ -940,7 +984,7 @@ def _quasi_entry(name: str, amb: Ambient, z_field: VectorField | None,
     unit = ((0,) * amb.n_even, ())
     return OracleEntry(
         name, amb, {"fun": 0}, "anticommutative",
-        {("fun", "fun"): lambda f, p, g, q: {
+        {("fun", "fun"): lambda f, p: lambda g, q: {
             "fun": quasi_poisson(zfn, pfn, f, g)}},
         excluded={"fun": {unit}} if drop_unit else None,
         params=params, summary=summary)
@@ -1011,12 +1055,14 @@ def _entry_lsho(n: int) -> OracleEntry:
     w = Jet.x(amb, 2) * xi1 * Jet.xi(amb, 2)
     top = ((0,) * n, tuple(range(1, n + 1)))
     twist = Jet.one(amb) + w.scale(2)
+    pairing = _odd_pairing(amb)
 
-    def rule(f1, p1, f2, p2):
-        res = buttin(twist * f1, f2)
-        res = res + (xi1 * (f1 * f2)).scale(2 * _sgn(p1 + 1))
-        res = res + (buttin(w, f1) * f2).scale(2 * _sgn(p1))
-        return {"j": res}
+    def rule(f1, p1):
+        # twist is even, so twist * f1 has f1's parity
+        bracket = bound_bracket(pairing, twist * f1, p1)
+        m = ((xi1 * f1).scale(2 * _sgn(p1 + 1))
+             + buttin(w, f1).scale(2 * _sgn(p1)))
+        return lambda f2, p2: {"j": bracket(f2) + m * f2}
 
     return OracleEntry(
         f"LSHO_{n}_{2 ** (n - 1)}", amb, {"j": 1}, "anticommutative",
@@ -1027,23 +1073,26 @@ def _entry_lsho(n: int) -> OracleEntry:
 
 def _contact_rules(amb: Ambient, c, xx: Jet | None = None) -> dict:
     """The twisted contact row of LSKO_n, with c = beta (n + 1).  LSKOp_2_4
-    adds the mixed odd factor ``xx`` to the twist and its own term."""
+    adds the mixed odd factor ``xx`` to the twist and its own term.  Binding
+    f1 binds the bracket of twist * f1 and gathers every term that is a
+    multiple of f2 into one jet m, so the product is {twist f1, f2} + m f2.
+    """
     xi1 = Jet.xi(amb, 1)
     tau = Jet.tau_gen(amb)
     w = xi1 * tau
     twist, lift = Jet.one(amb) + w, w
     if xx is not None:
         twist, lift = twist - xx, w + xx
+    pairing = _odd_pairing(amb)
 
-    def rule(f1, p1, f2, p2):
-        res = k_bracket(twist * f1, f2)
-        extra = xi1 * ((f1.euler().scale(2) - f1.scale(c)) * f2)
-        extra = extra + k_bracket(lift, f1) * f2
-        extra = extra - (tau * f1.d_even(1) * f2).scale(2)
-        res = res + extra.scale(_sgn(p1 + 1))
+    def rule(f1, p1):
+        bracket = bound_bracket(pairing, twist * f1)
+        m = xi1 * (f1.euler().scale(2) - f1.scale(c))
+        m = m + k_bracket(lift, f1) - (tau * f1.d_even(1)).scale(2)
+        m = m.scale(_sgn(p1 + 1))
         if xx is not None:
-            res = res + (f1.d_tau() * (xx * f2)).scale(2)
-        return {"j": res}
+            m = m + (f1.d_tau() * xx).scale(2)
+        return lambda f2, p2: {"j": bracket(f2) + m * f2}
 
     return {("j", "j"): rule}
 
@@ -1101,11 +1150,13 @@ def _lp_closed_form(entry: OracleEntry, order: int, rng) -> tuple[bool, str]:
     monos = [Jet(space.ambient, {m: F(1)})
              for m in sorted(space.ambient.monomials(eff))][:40]
     for u in monos:
+        left = entry.left({"j": u})
+        c = 2 * _sgn(u.parity())
         for v in monos:
-            lhs = entry.product({"j": u}, {"j": v}).get(
+            lhs = entry.product(left, {"j": v}).get(
                 "j", Jet.zero(space.ambient))
             rhs = (space.jbracket(u, v).scale(-1)
-                   + (space.eta() * (u * v)).scale(2 * _sgn(u.parity())))
+                   + (space.eta() * (u * v)).scale(c))
             if not (lhs - rhs).is_zero():
                 return False, (f"mismatch at {format_jet(u)}, "
                                f"{format_jet(v)}")
@@ -1116,7 +1167,8 @@ def _entry_ojp(n: int, m: int) -> OracleEntry:
     space = OjpSpace(n, m)
     entry = OracleEntry(
         f"OJP_{n}_{m}", space.ambient, {"j": 0}, "commutative",
-        {("j", "j"): lambda f, p, g, q: {"j": space.product(f, g)}},
+        {("j", "j"): lambda f, p: lambda g, q: {
+            "j": space.product(f, g)}},
         params={"n": n, "m": m},
         extra_checks=(("operator_relations", _ojp_checks),),
         summary="commutative odd-type series product over an odd Poisson "
@@ -1131,7 +1183,7 @@ def _entry_lp(n: int, m: int) -> OracleEntry:
     checks = (("closed_form", _lp_closed_form),) if n <= 2 and m == n else ()
     entry = OracleEntry(
         f"LP_{n}_{m}", space.ambient, {"j": 1}, "anticommutative",
-        {("j", "j"): lambda f, p, g, q: {
+        {("j", "j"): lambda f, p: lambda g, q: {
             "j": space.product(f, g).scale(_sgn(p))}},
         params={"n": n, "m": m}, extra_checks=checks,
         summary="parity-reversed twin of the odd-type series product; "
@@ -1189,26 +1241,49 @@ def verify_entry(entry, order: int | None = None,
     for _ in range(12):
         pairs.append((rng.choice(hi), rng.choice(hi)))
 
+    # Index in pairs of each check's first failure; len(pairs) while none.
+    first = {"symmetry": len(pairs), "closure": len(pairs)}
+    details = {}
     sym_sign = 1 if entry.symmetry == "commutative" else -1
-    sym_ok, sym_detail = True, f"{len(pairs)} pairs"
-    clo_ok, clo_detail = True, f"{len(pairs)} pairs"
-    for a, b in pairs:
-        pa, pb = entry.parity(a), entry.parity(b)
-        ab = entry.product(a, b)
-        if sym_ok:
-            mirror = entry.to_vec(entry.product(b, a))
-            if sym_sign * _sgn(pa & pb) < 0:
-                mirror = {k: -c for k, c in mirror.items()}
+
+    def check(k, a, b, ab, ba):
+        """Record the failures of pairs[k] = (a, b), with ab = a o b and ba
+        = b o a (None once symmetry has failed before k)."""
+        if k < first["symmetry"]:
+            mirror = entry.to_vec(ba)
+            if sym_sign * _sgn(entry.parity(a) & entry.parity(b)) < 0:
+                mirror = {key: -c for key, c in mirror.items()}
             if entry.to_vec(ab) != mirror:
-                sym_ok = False
-                sym_detail = (f"broken at {entry.format(a)} | "
-                              f"{entry.format(b)}")
-        if clo_ok and not entry.member(ab):
-            clo_ok = False
-            clo_detail = (f"product of {entry.format(a)} and "
-                          f"{entry.format(b)} leaves the carrier")
-    checks = [Check("symmetry", sym_ok, sym_detail),
-              Check("closure", clo_ok, clo_detail)]
+                first["symmetry"] = k
+                details["symmetry"] = (f"broken at {entry.format(a)} | "
+                                       f"{entry.format(b)}")
+        if k < first["closure"] and not entry.member(ab):
+            first["closure"] = k
+            details["closure"] = (f"product of {entry.format(a)} and "
+                                  f"{entry.format(b)} leaves the carrier")
+
+    # The lo x lo block: each ordered product is made once and serves the
+    # pair (i, j) and its mirror (j, i).  Every pair before (i, j) is checked
+    # by then, and symmetry holds at (i, j) exactly when it holds at (j, i),
+    # so the first symmetry failure is final; a closure failure at a mirror
+    # can still give way to a pair before it.
+    n = len(lo)
+    lefts = [entry.left(a) for a in lo]
+    for i in range(n):
+        for j in range(i, n):
+            ab = entry.product(lefts[i], lo[j])
+            ba = ab if i == j else entry.product(lefts[j], lo[i])
+            check(i * n + j, lo[i], lo[j], ab, ba)
+            if i != j:
+                check(j * n + i, lo[j], lo[i], ba, ab)
+    for k in range(n * n, len(pairs)):
+        a, b = pairs[k]
+        ab = entry.product(a, b)
+        ba = entry.product(b, a) if k < first["symmetry"] else None
+        check(k, a, b, ab, ba)
+    checks = [Check(name, name not in details,
+                    details.get(name, f"{len(pairs)} pairs"))
+              for name in ("symmetry", "closure")]
     for name, fn in entry.extra_checks:
         ok, detail = fn(entry, eff, rng)
         checks.append(Check(name, ok, detail))
@@ -1273,8 +1348,8 @@ def ideal_spot_checks(entry, seeds: Sequence | None = None,
     vecs = [window(b) for b in basis]
     # The left and right product with each partner, converted once.
     partners = [entry.from_vec(p) for p in span_reduce(vecs).rows]
-    lefts = [lambda v, u=u: window(entry.product(u, entry.from_vec(v)))
-             for u in partners]
+    lefts = [lambda v, u=entry.left(u):
+             window(entry.product(u, entry.from_vec(v))) for u in partners]
     rights = [lambda v, u=u: window(entry.product(entry.from_vec(v), u))
               for u in partners]
 

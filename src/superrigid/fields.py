@@ -170,8 +170,10 @@ def fd_bracket_field(
 ) -> VectorField:
     """Bracket of f1*D1 and f2*D2 for fixed derivations, returned as a
     vector field: f1 D1(f2) D2 +/- (-1)^eps f2 D2(f1) D1."""
-    coeffs = br.fd_bracket(f1, 0, f2, 1, [D1.apply, D2.apply],
-                           plus=plus, odd_type=odd_type)
+    p1 = br._parity(f1, "first coefficient")
+    p2 = br._parity(f2, "second coefficient")
+    coeffs = br.fd_bracket(f1, p1, 0, 1, [D1.apply, D2.apply],
+                           plus=plus, odd_type=odd_type)(f2, p2)
     out = VectorField.zero(D1.ambient)
     for i, c in coeffs.items():
         out = out + c * (D1 if i == 0 else D2)

@@ -157,6 +157,7 @@ def closure_under(
     seed: Subspace,
     maps: Sequence[Callable[[Vec], Vec]],
     full_dim: int | None = None,
+    seed_skip: int = 0,
 ) -> Subspace:
     """Smallest subspace containing seed that each linear map in maps sends
     into itself.
@@ -174,13 +175,18 @@ def closure_under(
     reaches it: a span of that dimension inside that space is the whole
     space, which every map sends into itself.  The stop is exact only under
     that promise; a bound that some image can leave gives a span too small.
+
+    The seed rows skip the first ``seed_skip`` maps, which the caller
+    vouches send the seed into itself; vectors that join later go through
+    every map.
     """
     rows = dict(seed._by_pivot)
     queue = list(seed.rows)
-    for v in queue:  # the queue grows while it is walked
+    n_seed, seed_maps = len(queue), maps[seed_skip:]
+    for k, v in enumerate(queue):  # the queue grows while it is walked
         if len(rows) == full_dim:
             break
-        for m in maps:
+        for m in seed_maps if k < n_seed else maps:
             r = _accept(rows, m(v))
             if r:
                 queue.append(r)
@@ -201,8 +207,10 @@ def ideal_closure(
     The seed is first closed under lefts alone.  A span that fills
     ``full_dim`` (as in closure_under) is the whole space, which every map
     sends into itself, so it is returned.  Otherwise the walk goes on from
-    that span under lefts and rights together; the first span lies inside
-    the two-sided closure, so the result is that closure, for any maps.
+    that span: its rows go through the rights only, since the lefts already
+    send it into itself, and every vector the rights add goes through lefts
+    and rights together.  The first span lies inside the two-sided closure,
+    so the result is that closure, for any maps.
     With a supercommutative or anticommutative product and a homogeneous
     seed each right product is +- a left one, so no right map runs when the
     left closure fills the space.
@@ -210,7 +218,8 @@ def ideal_closure(
     span = closure_under(seed, lefts, full_dim)
     if span.dim == full_dim:
         return span
-    return closure_under(span, list(lefts) + list(rights), full_dim)
+    return closure_under(span, list(lefts) + list(rights), full_dim,
+                         seed_skip=len(lefts))
 
 
 def nullspace(

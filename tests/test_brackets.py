@@ -8,6 +8,9 @@ from conftest import random_jet
 from superrigid.brackets import (
     GaugeError,
     ParityError,
+    _even_pairing,
+    _odd_pairing,
+    bound_bracket,
     bracket_unit_derivation,
     buttin,
     even_skew_defect,
@@ -247,7 +250,7 @@ class TestFdBracket:
         amb = Ambient(1, 0)
         ddx = lambda f: f.d_even(1)
         x = Jet.x(amb, 1)
-        out = fd_bracket(x, 0, x, 0, [ddx], plus=True, odd_type=False)
+        out = fd_bracket(x, 0, 0, 0, [ddx], plus=True, odd_type=False)(x, 0)
         assert out == {0: x.scale(2)}
 
     def test_even_type_minus_is_lie(self):
@@ -255,7 +258,8 @@ class TestFdBracket:
         ddx = lambda f: f.d_even(1)
         x2 = Jet.x(amb, 1, 2)
         x = Jet.x(amb, 1)
-        out = fd_bracket(x2, 0, x, 0, [ddx], plus=False, odd_type=False)
+        out = fd_bracket(x2, 0, 0, 0, [ddx], plus=False,
+                         odd_type=False)(x, 0)
         # x^2 * (x)' - x * (x^2)' = x^2 - 2x^2 = -x^2
         assert out == {0: -x2}
 
@@ -264,7 +268,8 @@ class TestFdBracket:
         d1 = lambda f: f.d_odd(1)
         d2 = lambda f: f.d_odd(2)
         xi1, xi2 = Jet.xi(amb, 1), Jet.xi(amb, 2)
-        out = fd_bracket(xi1, 0, xi2, 1, [d1, d2], plus=True, odd_type=True)
+        out = fd_bracket(xi1, 1, 0, 1, [d1, d2], plus=True,
+                         odd_type=True)(xi2, 1)
         # f1 D1(f2) = xi1 * d1(xi2) = 0; f2 D2(f1) = xi2 * d2(xi1) = 0
         assert out == {}
 
@@ -272,7 +277,7 @@ class TestFdBracket:
         amb = Ambient(0, 2)
         d1 = lambda f: f.d_odd(1)
         one = Jet.one(amb)
-        out = fd_bracket(one, 0, one, 0, [d1], plus=True, odd_type=True)
+        out = fd_bracket(one, 0, 0, 0, [d1], plus=True, odd_type=True)(one, 0)
         assert out == {}
 
 
@@ -542,6 +547,75 @@ class TestAgainstReferences:
             gauge_transform(base, phi, order=order)
         got = exc.value.witness
         assert got == want
+
+
+# (bound map of f, reference bracket, ambients, whether f is homogeneous)
+BOUND_CASES = {
+    "buttin": (lambda f: bound_bracket(_odd_pairing(f.ambient), f,
+                                       _parity(f, "f")),
+               _buttin_reference, [O11, O22, Ambient(3, 3)], True),
+    "k_bracket": (lambda f: bound_bracket(_odd_pairing(f.ambient), f),
+                  _k_bracket_reference, [O12, O23, Ambient(0, 1, tau=True)],
+                  False),
+    "gen_poisson_even": (
+        lambda f: bound_bracket(_even_pairing(f.ambient, False), f),
+        _gen_poisson_even_reference, [Ambient(3, 2), Ambient(2, 3), E30],
+        False),
+    "poisson_antidiagonal": (
+        lambda f: bound_bracket(_even_pairing(f.ambient, True), f),
+        _poisson_antidiagonal_reference, [Ambient(2, 3), Ambient(0, 3)],
+        False),
+}
+
+
+def _g_run(amb, rng, n):
+    """Second arguments, each truncated to a random order: random jets,
+    and jets whose operands vanish in part or in full (zero, a constant,
+    one generator alone)."""
+    special = [Jet.zero(amb), Jet.const(amb, rng.choice([1, -2]))]
+    if amb.n_even:
+        special.append(Jet.x(amb, rng.randint(1, amb.n_even)))
+    if amb.n_odd:
+        special.append(Jet.xi(amb, rng.randint(1, amb.n_odd)))
+    out = []
+    for _ in range(n):
+        g = (rng.choice(special) if rng.random() < 0.4
+             else random_jet(amb, rng, n_terms=rng.randint(1, 4)))
+        out.append(g.truncate(rng.choice([None, 0, 1, 2, 3])))
+    return out
+
+
+class TestBoundBracket:
+    """One bound bracket applied to a run of g's: each result equals the
+    reference bracket under ==, validity order included, so no operand of f
+    kept for one g leaks into another."""
+
+    @given(st.integers(0, 2**30), st.sampled_from(sorted(BOUND_CASES)),
+           ORDERS, st.integers(0, 8))
+    @settings(max_examples=120)
+    def test_run_matches_reference(self, seed, case, of, n):
+        bind, reference, ambs, homogeneous = BOUND_CASES[case]
+        rng = random.Random(seed)
+        amb = rng.choice(ambs)
+        pf = rng.randrange(2) if homogeneous and amb.n_odd else (
+            0 if homogeneous else None)
+        f = random_jet(amb, rng, parity=pf,
+                       n_terms=rng.randint(0, 4)).truncate(of)
+        bound = bind(f)
+        for g in _g_run(amb, rng, n):
+            assert bound(g) == reference(f, g)
+
+    @given(st.integers(0, 2**30), ORDERS,
+           st.sampled_from([(0, 0), (1, 1), (1, 2), (2, 3)]))
+    @settings(max_examples=60)
+    def test_ojp_pbracket_run(self, seed, of, nm):
+        space = OjpSpace(*nm)
+        rng = random.Random(seed)
+        f = random_jet(space.ambient, rng,
+                       n_terms=rng.randint(0, 4)).truncate(of)
+        bound = bound_bracket(space._pairing, f)
+        for g in _g_run(space.ambient, rng, 6):
+            assert bound(g) == _pbracket_reference(space, f, g)
 
 
 class TestGaugeOnce:

@@ -10,6 +10,7 @@ from superrigid.catalog import (
     CatalogError,
     FiniteEntry,
     elem_add,
+    elem_scale,
     ideal_spot_checks,
     make,
     normalize_name,
@@ -372,3 +373,65 @@ def test_structure_constants(name, kw, digest):
             h.update(repr(sorted(entry.to_vec(entry.product(a, b)).items()))
                      .encode())
     assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("name, kw", [(n, kw) for n, kw, _ in
+                                      STRUCTURE_DIGESTS])
+def test_prepared_left_matches_product(name, kw):
+    # One prepared factor serves every b in turn, so nothing it keeps for
+    # one b may leak into the next.  The sum of the basis has a part in
+    # every slot and parity.
+    entry = make(name, **kw)
+    basis = entry.basis(2)
+    total = {}
+    for a in basis:
+        total = elem_add(total, a)
+    for a in basis + [total]:
+        left = entry.left(a)
+        for b in basis:
+            assert entry.product(left, b) == entry.product(a, b)
+
+
+def with_post(entry, row, post):
+    """entry with the rule of ``row`` followed by post(f, g, element)."""
+    rule = entry.rules[row]
+
+    def bound(f, p):
+        inner = rule(f, p)
+        return lambda g, q: post(f, g, inner(g, q))
+
+    entry.rules[row] = bound
+    return entry
+
+
+def check_details(rep):
+    return [(c.name, c.passed, c.detail) for c in rep.checks]
+
+
+def test_verify_entry_negated_mirror_row():
+    entry = with_post(make("LW_1_2"), ("bar", "fun"),
+                      lambda f, g, r: elem_scale(r, -1))
+    assert check_details(catalog.verify_entry(entry)) == [
+        ("symmetry", False, "broken at fun: 1 | bar: 1"),
+        ("closure", True, "48 pairs")]
+
+
+# verify_entry makes each ordered product of its sample block once, for the
+# pair and its mirror, so it meets (lo[5], lo[2]) before (lo[3], lo[4]).
+# The details must still name the first failing pair in sample order.
+@pytest.mark.parametrize("name, symmetry, closure", [
+    ("LSHO_2_2", "broken at j: xi2 | j: x2^2",
+     "product of j: x2 and j: x2*xi1 leaves the carrier"),
+    ("LSKOp_2_4", "broken at j: xi2 | j: x2",
+     "product of j: xi2 and j: x2 leaves the carrier"),
+])
+def test_verify_entry_first_failure_in_sample_order(name, symmetry, closure):
+    entry = make(name)
+    lo = entry.basis(2)
+    lo = lo[::max(1, len(lo) // 18)][:18]
+    bad = {(lo[5]["j"], lo[2]["j"]), (lo[3]["j"], lo[4]["j"])}
+    x1 = Jet.x(entry.ambient, 1)
+    entry = with_post(entry, ("j", "j"), lambda f, g, r: elem_add(
+        r, {"j": x1 * f * g}) if (f, g) in bad else r)
+    assert check_details(catalog.verify_entry(entry)) == [
+        ("symmetry", False, symmetry), ("closure", False, closure)]

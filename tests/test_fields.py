@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_field, random_jet
-from superrigid.brackets import buttin
+from superrigid.brackets import ParityError, buttin
 from superrigid.fields import (
     FamilyRealization,
     GradingSpec,
@@ -313,6 +313,15 @@ class TestFdBracketField:
         x = Jet.x(amb, 1)
         out = fd_bracket_field(x, D, x, D, plus=False, odd_type=False)
         assert out.is_zero()
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_rejects_mixed_coefficient(self, which):
+        D = VectorField.partial(A11, "xi", 1)
+        mixed = Jet.one(A11) + Jet.xi(A11, 1)
+        args = [Jet.x(A11, 1), D, Jet.x(A11, 1), D]
+        args[2 * which] = mixed
+        with pytest.raises(ParityError):
+            fd_bracket_field(*args, plus=True, odd_type=True)
 
 
 class TestRealizationBasics:

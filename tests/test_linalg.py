@@ -332,6 +332,23 @@ class TestIdealClosure:
         assert len(dims) > 8 and all(d == full for d, full in dims)
         assert right_calls == []
 
+    def test_left_closed_span_skips_left_maps(self):
+        # is_simple's first candidate on JS_0_2 + JS_0_8 spans a proper
+        # left closure, so the walk goes on with the right maps.  Each left
+        # map runs once per row of the first walk and never on a row it
+        # already closed: 2 rows, 10 maps.
+        J = walg.direct_sum(catalog.make("JS_0_2").algebra,
+                            catalog.make("JS_0_8").algebra)
+        n = J.dim
+        lefts, rights = sides(J.mult_vec, n)
+        left_calls, right_calls = [], []
+        start = span_reduce([{0: F(1)}])
+        got = ideal_closure(start, counted(lefts, left_calls),
+                            counted(rights, right_calls), n)
+        assert got == closure_under(start, lefts + rights)
+        assert got.dim == 2 < n
+        assert (len(left_calls), len(right_calls)) == (20, 20)
+
     def test_right_products_feed_left_ones(self):
         # s.e = x and e.x = y with nothing else: the left closure of s is
         # span(s); the right product adds x, and only a left product of x
