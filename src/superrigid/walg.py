@@ -17,14 +17,19 @@ superalgebra the L_i generate, the smallest space holding them that ad L_i
 sends into itself; R is the smallest space holding the product that act by
 each L_i sends into itself, because act is a representation of the operator
 algebra and so a subspace invariant under generators is invariant under all
-of Str.  act resolves the Koszul signs once per call, in integer entry tables
-of its two arguments; the operator bracket of Str is w_bracket, through box.
+of Str.  act resolves the Koszul signs in integer entry tables of its two
+arguments; the operator bracket of Str is w_bracket, through box.
 
 box, and with it every w_bracket of the graded expansion and its
 admissibility check, is driven by the stored entries of its two arguments:
 each entry of g meets only the entries of f whose first argument it hits,
 and the MultiLinMap constructor sorts the combined key and applies its
 Koszul sign, the same rule as a lookup through MultiLinMap.__call__.
+
+The two kernel tables of a map, box's first-argument table and act's
+integer entry table, are built at most once per map, on first use, and kept
+on it.  A map bracketed against many partners, as in the closures and the
+graded expansion, is tabled once, not once per pair.
 """
 from __future__ import annotations
 
@@ -83,19 +88,32 @@ class MultiLinMap:
     permuted or repeated arguments resolve through the Koszul sign.  A map of
     arity 0 is just a vector of the space, arity 1 an operator, arity 2 a
     supersymmetric product.
+
+    A map is not changed once it is handed out: only w_bracket writes to
+    entries, those of the map box has just built for it.  So box and act
+    build their kernel tables of a map on first use and keep them on it, in
+    _first_args and _ints.  With
+    check=True every index is checked to lie in the space and every entry to
+    have the map's parity; internal callers that build maps from checked
+    ones pass check=False and skip both checks.
     """
 
-    __slots__ = ("arity", "parity", "parities", "entries")
+    __slots__ = ("arity", "parity", "parities", "entries", "_first_args",
+                 "_ints")
 
     def __init__(self, arity, parity, parities, entries=None, *, check=True):
         self.arity = arity
         self.parity = parity % 2
         self.parities = tuple(parities)
+        self._first_args = self._ints = None
+        n = len(self.parities)
         canon: dict = {}
         for key, out in (entries or {}).items():
             key = tuple(key)
             if len(key) != arity:
                 raise ValueError(f"entry key {key} does not have arity {arity}")
+            if check and not all(0 <= a < n for a in key):
+                raise ValueError(f"entry key {key} has an index out of range")
             sign, skey = _sort_sign(key, self.parities)
             if sign == 0:
                 continue
@@ -117,6 +135,9 @@ class MultiLinMap:
             for skey, out in self.entries.items():
                 base = sum(self.parities[a] for a in skey)
                 for k in out:
+                    if not 0 <= k < n:
+                        raise ValueError(
+                            f"entry {skey}->{k} has an output out of range")
                     if (base + self.parities[k]) % 2 != self.parity:
                         raise ValueError(
                             f"entry {skey}->{k} violates parity {self.parity}"
@@ -217,7 +238,8 @@ def box(f: MultiLinMap, g: MultiLinMap) -> MultiLinMap:
     sum, so two degree -1 maps underflow.
 
     The sum is driven by the stored entries.  f is tabled by its first
-    argument, k -> (rest, f(k, *rest)), through f's own lookup, and each entry
+    argument, k -> (rest, f(k, *rest)), through f's own lookup; the table is
+    built on f's first use as a left operand and kept on f.  Each entry
     A -> {k: c} of g meets the rows for k on the unsorted key A + rest; the
     constructor sorts that key and applies its Koszul sign.  Position subsets
     that pick different copies of a repeated even index give the same split
@@ -235,7 +257,9 @@ def box(f: MultiLinMap, g: MultiLinMap) -> MultiLinMap:
         raise ValueError("operands live over different spaces")
     if f.arity == 0:
         return MultiLinMap.zero(arity, parity, pars)
-    df, ftab = _first_arg_table(f)
+    if f._first_args is None:
+        f._first_args = _first_arg_table(f)
+    df, ftab = f._first_args
     dg = _common_denominator(g)
     acc: dict = {}
     for A, out in g.entries.items():
@@ -265,7 +289,8 @@ def _first_arg_table(f: MultiLinMap):
     """Common denominator d of a map and its table {k: [(rest, [(m, c * d)])]}
     over every stored key and each distinct index k in it, where rest is the
     key less one k and the image is f(k, *rest), so the sign of moving k to
-    the front comes from f's lookup."""
+    the front comes from f's lookup.  box builds it once per map and keeps it
+    on the map."""
     d = _common_denominator(f)
     tab: dict = {}
     for key in f.entries:
@@ -279,9 +304,33 @@ def _first_arg_table(f: MultiLinMap):
 
 
 def w_bracket(f: MultiLinMap, g: MultiLinMap) -> MultiLinMap:
-    """Graded commutator of the insertion product."""
-    sign = -1 if (f.parity and g.parity) else 1
-    return box(f, g).add(box(g, f).scale(-sign))
+    """Graded commutator of the insertion product,
+    box(f, g) - (-1)^{|f||g|} box(g, f).
+
+    The entries of box(g, f), negated when the sign asks for it, are merged
+    into the map box(f, g) has just built, before anything else holds it or
+    has tabled it, so the difference builds no further map.
+    """
+    out = box(f, g)
+    ent = out.entries
+    negate = not (f.parity and g.parity)
+    for key, images in box(g, f).entries.items():
+        if negate:
+            images = {k: -c for k, c in images.items()}
+        slot = ent.get(key)
+        if slot is None:
+            ent[key] = images
+            continue
+        for k, c in images.items():
+            if k in slot:
+                c += slot[k]
+                if not c:
+                    del slot[k]
+                    continue
+            slot[k] = c
+        if not slot:
+            del ent[key]
+    return out
 
 
 def act(f: MultiLinMap, B: MultiLinMap) -> MultiLinMap:
@@ -289,15 +338,19 @@ def act(f: MultiLinMap, B: MultiLinMap) -> MultiLinMap:
     commutator: (f.B)(x,y) = f(B(x,y)) - +/-(B(f(x),y) + +/-B(x,f(y))).
 
     Agrees with w_bracket restricted to arity-1 by arity-2 arguments.  The
-    Koszul signs are resolved once per call, in the entry tables of f and B,
-    and the sums run over integers scaled by their common denominators, so
-    no lookup sorts its arguments.
+    Koszul signs are resolved in the entry tables of f and B, each built on
+    the map's first use and kept on it, and the sums run over integers scaled
+    by their common denominators, so no lookup sorts its arguments.
     """
     if f.arity != 1 or B.arity != 2:
         raise ValueError("act expects an operator and a binary product")
     pars = f.parities
-    df, ft = _int_table(f)
-    dB, Bt = _int_table(B)
+    if f._ints is None:
+        f._ints = _int_table(f)
+    if B._ints is None:
+        B._ints = _int_table(B)
+    df, ft = f._ints
+    dB, Bt = B._ints
     # Signs of the B(f(x), y) and B(x, f(y)) terms; the second also depends
     # on the parity of x.
     s2 = 1 if f.parity and B.parity else -1
@@ -327,7 +380,8 @@ def act(f: MultiLinMap, B: MultiLinMap) -> MultiLinMap:
 def _int_table(m: MultiLinMap):
     """Common denominator d of a map and its entry table {args: [(k, c * d)]}.
     A binary key also appears swapped, with its Koszul sign folded into the
-    coefficient, so any ordered pair looks up."""
+    coefficient, so any ordered pair looks up.  act builds it once per map and
+    keeps it on the map."""
     pars = m.parities
     d = _common_denominator(m)
     tab: dict = {}
@@ -388,6 +442,9 @@ class FinSuperAlg:
             want = (self.parities[i] + self.parities[j]
                     + self.product_parity) % 2
             for k in out:
+                if not 0 <= k < n:
+                    raise ValueError(
+                        f"product of {i},{j} hits {k}, out of range")
                 if self.parities[k] != want:
                     raise ValueError(
                         f"product of {i},{j} hits {k} of the wrong parity")
@@ -401,6 +458,8 @@ class FinSuperAlg:
         n = len(parities)
         full: dict = {}
         for (i, j), out in table.items():
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"basis index out of range in ({i},{j})")
             out = {k: F(c) for k, c in out.items() if c}
             if (i, j) in full and full[(i, j)] != out:
                 raise ValueError(f"product of {i},{j} given twice")
@@ -417,6 +476,9 @@ class FinSuperAlg:
                     "an anticommutative product")
             want = (parities[i] + parities[j] + product_parity) % 2
             for k in out:
+                if not 0 <= k < n:
+                    raise ValueError(
+                        f"product of {i},{j} hits {k}, out of range")
                 if parities[k] != want:
                     raise ValueError(
                         f"product of {i},{j} hits {k} of the wrong parity")
@@ -538,8 +600,12 @@ def _bound(op, f: MultiLinMap, arity, parities):
     key_parity = lambda key: _key_parity(key, parities)
 
     def bound(v: Vec) -> Vec:
+        parts = split_parity(v, key_parity)
+        if len(parts) == 1:
+            (part, p), = parts
+            return op(f, MultiLinMap.from_vec(part, arity, parities, p)).as_vec()
         acc: Vec = {}
-        for part, p in split_parity(v, key_parity):
+        for part, p in parts:
             g = MultiLinMap.from_vec(part, arity, parities, p)
             acc = vec_add(acc, op(f, g).as_vec())
         return acc
@@ -690,6 +756,8 @@ def tkk(J: FinSuperAlg, depth_cap: int = 6) -> GradedLie:
     the related products, and each further degree the bracket of degree 1 with
     the previous one, up to depth_cap.  Reports whether the chain hit zero.
     """
+    if not isinstance(depth_cap, int):
+        raise ValueError(f"depth_cap must be an integer, got {depth_cap!r}")
     if depth_cap < 1:
         raise ValueError("depth_cap must be at least 1")
     pars = J.parities

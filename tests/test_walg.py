@@ -4,7 +4,9 @@ from itertools import combinations, combinations_with_replacement, product
 from typing import Callable, Sequence
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from superrigid import walg
 from superrigid.catalog import make
 from superrigid.linalg import (
     Subspace,
@@ -226,6 +228,14 @@ class TestFinSuperAlg:
             FinSuperAlg.from_anticommutative(
                 (0, 0, 0), 0, {(0, 1): {2: 1}, (1, 0): {2: 1}})
 
+    def test_output_index_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range"):
+            FinSuperAlg((0,), 0, {(0, 0): {5: 1}})
+
+    def test_anticommutative_input_index_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range"):
+            FinSuperAlg.from_anticommutative((0, 0), 0, {(0, 5): {1: 1}})
+
     def test_mult_vec(self):
         J = js02()
         assert J.mult_vec({0: F(1), 1: F(1)}, {0: F(1)}) == {1: F(1)}
@@ -268,6 +278,14 @@ class TestMultiLinMap:
     def test_parity_check(self):
         with pytest.raises(ValueError):
             MultiLinMap(1, 0, (0, 1), {(0,): {1: 1}})
+
+    def test_key_index_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range"):
+            MultiLinMap(1, 0, (0,), {(3,): {0: 1}})
+
+    def test_output_index_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range"):
+            MultiLinMap(1, 0, (0,), {(0,): {3: 1}})
 
     def test_vec_roundtrip(self):
         rng = random.Random(5)
@@ -489,6 +507,110 @@ class TestWBracket:
         pars = (0, 1)
         f = random_mlm(pars, 2, 1, rng)
         assert w_bracket(f, f) == box(f, f).scale(2)
+
+
+def _w_bracket_reference(f: MultiLinMap, g: MultiLinMap) -> MultiLinMap:
+    """The library's w_bracket before it merged the two box results."""
+    sign = -1 if (f.parity and g.parity) else 1
+    return box(f, g).add(box(g, f).scale(-sign))
+
+
+def _fresh(m: MultiLinMap) -> MultiLinMap:
+    """A copy of m with no kernel table built yet."""
+    return MultiLinMap(m.arity, m.parity, m.parities, m.entries)
+
+
+@st.composite
+def _maps(draw, pars, arity, parity):
+    """A homogeneous map with a few fractional entries, or none."""
+    slots = [(key, k) for key in canonical_keys(len(pars), arity, pars)
+             for k in range(len(pars))
+             if (sum(pars[i] for i in key) + pars[k]) % 2 == parity]
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    vec = draw(st.dictionaries(st.sampled_from(slots), coeffs, max_size=8)
+               if slots else st.just({}))
+    return MultiLinMap.from_vec(vec, arity, pars, parity, check=True)
+
+
+@st.composite
+def _map_pairs(draw):
+    pars = tuple(draw(st.lists(st.integers(0, 1), min_size=1, max_size=3)))
+    f, g = (draw(_maps(pars, draw(st.integers(0, 3)), draw(st.integers(0, 1))))
+            for _ in range(2))
+    return f, g
+
+
+class TestWBracketMerge:
+    """w_bracket merges box(g, f) into box(f, g) in place of add and scale."""
+
+    @given(_map_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_add_scale_reference(self, fg):
+        f, g = fg
+        other = MultiLinMap.zero(1, 0, g.parities + (0,))
+        for a, b in ((f, g), (g, f), (f, f)):
+            with pytest.raises(ValueError, match="different spaces"):
+                w_bracket(a, other)
+            if a.arity + b.arity == 0:
+                with pytest.raises(ValueError, match="underflow"):
+                    w_bracket(a, b)
+                continue
+            want = _w_bracket_reference(_fresh(a), _fresh(b))
+            got = w_bracket(a, b)
+            assert (got.arity, got.parity) == (want.arity, want.parity)
+            assert got == want
+            if a is b and not a.parity:
+                assert got.is_zero()
+
+    def test_even_self_bracket_cancels(self):
+        rng = random.Random(43)
+        pars = (0, 1, 1)
+        for arity in (1, 2, 3):
+            f = random_mlm(pars, arity, 0, rng, den=3)
+            while box(f, f).is_zero():
+                f = random_mlm(pars, arity, 0, rng, den=3)
+            assert w_bracket(f, f).is_zero()
+            assert w_bracket(f, f) == _w_bracket_reference(f, f)
+
+    def test_kept_tables_match_fresh_copies(self):
+        """box, act and w_bracket give the same maps on operands that have
+        already been tabled, in either position, as on fresh copies, and
+        leave their operands unchanged."""
+        rng = random.Random(47)
+        pars = (0, 1, 0, 1)
+        for _ in range(8):
+            f = random_mlm(pars, 1, rng.randint(0, 1), rng, den=3)
+            B = random_mlm(pars, 2, rng.randint(0, 1), rng, den=3)
+            g = random_mlm(pars, rng.randint(0, 3), rng.randint(0, 1), rng,
+                           den=3)
+            before = [{k: dict(v) for k, v in m.entries.items()}
+                      for m in (f, B, g)]
+            calls = [(box, f, B), (box, B, f), (box, B, g), (box, g, B),
+                     (w_bracket, f, g), (w_bracket, g, f),
+                     (w_bracket, B, g), (w_bracket, g, B),
+                     (w_bracket, f, f), (act, f, B)]
+            for _ in range(2):
+                for op, a, b in calls:
+                    assert op(a, b) == op(_fresh(a), _fresh(b))
+            assert [m.entries for m in (f, B, g)] == before
+
+
+def test_each_map_is_tabled_once(monkeypatch):
+    """Over tkk(JS_0_8, 4) and its admissibility check, every map is tabled
+    by box and by act at most once, however many partners it meets."""
+    tabled = {}
+    for name in ("_first_arg_table", "_int_table"):
+        maps = tabled[name] = []
+
+        def counted(m, build=getattr(walg, name), maps=maps):
+            maps.append(m)  # keeps m alive, so ids stay distinct
+            return build(m)
+        monkeypatch.setattr(walg, name, counted)
+    G = tkk(make("JS_0_8").algebra, 4)
+    assert check_admissible_findim(G).admissible
+    for name, maps in tabled.items():
+        assert maps, name
+        assert len({id(m) for m in maps}) == len(maps), name
 
 
 class TestAct:
@@ -837,6 +959,10 @@ class TestTkk:
     def test_depth_cap_validation(self):
         with pytest.raises(ValueError):
             tkk(js02(), depth_cap=0)
+
+    def test_depth_cap_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="integer"):
+            tkk(js02(), depth_cap=2.5)
 
 
 class TestStructureConstantRecovery:
