@@ -194,32 +194,6 @@ class MultiLinMap:
             return dict(images)
         return {k: -c for k, c in images.items()}
 
-    def add(self, other: "MultiLinMap") -> "MultiLinMap":
-        if self.arity != other.arity or self.parities != other.parities:
-            raise ValueError("shape mismatch")
-        if not self.is_zero() and not other.is_zero() and self.parity != other.parity:
-            raise ValueError("parity mismatch")
-        parity = other.parity if self.is_zero() else self.parity
-        ent = {k: dict(v) for k, v in self.entries.items()}
-        for key, out in other.entries.items():
-            slot = ent.setdefault(key, {})
-            for k, c in out.items():
-                s = slot.get(k, F(0)) + c
-                if s:
-                    slot[k] = s
-                else:
-                    slot.pop(k, None)
-        ent = {k: v for k, v in ent.items() if v}
-        return MultiLinMap(self.arity, parity, self.parities, ent, check=False)
-
-    def scale(self, c) -> "MultiLinMap":
-        c = F(c)
-        if c == 0:
-            return MultiLinMap.zero(self.arity, self.parity, self.parities)
-        ent = {key: {k: c * v for k, v in out.items()}
-               for key, out in self.entries.items()}
-        return MultiLinMap(self.arity, self.parity, self.parities, ent, check=False)
-
     def __eq__(self, other):
         return (isinstance(other, MultiLinMap)
                 and self.arity == other.arity

@@ -1,0 +1,172 @@
+"""The series product of OjpSpace: the prepared left factor against the
+one-shot product it replaced, the operator-relation suite's tables and
+input checks, and the LP closed-form check's failure detail."""
+import random
+import re
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import random_jet
+from superrigid import catalog
+from superrigid.catalog import (
+    CatalogError,
+    OjpSpace,
+    _sgn,
+    elem_add,
+    make,
+    ojp_probe_pairs,
+    ojp_relation_suite,
+)
+from superrigid.jets import Jet
+
+
+# The library's one-shot series product before it prepared its left factor,
+# verbatim but for self -> space.
+
+def _product_reference(space: OjpSpace, u: Jet, v: Jet) -> Jet:
+    out = Jet.zero(space.ambient)
+    for pu_part, pu in u.parity_parts():
+        f1, g1 = space.split(pu_part)
+        for pv_part, pv in v.parity_parts():
+            f2, g2 = space.split(pv_part)
+            if not f1.is_zero() and not f2.is_zero():
+                out = out + _pp(space, f1, pu, f2)
+            if not f1.is_zero() and not g2.is_zero():
+                out = out + _pe(space, f1, pu, g2)
+            if not g1.is_zero() and not f2.is_zero():
+                out = out + _pe(space, f2, pv, g1).scale(_sgn(pu & pv))
+            if not g1.is_zero() and not g2.is_zero():
+                out = out + _ee(space, g1, pu ^ 1, g2)
+    return out
+
+
+def _pp(space: OjpSpace, f1: Jet, p1: int, f2: Jet) -> Jet:
+    res = space.pbracket(f1, f2).scale(_sgn(p1 + 1))
+    return res + (space.eta() * (f1 * f2)).scale(2)
+
+
+def _pe(space: OjpSpace, f: Jet, p: int, g: Jet) -> Jet:
+    res = space.eta() * space.pbracket(f, g)
+    res = res - (space.dx(f) * g).scale(_sgn(p))
+    res = res - (space.eta() * (space.D(f) * g)).scale(_sgn(p))
+    return res
+
+
+def _ee(space: OjpSpace, g1: Jet, p1: int, g2: Jet) -> Jet:
+    return (space.eta() * (space.dx(g1) * g2 - g1 * space.dx(g2))
+            ).scale(_sgn(p1))
+
+
+ORDERS = st.sampled_from([None, 0, 1, 2, 3])
+SPACES = st.sampled_from([(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)])
+
+
+def _factor(space, rng, parity, order):
+    """A random jet of the given parity (None: any, often mixed) with the
+    marker in some terms, zero one time in five, truncated to ``order``."""
+    if rng.random() < 0.2:
+        return Jet.zero(space.ambient).truncate(order)
+    f = random_jet(space.ambient, rng, parity=parity,
+                   n_terms=rng.randint(1, 5))
+    return f.truncate(order)
+
+
+@given(st.integers(0, 2**30), SPACES, st.sampled_from([0, 1, None]), ORDERS,
+       st.integers(1, 6))
+@settings(max_examples=150, deadline=None)
+def test_prepared_left_matches_one_shot_product(seed, nm, pu, ou, n):
+    """One prepared u against a run of v's: each result equals the one-shot
+    product under ==, validity order included, so nothing kept for one v
+    leaks into the next."""
+    space = OjpSpace(*nm)
+    rng = random.Random(seed)
+    u = _factor(space, rng, pu, ou)
+    left = space.left(u)
+    for _ in range(n):
+        v = _factor(space, rng, rng.choice([0, 1, None]),
+                    rng.choice([None, 0, 1, 2, 3]))
+        assert left(v) == _product_reference(space, u, v)
+        assert space.product(u, v) == _product_reference(space, u, v)
+
+
+@pytest.mark.parametrize("n, m", [
+    ("1", 1), (1.5, 1), (True, 2), (1, True), (1, 2.0), (None, 0),
+    (-1, 0), (1, 3),
+])
+def test_carrier_rejects_bad_indices(n, m):
+    with pytest.raises(CatalogError, match="carrier needs integers"):
+        OjpSpace(n, m)
+
+
+@pytest.mark.parametrize("n, m", [(0, 0), (0, 1), (2, 3)])
+def test_carrier_accepts_integer_indices(n, m):
+    space = OjpSpace(n, m)
+    assert (space.n, space.m, space.has_d) == (n, m, m == n + 1)
+
+
+@pytest.mark.parametrize("bad", ["mixed", "zero"])
+def test_relation_suite_rejects_bad_probe(bad):
+    space = OjpSpace(1, 1)
+    pairs = ojp_probe_pairs(space, 6)
+    amb = space.ambient
+    probe = (Jet.x(amb, 1) + Jet.xi(amb, 1) if bad == "mixed"
+             else Jet.zero(amb))
+    shown = re.escape("xi1 + x1" if bad == "mixed" else "0")
+    for probe_pairs in ([(pairs[0][0], probe)], [(probe, pairs[0][1])]):
+        with pytest.raises(CatalogError, match=f"got {shown}$"):
+            ojp_relation_suite(space, pairs[:2], probe_pairs)
+
+
+@pytest.mark.parametrize("nm", [(1, 1), (2, 2), (1, 2)])
+def test_relation_suite_makes_each_product_once(nm, monkeypatch):
+    """One suite call prepares each left factor once and evaluates each
+    product u o v once, equal jets counting as the same factor."""
+    prepared, evaluated = [], []
+    left = OjpSpace.left
+
+    def counted(self, u):
+        prepared.append(u)
+        inner = left(self, u)
+
+        def product(v):
+            evaluated.append((u, v))
+            return inner(v)
+        return product
+    monkeypatch.setattr(OjpSpace, "left", counted)
+    space = OjpSpace(*nm)
+    pairs = ojp_probe_pairs(space, 6)
+    assert ojp_relation_suite(space, pairs, pairs[:3]).passed
+    assert prepared and evaluated
+    assert len(set(prepared)) == len(prepared)
+    assert len(set(evaluated)) == len(evaluated)
+
+
+# A deliberately broken LP row: a left factor with the marker gains
+# x_k * f * g against every g with x_k.  The closed-form check must still
+# name the first mismatch in its loop order.
+@pytest.mark.parametrize("name, k, detail", [
+    ("LP_1_1", 1, "mismatch at xi1*xi2, x1"),
+    ("LP_1_1", 2, "mismatch at xi1*xi2, x2"),
+    ("LP_2_2", 2, "mismatch at xi1*xi2*xi3, x2"),
+])
+def test_lp_closed_form_names_first_mismatch(name, k, detail):
+    entry = make(name)
+    space, rule = entry.space, entry.rules["j", "j"]
+    xk = Jet.x(entry.ambient, k)
+
+    def broken(f, p):
+        inner = rule(f, p)
+        marked = any(space.eta_j in m[1] for m in f.terms)
+
+        def bound(g, q):
+            out = inner(g, q)
+            if marked and any(m[0][k - 1] for m in g.terms):
+                out = elem_add(out, {"j": xk * f * g})
+            return out
+        return bound
+    entry.rules["j", "j"] = broken
+    assert catalog._lp_closed_form(entry, 4, random.Random(0)) == (
+        False, detail)
+    assert catalog._lp_closed_form(make(name), 4, random.Random(0)) == (
+        True, "40^2 monomial pairs")

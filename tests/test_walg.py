@@ -86,6 +86,37 @@ def random_mlm(pars, arity, parity, rng, den=1):
     return MultiLinMap(arity, parity, pars, entries)
 
 
+# MultiLinMap.add and MultiLinMap.scale as the library had them, before
+# w_bracket merged its two box results in place; only the tests use them.
+
+def mlm_add(f: MultiLinMap, other: MultiLinMap) -> MultiLinMap:
+    if f.arity != other.arity or f.parities != other.parities:
+        raise ValueError("shape mismatch")
+    if not f.is_zero() and not other.is_zero() and f.parity != other.parity:
+        raise ValueError("parity mismatch")
+    parity = other.parity if f.is_zero() else f.parity
+    ent = {k: dict(v) for k, v in f.entries.items()}
+    for key, out in other.entries.items():
+        slot = ent.setdefault(key, {})
+        for k, c in out.items():
+            s = slot.get(k, F(0)) + c
+            if s:
+                slot[k] = s
+            else:
+                slot.pop(k, None)
+    ent = {k: v for k, v in ent.items() if v}
+    return MultiLinMap(f.arity, parity, f.parities, ent, check=False)
+
+
+def mlm_scale(f: MultiLinMap, c) -> MultiLinMap:
+    c = F(c)
+    if c == 0:
+        return MultiLinMap.zero(f.arity, f.parity, f.parities)
+    ent = {key: {k: c * v for k, v in out.items()}
+           for key, out in f.entries.items()}
+    return MultiLinMap(f.arity, f.parity, f.parities, ent, check=False)
+
+
 # ---------------------------------------------------------------------------
 # Dense independent oracle for small even commutative algebras.  Bilinear maps
 # are nested lists, operators dense matrices; closures by naive elimination.
@@ -335,10 +366,10 @@ class TestBox:
             a = random_mlm(pars, aa, pa, rng)
             b = random_mlm(pars, ab, pb, rng)
             c = random_mlm(pars, ac, pc, rng)
-            lhs = box(box(a, b), c).add(box(a, box(b, c)).scale(-1))
-            rhs = box(box(a, c), b).add(box(a, box(c, b)).scale(-1))
+            lhs = mlm_add(box(box(a, b), c), mlm_scale(box(a, box(b, c)), -1))
+            rhs = mlm_add(box(box(a, c), b), mlm_scale(box(a, box(c, b)), -1))
             sign = -1 if (pb and pc) else 1
-            assert lhs.add(rhs.scale(-sign)).is_zero()
+            assert mlm_add(lhs, mlm_scale(rhs, -sign)).is_zero()
 
 
 # The library's box before its entry-driven kernel, verbatim; the helper it
@@ -449,7 +480,7 @@ class TestBoxKernel:
             u = random_mlm(pars, au, pu, rng, den=3)
             v = random_mlm(pars, av, pv, rng, den=3)
             sign = -1 if (pu and pv) else 1
-            assert w_bracket(v, u) == w_bracket(u, v).scale(-sign)
+            assert w_bracket(v, u) == mlm_scale(w_bracket(u, v), -sign)
 
 
 class TestWBracket:
@@ -462,7 +493,8 @@ class TestWBracket:
             f = random_mlm(pars, af, pf, rng)
             g = random_mlm(pars, ag, pg, rng)
             sign = -1 if (pf and pg) else 1
-            assert w_bracket(f, g).add(w_bracket(g, f).scale(sign)).is_zero()
+            assert mlm_add(w_bracket(f, g),
+                           mlm_scale(w_bracket(g, f), sign)).is_zero()
 
     def test_super_jacobi(self):
         rng = random.Random(13)
@@ -479,8 +511,8 @@ class TestWBracket:
             lhs = w_bracket(f, w_bracket(g, h))
             rhs = w_bracket(w_bracket(f, g), h)
             sign = -1 if (ps[0] and ps[1]) else 1
-            rhs = rhs.add(w_bracket(g, w_bracket(f, h)).scale(sign))
-            assert lhs.add(rhs.scale(-1)).is_zero()
+            rhs = mlm_add(rhs, mlm_scale(w_bracket(g, w_bracket(f, h)), sign))
+            assert mlm_add(lhs, mlm_scale(rhs, -1)).is_zero()
 
     def test_matches_operator_superbracket(self):
         rng = random.Random(17)
@@ -506,13 +538,13 @@ class TestWBracket:
         rng = random.Random(19)
         pars = (0, 1)
         f = random_mlm(pars, 2, 1, rng)
-        assert w_bracket(f, f) == box(f, f).scale(2)
+        assert w_bracket(f, f) == mlm_scale(box(f, f), 2)
 
 
 def _w_bracket_reference(f: MultiLinMap, g: MultiLinMap) -> MultiLinMap:
     """The library's w_bracket before it merged the two box results."""
     sign = -1 if (f.parity and g.parity) else 1
-    return box(f, g).add(box(g, f).scale(-sign))
+    return mlm_add(box(f, g), mlm_scale(box(g, f), -sign))
 
 
 def _fresh(m: MultiLinMap) -> MultiLinMap:
@@ -618,7 +650,7 @@ class TestAct:
         J = js02()
         mu = J.mu_map()
         out = act(MultiLinMap.identity(J.parities), mu)
-        assert out == mu.scale(-1)
+        assert out == mlm_scale(mu, -1)
 
     def test_zero_operator(self):
         J = js02()
