@@ -435,3 +435,31 @@ def test_verify_entry_first_failure_in_sample_order(name, symmetry, closure):
         r, {"j": x1 * f * g}) if (f, g) in bad else r)
     assert check_details(catalog.verify_entry(entry)) == [
         ("symmetry", False, symmetry), ("closure", False, closure)]
+
+
+# sha256 over (parities, product_parity, anticommutative_presentation, the
+# sorted table with sorted cells) of each finite entry's FinSuperAlg: its
+# exact structure constants in basis order, labels left out.
+FINITE_DIGESTS = {
+    "JS_0_2":
+        "f39f0f65b991c3a0b70721439011a215f6919390ab15ed4c24542204ee84382d",
+    "LW_0_2":
+        "d7bcb1b36f46772ac1bd6e21aae7d349ea00eb2f192e6e4119023f1ad9d6a138",
+    "JW_0_4":
+        "8cbfecc771f8fdb4737362a391619b69bec3866a4156c5890c988a31e032dece",
+    "JW_0_8":
+        "fbaa2a071292e94a46f24fc7d0b36ed689b30ba211bc576ae86c7e132c2f97f6",
+    "JS_0_8":
+        "cc9ad7d182ebaaf4a02fc4574bce0ec3fd20b0c062433b84e602ffd31b51c85b",
+    "JS_0_16":
+        "75920c5a2256c6977cc03f86a1c77301b849cbd30f801c8c3633861bf4a9b1db",
+}
+
+
+@pytest.mark.parametrize("name", FINITE_DIGESTS)
+def test_finite_structure_constants(name):
+    alg = make(name).algebra
+    table = sorted((ij, sorted(cell.items())) for ij, cell in alg.table.items())
+    key = (alg.parities, alg.product_parity, alg.anticommutative_presentation,
+           table)
+    assert hashlib.sha256(repr(key).encode()).hexdigest() == FINITE_DIGESTS[name]
