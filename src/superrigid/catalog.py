@@ -1,11 +1,14 @@
 """Catalog of the classified simple rigid products.
 
 Entries come in two kinds.  Finite entries carry exact structure constants
-in a FinSuperAlg and run the full simplicity and rigidity machinery.  Oracle
-entries describe infinite-dimensional products through jet coefficients: a
-carrier (an ambient, a kernel, or a quotient), a named slot layout, and a
-table of product rules keyed by ordered slot pair.  A pair missing from the
-table multiplies to zero, and each mirror pair is a row of its own.
+in a FinSuperAlg and run the full simplicity and rigidity machinery.  Each is
+either a small table or a graded row: a vector-field family, its odd weights
+and an even mu in g_1, with x o y = [[mu, x], y] on g_-1 (``product_from_mu``).
+Oracle entries describe infinite-dimensional products through jet
+coefficients: a carrier (an ambient, a kernel, or a quotient), a named slot
+layout, and a table of product rules keyed by ordered slot pair.  A pair
+missing from the table multiplies to zero, and each mirror pair is a row of
+its own.
 
 Conventions shared by all entries:
 
@@ -28,10 +31,11 @@ from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from .brackets import (Pairing, _odd_pairing, bound_bracket, buttin,
-                       fd_bracket, k_bracket, paired_bracket, quasi_poisson)
-from .fields import FamilyRealization, GradingSpec, VectorField
+                       fd_bracket, k_bracket, quasi_poisson)
+from .fields import (FamilyRealization, GradingSpec, VectorField, format_field,
+                     parse_field)
 from .jets import Ambient, Jet, div_beta, format_jet, odd_laplacian
-from .linalg import ideal_closure, nullspace, span_reduce, vec_clean
+from .linalg import ideal_closure, nullspace, span_reduce
 from .walg import FinSuperAlg, format_element, is_rigid, is_simple
 
 
@@ -346,11 +350,6 @@ class OjpSpace:
             return Jet.zero(self.ambient)
         return f.d_tau().scale(-2)
 
-    def pbracket(self, f: Jet, g: Jet) -> Jet:
-        """Odd Poisson bracket of the coefficient algebra; the series
-        variable and the marker ride along as passengers."""
-        return paired_bracket(self._pairing, f, g)
-
     def split(self, f: Jet) -> tuple[Jet, Jet]:
         """Write f = plain + marker * rest; returns (plain, rest)."""
         plain = {m: c for m, c in f.terms.items() if self.eta_j not in m[1]}
@@ -362,7 +361,8 @@ class OjpSpace:
 
     def left(self, u: Jet) -> Callable[[Jet], Jet]:
         """v -> u o v.  With f1 + eta g1 a part of u of parity p, f2 + eta g2
-        one of v of parity q, {,} = pbracket and w = dx + eta D, u o v
+        one of v of parity q, {,} the odd Poisson bracket of the pairing (the
+        series variable and the marker ride along) and w = dx + eta D, u o v
         sums (-1)^(p+1) {f1, f2} + 2 eta f1 f2 + eta {f1, g2} - (-1)^p w(f1) g2
         - (-1)^p eta {g1, f2} - (-1)^((p+1)q) w(f2) g1 + (-1)^(p+1) eta (dx(g1)
         g2 - g1 dx(g2)), as {f2, g1} = -(-1)^((q+1)p) {g1, f2}."""
@@ -620,103 +620,77 @@ def _entry_lw_0_2() -> FiniteEntry:
         summary="even element acting on an odd copy whose square returns it")
 
 
-def _jdd_entry(name: str, amb: Ambient, d1: VectorField | None,
-               d2: VectorField | None, mu1, mu2, summary: str) -> FiniteEntry:
-    """Free rank-two module over a finite exterior coefficient algebra with
-    the formal derivation-pair product and an optional odd correction on the
-    cross terms.  Both module blocks are kept even when a derivation is zero.
+# name -> (family, odd weights, mu as (coefficient, slot) pairs).  On each
+# row the even part of g_1 maps injectively to tables, so mu is the only
+# element of it that gives the entry's table.
+_GRADED: dict = {
+    "JW_0_4": ("W", (1, 1, 0), (
+        ("-xi1*xi2*xi3", "dxi1"), ("-xi1*xi2*xi3", "dxi2"), ("-xi1", "dxi3"))),
+    "JW_0_8": ("W", (1, 1, 0, 0), (
+        ("-xi1*xi2*xi3", "dxi1"), ("-xi1*xi2*xi3", "dxi2"),
+        ("-xi1 - xi2*xi3*xi4", "dxi3"), ("-xi2", "dxi4"))),
+    "JS_0_8": ("S", (1, 1, 0, 0), (
+        ("-xi1*xi2*xi3 - xi1*xi2*xi4", "dxi1"), ("-xi1*xi2*xi3", "dxi2"),
+        ("-xi1 - xi2*xi3*xi4", "dxi3"),
+        ("-xi2 - xi1*xi3*xi4 + xi2*xi3*xi4", "dxi4"))),
+    "JS_0_16": ("S", (1, 1, 0, 0, 0), (
+        ("-xi1 - xi2*xi3*xi4", "dxi3"), ("-xi2", "dxi4"),
+        ("-xi1*xi3*xi4 - xi2*xi3*xi4 - xi2*xi4*xi5", "dxi5"))),
+}
+
+
+def _graded_entry(name: str) -> FiniteEntry:
+    family, weights, pairs = _GRADED[name]
+    mu = parse_field(pairs, Ambient(0, len(weights)))
+    alg = product_from_mu(family, GradingSpec((), weights), mu)
+    return FiniteEntry(
+        name, alg,
+        summary=f"g_-1 of {family}(0|{len(weights)}) graded by odd weights "
+                f"{weights}, with x o y = [[mu, x], y] for an even mu in g_1")
+
+
+def product_from_mu(family: str, spec: GradingSpec, mu, order: int = 4,
+                    beta=None) -> FinSuperAlg:
+    """The product x o y = [[mu, x], y] on the bottom component g_-1 of a
+    graded family, as a table over its monomial basis.
+
+    ``mu`` must be even and of pure weighted degree one, and g_-2 must
+    vanish; then the product is supersymmetric.  Basis vectors are ordered
+    by slot, then by their coefficient's degree and indices, and labelled
+    with their printed form.  ``order`` caps the coefficients' x-degrees; a basis that is not
+    monomial, or a product leaving the window, raises CatalogError.
     """
-    monos = sorted(amb.monomials(0), key=lambda m: (len(m[1]), m[1]))
-    basis = [(1, m) for m in monos] + [(2, m) for m in monos]
-    index = {bm: i for i, bm in enumerate(basis)}
-    zero = lambda f: Jet.zero(amb)
-    derivs = [None, d1.apply if d1 else zero, d2.apply if d2 else zero]
-    unit = ((), ())
-
-    def lab(blk, m):
-        if m == unit:
-            return f"D{blk}"
-        return f"{format_jet(Jet(amb, {m: F(1)}))}*D{blk}"
-
-    parities = tuple((len(m[1]) + 1) & 1 for _, m in basis)
+    real = FamilyRealization(family, spec, beta=beta)
+    if real.parity(mu) != 0:
+        raise CatalogError("mu must be parity-homogeneous and even")
+    if real.degrees(mu) != {1}:
+        raise CatalogError(
+            f"mu must have pure degree 1, found degrees {real.degrees(mu)}")
+    if real.basis_of_degree(-2, order):
+        raise CatalogError("g_-2 must vanish for a supersymmetric product")
+    keys = []
+    for x in real.basis_of_degree(-1, order):
+        vec = real.to_vec(x)
+        if list(vec.values()) != [1]:
+            raise CatalogError(f"g_-1 basis vector {x!r} is not a monomial")
+        keys += vec
+    keys.sort(key=lambda k: (k[:-1], len(k[-1]), k[-1]))
+    index = {k: i for i, k in enumerate(keys)}
+    basis = [real.from_vec({k: F(1)}) for k in keys]
+    fmt = format_field if real.field_side else format_jet
+    labels = [fmt(x) for x in basis]
     table = {}
-    for i, (b1, m1) in enumerate(basis):
-        f1 = Jet(amb, {m1: F(1)})
+    for i, x in enumerate(basis):
+        mux = real.bracket(mu, x)
         for j in range(i, len(basis)):
-            b2, m2 = basis[j]
-            f2 = Jet(amb, {m2: F(1)})
-            res = fd_bracket(f1, len(m1[1]) & 1, b1, b2, derivs, plus=True,
-                             odd_type=True)(f2, len(m2[1]) & 1)
-            if (b1, b2) == (1, 2) and (mu1 or mu2):
-                s = _sgn(len(m2[1]) & 1)
-                for blk, mu in ((1, mu1), (2, mu2)):
-                    if mu:
-                        res[blk] = res.get(blk, Jet.zero(amb)) \
-                            + mu(f1, f2).scale(s)
-            cell: dict = {}
-            for blk, jet in res.items():
-                for m, c in jet.terms.items():
-                    k = index[(blk, m)]
-                    cell[k] = cell.get(k, F(0)) + c
-            cell = vec_clean(cell)
-            if cell:
-                table[(i, j)] = cell
-    alg = FinSuperAlg(parities, 0, table,
-                      tuple(lab(b, m) for b, m in basis))
-    return FiniteEntry(name, alg, summary=summary)
-
-
-def _entry_jw_0_4() -> FiniteEntry:
-    amb = Ambient(0, 1)
-    one = Jet.one(amb)
-    xi = Jet.xi(amb, 1)
-    d1 = VectorField(amb, {("xi", 1): one})
-    mu = lambda f, g: (f * g) * xi
-    return _jdd_entry(
-        "JW_0_4", amb, d1, None, mu, mu,
-        summary="rank-two module over one odd generator; one derivation "
-                "acts, the cross product carries an odd correction")
-
-
-def _entry_jw_0_8() -> FiniteEntry:
-    amb = Ambient(0, 2)
-    one = Jet.one(amb)
-    xi1, xi2 = Jet.xi(amb, 1), Jet.xi(amb, 2)
-    d1 = VectorField(amb, {("xi", 1): one})
-    d2 = VectorField(amb, {("xi", 2): one, ("xi", 1): xi1 * xi2})
-    mu = lambda f, g: (f * g) * xi1
-    return _jdd_entry(
-        "JW_0_8", amb, d1, d2, mu, mu,
-        summary="rank-two module over two odd generators with a twisted "
-                "second derivation and one odd cross correction")
-
-
-def _entry_js_0_8() -> FiniteEntry:
-    amb = Ambient(0, 2)
-    one = Jet.one(amb)
-    xi1, xi2 = Jet.xi(amb, 1), Jet.xi(amb, 2)
-    prod = xi1 * xi2
-    d1 = VectorField(amb, {("xi", 1): one, ("xi", 2): prod})
-    d2 = VectorField(amb, {("xi", 2): one - prod, ("xi", 1): prod})
-    mu1 = lambda f, g: (f * g) * (xi1 + xi2)
-    mu2 = lambda f, g: (f * g) * xi1
-    return _jdd_entry(
-        "JS_0_8", amb, d1, d2, mu1, mu2,
-        summary="rank-two module over two odd generators with twisted "
-                "derivations and two distinct odd cross corrections")
-
-
-def _entry_js_0_16() -> FiniteEntry:
-    amb = Ambient(0, 3)
-    one = Jet.one(amb)
-    xi1, xi2, xi3 = (Jet.xi(amb, j) for j in (1, 2, 3))
-    d1 = VectorField(amb, {("xi", 1): one, ("xi", 3): xi1 * xi2})
-    d2 = VectorField(amb, {("xi", 2): one, ("xi", 1): xi1 * xi2,
-                           ("xi", 3): xi2 * xi3 + xi1 * xi2})
-    return _jdd_entry(
-        "JS_0_16", amb, d1, d2, None, None,
-        summary="rank-two module over three odd generators; both "
-                "derivations twisted, no cross correction")
+            cell = {}
+            for k, c in real.to_vec(real.bracket(mux, basis[j])).items():
+                if k not in index:
+                    raise CatalogError(f"[[mu, {labels[i]}], {labels[j]}] "
+                                       "leaves the degree -1 window")
+                cell[index[k]] = c
+            table[(i, j)] = cell
+    return FinSuperAlg([real.parity(x) for x in basis], 0, table, labels)
 
 
 # -- oracle builders: shared rows -------------------------------------------
@@ -1391,34 +1365,15 @@ def ideal_spot_checks(entry, seeds: Sequence | None = None,
     return SpotIdealReport(entry.name, order, out)
 
 
-# -- products carved from graded families ----------------------------------
-
-
-def product_from_mu(family: str, spec: GradingSpec, mu, x, y,
-                    order: int = 4, beta=None):
-    """Quadratic product on the bottom component of a graded family:
-    bracket the degree-one element with each argument in turn.
-
-    ``mu`` must be parity-homogeneous of pure weighted degree one.
-    """
-    real = FamilyRealization(family, spec, beta=beta)
-    if real.parity(mu) is None:
-        raise CatalogError("mu must be parity-homogeneous")
-    if real.degrees(mu) != {1}:
-        raise CatalogError(
-            f"mu must have pure degree 1, found degrees {real.degrees(mu)}")
-    return real.bracket(real.bracket(mu, x), y)
-
-
 # -- registry ---------------------------------------------------------------
 
 
 _FIXED: dict = {
     "JS_0_2": ((), "", _entry_js_0_2),
-    "JW_0_4": ((), "", _entry_jw_0_4),
-    "JW_0_8": ((), "", _entry_jw_0_8),
-    "JS_0_8": ((), "", _entry_js_0_8),
-    "JS_0_16": ((), "", _entry_js_0_16),
+    "JW_0_4": ((), "", partial(_graded_entry, "JW_0_4")),
+    "JW_0_8": ((), "", partial(_graded_entry, "JW_0_8")),
+    "JS_0_8": ((), "", partial(_graded_entry, "JS_0_8")),
+    "JS_0_16": ((), "", partial(_graded_entry, "JS_0_16")),
     "LW_0_2": ((), "", _entry_lw_0_2),
     "JS_1_1": ((), "", _entry_js_1_1),
     "JSHO_2_2": ((), "", _entry_jsho_2_2),

@@ -23,6 +23,7 @@ from superrigid.brackets import (
     odd_jacobi_defect,
     odd_leibniz_defect,
     odd_skew_defect,
+    paired_bracket,
     quasi_poisson,
 )
 from superrigid.catalog import OjpSpace, _sgn
@@ -524,7 +525,7 @@ class TestAgainstReferences:
     def test_ojp_pbracket(self, seed, pf, of, og, nm):
         space = OjpSpace(*nm)
         f, g = _pair(space.ambient, seed, pf, of, og)
-        _same(lambda: space.pbracket(f, g),
+        _same(lambda: paired_bracket(space._pairing, f, g),
               lambda: _pbracket_reference(space, f, g))
 
     @given(st.integers(0, 2**30), ORDERS, st.integers(0, 3),

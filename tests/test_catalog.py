@@ -17,13 +17,16 @@ from superrigid.catalog import (
     product_from_mu,
     registry_listing,
 )
-from superrigid.fields import FamilyRealization, GradingSpec, VectorField
+from superrigid.fields import (FamilyRealization, GradingSpec, VectorField,
+                               parse_field)
 from superrigid.jets import Ambient, Jet
-from superrigid.linalg import Subspace, _accept
-from superrigid.walg import FinSuperAlg, check_admissible_findim, is_rigid, tkk
+from superrigid.linalg import Subspace, _accept, nullspace
+from superrigid.walg import (FinSuperAlg, _one_step_orbit, check_admissible_findim,
+                             is_rigid, tkk)
 
 
-# JW_0_8 (24/24) fails its rigidity check and is deliberately not pinned.
+# JW_0_8 (24/24) fails its rigidity check; test_jw_0_8_orbit_deficit pins
+# how.
 @pytest.mark.parametrize("name, dim_str, dim_r", [
     ("JS_0_2", 3, 4),
     ("LW_0_2", 4, 4),
@@ -37,15 +40,34 @@ def test_rigidity_dims(name, dim_str, dim_r):
     assert rep.rigid and rep.witness is None
 
 
+def test_jw_0_8_orbit_deficit():
+    # Str and R are both 24-dimensional, but the one-step orbit of the
+    # product under Str is 23: JW_0_8 fails its own rigidity check, and the
+    # failure stays visible.
+    J = make("JW_0_8").algebra
+    rep = is_rigid(J)
+    assert (rep.dim_str, rep.dim_r, rep.rigid) == (24, 24, False)
+    assert _one_step_orbit(J.mu_map(), rep.str_space).dim == 23
+    assert rep.witness is not None
+
+
 def test_jw_0_4_graded_expansion():
     G = tkk(make("JW_0_4").algebra, depth_cap=4)
-    assert G.dims == {-1: 4, 0: 10, 1: 8, 2: 2, 3: 0}
+    assert G.dims == ROW_TKK["JW_0_4"]
     assert G.terminated
     assert check_admissible_findim(G).admissible
 
 
-# JW_0_8 fails its degree-one condition along with its rigidity check and is
-# deliberately not pinned.
+def test_jw_0_8_graded_expansion():
+    # The expansion is W(0|4) (see test_graded_row_certificate), but its
+    # degree-one condition fails along with the rigidity check.
+    G = tkk(make("JW_0_8").algebra, depth_cap=4)
+    assert (G.dims, G.terminated) == (ROW_TKK["JW_0_8"], True)
+    rep = check_admissible_findim(G)
+    assert (rep.degree_one_spanned, rep.degree_zero_generated,
+            rep.chain_consistent) == (False, True, True)
+
+
 GRADED = {
     "JS_0_2": ({-1: 2, 0: 3, 1: 4, 2: 5, 3: 6, 4: 7}, False),
     "LW_0_2": ({-1: 2, 0: 4, 1: 4, 2: 4, 3: 4, 4: 4}, False),
@@ -59,6 +81,34 @@ def test_graded_expansion(name):
     G = tkk(make(name).algebra, depth_cap=4)
     assert (G.dims, G.terminated) == GRADED[name]
     assert check_admissible_findim(G).admissible
+
+
+# The pinned expansion of each graded row's entry.
+ROW_TKK = {
+    "JW_0_4": {-1: 4, 0: 10, 1: 8, 2: 2, 3: 0},
+    "JW_0_8": {-1: 8, 0: 24, 1: 24, 2: 8, 3: 0},
+    "JS_0_8": GRADED["JS_0_8"][0],
+    "JS_0_16": GRADED["JS_0_16"][0],
+}
+
+
+@pytest.mark.parametrize("name", catalog._GRADED)
+def test_graded_row_certificate(name):
+    family, weights, _ = catalog._GRADED[name]
+    spec = GradingSpec((), weights)
+    real = FamilyRealization(family, spec)
+    # The entry's expansion is the row's family, component by component.
+    assert ROW_TKK[name] == {k: len(real.basis_of_degree(k, 0))
+                             for k in range(-1, 4)}
+    # mu -> table is injective on the even part of g_1, so the row's mu is
+    # the only one that gives the entry's table.
+    even = [x for x in real.basis_of_degree(1, 0) if real.parity(x) == 0]
+
+    def table(i):
+        cells = product_from_mu(family, spec, even[i]).table.items()
+        return {(ij, k): c for ij, cell in cells for k, c in cell.items()}
+
+    assert even and nullspace(range(len(even)), table) == []
 
 
 def test_spot_check_is_two_sided():
@@ -269,21 +319,51 @@ def w03_xi(*js):
 
 def test_product_from_mu():
     mu = w03_xi(1, 2, 3) * w03_d(1) + w03_xi(2) * w03_d(3)
-    got = product_from_mu("W", W03_SPEC, mu, w03_d(1), w03_d(2))
-    assert got == (w03_xi(3) * w03_d(1)).scale(-1)
-    # The product stays in the bottom component.
+    alg = product_from_mu("W", W03_SPEC, mu)
+    basis = [w03_d(1), w03_xi(3) * w03_d(1), w03_d(2), w03_xi(3) * w03_d(2)]
+    assert alg.labels == ("dxi1", "xi3*dxi1", "dxi2", "xi3*dxi2")
+    assert alg.parities == (1, 0, 1, 0)
+    assert alg.product(0, 2) == {1: -1}
+    # Every cell, both orders, is [[mu, x], y] in g_-1.
     real = FamilyRealization("W", W03_SPEC)
-    assert real.degrees(got) == {-1}
+    for i, x in enumerate(basis):
+        for j, y in enumerate(basis):
+            got = VectorField.zero(W03)
+            for k, c in alg.product(i, j).items():
+                got = got + basis[k].scale(c)
+            assert got == real.bracket(real.bracket(mu, x), y)
 
 
 @pytest.mark.parametrize("mu, reason", [
     (w03_xi(1, 2) * w03_d(1) + w03_xi(1) * w03_d(3),
      "mu must be parity-homogeneous"),
-    (w03_xi(1, 2) * w03_d(1) + w03_d(3), r"pure degree 1, found degrees"),
+    (w03_xi(1, 2, 3) * w03_d(1) + w03_xi(3) * w03_d(3),
+     r"pure degree 1, found degrees"),
+    (w03_xi(1, 3) * w03_d(3), "mu must be parity-homogeneous and even"),
 ])
 def test_product_from_mu_rejects(mu, reason):
     with pytest.raises(CatalogError, match=reason):
-        product_from_mu("W", W03_SPEC, mu, w03_d(1), w03_d(2))
+        product_from_mu("W", W03_SPEC, mu)
+
+
+# W(0|2) with odd weights (2, 1), whose g_-2 holds dxi1; W(1|3) with odd
+# weights (1, 1, 0) and a weight-0 even generator, cut at x-degree 4; S(0|3)
+# with odd weights (-1, 0, 0), whose g_-1 holds -xi1*xi2*dxi2 + xi1*xi3*dxi3.
+W13 = Ambient(1, 3)
+
+
+@pytest.mark.parametrize("family, spec, mu, reason", [
+    ("W", GradingSpec((), (2, 1)),
+     parse_field([("xi1", "dxi2")], Ambient(0, 2)), "g_-2 must vanish"),
+    ("W", GradingSpec((0,), (1, 1, 0)),
+     parse_field([("x1*xi1*xi2*xi3", "dxi1")], W13),
+     r"\[\[mu, dxi1\], x1\^4\*dxi2\] leaves the degree -1 window"),
+    ("S", GradingSpec((), (-1, 0, 0)), w03_xi(2) * w03_d(1),
+     "is not a monomial"),
+])
+def test_product_from_mu_rejects_grading(family, spec, mu, reason):
+    with pytest.raises(CatalogError, match=reason):
+        product_from_mu(family, spec, mu)
 
 
 # sha256 over sorted(to_vec(a o b).items()) for every ordered pair of

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_jet
 from superrigid import catalog
+from superrigid.brackets import paired_bracket
 from superrigid.catalog import (
     CatalogError,
     OjpSpace,
@@ -22,7 +23,14 @@ from superrigid.jets import Jet
 
 
 # The library's one-shot series product before it prepared its left factor,
-# verbatim but for self -> space.
+# verbatim but for self -> space and space.pbracket(...) -> _pbracket(space,
+# ...).  _pbracket is that method, moved here because nothing else used it.
+
+def _pbracket(space: OjpSpace, f: Jet, g: Jet) -> Jet:
+    """Odd Poisson bracket of the coefficient algebra; the series variable
+    and the marker ride along as passengers."""
+    return paired_bracket(space._pairing, f, g)
+
 
 def _product_reference(space: OjpSpace, u: Jet, v: Jet) -> Jet:
     out = Jet.zero(space.ambient)
@@ -42,12 +50,12 @@ def _product_reference(space: OjpSpace, u: Jet, v: Jet) -> Jet:
 
 
 def _pp(space: OjpSpace, f1: Jet, p1: int, f2: Jet) -> Jet:
-    res = space.pbracket(f1, f2).scale(_sgn(p1 + 1))
+    res = _pbracket(space, f1, f2).scale(_sgn(p1 + 1))
     return res + (space.eta() * (f1 * f2)).scale(2)
 
 
 def _pe(space: OjpSpace, f: Jet, p: int, g: Jet) -> Jet:
-    res = space.eta() * space.pbracket(f, g)
+    res = space.eta() * _pbracket(space, f, g)
     res = res - (space.dx(f) * g).scale(_sgn(p))
     res = res - (space.eta() * (space.D(f) * g)).scale(_sgn(p))
     return res
