@@ -656,9 +656,10 @@ def product_from_mu(family: str, spec: GradingSpec, mu, order: int = 4,
 
     ``mu`` must be even and of pure weighted degree one, and g_-2 must
     vanish; then the product is supersymmetric.  Basis vectors are ordered
-    by slot, then by their coefficient's degree and indices, and labelled
-    with their printed form.  ``order`` caps the coefficients' x-degrees; a basis that is not
-    monomial, or a product leaving the window, raises CatalogError.
+    by slot and even exponents, then by their odd monomial's degree and
+    indices, and labelled with their printed form.  ``order`` caps the
+    coefficients' x-degrees; a basis that is not monomial, or a product
+    leaving that window, raises CatalogError.
     """
     real = FamilyRealization(family, spec, beta=beta)
     if real.parity(mu) != 0:

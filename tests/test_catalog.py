@@ -21,12 +21,11 @@ from superrigid.fields import (FamilyRealization, GradingSpec, VectorField,
                                parse_field)
 from superrigid.jets import Ambient, Jet
 from superrigid.linalg import Subspace, _accept, nullspace
-from superrigid.walg import (FinSuperAlg, _one_step_orbit, check_admissible_findim,
-                             is_rigid, tkk)
+from superrigid.walg import (FinSuperAlg, _one_step_orbit,
+                             check_admissible_findim, is_rigid, tkk)
 
 
-# JW_0_8 (24/24) fails its rigidity check; test_jw_0_8_orbit_deficit pins
-# how.
+# JW_0_8 fails its rigidity check; test_jw_0_8_orbit_deficit pins how.
 @pytest.mark.parametrize("name, dim_str, dim_r", [
     ("JS_0_2", 3, 4),
     ("LW_0_2", 4, 4),
@@ -51,23 +50,6 @@ def test_jw_0_8_orbit_deficit():
     assert rep.witness is not None
 
 
-def test_jw_0_4_graded_expansion():
-    G = tkk(make("JW_0_4").algebra, depth_cap=4)
-    assert G.dims == ROW_TKK["JW_0_4"]
-    assert G.terminated
-    assert check_admissible_findim(G).admissible
-
-
-def test_jw_0_8_graded_expansion():
-    # The expansion is W(0|4) (see test_graded_row_certificate), but its
-    # degree-one condition fails along with the rigidity check.
-    G = tkk(make("JW_0_8").algebra, depth_cap=4)
-    assert (G.dims, G.terminated) == (ROW_TKK["JW_0_8"], True)
-    rep = check_admissible_findim(G)
-    assert (rep.degree_one_spanned, rep.degree_zero_generated,
-            rep.chain_consistent) == (False, True, True)
-
-
 GRADED = {
     "JS_0_2": ({-1: 2, 0: 3, 1: 4, 2: 5, 3: 6, 4: 7}, False),
     "LW_0_2": ({-1: 2, 0: 4, 1: 4, 2: 4, 3: 4, 4: 4}, False),
@@ -90,6 +72,23 @@ ROW_TKK = {
     "JS_0_8": GRADED["JS_0_8"][0],
     "JS_0_16": GRADED["JS_0_16"][0],
 }
+
+
+def test_jw_0_4_graded_expansion():
+    G = tkk(make("JW_0_4").algebra, depth_cap=4)
+    assert G.dims == ROW_TKK["JW_0_4"]
+    assert G.terminated
+    assert check_admissible_findim(G).admissible
+
+
+def test_jw_0_8_graded_expansion():
+    # The expansion is W(0|4) (see test_graded_row_certificate), but its
+    # degree-one condition fails along with the rigidity check.
+    G = tkk(make("JW_0_8").algebra, depth_cap=4)
+    assert (G.dims, G.terminated) == (ROW_TKK["JW_0_8"], True)
+    rep = check_admissible_findim(G)
+    assert (rep.degree_one_spanned, rep.degree_zero_generated,
+            rep.chain_consistent) == (False, True, True)
 
 
 @pytest.mark.parametrize("name", catalog._GRADED)
