@@ -36,7 +36,8 @@ from .fields import (FamilyRealization, GradingSpec, VectorField, format_field,
                      parse_field)
 from .jets import Ambient, Jet, div_beta, format_jet, odd_laplacian
 from .linalg import ideal_closure, nullspace, span_reduce
-from .walg import FinSuperAlg, format_element, is_rigid, is_simple
+from .walg import (FinSuperAlg, format_element, format_product, is_rigid,
+                   is_simple)
 
 
 class CatalogError(ValueError):
@@ -604,10 +605,7 @@ def ojp_probe_pairs(space: OjpSpace, count: int, seed: int = 9) -> list:
 def _entry_js_0_2() -> FiniteEntry:
     alg = FinSuperAlg((0, 0), 0, {(0, 0): {1: F(1)}, (1, 1): {0: F(1)}},
                       ("a", "b"))
-    return FiniteEntry(
-        "JS_0_2", alg,
-        summary="two even elements whose squares swap them and whose mixed "
-                "product vanishes")
+    return FiniteEntry("JS_0_2", alg)
 
 
 def _entry_lw_0_2() -> FiniteEntry:
@@ -615,9 +613,7 @@ def _entry_lw_0_2() -> FiniteEntry:
         (0, 1), 0,
         {(0, 1): {1: F(1)}, (1, 0): {1: F(-1)}, (1, 1): {0: F(1)}},
         ("a", "abar"))
-    return FiniteEntry(
-        "LW_0_2", alg,
-        summary="even element acting on an odd copy whose square returns it")
+    return FiniteEntry("LW_0_2", alg)
 
 
 # name -> (family, odd weights, mu as (coefficient, slot) pairs).  On each
@@ -643,10 +639,13 @@ def _graded_entry(name: str) -> FiniteEntry:
     family, weights, pairs = _GRADED[name]
     mu = parse_field(pairs, Ambient(0, len(weights)))
     alg = product_from_mu(family, GradingSpec((), weights), mu)
-    return FiniteEntry(
-        name, alg,
-        summary=f"g_-1 of {family}(0|{len(weights)}) graded by odd weights "
-                f"{weights}, with x o y = [[mu, x], y] for an even mu in g_1")
+    return FiniteEntry(name, alg)
+
+
+def _graded_summary(name: str) -> str:
+    family, weights, _ = _GRADED[name]
+    return (f"g_-1 of {family}(0|{len(weights)}) graded by odd weights "
+            f"{weights}, with x o y = [[mu, x], y] for an even mu in g_1")
 
 
 def product_from_mu(family: str, spec: GradingSpec, mu, order: int = 4,
@@ -751,9 +750,7 @@ def _entry_js_1_1() -> OracleEntry:
     return OracleEntry(
         "JS_1_1", Ambient(1, 0), {"field": 0}, "commutative",
         {("field", "field"): lambda f, p: lambda g, q: {
-            "field": _dx(f * g)}},
-        summary="one-variable fields multiplying to the derivative of the "
-                "coefficient product")
+            "field": _dx(f * g)}})
 
 
 def _field_bar_rules(bar_bar: Callable) -> dict:
@@ -769,18 +766,14 @@ def _entry_jsho_2_2() -> OracleEntry:
     return OracleEntry(
         "JSHO_2_2", Ambient(2, 0), {"field": 0, "bar": 1}, "commutative",
         _field_bar_rules(lambda f, p: lambda g, q: {
-            "field": _dx(f) * d2(g) - d2(f) * _dx(g)}),
-        summary="two-variable fields along the first coordinate paired with "
-                "an odd copy of the functions")
+            "field": _dx(f) * d2(g) - d2(f) * _dx(g)}))
 
 
 def _entry_jsko_1_2() -> OracleEntry:
     return OracleEntry(
         "JSKO_1_2", Ambient(1, 0), {"field": 0, "bar": 1}, "commutative",
         _field_bar_rules(lambda f, p: lambda g, q: {
-            "field": _witt(f, g).scale(2)}),
-        summary="one-variable fields paired with an odd copy of the "
-                "functions, the odd square landing back in the fields")
+            "field": _witt(f, g).scale(2)}))
 
 
 def _entry_js_1_8(alpha) -> OracleEntry:
@@ -794,9 +787,7 @@ def _entry_js_1_8(alpha) -> OracleEntry:
     return OracleEntry(
         "JS_1_8", amb, {"D1": 1, "D2": 1}, "commutative",
         _fd_rules({"D1": d1.apply, "D2": d2.apply}, plus=True, odd_type=True),
-        params={"alpha": alpha},
-        summary="rank-two module of odd derivations on one even and two odd "
-                "coordinates, product given by the formal plus-bracket")
+        params={"alpha": alpha})
 
 
 # -- oracle builders: anticommutative small families -----------------------
@@ -811,9 +802,7 @@ def _entry_lw_1_2() -> OracleEntry:
         "LW_1_2", Ambient(1, 0), {"fun": 0, "bar": 1}, "anticommutative",
         {("fun", "bar"): lambda f, p: lambda g, q: {"bar": f * g},
          ("bar", "fun"): lambda f, p: lambda g, q: {"bar": (f * g).scale(-1)},
-         ("bar", "bar"): lambda f, p: lambda g, q: bar_bar(f, g)},
-        summary="functions with an odd copy; the odd square folds back "
-                "through twice-minus-derivative")
+         ("bar", "bar"): lambda f, p: lambda g, q: bar_bar(f, g)})
 
 
 def _entry_lho_1_2() -> OracleEntry:
@@ -824,9 +813,7 @@ def _entry_lho_1_2() -> OracleEntry:
              "bar": (_dx(g) * f).scale(-1)},
          ("bar", "bar"): lambda f, p: lambda g, q: {
              "fun": (f * g).scale(2)}},
-        excluded={"fun": {((0,), ())}},
-        summary="functions modulo constants with an odd copy; the odd "
-                "square is twice the product")
+        excluded={"fun": {((0,), ())}})
 
 
 def _entry_lshop_2_2() -> OracleEntry:
@@ -846,9 +833,7 @@ def _entry_lshop_2_2() -> OracleEntry:
              "bar": (br(g, f) + f * d2(g)).scale(-1)},
          ("bar", "bar"): lambda f, p: lambda g, q: {
              "fun": (f * g).scale(-2)}},
-        excluded={"fun": {((0, 0), ())}},
-        summary="two-variable functions modulo constants under a shifted "
-                "divergence-free bracket, with an odd copy")
+        excluded={"fun": {((0, 0), ())}})
 
 
 def _entry_lwa_1_2(alpha) -> OracleEntry:
@@ -862,9 +847,7 @@ def _entry_lwa_1_2(alpha) -> OracleEntry:
              "field": (w * (f * g)).scale(-1), "fun": f * _dx(g)},
          ("fun", "field"): lambda f, p: lambda g, q: {
              "field": w * (f * g), "fun": (g * _dx(f)).scale(-1)}},
-        params={"alpha": alpha},
-        summary="one-variable fields acting on functions with a shifted "
-                "multiplication back into the fields")
+        params={"alpha": alpha})
 
 
 def _entry_ls_1_3() -> OracleEntry:
@@ -875,9 +858,7 @@ def _entry_ls_1_3() -> OracleEntry:
             "field": _witt(f, g)},
          **_acting("fun", -1), **_acting("tilde", -1),
          ("fun", "tilde"): lambda f, p: lambda g, q: {"field": f * g},
-         ("tilde", "fun"): lambda f, p: lambda g, q: {"field": f * g}},
-        summary="one-variable fields with two odd copies of the functions "
-                "pairing into the fields")
+         ("tilde", "fun"): lambda f, p: lambda g, q: {"field": f * g}})
 
 
 def _entry_lwa_2_2(alpha) -> OracleEntry:
@@ -893,9 +874,7 @@ def _entry_lwa_2_2(alpha) -> OracleEntry:
         "LWa_2_2", amb, {"D1": 0, "D2": 0}, "anticommutative",
         _fd_rules({"D1": lambda f: f.d_even(1), "D2": lambda f: f.d_even(2)},
                   plus=False, odd_type=False, cross=cross),
-        params={"alpha": alpha},
-        summary="two coordinate fields with an affine correction on the "
-                "cross bracket")
+        params={"alpha": alpha})
 
 
 def _entry_lsa_2_2(alpha) -> OracleEntry:
@@ -908,9 +887,7 @@ def _entry_lsa_2_2(alpha) -> OracleEntry:
                    "D2": lambda f: w * f.d_even(2)},
                   plus=False, odd_type=False,
                   cross=lambda f, g: {"D1": x1 * (f * g)}),
-        params={"alpha": alpha},
-        summary="rank-two module over a plain and a weighted coordinate "
-                "derivation with a linear cross correction")
+        params={"alpha": alpha})
 
 
 def _entry_lskop_1_2(beta) -> OracleEntry:
@@ -926,9 +903,7 @@ def _entry_lskop_1_2(beta) -> OracleEntry:
          ("bar", "field"): lambda f, p: lambda g, q: {
              "bar": f * _dx(g) - (g * _dx(f)).scale(beta)},
          ("bar", "bar"): lambda f, p: lambda g, q: {"field": x * (f * g)}},
-        params={"beta": beta},
-        summary="one-variable fields scaled by a parameter with an odd copy "
-                "squaring to a multiple of x")
+        params={"beta": beta})
 
 
 def _check_lskop_1_2_beta(beta) -> None:
@@ -953,17 +928,15 @@ def _entry_lha_1_2(alpha) -> OracleEntry:
          **_acting("bar", -1),
          ("bar", "bar"): lambda f, p: lambda g, q: {
              "field": (w * (_dx(f) * _dx(g))).scale(-2)}},
-        excluded={"bar": {((0,), ())}}, params={"alpha": alpha},
-        summary="one-variable fields with an odd copy modulo constants; the "
-                "odd square multiplies the two derivatives")
+        excluded={"bar": {((0,), ())}}, params={"alpha": alpha})
 
 
 # -- oracle builders: skew brackets from bivectors -------------------------
 
 
 def _quasi_entry(name: str, amb: Ambient, z_field: VectorField | None,
-                 pairs: Sequence, drop_unit: bool, params: dict,
-                 summary: str) -> OracleEntry:
+                 pairs: Sequence, drop_unit: bool,
+                 params: dict) -> OracleEntry:
     zfn = z_field.apply if z_field is not None else None
     pfn = [(X.apply, Y.apply) for X, Y in pairs]
     unit = ((0,) * amb.n_even, ())
@@ -972,7 +945,7 @@ def _quasi_entry(name: str, amb: Ambient, z_field: VectorField | None,
         {("fun", "fun"): lambda f, p: lambda g, q: {
             "fun": quasi_poisson(zfn, pfn, f, g)}},
         excluded={"fun": {unit}} if drop_unit else None,
-        params=params, summary=summary)
+        params=params)
 
 
 def _entry_lhoa_3_1(alpha) -> OracleEntry:
@@ -982,9 +955,7 @@ def _entry_lhoa_3_1(alpha) -> OracleEntry:
     pairs = [(VectorField.partial(amb, "x", 1), VectorField.partial(amb, "x", 2)),
              (VectorField(amb, {("x", 1): w}), VectorField.partial(amb, "x", 3))]
     return _quasi_entry(
-        "LHOa_3_1", amb, None, pairs, True, {"alpha": alpha},
-        summary="three-variable functions modulo constants under a "
-                "quadratically weighted biderivation bracket")
+        "LHOa_3_1", amb, None, pairs, True, {"alpha": alpha})
 
 
 def _entry_lshoa_4_1(alpha) -> OracleEntry:
@@ -993,9 +964,7 @@ def _entry_lshoa_4_1(alpha) -> OracleEntry:
     pairs = [(VectorField.partial(amb, "x", 1), VectorField.partial(amb, "x", 2)),
              (VectorField(amb, {("x", 3): w}), VectorField.partial(amb, "x", 4))]
     return _quasi_entry(
-        "LSHOa_4_1", amb, None, pairs, True, {"alpha": alpha},
-        summary="four-variable functions modulo constants; the second "
-                "biderivation pair is shifted by the first coordinate")
+        "LSHOa_4_1", amb, None, pairs, True, {"alpha": alpha})
 
 
 def _entry_lko_2_1() -> OracleEntry:
@@ -1004,9 +973,7 @@ def _entry_lko_2_1() -> OracleEntry:
     w = Jet.x(amb, 1) + Jet.x(amb, 2)
     pairs = [(VectorField(amb, {("x", 1): w}), VectorField.partial(amb, "x", 2))]
     return _quasi_entry(
-        "LKO_2_1", amb, z, pairs, False, {},
-        summary="two-variable functions under a skew bracket with a "
-                "translation part along the first coordinate")
+        "LKO_2_1", amb, z, pairs, False, {})
 
 
 def _entry_lskoa_3_1(alpha, beta) -> OracleEntry:
@@ -1024,9 +991,7 @@ def _entry_lskoa_3_1(alpha, beta) -> OracleEntry:
              (VectorField(amb, {("x", 1): w2}), VectorField.partial(amb, "x", 3)),
              (VectorField(amb, {("x", 2): w3}), VectorField.partial(amb, "x", 3))]
     return _quasi_entry(
-        "LSKOa_3_1", amb, z, pairs, False, {"alpha": alpha, "beta": beta},
-        summary="three-variable functions under a skew bracket mixing a "
-                "translation part with two weighted biderivation pairs")
+        "LSKOa_3_1", amb, z, pairs, False, {"alpha": alpha, "beta": beta})
 
 
 # -- oracle builders: kernel carriers --------------------------------------
@@ -1111,9 +1076,7 @@ def _entry_lskop_2_4() -> OracleEntry:
     return OracleEntry(
         "LSKOp_2_4", amb, {"j": 1}, "anticommutative",
         _contact_rules(amb, 3, xx),
-        kernel=(lambda f: div_beta(f, 1), ((0, 0), (1, 2, 3))),
-        summary="weight-one divergence kernel in two coordinates under a "
-                "contact bracket twisted by a mixed odd factor")
+        kernel=(lambda f: div_beta(f, 1), ((0, 0), (1, 2, 3))))
 
 
 # -- oracle builders: series products over an odd Poisson carrier ----------
@@ -1206,8 +1169,11 @@ def verify_entry(entry, order: int | None = None,
     if entry.kind == "finite":
         simp = is_simple(entry.algebra)
         rig = is_rigid(entry.algebra)
+        why = "" if rig.rigid else (
+            f"R has dim {rig.dim_r}; outside the one-step orbit: "
+            f"{format_product(entry.algebra, rig.witness)}")
         checks = [Check("simple", simp.simple),
-                  Check("rigid", rig.rigid)]
+                  Check("rigid", rig.rigid, why)]
         stats = {"dim": entry.dim, "simple": simp.simple,
                  "rigid": rig.rigid, "dim_str": rig.dim_str,
                  "dim_r": rig.dim_r}
@@ -1369,40 +1335,84 @@ def ideal_spot_checks(entry, seeds: Sequence | None = None,
 # -- registry ---------------------------------------------------------------
 
 
+# name -> (params, constraints, kind, summary, builder).  registry_listing
+# reads kind and summary here, and make attaches the summary to the entry
+# it builds, so listing the registry builds nothing.
 _FIXED: dict = {
-    "JS_0_2": ((), "", _entry_js_0_2),
-    "JW_0_4": ((), "", partial(_graded_entry, "JW_0_4")),
-    "JW_0_8": ((), "", partial(_graded_entry, "JW_0_8")),
-    "JS_0_8": ((), "", partial(_graded_entry, "JS_0_8")),
-    "JS_0_16": ((), "", partial(_graded_entry, "JS_0_16")),
-    "LW_0_2": ((), "", _entry_lw_0_2),
-    "JS_1_1": ((), "", _entry_js_1_1),
-    "JSHO_2_2": ((), "", _entry_jsho_2_2),
-    "JSKO_1_2": ((), "", _entry_jsko_1_2),
+    "JS_0_2": ((), "", "finite",
+        "two even elements whose squares swap them and whose mixed "
+        "product vanishes", _entry_js_0_2),
+    "JW_0_4": ((), "", "finite", _graded_summary("JW_0_4"),
+        partial(_graded_entry, "JW_0_4")),
+    "JW_0_8": ((), "", "finite", _graded_summary("JW_0_8"),
+        partial(_graded_entry, "JW_0_8")),
+    "JS_0_8": ((), "", "finite", _graded_summary("JS_0_8"),
+        partial(_graded_entry, "JS_0_8")),
+    "JS_0_16": ((), "", "finite", _graded_summary("JS_0_16"),
+        partial(_graded_entry, "JS_0_16")),
+    "LW_0_2": ((), "", "finite",
+        "even element acting on an odd copy whose square returns it",
+        _entry_lw_0_2),
+    "JS_1_1": ((), "", "oracle",
+        "one-variable fields multiplying to the derivative of the "
+        "coefficient product", _entry_js_1_1),
+    "JSHO_2_2": ((), "", "oracle",
+        "two-variable fields along the first coordinate paired with an "
+        "odd copy of the functions", _entry_jsho_2_2),
+    "JSKO_1_2": ((), "", "oracle",
+        "one-variable fields paired with an odd copy of the functions, "
+        "the odd square landing back in the fields", _entry_jsko_1_2),
     "JS_1_8": (("alpha",), "any alpha; 0 and 1 cover the family up to "
-               "isomorphism", _entry_js_1_8),
-    "LW_1_2": ((), "", _entry_lw_1_2),
-    "LHO_1_2": ((), "", _entry_lho_1_2),
-    "LSHOp_2_2": ((), "", _entry_lshop_2_2),
-    "LSKOp_2_4": ((), "", _entry_lskop_2_4),
+               "isomorphism", "oracle",
+        "rank-two module of odd derivations on one even and two odd "
+        "coordinates, product given by the formal plus-bracket",
+        _entry_js_1_8),
+    "LW_1_2": ((), "", "oracle",
+        "functions with an odd copy; the odd square folds back through "
+        "twice-minus-derivative", _entry_lw_1_2),
+    "LHO_1_2": ((), "", "oracle",
+        "functions modulo constants with an odd copy; the odd square is "
+        "twice the product", _entry_lho_1_2),
+    "LSHOp_2_2": ((), "", "oracle",
+        "two-variable functions modulo constants under a shifted "
+        "divergence-free bracket, with an odd copy", _entry_lshop_2_2),
+    "LSKOp_2_4": ((), "", "oracle",
+        "weight-one divergence kernel in two coordinates under a contact "
+        "bracket twisted by a mixed odd factor", _entry_lskop_2_4),
     "LSKOp_1_2": (("beta",), "beta outside {0, 1} and not 2 + 1/b or "
-                  "2 + 2/b for a positive integer b", _entry_lskop_1_2),
-    "LHa_1_2": (("alpha",), "any alpha; 0 and 1 cover the family",
-                _entry_lha_1_2),
-    "LWa_1_2": (("alpha",), "any alpha; 0 and 1 cover the family",
-                _entry_lwa_1_2),
-    "LWa_2_2": (("alpha",), "any alpha; 0 and 1 cover the family",
-                _entry_lwa_2_2),
-    "LSa_2_2": (("alpha",), "any alpha; 0 and 1 cover the family",
-                _entry_lsa_2_2),
-    "LS_1_3": ((), "", _entry_ls_1_3),
-    "LHOa_3_1": (("alpha",), "any alpha; 0 and 1 cover the family",
-                 _entry_lhoa_3_1),
-    "LSHOa_4_1": (("alpha",), "any alpha; 0 and 1 cover the family",
-                  _entry_lshoa_4_1),
-    "LKO_2_1": ((), "", _entry_lko_2_1),
+                  "2 + 2/b for a positive integer b", "oracle",
+        "one-variable fields scaled by a parameter with an odd copy "
+        "squaring to a multiple of x", _entry_lskop_1_2),
+    "LHa_1_2": (("alpha",), "any alpha; 0 and 1 cover the family", "oracle",
+        "one-variable fields with an odd copy modulo constants; the odd "
+        "square multiplies the two derivatives", _entry_lha_1_2),
+    "LWa_1_2": (("alpha",), "any alpha; 0 and 1 cover the family", "oracle",
+        "one-variable fields acting on functions with a shifted "
+        "multiplication back into the fields", _entry_lwa_1_2),
+    "LWa_2_2": (("alpha",), "any alpha; 0 and 1 cover the family", "oracle",
+        "two coordinate fields with an affine correction on the cross "
+        "bracket", _entry_lwa_2_2),
+    "LSa_2_2": (("alpha",), "any alpha; 0 and 1 cover the family", "oracle",
+        "rank-two module over a plain and a weighted coordinate "
+        "derivation with a linear cross correction", _entry_lsa_2_2),
+    "LS_1_3": ((), "", "oracle",
+        "one-variable fields with two odd copies of the functions pairing "
+        "into the fields", _entry_ls_1_3),
+    "LHOa_3_1": (("alpha",), "any alpha; 0 and 1 cover the family", "oracle",
+        "three-variable functions modulo constants under a quadratically "
+        "weighted biderivation bracket", _entry_lhoa_3_1),
+    "LSHOa_4_1": (("alpha",), "any alpha; 0 and 1 cover the family", "oracle",
+        "four-variable functions modulo constants; the second "
+        "biderivation pair is shifted by the first coordinate",
+        _entry_lshoa_4_1),
+    "LKO_2_1": ((), "", "oracle",
+        "two-variable functions under a skew bracket with a translation "
+        "part along the first coordinate", _entry_lko_2_1),
     "LSKOa_3_1": (("alpha", "beta"), "rejected only when alpha != 0 and "
-                  "beta = 1/3", _entry_lskoa_3_1),
+                  "beta = 1/3", "oracle",
+        "three-variable functions under a skew bracket mixing a "
+        "translation part with two weighted biderivation pairs",
+        _entry_lskoa_3_1),
 }
 
 # base -> (params, constraints, summary, index rule on (n, m), builder).
@@ -1470,7 +1480,10 @@ def make(name: str, *, alpha=None, beta=None):
     if "beta" in takes:
         kwargs["beta"] = F(beta)
     if key in _FIXED:
-        return _FIXED[key][2](**kwargs)
+        *_, summary, build = _FIXED[key]
+        entry = build(**kwargs)
+        entry.summary = summary
+        return entry
     _, constraints, _, fits, build = _PATTERNS[base]
     try:
         n, m = (int(i) for i in indices)
@@ -1482,17 +1495,12 @@ def make(name: str, *, alpha=None, beta=None):
 
 
 def registry_listing() -> list:
-    """All catalog entries with parameters and constraints, JSON-friendly."""
+    """All catalog entries with parameters and constraints, JSON-friendly;
+    nothing is built."""
     rows = []
-    for name, (params, constraints, builder) in _FIXED.items():
-        probe_kwargs = {}
-        if "alpha" in params:
-            probe_kwargs["alpha"] = F(0)
-        if "beta" in params:
-            probe_kwargs["beta"] = F(1, 2)
-        entry = builder(**probe_kwargs)
-        rows.append({"name": name, "kind": entry.kind, "params": list(params),
-                     "constraints": constraints, "summary": entry.summary})
+    for name, (params, constraints, kind, summary, _) in _FIXED.items():
+        rows.append({"name": name, "kind": kind, "params": list(params),
+                     "constraints": constraints, "summary": summary})
     for base, (params, constraints, summary, _, _) in _PATTERNS.items():
         rows.append({"name": f"{base}_<n>_<s>", "kind": "oracle",
                      "params": list(params), "constraints": constraints,

@@ -17,19 +17,24 @@ superalgebra the L_i generate, the smallest space holding them that ad L_i
 sends into itself; R is the smallest space holding the product that act by
 each L_i sends into itself, because act is a representation of the operator
 algebra and so a subspace invariant under generators is invariant under all
-of Str.  act resolves the Koszul signs in integer entry tables of its two
-arguments; the operator bracket of Str is w_bracket, through box.
+of Str.  The closure for R applies act to flattened products as they are,
+with no map built per step; the operator bracket of Str is w_bracket,
+through box.
 
-box, and with it every w_bracket of the graded expansion and its
-admissibility check, is driven by the stored entries of its two arguments:
-each entry of g meets only the entries of f whose first argument it hits,
-and the MultiLinMap constructor sorts the combined key and applies its
-Koszul sign, the same rule as a lookup through MultiLinMap.__call__.
+Both kernels are driven by stored entries.  In box, and with it every
+w_bracket of the graded expansion and its admissibility check, each entry of
+g meets only the entries of f whose first argument it hits, and the
+MultiLinMap constructor sorts the combined key and applies its Koszul sign,
+the same rule as a lookup through MultiLinMap.__call__.  In act, each entry
+of the product meets the operator's forward rows at its output and its
+transposed rows at its two arguments, with act's Koszul signs taken per
+entry, and only canonical output keys are summed.
 
-The two kernel tables of a map, box's first-argument table and act's
-integer entry table, are built at most once per map, on first use, and kept
-on it.  A map bracketed against many partners, as in the closures and the
-graded expansion, is tabled once, not once per pair.
+A map's common denominator and its two kernel tables, box's first-argument
+table and act's forward and transposed rows, are built at most once per
+map, on first use, and kept on it.  A map bracketed against many partners,
+as in the closures and the graded expansion, is tabled once, not once per
+pair.
 """
 from __future__ import annotations
 
@@ -90,22 +95,23 @@ class MultiLinMap:
     supersymmetric product.
 
     A map is not changed once it is handed out: only w_bracket writes to
-    entries, those of the map box has just built for it.  So box and act
-    build their kernel tables of a map on first use and keep them on it, in
-    _first_args and _ints.  With
+    entries, those of the map box has just built for it, before anything
+    reads them.  So the common denominator of a map's coefficients (_den)
+    and the kernel tables of box and act (_first_args and _ints) are built
+    on first use and kept on the map.  With
     check=True every index is checked to lie in the space and every entry to
     have the map's parity; internal callers that build maps from checked
     ones pass check=False and skip both checks.
     """
 
-    __slots__ = ("arity", "parity", "parities", "entries", "_first_args",
-                 "_ints")
+    __slots__ = ("arity", "parity", "parities", "entries", "_den",
+                 "_first_args", "_ints")
 
     def __init__(self, arity, parity, parities, entries=None, *, check=True):
         self.arity = arity
         self.parity = parity % 2
         self.parities = tuple(parities)
-        self._first_args = self._ints = None
+        self._den = self._first_args = self._ints = None
         n = len(self.parities)
         canon: dict = {}
         for key, out in (entries or {}).items():
@@ -219,7 +225,8 @@ def box(f: MultiLinMap, g: MultiLinMap) -> MultiLinMap:
     that pick different copies of a repeated even index give the same split
     with the same sign, so a split is counted once and weighted by their
     number, the product over indices v of C(m_A(v) + m_rest(v), m_rest(v)).
-    The sums run over integers scaled by the common denominators.
+    The sums run over integers scaled by the common denominators of f and g,
+    each computed once and kept on its map.
     """
     p, q = f.arity - 1, g.arity - 1
     if p + q < -1:
@@ -256,7 +263,12 @@ def box(f: MultiLinMap, g: MultiLinMap) -> MultiLinMap:
 
 
 def _common_denominator(m: MultiLinMap) -> int:
-    return lcm(*(c.denominator for out in m.entries.values() for c in out.values()))
+    """Least common multiple of m's denominators, computed on first use and
+    kept on m with its kernel tables."""
+    if m._den is None:
+        m._den = lcm(*(c.denominator for out in m.entries.values()
+                       for c in out.values()))
+    return m._den
 
 
 def _first_arg_table(f: MultiLinMap):
@@ -282,8 +294,10 @@ def w_bracket(f: MultiLinMap, g: MultiLinMap) -> MultiLinMap:
     box(f, g) - (-1)^{|f||g|} box(g, f).
 
     The entries of box(g, f), negated when the sign asks for it, are merged
-    into the map box(f, g) has just built, before anything else holds it or
-    has tabled it, so the difference builds no further map.
+    into the map box(f, g) has just built, before anything else holds it,
+    has tabled it or has taken its common denominator, so the difference
+    builds no further map and the values kept on the map on first use stay
+    valid.
     """
     out = box(f, g)
     ent = out.entries
@@ -311,61 +325,80 @@ def act(f: MultiLinMap, B: MultiLinMap) -> MultiLinMap:
     """Operator action on a supersymmetric product, as a derivation-style
     commutator: (f.B)(x,y) = f(B(x,y)) - +/-(B(f(x),y) + +/-B(x,f(y))).
 
-    Agrees with w_bracket restricted to arity-1 by arity-2 arguments.  The
-    Koszul signs are resolved in the entry tables of f and B, each built on
-    the map's first use and kept on it, and the sums run over integers scaled
-    by their common denominators, so no lookup sorts its arguments.
+    Agrees with w_bracket restricted to arity-1 by arity-2 arguments.  It is
+    _act_flat on B's flattened entries, rebuilt into a map.
     """
     if f.arity != 1 or B.arity != 2:
         raise ValueError("act expects an operator and a binary product")
+    return MultiLinMap.from_vec(_act_flat(f, B.as_vec()), 2, f.parities,
+                                f.parity + B.parity)
+
+
+def _act_flat(f: MultiLinMap, v: Vec) -> Vec:
+    """act(f, .) on a flattened binary product {((a, b), m): c} with
+    canonical keys (a <= b, no odd square), of any parities.
+
+    The sum is driven by the entries of v.  An entry B(a, b) = c e_m adds
+    c f(e_m) at (a, b), through f's forward rows, and meets f's transposed
+    rows twice for each order (p, q) of its key: every i with f(i) hitting p
+    gives the B(f(i), q) term at (i, q), and every j with f(j) hitting q the
+    B(p, f(j)) term at (p, j).  Only canonical output keys are summed and
+    odd squares are left out: the other values of a supersymmetric map
+    follow from these, and its odd squares vanish.  The Koszul signs of the
+    two terms are taken with the entry's own parity, so a mixed-parity v
+    needs no split.  The sums run over integers scaled by the common
+    denominators of f and v.
+    """
     pars = f.parities
     if f._ints is None:
-        f._ints = _int_table(f)
-    if B._ints is None:
-        B._ints = _int_table(B)
-    df, ft = f._ints
-    dB, Bt = B._ints
-    # Signs of the B(f(x), y) and B(x, f(y)) terms; the second also depends
-    # on the parity of x.
-    s2 = 1 if f.parity and B.parity else -1
-    s3 = (s2, 1 if f.parity and not B.parity else -1)
-    entries: dict = {}
-    n = len(pars)
-    for i in range(n):
-        # Canonical pairs i <= j, without the square of an odd basis vector.
-        for j in range(i + pars[i], n):
-            acc: dict = {}
-            for k, c in Bt.get((i, j), ()):
-                for m, d in ft.get((k,), ()):
-                    acc[m] = acc.get(m, 0) + c * d
-            for k, c in ft.get((i,), ()):
-                for m, d in Bt.get((k, j), ()):
-                    acc[m] = acc.get(m, 0) + s2 * c * d
-            s = s3[pars[i]]
-            for k, c in ft.get((j,), ()):
-                for m, d in Bt.get((i, k), ()):
-                    acc[m] = acc.get(m, 0) + s * c * d
-            out = {m: F(c, df * dB) for m, c in acc.items() if c}
-            if out:
-                entries[(i, j)] = out
-    return MultiLinMap(2, f.parity + B.parity, pars, entries, check=False)
+        f._ints = _act_table(f)
+    df, fwd, back = f._ints
+    pf = f.parity
+    dv = lcm(*(c.denominator for c in v.values()))
+    acc: dict = {}
+    for ((a, b), m), c in v.items():
+        c = c.numerator * (dv // c.denominator)
+        row = fwd.get(m)
+        if row:
+            slot = acc.setdefault((a, b), {})
+            for m2, d in row:
+                slot[m2] = slot.get(m2, 0) + c * d
+        # s2 is the sign of B(f(x), y) for an entry of parity pB; that of
+        # B(x, f(y)), folded into w3, also depends on the parity of x.
+        pB = (pars[a] + pars[b] + pars[m]) & 1
+        s2 = 1 if pf & pB else -1
+        orders = [(a, b, c)]
+        if a != b:
+            orders.append((b, a, -c if pars[a] & pars[b] else c))
+        for p, q, w in orders:
+            w2 = s2 * w
+            for i, d in back.get(p, ()):
+                if i < q or (i == q and not pars[q]):
+                    slot = acc.setdefault((i, q), {})
+                    slot[m] = slot.get(m, 0) + w2 * d
+            w3 = w if pf & (pB ^ pars[p]) else -w
+            for j, d in back.get(q, ()):
+                if p < j or (p == j and not pars[p]):
+                    slot = acc.setdefault((p, j), {})
+                    slot[m] = slot.get(m, 0) + w3 * d
+    den = df * dv
+    return {(key, m): F(c, den)
+            for key, slot in acc.items() for m, c in slot.items() if c}
 
 
-def _int_table(m: MultiLinMap):
-    """Common denominator d of a map and its entry table {args: [(k, c * d)]}.
-    A binary key also appears swapped, with its Koszul sign folded into the
-    coefficient, so any ordered pair looks up.  act builds it once per map and
-    keeps it on the map."""
-    pars = m.parities
-    d = _common_denominator(m)
-    tab: dict = {}
-    for args, out in m.entries.items():
-        row = [(k, c.numerator * (d // c.denominator)) for k, c in out.items()]
-        tab[args] = row
-        if len(args) == 2 and args[0] != args[1]:
-            a, b = args
-            tab[(b, a)] = [(k, -c) for k, c in row] if pars[a] & pars[b] else row
-    return d, tab
+def _act_table(f: MultiLinMap):
+    """Common denominator d of an operator, its forward rows {k: [(m, c * d)]}
+    for f(k) = sum c e_m and its transposed rows {m: [(k, c * d)]}.
+    _act_flat builds them once per map and keeps them on the map."""
+    d = _common_denominator(f)
+    fwd: dict = {}
+    back: dict = {}
+    for (k,), out in f.entries.items():
+        for m, c in out.items():
+            c = c.numerator * (d // c.denominator)
+            fwd.setdefault(k, []).append((m, c))
+            back.setdefault(m, []).append((k, c))
+    return d, fwd, back
 
 
 class FinSuperAlg:
@@ -568,20 +601,21 @@ def _homogeneous_maps(space: Subspace, arity, parities):
             for row in space.rows for part, p in split_parity(row, key_parity)]
 
 
-def _bound(op, f: MultiLinMap, arity, parities):
-    """The linear map v -> op(f, v) on flattened maps of the given arity,
-    summed over the homogeneous parts of v."""
+def _bound(f: MultiLinMap, parities):
+    """The linear map v -> w_bracket(f, v) on flattened operators, summed
+    over the homogeneous parts of v."""
     key_parity = lambda key: _key_parity(key, parities)
 
     def bound(v: Vec) -> Vec:
         parts = split_parity(v, key_parity)
         if len(parts) == 1:
             (part, p), = parts
-            return op(f, MultiLinMap.from_vec(part, arity, parities, p)).as_vec()
+            g = MultiLinMap.from_vec(part, 1, parities, p)
+            return w_bracket(f, g).as_vec()
         acc: Vec = {}
         for part, p in parts:
-            g = MultiLinMap.from_vec(part, arity, parities, p)
-            acc = vec_add(acc, op(f, g).as_vec())
+            g = MultiLinMap.from_vec(part, 1, parities, p)
+            acc = vec_add(acc, w_bracket(f, g).as_vec())
         return acc
     return bound
 
@@ -598,7 +632,7 @@ def _lie_closure(vecs, parities) -> Subspace:
     for the homogeneous parts f of the generators' span.
     """
     gens = span_reduce(vecs)
-    return closure_under(gens, [_bound(w_bracket, f, 1, parities)
+    return closure_under(gens, [_bound(f, parities)
                                 for f in _homogeneous_maps(gens, 1, parities)])
 
 
@@ -629,14 +663,15 @@ def related_products(J: FinSuperAlg) -> Subspace:
     products, so by the graded Jacobi identity it is a representation of the
     operator algebra, and the operators that keep a subspace invariant form a
     Lie subalgebra.  The closure's maps are therefore act(f, .) for the
-    homogeneous parts f of span(L_i), not for all of Str.
+    homogeneous parts f of span(L_i), not for all of Str, each applied by
+    _act_flat to the flattened products as they are, with no map built.
     """
     mu_vec = J.mu_map().as_vec()
     if not mu_vec:
         return ZERO
     ops = _homogeneous_maps(span_reduce(_left_mults(J)), 1, J.parities)
     return closure_under(span_reduce([mu_vec]),
-                         [_bound(act, f, 2, J.parities) for f in ops])
+                         [lambda v, f=f: _act_flat(f, v) for f in ops])
 
 
 @dataclass
@@ -845,3 +880,11 @@ def format_element(J: FinSuperAlg, v: Vec) -> str:
         else:
             parts.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(parts)
+
+
+def format_product(J: FinSuperAlg, B: MultiLinMap) -> str:
+    """A binary map on J's space as '(x, y) -> image' for each stored pair,
+    in sorted pair order, with J's basis labels."""
+    names = J.labels or tuple(f"e{i}" for i in range(J.dim))
+    return "; ".join(f"({names[a]}, {names[b]}) -> {format_element(J, out)}"
+                     for (a, b), out in sorted(B.entries.items()))

@@ -213,8 +213,28 @@ def test_verify_entry(name):
         # the entry fails its own rigidity check, and that stays visible.
         assert rep.passed is False
         assert (rep.stats["dim_str"], rep.stats["dim_r"]) == (24, 24)
+        # The failure says why: R's dimension and the witness, a related
+        # product outside the one-step orbit, by pair with basis labels.
+        rigid = rep.checks[-1]
+        assert (rigid.name, rigid.passed) == ("rigid", False)
+        assert rigid.detail == (
+            "R has dim 24; outside the one-step orbit: "
+            "(xi4*dxi1, dxi2) -> -xi3*xi4*dxi1; "
+            "(dxi2, xi4*dxi2) -> -xi3*xi4*dxi2")
+        assert {"dxi2", "xi4*dxi1", "xi4*dxi2", "xi3*xi4*dxi1",
+                "xi3*xi4*dxi2"} <= set(entry.algebra.labels)
     else:
         assert rep.passed, [c for c in rep.checks if not c.passed]
+        if name in FINITE:
+            assert [c.detail for c in rep.checks] == ["", ""]
+
+
+def test_registry_listing_builds_nothing(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("registry_listing built an entry")
+    monkeypatch.setattr(catalog.FiniteEntry, "__init__", refuse)
+    monkeypatch.setattr(catalog.OracleEntry, "__init__", refuse)
+    assert len(registry_listing()) == len(catalog._FIXED) + 4
 
 
 def test_registry_kinds():

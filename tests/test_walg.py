@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations, combinations_with_replacement, product
+from math import lcm
 from typing import Callable, Sequence
 
 import pytest
@@ -20,6 +21,7 @@ from superrigid.walg import (
     FinSuperAlg,
     GradedLie,
     MultiLinMap,
+    _act_flat,
     _bound,
     act,
     box,
@@ -631,7 +633,7 @@ def test_each_map_is_tabled_once(monkeypatch):
     """Over tkk(JS_0_8, 4) and its admissibility check, every map is tabled
     by box and by act at most once, however many partners it meets."""
     tabled = {}
-    for name in ("_first_arg_table", "_int_table"):
+    for name in ("_first_arg_table", "_act_table"):
         maps = tabled[name] = []
 
         def counted(m, build=getattr(walg, name), maps=maps):
@@ -643,6 +645,25 @@ def test_each_map_is_tabled_once(monkeypatch):
     for name, maps in tabled.items():
         assert maps, name
         assert len({id(m) for m in maps}) == len(maps), name
+
+
+def test_common_denominator_is_kept(monkeypatch):
+    """A map's common denominator is computed on first use and kept: once
+    box has met f and g in both positions, further products of the two
+    compute none."""
+    rng = random.Random(53)
+    pars = (0, 1, 0, 1)
+    f = random_mlm(pars, 2, 0, rng, den=4)
+    g = random_mlm(pars, 1, 1, rng, den=4)
+    want = [box(f, g), box(g, f), w_bracket(f, g)]
+    for m in (f, g):
+        assert m._den == lcm(*(c.denominator for out in m.entries.values()
+                               for c in out.values()))
+
+    def refuse(*args):
+        raise AssertionError("common denominator computed again")
+    monkeypatch.setattr(walg, "lcm", refuse)
+    assert [box(f, g), box(g, f), w_bracket(f, g)] == want
 
 
 class TestAct:
@@ -686,19 +707,25 @@ def _vsum(vecs):
     return out
 
 
-@pytest.mark.parametrize("op, arity_v", [(act, 2), (w_bracket, 1)])
+# The closures' unary lift of each operation for an operator f.
+LIFTS = {"act": lambda f, pars: lambda v: _act_flat(f, v),
+         "w_bracket": _bound}
+
+
+@pytest.mark.parametrize("op, arity_v", [("act", 2), ("w_bracket", 1)])
 def test_lift_on_mixed_parity_arguments(op, arity_v):
-    """The closures' unary lift v -> op(f, v) of act or of the operator
-    bracket splits a mixed-parity v by parity and sums w_bracket over its
-    homogeneous parts."""
+    """The closures' unary lifts v -> act(f, v), which takes each entry's
+    own parity, and v -> w_bracket(f, v), which splits v by parity, both sum
+    w_bracket over the homogeneous parts of a mixed-parity v.  The odd
+    indices allow odd squares, which act's lift must skip."""
     rng = random.Random(31)
     pars = (0, 1, 0, 1, 1)
     for _ in range(10):
-        gs = [random_mlm(pars, arity_v, p, rng) for p in (0, 1)]
+        gs = [random_mlm(pars, arity_v, p, rng, den=4) for p in (0, 1)]
         v = _vsum(g.as_vec() for g in gs)
         for p in (0, 1):
-            f = random_mlm(pars, 1, p, rng)
-            got = _bound(op, f, arity_v, pars)(v)
+            f = random_mlm(pars, 1, p, rng, den=4)
+            got = LIFTS[op](f, pars)(v)
             assert got == _vsum(w_bracket(f, g).as_vec() for g in gs)
 
 
