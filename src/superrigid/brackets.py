@@ -1,6 +1,6 @@
 """Bracket structures on jets: one engine for the Poisson, Buttin and
-contact brackets, bivector-driven quasi-Poisson brackets, a 3x3 determinant
-bracket, gauge twists, and the associated Jordan-type product on pairs.
+contact brackets, bivector-driven quasi-Poisson brackets, and the bracket of
+coefficient-times-derivation terms that the catalog's field rules use.
 
 A Pairing lists the generator pairs of a bracket:
   even-even (p, q):  d_p f d_q g - d_q f d_p g;
@@ -19,25 +19,14 @@ operations that need a homogeneous argument raise ParityError on mixed input.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
-from .jets import Ambient, Jet, _min_order, geometric_inverse
-
-F = Fraction
+from .jets import Ambient, Jet, _min_order
 
 
 class ParityError(ValueError):
     """An argument that must be parity-homogeneous is not."""
-
-
-class GaugeError(ValueError):
-    """A gauge element failed its admissibility check; carries the witness."""
-
-    def __init__(self, message: str, witness: Jet | None = None):
-        super().__init__(message)
-        self.witness = witness
 
 
 def _parity(f: Jet, what: str) -> int:
@@ -189,13 +178,6 @@ def poisson_antidiagonal(f: Jet, g: Jet) -> Jet:
     return paired_bracket(_even_pairing(f.ambient, True), f, g)
 
 
-def bracket_unit_derivation(bracket: Callable[[Jet, Jet], Jet],
-                            amb: Ambient) -> Callable[[Jet], Jet]:
-    """The operator a -> {e, a} attached to a bracket (e the unit)."""
-    one = Jet.one(amb)
-    return lambda a: bracket(one, a)
-
-
 def quasi_poisson(
     Z,
     pairs: Sequence[tuple],
@@ -211,66 +193,6 @@ def quasi_poisson(
     for X, Y in pairs:
         out = out + X(f) * Y(g) - Y(f) * X(g)
     return out
-
-
-def jacobi_mayer(f: Jet, g: Jet) -> Jet:
-    """Determinant bracket on three even generators x, y, z with fixed last
-    row (0, -x, 1): x(f_x g_z - f_z g_x) + (f_x g_y - f_y g_x)."""
-    amb = f.ambient
-    if amb.n_even != 3 or amb.n_odd != 0:
-        raise ValueError("determinant bracket lives on three even generators")
-    x = Jet.x(amb, 1)
-    fx, fy, fz = (f.d_even(i) for i in (1, 2, 3))
-    gx, gy, gz = (g.d_even(i) for i in (1, 2, 3))
-    return x * (fx * gz - fz * gx) + fx * gy - fy * gx
-
-
-class GaugedBracket:
-    """Twist of an odd bracket by an invertible even element phi:
-    evaluate as phi^{-1} {phi a, phi b}.
-
-    {phi, phi} == 0 is checked, treating phi as even, and phi^{-1} built
-    once at the bracket's order; an evaluation, at no higher order, truncates
-    the inverse.  A failed check raises GaugeError with {phi, phi} as witness.
-    """
-
-    def __init__(self, base: Callable[[Jet, Jet], Jet], phi: Jet,
-                 order: int = 4,
-                 base_D: Callable[[Jet], Jet] | None = None):
-        self.base = base
-        self.phi = phi
-        self.order = order
-        self.base_D = base_D
-        unit = ((0,) * phi.ambient.n_even, ())
-        if not phi.terms.get(unit):
-            raise GaugeError("gauge element has no invertible constant term")
-        # {phi, phi} in the ambient's own odd bracket, phi taken as even
-        w = paired_bracket(_odd_pairing(phi.ambient), phi, phi, 0)
-        w = w.truncate(order)
-        if not w.is_zero():
-            raise GaugeError("gauge element does not square to zero", w)
-        self._inverse = geometric_inverse(phi, order)
-
-    def __call__(self, f: Jet, g: Jet) -> Jet:
-        order = _min_order(_min_order(f.order, g.order), self.order)
-        inv = self._inverse.truncate(order)
-        return (inv * self.base(self.phi * f, self.phi * g)).truncate(order)
-
-    def D(self, a: Jet) -> Jet:
-        """Unit derivation of the twisted bracket:
-        -D(phi) a + {phi, a} in terms of the base data."""
-        out = self.base(self.phi, a)
-        if self.base_D is not None:
-            out = out - self.base_D(self.phi) * a
-        return out
-
-
-def gauge_transform(base: Callable[[Jet, Jet], Jet], phi: Jet,
-                    order: int = 4,
-                    base_D: Callable[[Jet], Jet] | None = None) -> GaugedBracket:
-    """Validated gauge twist of an odd bracket; raises GaugeError with the
-    witness when phi fails the squaring condition."""
-    return GaugedBracket(base, phi, order, base_D)
 
 
 def fd_bracket(
@@ -301,55 +223,3 @@ def fd_bracket(
         return {i: c for i, c in out.items() if not c.is_zero()}
 
     return bracket
-
-
-# -- pairs with a parity-reversed copy ------------------------------------
-
-
-def jp_product(
-    bracket: Callable[[Jet, Jet], Jet],
-    D: Callable[[Jet], Jet],
-    a: tuple[Jet, Jet],
-    b: tuple[Jet, Jet],
-) -> tuple[Jet, Jet]:
-    """Jordan-type product on pairs (plain, barred) over an even generalized
-    Poisson algebra: plain parts multiply, bars multiply by the rule
-    plain o bar -> (-1)^p(plain) bar of the product, and two bars drop to the
-    plain part via {u, v} - (u D(v) - D(u) v)/2."""
-    a0, a1 = a
-    b0, b1 = b
-    plain = a0 * b0
-    barred = a1 * b0
-    for u, pu in a0.parity_parts():
-        barred = barred + (u * b1).scale(-1 if pu else 1)
-    for u, pu in a1.parity_parts():
-        duv = bracket(u, b1) - (u * D(b1) - D(u) * b1).scale(F(1, 2))
-        plain = plain + duv.scale(-1 if pu else 1)
-    return plain, barred
-
-
-# -- property defects (zero iff the law holds) ----------------------------
-
-
-def _skew_defect(br, f: Jet, g: Jet, shift: int) -> Jet:
-    # skew-symmetry in the parities shifted by one for an odd bracket
-    pf, pg = _parity(f, "f") ^ shift, _parity(g, "g") ^ shift
-    return br(f, g) + br(g, f).scale(-1 if pf & pg else 1)
-
-
-odd_skew_defect = partial(_skew_defect, shift=1)
-even_skew_defect = partial(_skew_defect, shift=0)
-
-
-def odd_jacobi_defect(br, a: Jet, b: Jet, c: Jet) -> Jet:
-    pa, pb = _parity(a, "a"), _parity(b, "b")
-    sign = -1 if (pa ^ 1) & (pb ^ 1) else 1
-    return br(a, br(b, c)) - br(br(a, b), c) - br(b, br(a, c)).scale(sign)
-
-
-def odd_leibniz_defect(br, D, a: Jet, b: Jet, c: Jet) -> Jet:
-    pa, pb = _parity(a, "a"), _parity(b, "b")
-    s1 = -1 if (pa ^ 1) & pb else 1
-    s2 = -1 if pa == 0 else 1
-    rhs = br(a, b) * c + (b * br(a, c)).scale(s1) + (D(a) * b * c).scale(s2)
-    return br(a, b * c) - rhs

@@ -36,8 +36,7 @@ from .fields import (FamilyRealization, GradingSpec, VectorField, format_field,
                      parse_field)
 from .jets import Ambient, Jet, div_beta, format_jet, odd_laplacian
 from .linalg import ideal_closure, nullspace, span_reduce
-from .walg import (FinSuperAlg, format_element, format_product, is_rigid,
-                   is_simple)
+from .walg import FinSuperAlg, format_product, is_rigid, is_simple
 
 
 class CatalogError(ValueError):
@@ -245,7 +244,8 @@ class _Left:
 
 
 class FiniteEntry:
-    """Entry backed by exact structure constants; elements are index vecs."""
+    """Entry backed by exact structure constants.  ``verify_entry`` checks
+    it exactly, through ``walg.is_simple`` and ``walg.is_rigid``."""
 
     kind = "finite"
 
@@ -262,39 +262,6 @@ class FiniteEntry:
     @property
     def dim(self) -> int:
         return self.algebra.dim
-
-    @property
-    def symmetry(self) -> str:
-        if self.algebra.anticommutative_presentation:
-            return "anticommutative"
-        return "commutative"
-
-    def basis(self, max_deg: int | None = None) -> list[dict]:
-        return [{i: F(1)} for i in range(self.dim)]
-
-    def left(self, u: dict) -> dict:
-        """A left factor needs no preparation: u itself."""
-        return u
-
-    def product(self, u: dict, v: dict) -> dict:
-        return self.algebra.mult_vec(u, v)
-
-    def parity(self, v: dict) -> int | None:
-        pars = self.algebra.presented_parities
-        seen = {pars[i] for i, c in v.items() if c}
-        return seen.pop() if len(seen) == 1 else None
-
-    def member(self, v: dict) -> bool:
-        return True
-
-    def to_vec(self, v: dict) -> dict:
-        return v
-
-    def from_vec(self, v: dict) -> dict:
-        return v
-
-    def format(self, v: dict) -> str:
-        return format_element(self.algebra, v)
 
 
 # -- carrier for the series products over an odd Poisson algebra ----------
@@ -1157,15 +1124,26 @@ class VerifyReport:
     stats: dict
 
 
+def _check_order(order, least: int) -> None:
+    """Raise CatalogError unless order is an int of at least ``least``."""
+    if type(order) is not int or order < least:
+        raise CatalogError(
+            f"order must be an integer >= {least}, got {order!r}")
+
+
 def verify_entry(entry, order: int | None = None,
                  seed: int = 9) -> VerifyReport:
     """Run an entry's defining checks.
 
     Finite entries are checked exactly: simplicity, rigidity, and the
     operator dimensions.  Oracle entries are sampled inside the degree
-    window: declared symmetry, carrier closure of products, and any
-    entry-specific checks (operator relations, closed forms).
+    window of ``order`` (4 when None; an integer >= 0 otherwise, whose
+    window must not be empty): declared symmetry, carrier closure of
+    products, and any entry-specific checks (operator relations, closed
+    forms).
     """
+    if order is not None:
+        _check_order(order, 0)
     if entry.kind == "finite":
         simp = is_simple(entry.algebra)
         rig = is_rigid(entry.algebra)
@@ -1181,12 +1159,15 @@ def verify_entry(entry, order: int | None = None,
                             checks, stats)
 
     eff = 4 if order is None else order
+    hi = entry.basis(eff)
+    if not hi:
+        raise CatalogError(f"{entry.name} has no basis elements of degree "
+                           f"<= {eff}")
     rng = random.Random(seed)
     lo = entry.basis(min(2, eff))
     step = max(1, len(lo) // 18)
     lo = lo[::step][:18]
     pairs = [(a, b) for a in lo for b in lo]
-    hi = entry.basis(eff)
     for _ in range(12):
         pairs.append((rng.choice(hi), rng.choice(hi)))
 
@@ -1268,30 +1249,37 @@ class SpotIdealReport:
 
 def ideal_spot_checks(entry, seeds: Sequence | None = None,
                       order: int = 3) -> SpotIdealReport:
-    """Grow the two-sided ideal of each seed inside the degree window and
-    report which window basis elements it reaches.
+    """Grow the two-sided ideal of each seed inside the degree window of an
+    oracle entry and report which window basis elements it reaches.
+
+    ``order`` is a positive integer: the targets are the window basis
+    elements of degree at most order - 1, and there must be one.  A finite
+    entry raises CatalogError; its ideal check is ``walg.is_simple``.
 
     Products are truncated back into the window, so the closure is the
-    window shadow of the true ideal; a seed that reaches every target of
-    degree below the window edge is reported complete.  The ideal comes
-    from ``linalg.ideal_closure``: left products with every partner first,
-    right products too only while that span stays proper.  That is exact
-    for any product; the entry's symmetry is never assumed, it only makes
-    the right products idle when a homogeneous seed fills the window.
+    window shadow of the true ideal; a seed that reaches every target is
+    reported complete.  The ideal comes from ``linalg.ideal_closure``: left
+    products with every partner first, right products too only while that
+    span stays proper.  That is exact for any product; the entry's symmetry
+    is never assumed, it only makes the right products idle when a
+    homogeneous seed fills the window.
 
     Each SeedReach's ``dim`` is the dimension of that closure.  It can
     exceed the dimension of the window basis's span: truncating a product
     need not land back in that span (on LSKOp_2_4 at order 3 the basis spans
     40 dimensions and a closure reaches 80).  The closure stops once it
     fills the coordinates that the seed and every truncated product can
-    occupy: for an oracle entry each (slot, monomial of degree <= order)
-    that the slot's ``excluded`` set keeps, for a finite entry each basis
-    index, and in both cases the seed's own keys.  The window span is not a
-    valid bound for that stop, since products leave it.
+    occupy: each (slot, monomial of degree <= order) that the slot's
+    ``excluded`` set keeps, and the seed's own keys.  The window span is not
+    a valid bound for that stop, since products leave it.
     """
+    if entry.kind != "oracle":
+        raise CatalogError(f"{entry.name} is finite: its ideal check is "
+                           "walg.is_simple")
+    _check_order(order, 1)
+
     def window(a):
-        return entry.to_vec(elem_truncate(a, order)
-                            if entry.kind == "oracle" else a)
+        return entry.to_vec(elem_truncate(a, order))
 
     basis = entry.basis(order)
     vecs = [window(b) for b in basis]
@@ -1307,17 +1295,15 @@ def ideal_spot_checks(entry, seeds: Sequence | None = None,
         if seeds is None:
             seeds = [basis[0], {}] if basis else [{}]
 
-    if entry.kind == "oracle":
-        def deg(b):
-            return max((f.even_degree() for f in b.values()), default=0)
-        targets = [(b, v) for b, v in zip(basis, vecs)
-                   if deg(b) <= order - 1]
-        coords = {(i,) + m for i, s in enumerate(entry.slots)
-                  for m in entry.ambient.monomials(order)
-                  if m not in entry.excluded.get(s, ())}
-    else:
-        targets = list(zip(basis, vecs))
-        coords = set(range(entry.dim))
+    def deg(b):
+        return max((f.even_degree() for f in b.values()), default=0)
+    targets = [(b, v) for b, v in zip(basis, vecs) if deg(b) <= order - 1]
+    if not targets:
+        raise CatalogError(f"{entry.name} has no window elements of degree "
+                           f"<= {order - 1}")
+    coords = {(i,) + m for i, s in enumerate(entry.slots)
+              for m in entry.ambient.monomials(order)
+              if m not in entry.excluded.get(s, ())}
 
     out = []
     for seed in seeds:
@@ -1456,8 +1442,9 @@ def make(name: str, *, alpha=None, beta=None):
     Names are normalized first, so decorated spellings resolve to the same
     entry.  Parametrized entries take exact rationals for alpha and beta;
     a parameter the entry does not take raises CatalogError naming the ones
-    it does, and an out-of-range one raises CatalogError naming the
-    constraint.
+    it does, a value that Fraction cannot take (inf, nan, "x") raises
+    CatalogError naming the parameter, and an out-of-range one raises
+    CatalogError naming the constraint.
     """
     key = normalize_name(name)
     base, *indices = key.split("_")
@@ -1469,16 +1456,19 @@ def make(name: str, *, alpha=None, beta=None):
         raise CatalogError(f"unknown entry {name!r}")
     takes = [p for p in wanted if p in ("alpha", "beta")]
     named = ", ".join(takes) or "no parameters"
-    for p, val in (("alpha", alpha), ("beta", beta)):
-        if val is not None and p not in takes:
-            raise CatalogError(f"{key} takes {named}, not {p}")
-    if "beta" in takes and beta is None:
-        raise CatalogError(f"{key} needs an explicit beta")
     kwargs = {}
-    if "alpha" in takes:
-        kwargs["alpha"] = F(0) if alpha is None else F(alpha)
-    if "beta" in takes:
-        kwargs["beta"] = F(beta)
+    for p, val in (("alpha", alpha), ("beta", beta)):
+        if p not in takes:
+            if val is not None:
+                raise CatalogError(f"{key} takes {named}, not {p}")
+        elif p == "beta" and val is None:
+            raise CatalogError(f"{key} needs an explicit beta")
+        else:
+            try:
+                kwargs[p] = F(0 if val is None else val)
+            except (ValueError, TypeError, OverflowError) as exc:
+                raise CatalogError(f"{key}: {p} must be an exact rational, "
+                                   f"got {val!r}") from exc
     if key in _FIXED:
         *_, summary, build = _FIXED[key]
         entry = build(**kwargs)

@@ -159,27 +159,6 @@ def divergence(X: VectorField) -> Jet:
     return out
 
 
-def fd_bracket_field(
-    f1: Jet,
-    D1: VectorField,
-    f2: Jet,
-    D2: VectorField,
-    *,
-    plus: bool,
-    odd_type: bool,
-) -> VectorField:
-    """Bracket of f1*D1 and f2*D2 for fixed derivations, returned as a
-    vector field: f1 D1(f2) D2 +/- (-1)^eps f2 D2(f1) D1."""
-    p1 = br._parity(f1, "first coefficient")
-    p2 = br._parity(f2, "second coefficient")
-    coeffs = br.fd_bracket(f1, p1, 0, 1, [D1.apply, D2.apply],
-                           plus=plus, odd_type=odd_type)(f2, p2)
-    out = VectorField.zero(D1.ambient)
-    for i, c in coeffs.items():
-        out = out + c * (D1 if i == 0 else D2)
-    return out
-
-
 def format_field(X: VectorField) -> str:
     if not X.coeffs:
         return "0"
@@ -259,19 +238,6 @@ class GradingSpec:
             w = self.slot_weight(slot)
             out |= {self.wdeg(m) - w for m in c.terms}
         return out
-
-
-def graded_component(X: VectorField, spec: GradingSpec) -> dict:
-    """Split a field into its weighted-degree homogeneous parts."""
-    parts: dict[int, dict] = {}
-    for slot, c in X.coeffs.items():
-        w = spec.slot_weight(slot)
-        for m, v in c.terms.items():
-            d = spec.wdeg(m) - w
-            bucket = parts.setdefault(d, {})
-            piece = Jet(c.ambient, {m: v}, c.order)
-            bucket[slot] = bucket[slot] + piece if slot in bucket else piece
-    return {d: VectorField(X.ambient, cs) for d, cs in sorted(parts.items())}
 
 
 # -- family realizations ---------------------------------------------------

@@ -414,26 +414,6 @@ def div_beta(f: Jet, beta) -> Jet:
     return odd_laplacian(f) + ft.euler() - ft.scale(F(beta) * amb.n_even)
 
 
-def geometric_inverse(phi: Jet, order: int) -> Jet:
-    """Multiplicative inverse of a jet with invertible constant term,
-    computed to the requested validity order."""
-    amb = phi.ambient
-    unit = ((0,) * amb.n_even, ())
-    c0 = phi.terms.get(unit, F(0))
-    if not c0:
-        raise ValueError("constant term is zero; jet is not invertible")
-    u = (phi.scale(F(1) / c0) - Jet.one(amb)).truncate(order)
-    inv = Jet.one(amb).truncate(order)
-    power = Jet.one(amb).truncate(order)
-    # u has no constant term, so powers beyond order + odd count vanish
-    for k in range(1, order + amb.n_odd + 1):
-        power = power * u
-        if power.is_zero():
-            break
-        inv = inv + power.scale((-1) ** k)
-    return inv.scale(F(1) / c0)
-
-
 class ExprError(ValueError):
     """Raised on malformed jet expressions."""
 

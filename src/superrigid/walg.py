@@ -509,18 +509,6 @@ class FinSuperAlg:
     def dim(self) -> int:
         return len(self.parities)
 
-    @property
-    def presented_parities(self):
-        if self.anticommutative_presentation:
-            return tuple(1 - p for p in self.parities)
-        return self.parities
-
-    @property
-    def presented_product_parity(self):
-        if self.anticommutative_presentation:
-            return 1 - self.product_parity
-        return self.product_parity
-
     def product(self, i, j) -> Vec:
         if i > j:
             sign = -1 if (self.parities[i] and self.parities[j]) else 1
@@ -558,23 +546,6 @@ class FinSuperAlg:
         n_odd = sum(self.parities)
         return (f"FinSuperAlg(dim={self.dim - n_odd}|{n_odd}, "
                 f"product_parity={self.product_parity})")
-
-
-def parity_reverse(J: FinSuperAlg) -> FinSuperAlg:
-    """Flip all parities and the product parity, twisting by the sign of the
-    first factor.
-
-    On a stored supersymmetric product this lands on an anticommutative one,
-    which is put straight back into partner storage with the flag set; on an
-    anticommutative presentation it uncovers the stored partner itself.
-    Applying it twice returns the start up to a global sign.
-    """
-    if J.anticommutative_presentation:
-        return FinSuperAlg(J.parities, J.product_parity, J.table, J.labels)
-    negated = {key: {k: -c for k, c in out.items()}
-               for key, out in J.table.items()}
-    return FinSuperAlg(J.parities, J.product_parity, negated, J.labels,
-                       anticommutative_presentation=True)
 
 
 def left_mult_op(J: FinSuperAlg, a) -> MultiLinMap:
@@ -711,15 +682,21 @@ class SimplicityReport:
     witness: Subspace | None
 
 
-def is_simple(J: FinSuperAlg, probes: int = 3) -> SimplicityReport:
-    """Whether no proper nonzero subspace absorbs multiplication.
+_PROBES = 3  # pseudo-random seeds that is_simple tries after the basis
 
-    Checks the two-sided ideal of every basis vector and of a few
+
+def is_simple(J: FinSuperAlg) -> SimplicityReport:
+    """Whether no proper nonzero subspace absorbs multiplication: the ideal
+    check of a finite algebra.
+
+    Checks the two-sided ideal of every basis vector and of ``_PROBES``
     deterministic pseudo-random vectors; any proper ideal is returned as a
-    witness.  Each ideal comes from ``linalg.ideal_closure``: the closure
-    under left multiplications, closed under right ones too only when it is
-    proper.  That is exact for any table; the table's supersymmetry only
-    makes the right maps idle.  A zero product is never simple.
+    witness, which proves J is not simple.  A "simple" verdict is not a
+    proof: a proper ideal can avoid every seed.  Each ideal comes from
+    ``linalg.ideal_closure``: the closure under left multiplications,
+    closed under right ones too only when it is proper.  That is exact for
+    any table; the table's supersymmetry only makes the right maps idle.  A
+    zero product is never simple.
     """
     n = J.dim
     if n == 0:
@@ -733,7 +710,7 @@ def is_simple(J: FinSuperAlg, probes: int = 3) -> SimplicityReport:
     rights = [lambda v, e=e: J.mult_vec(v, e) for e in units]
     rng = random.Random(11)
     candidates = list(units)
-    for _ in range(probes):
+    for _ in range(_PROBES):
         v = {i: F(rng.randint(-2, 2)) for i in range(n)}
         v = vec_clean(v)
         if v:
@@ -846,24 +823,6 @@ def check_admissible_findim(G: GradedLie) -> AdmissibleFindimReport:
             chain_consistent = False
     return AdmissibleFindimReport(degree_one_spanned, degree_zero_generated,
                                   chain_consistent)
-
-
-def direct_sum(J1: FinSuperAlg, J2: FinSuperAlg) -> FinSuperAlg:
-    if J1.product_parity != J2.product_parity:
-        raise ValueError("product parities differ")
-    if J1.anticommutative_presentation != J2.anticommutative_presentation:
-        raise ValueError("presentation flags differ")
-    n1 = J1.dim
-    table = {key: dict(out) for key, out in J1.table.items()}
-    for (i, j), out in J2.table.items():
-        table[(i + n1, j + n1)] = {k + n1: c for k, c in out.items()}
-    labels = None
-    if J1.labels and J2.labels:
-        labels = tuple(f"{s}'" for s in J1.labels) \
-            + tuple(f"{s}''" for s in J2.labels)
-    return FinSuperAlg(
-        J1.parities + J2.parities, J1.product_parity, table, labels,
-        anticommutative_presentation=J1.anticommutative_presentation)
 
 
 def format_element(J: FinSuperAlg, v: Vec) -> str:

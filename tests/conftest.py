@@ -1,4 +1,4 @@
-"""Shared randomized-construction helpers for the test suite."""
+"""Shared randomized-construction helpers and fixtures for the test suite."""
 from __future__ import annotations
 
 import random
@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 from superrigid.fields import VectorField
 from superrigid.jets import Ambient, Jet
+from superrigid.walg import FinSuperAlg
 
 
 def random_jet(
@@ -50,3 +51,24 @@ def random_field(
         c = random_jet(amb, rng, max_even_deg, want, n_terms=1)
         out = out + VectorField(amb, {slot: c})
     return out
+
+
+def direct_sum(J1: FinSuperAlg, J2: FinSuperAlg) -> FinSuperAlg:
+    """The direct sum of two algebras with the same product parity and
+    presentation: J2's basis follows J1's, and cross products vanish.  A
+    reducible algebra, so a fixture for the ideal checks."""
+    if J1.product_parity != J2.product_parity:
+        raise ValueError("product parities differ")
+    if J1.anticommutative_presentation != J2.anticommutative_presentation:
+        raise ValueError("presentation flags differ")
+    n1 = J1.dim
+    table = {key: dict(out) for key, out in J1.table.items()}
+    for (i, j), out in J2.table.items():
+        table[(i + n1, j + n1)] = {k + n1: c for k, c in out.items()}
+    labels = None
+    if J1.labels and J2.labels:
+        labels = tuple(f"{s}'" for s in J1.labels) \
+            + tuple(f"{s}''" for s in J2.labels)
+    return FinSuperAlg(
+        J1.parities + J2.parities, J1.product_parity, table, labels,
+        anticommutative_presentation=J1.anticommutative_presentation)

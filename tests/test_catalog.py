@@ -8,7 +8,6 @@ import pytest
 from superrigid import catalog
 from superrigid.catalog import (
     CatalogError,
-    FiniteEntry,
     elem_add,
     elem_scale,
     ideal_spot_checks,
@@ -20,7 +19,8 @@ from superrigid.catalog import (
 from superrigid.fields import (FamilyRealization, GradingSpec, VectorField,
                                parse_field)
 from superrigid.jets import Ambient, Jet
-from superrigid.linalg import Subspace, _accept, nullspace
+from superrigid.linalg import (Subspace, _accept, closure_under,
+                               ideal_closure, nullspace, span_reduce)
 from superrigid.walg import (FinSuperAlg, _one_step_orbit,
                              check_admissible_findim, is_rigid, tkk)
 
@@ -114,9 +114,46 @@ def test_spot_check_is_two_sided():
     # o.a = x and o.b = y: left products with the seed a + b give x + y,
     # right products give x - y, so only both sides reach x and y.
     J = FinSuperAlg((0, 1, 1, 1, 0), 0, {(2, 0): {3: 1}, (2, 1): {4: 1}})
-    rep = ideal_spot_checks(FiniteEntry("toy", J), seeds=[{0: 1, 1: 1}])
-    (seed,) = rep.seeds
-    assert (seed.dim, seed.reached, seed.targets) == (3, 2, 5)
+    units = [{i: F(1)} for i in range(J.dim)]
+    lefts = [lambda v, e=e: J.mult_vec(e, v) for e in units]
+    rights = [lambda v, e=e: J.mult_vec(v, e) for e in units]
+    seed = span_reduce([{0: F(1), 1: F(1)}])
+    assert closure_under(seed, lefts).dim == 2
+    closed = ideal_closure(seed, lefts, rights, full_dim=J.dim)
+    assert closed.dim == 3
+    assert [i for i, e in enumerate(units) if closed.contains(e)] == [3, 4]
+
+
+def test_spot_check_rejects_finite_entry():
+    with pytest.raises(CatalogError, match="walg.is_simple"):
+        ideal_spot_checks(make("JS_0_2"))
+
+
+@pytest.mark.parametrize("order", [0, -1, 2.5, "3", True, None])
+def test_spot_check_rejects_bad_order(order):
+    with pytest.raises(CatalogError, match="order must be an integer >= 1"):
+        ideal_spot_checks(make("JS_1_1"), order=order)
+
+
+@pytest.mark.parametrize("order", [-1, 2.5, "3", True])
+@pytest.mark.parametrize("name", ["JS_1_1", "JS_0_2"])
+def test_verify_entry_rejects_bad_order(name, order):
+    with pytest.raises(CatalogError, match="order must be an integer >= 0"):
+        catalog.verify_entry(make(name), order=order)
+
+
+def test_smallest_orders():
+    # Order 0 samples constants only; order 1 spot-checks degree-0 targets.
+    assert catalog.verify_entry(make("JS_1_1"), order=0).order == 0
+    rep = ideal_spot_checks(make("JS_1_1"), order=1)
+    assert rep.order == 1 and all(s.targets for s in rep.seeds)
+    # LHOa_3_1 has nothing of degree 0: an empty window is an error, not a
+    # vacuous pass.
+    entry = make("LHOa_3_1", alpha=0)
+    with pytest.raises(CatalogError, match="no basis elements of degree <= 0"):
+        catalog.verify_entry(entry, order=0)
+    with pytest.raises(CatalogError, match="no window elements of degree <= 0"):
+        ideal_spot_checks(entry, order=1)
 
 
 # (dim, reached, targets) for each default seed, for all 18 fixed oracle
@@ -254,6 +291,14 @@ def test_registry_kinds():
 def test_make_rejects_parameters_not_taken(name, kw, takes):
     with pytest.raises(CatalogError, match=f"{name} {takes}"):
         make(name, **kw)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), "x"])
+@pytest.mark.parametrize("name, param", [("JS_1_8", "alpha"),
+                                         ("LSKOp_1_2", "beta")])
+def test_make_rejects_non_rational_parameters(name, param, value):
+    with pytest.raises(CatalogError, match=f"{name}: {param} must be"):
+        make(name, **{param: value})
 
 
 @pytest.mark.parametrize("spelling, name, kw", [

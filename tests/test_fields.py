@@ -5,16 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_field, random_jet
-from superrigid.brackets import ParityError, buttin
+from superrigid.brackets import buttin
 from superrigid.fields import (
     FamilyRealization,
     GradingSpec,
     VectorField,
     basis_of_degree,
     divergence,
-    fd_bracket_field,
     format_field,
-    graded_component,
     lie_bracket,
     parse_field,
     parse_slot,
@@ -188,14 +186,7 @@ class TestFormatting:
         assert X.coeffs[("xi", 2)] == -Jet.x(A22, 1, 2)
 
 
-class TestGradedComponent:
-    def test_split(self):
-        spec = GradingSpec((1,), (1,))
-        X = dx(A11) + parse_jet("x1", A11) * dx(A11)
-        parts = graded_component(X, spec)
-        assert set(parts) == {-1, 0}
-        assert parts[-1] == dx(A11)
-
+class TestGradingSpec:
     def test_weights_with_tau(self):
         amb = Ambient(2, 3, tau=True)
         spec = GradingSpec((0, 1), (0, -1, 0))
@@ -297,31 +288,6 @@ class TestBasisOfDegree:
 
         span = span_reduce([real.to_vec(v) for v in basis])
         assert span.contains(real.to_vec(mu))
-
-
-class TestFdBracketField:
-    def test_plus_mode(self):
-        amb = Ambient(1, 0)
-        D = dx(amb)
-        x = Jet.x(amb, 1)
-        out = fd_bracket_field(x, D, x, D, plus=True, odd_type=False)
-        assert out == x.scale(2) * D
-
-    def test_minus_mode_antisymmetry(self):
-        amb = Ambient(1, 0)
-        D = dx(amb)
-        x = Jet.x(amb, 1)
-        out = fd_bracket_field(x, D, x, D, plus=False, odd_type=False)
-        assert out.is_zero()
-
-    @pytest.mark.parametrize("which", [0, 1])
-    def test_rejects_mixed_coefficient(self, which):
-        D = VectorField.partial(A11, "xi", 1)
-        mixed = Jet.one(A11) + Jet.xi(A11, 1)
-        args = [Jet.x(A11, 1), D, Jet.x(A11, 1), D]
-        args[2 * which] = mixed
-        with pytest.raises(ParityError):
-            fd_bracket_field(*args, plus=True, odd_type=True)
 
 
 class TestRealizationBasics:

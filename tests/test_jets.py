@@ -11,7 +11,6 @@ from superrigid.jets import (
     Jet,
     div_beta,
     format_jet,
-    geometric_inverse,
     MAX_NESTING,
     _min_order,
     merge_sign,
@@ -202,30 +201,6 @@ class TestValidityOrder:
         g = f.antiderivative(1, constant=1)
         assert g == Jet.x(A11, 1) + Jet.one(A11)
         assert f.antiderivative(1).d_even(1) == f
-
-
-class TestGeometricInverse:
-    def test_one_plus_x(self):
-        phi = Jet.one(A11) + x(1, A11)
-        inv = geometric_inverse(phi, 4)
-        expect = Jet.zero(A11).truncate(4)
-        for k in range(5):
-            expect = expect + Jet.x(A11, 1, k).scale((-1) ** k)
-        assert inv == expect
-
-    def test_inverse_property(self):
-        rng = random.Random(11)
-        phi = Jet.one(A22) + random_jet(A22, rng, parity=0) * x(1)
-        inv = geometric_inverse(phi, 5)
-        assert (phi * inv).truncate(5).same_series(Jet.one(A22))
-
-    def test_rejects_no_constant_term(self):
-        with pytest.raises(ValueError):
-            geometric_inverse(x(1, A11), 3)
-
-    def test_scaled_constant(self):
-        phi = Jet.const(A11, 2)
-        assert geometric_inverse(phi, 2) == Jet.const(A11, F(1, 2)).truncate(2)
 
 
 class TestFormat:

@@ -4,7 +4,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_field, random_jet
+from conftest import direct_sum, random_field, random_jet
 from superrigid import catalog, linalg, walg
 from superrigid.fields import VectorField
 from superrigid.jets import Ambient, Jet
@@ -337,7 +337,7 @@ class TestIdealClosure:
         # left closure, so the walk goes on with the right maps.  Each left
         # map runs once per row of the first walk and never on a row it
         # already closed: 2 rows, 10 maps.
-        J = walg.direct_sum(catalog.make("JS_0_2").algebra,
+        J = direct_sum(catalog.make("JS_0_2").algebra,
                             catalog.make("JS_0_8").algebra)
         n = J.dim
         lefts, rights = sides(J.mult_vec, n)

@@ -7,6 +7,7 @@ from typing import Callable, Sequence
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import direct_sum
 from superrigid import walg
 from superrigid.catalog import make
 from superrigid.linalg import (
@@ -26,12 +27,10 @@ from superrigid.walg import (
     act,
     box,
     check_admissible_findim,
-    direct_sum,
     format_element,
     is_rigid,
     is_simple,
     left_mult_op,
-    parity_reverse,
     related_products,
     str_algebra,
     tkk,
@@ -247,8 +246,7 @@ class TestFinSuperAlg:
         # partner parities are flipped, product parity flipped
         assert L.parities == (1, 0)
         assert L.product_parity == 1
-        assert L.presented_parities == (0, 1)
-        assert L.presented_product_parity == 0
+        assert L.anticommutative_presentation
         assert L.product(0, 1) == {1: F(1)}
         assert L.product(1, 1) == {0: F(-1)}
 
@@ -945,34 +943,14 @@ class TestSimplicity:
 
 
 class TestParityReverse:
-    def test_flags_and_double_reverse(self):
-        J = js02()
-        R = parity_reverse(J)
-        assert R.anticommutative_presentation
-        assert R.presented_parities == (1, 1)
-        assert R.presented_product_parity == 1
-        # double reversal restores the presentation up to a global sign
-        back = parity_reverse(R)
-        assert not back.anticommutative_presentation
-        negated = {key: {k: -c for k, c in out.items()}
-                   for key, out in J.table.items()}
-        assert back.table == negated
-
-    def test_reverse_of_anticommutative_uncovers_partner(self):
-        L = lw02()
-        R = parity_reverse(L)
-        assert not R.anticommutative_presentation
-        assert R.table == L.table
-
-    def test_zero_algebras_swap(self):
-        J = FinSuperAlg((0, 0), 0, {})
-        R = parity_reverse(J)
-        assert R.presented_parities == (1, 1)
-        assert not R.table
-
     def test_rigidity_and_simplicity_invariant(self):
+        # Negating the stored table gives an isomorphic algebra (x -> -x),
+        # so neither verdict may change.  Parity reversal of a stored
+        # supersymmetric product is this negated table.
         for J in (js02(), lw02(), sl2(), rigidity_fixture()):
-            R = parity_reverse(J)
+            negated = {key: {k: -c for k, c in out.items()}
+                       for key, out in J.table.items()}
+            R = FinSuperAlg(J.parities, J.product_parity, negated, J.labels)
             assert is_rigid(J).rigid == is_rigid(R).rigid
             assert is_simple(J).simple == is_simple(R).simple
 
