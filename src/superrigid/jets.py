@@ -169,15 +169,6 @@ class Jet:
             raise ValueError("ambient has no tau generator")
         return cls.xi(amb, amb.n_odd)
 
-    @classmethod
-    def monomial(cls, amb: Ambient, even_exps: Iterable[int],
-                 odd_idx: Iterable[int], coeff=1) -> "Jet":
-        ex = tuple(even_exps)
-        odds = tuple(sorted(odd_idx))
-        if len(ex) != amb.n_even or len(set(odds)) != len(odds):
-            raise ValueError("bad monomial")
-        return cls(amb, {(ex, odds): F(coeff)})
-
     # -- basics ------------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -200,10 +191,6 @@ class Jet:
     def even_degree(self) -> int:
         """Largest total degree in the commuting generators (0 if zero)."""
         return max((sum(m[0]) for m in self.terms), default=0)
-
-    def coeff(self, even_exps: Iterable[int], odd_idx: Iterable[int]) -> F:
-        key = (tuple(even_exps), tuple(sorted(odd_idx)))
-        return self.terms.get(key, F(0))
 
     def truncate(self, order: int | None) -> "Jet":
         """Forget information above the given even degree."""

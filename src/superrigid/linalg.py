@@ -6,23 +6,25 @@ each basis row has a pivot (its smallest key), pivot coefficient 1, and no row
 contains another row's pivot.  Equal spans produce identical Subspace values,
 so subspaces compare by ==.
 
-Spans grow one vector at a time through a single elimination step: the
-vector's remainder against the rows is normalised at its pivot and that pivot
-is cleared from the other rows.  span_reduce, Subspace.extended and
-closure_under all grow their spans this way.  closure_under is the one closure
-routine: the smallest span holding a seed that a list of linear maps sends
-into itself.  A caller closing under a bilinear operation binds each partner
-into a unary map once.  A caller that knows a finite coordinate space holding
-the seed and every image of the maps may pass its dimension as ``full_dim``;
-the closure then stops once the span fills that space, which is exact because
-a span of full dimension is the whole space.  The bound must hold every image,
-not just the vectors the caller cares about.  ideal_closure builds the
-two-sided ideal of a seed from closure_under walks: under left products
-first, then, only when that span is proper, under left and right products
-together.  A full span is the whole space and holds every right image, and a
-proper one lies inside the ideal, so the result is exact for any product;
-a symmetric product only makes the second walk rare.  split_parity is the one
-parity splitter, for jets, vector fields and flattened multilinear maps.
+Spans grow one vector at a time through a single elimination step: the vector's
+remainder against the rows is normalised at its pivot and that pivot is cleared
+from the other rows.  span_reduce, Subspace.extended and closure_under all grow
+their spans this way.  The step clears each pivot from one copy of the vector
+in place.  Rows are copy-on-write: spans grown from a Subspace share its row
+dicts, so the step replaces a row it changes.  closure_under is the one closure
+routine: the smallest span holding a seed that a list of linear maps sends into
+itself.  A caller closing under a bilinear operation binds each partner into a
+unary map once.  A caller that knows a finite coordinate space holding the seed
+and every image of the maps may pass its dimension as ``full_dim``; the closure
+then stops once the span fills that space, which is exact because a span of
+full dimension is the whole space.  The bound must hold every image, not just
+the vectors the caller cares about.  ideal_closure builds the two-sided ideal
+of a seed from closure_under walks: under left products first, then, only when
+that span is proper, under left and right products together.  A full span is
+the whole space and holds every right image, and a proper one lies inside the
+ideal, so the result is exact for any product; a symmetric product only makes
+the second walk rare.  split_parity is the one parity splitter, for jets,
+vector fields and flattened multilinear maps.
 """
 from __future__ import annotations
 
@@ -38,20 +40,25 @@ def vec_clean(v: Vec) -> Vec:
 
 
 def vec_add(u: Vec, v: Vec, scale: Fraction = Fraction(1)) -> Vec:
-    """u + scale*v as a new clean vector."""
+    """u + scale*v as a new vector, clean when u is."""
     out = dict(u)
-    for k, c in v.items():
-        s = out.get(k, Fraction(0)) + scale * c
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
+    _add_into(out, v, scale)
     return out
 
 
+def _add_into(u: Vec, v: Vec, scale) -> None:
+    """u += scale*v in place, dropping keys that cancel or stay zero."""
+    for k, c in v.items():
+        s = u.get(k)
+        s = scale * c if s is None else s + scale * c
+        if s:
+            u[k] = s
+        else:
+            u.pop(k, None)
+
+
 def vec_scale(v: Vec, scale: Fraction) -> Vec:
-    if scale == 0:
-        return {}
+    """scale*v as a new vector, clean for a clean v and a nonzero scale."""
     return {k: scale * c for k, c in v.items()}
 
 
@@ -109,14 +116,15 @@ class Subspace:
 
 
 def _remainder(rows: dict, v: Vec) -> Vec:
-    """Remainder of v against reduced-echelon rows keyed by pivot.
+    """Remainder of v against reduced-echelon rows keyed by pivot: a copy of
+    v, cleared pivot by pivot in place.  Neither v nor any row is written.
 
     No row holds another row's pivot, so each pivot coefficient of v is read
     before any elimination can change it.
     """
     v = vec_clean(v)
     for piv in [k for k in v if k in rows]:
-        v = vec_add(v, rows[piv], -v[piv])
+        _add_into(v, rows[piv], -v[piv])
     return v
 
 
@@ -126,6 +134,7 @@ def _accept(rows: dict, v: Vec) -> Vec:
 
     The remainder is normalised at its pivot (its smallest key) and that
     pivot is cleared from the other rows, which keeps them reduced-echelon.
+    Rows may be shared with other Subspaces: one holding the pivot is replaced.
     """
     r = _remainder(rows, v)
     if r:
@@ -228,27 +237,23 @@ def nullspace(
 ) -> list[Vec]:
     """Basis of the kernel of a linear operator given by its action on basis
     keys.  Returns coordinate vectors over the domain keys."""
-    cols = [vec_clean(operator(k)) for k in domain_basis]
     # Gaussian elimination on the transpose: track domain combinations.
+    images = [vec_clean(operator(k)) for k in domain_basis]
     combos = [{k: Fraction(1)} for k in domain_basis]
-    images = list(cols)
     pivots: dict[Key, int] = {}
     kernel: list[Vec] = []
-    for i in range(len(images)):
-        img = images[i]
+    for i, img in enumerate(images):
         for piv, j in pivots.items():
             c = img.get(piv)
             if c:
-                img = vec_add(img, images[j], -c)
-                combos[i] = vec_add(combos[i], combos[j], -c)
+                _add_into(img, images[j], -c)
+                _add_into(combos[i], combos[j], -c)
         if img:
             piv = min(img)
-            c = img[piv]
-            img = vec_scale(img, Fraction(1) / c)
-            combos[i] = vec_scale(combos[i], Fraction(1) / c)
-            images[i] = img
+            s = Fraction(1) / img[piv]
+            images[i] = vec_scale(img, s)
+            combos[i] = vec_scale(combos[i], s)
             pivots[piv] = i
         else:
-            images[i] = img
             kernel.append(combos[i])
     return kernel

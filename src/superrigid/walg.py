@@ -17,24 +17,22 @@ superalgebra the L_i generate, the smallest space holding them that ad L_i
 sends into itself; R is the smallest space holding the product that act by
 each L_i sends into itself, because act is a representation of the operator
 algebra and so a subspace invariant under generators is invariant under all
-of Str.  The closure for R applies act to flattened products as they are,
-with no map built per step; the operator bracket of Str is w_bracket,
-through box.
+of Str.  Both closures apply a flat kernel to flattened vectors as they
+are, with no map built per step: _bracket_flat for Str, _act_flat for R.
 
-Both kernels are driven by stored entries.  In box, and with it every
+Every kernel is driven by stored entries.  In box, and with it every
 w_bracket of the graded expansion and its admissibility check, each entry of
 g meets only the entries of f whose first argument it hits, and the
 MultiLinMap constructor sorts the combined key and applies its Koszul sign,
-the same rule as a lookup through MultiLinMap.__call__.  In act, each entry
-of the product meets the operator's forward rows at its output and its
-transposed rows at its two arguments, with act's Koszul signs taken per
-entry, and only canonical output keys are summed.
+the same rule as a lookup through MultiLinMap.__call__.  The two flat
+kernels share the operator's forward and transposed rows from _act_table:
+each entry of the other operand meets the forward rows at its output and
+the transposed rows at its arguments, with its signs taken per entry, and
+act sums only canonical output keys.
 
 A map's common denominator and its two kernel tables, box's first-argument
-table and act's forward and transposed rows, are built at most once per
-map, on first use, and kept on it.  A map bracketed against many partners,
-as in the closures and the graded expansion, is tabled once, not once per
-pair.
+table and the flat kernels' rows, are built at most once per map, on first
+use, and kept on it, so a map met by many partners is tabled once.
 """
 from __future__ import annotations
 
@@ -47,6 +45,7 @@ from .linalg import (
     Subspace,
     Vec,
     ZERO,
+    _add_into,
     closure_under,
     ideal_closure,
     span_reduce,
@@ -97,11 +96,11 @@ class MultiLinMap:
     A map is not changed once it is handed out: only w_bracket writes to
     entries, those of the map box has just built for it, before anything
     reads them.  So the common denominator of a map's coefficients (_den)
-    and the kernel tables of box and act (_first_args and _ints) are built
-    on first use and kept on the map.  With
-    check=True every index is checked to lie in the space and every entry to
-    have the map's parity; internal callers that build maps from checked
-    ones pass check=False and skip both checks.
+    and the tables of box and the flat kernels (_first_args and _ints) are
+    built on first use and kept on the map.  With check=True every index is
+    checked to lie in the space and every entry to have the map's parity;
+    internal callers that build maps from checked ones pass check=False and
+    skip both checks.
     """
 
     __slots__ = ("arity", "parity", "parities", "entries", "_den",
@@ -152,11 +151,6 @@ class MultiLinMap:
     @classmethod
     def zero(cls, arity, parity, parities):
         return cls(arity, parity, parities, {}, check=False)
-
-    @classmethod
-    def identity(cls, parities):
-        ent = {(i,): {i: F(1)} for i in range(len(parities))}
-        return cls(1, 0, parities, ent, check=False)
 
     @classmethod
     def vector(cls, v, parities):
@@ -386,10 +380,43 @@ def _act_flat(f: MultiLinMap, v: Vec) -> Vec:
             for key, slot in acc.items() for m, c in slot.items() if c}
 
 
+def _bracket_flat(f: MultiLinMap, v: Vec) -> Vec:
+    """w_bracket(f, .) on a flattened operator {((k,), m): c} of any parities.
+
+    An entry g(e_k) = c e_m meets f's forward rows at m, giving the f o g
+    term c f(e_m) at k, and f's transposed rows at k: each i with f(e_i)
+    hitting e_k gives the g o f term at (i, m), signed with the entry's own
+    parity, so a mixed-parity v needs no split.  Sums run over integers.
+    """
+    pars = f.parities
+    if f._ints is None:
+        f._ints = _act_table(f)
+    df, fwd, back = f._ints
+    pf = f.parity
+    dv = lcm(*(c.denominator for c in v.values()))
+    acc: dict = {}
+    for ((k,), m), c in v.items():
+        c = c.numerator * (dv // c.denominator)
+        row = fwd.get(m)
+        if row:
+            slot = acc.setdefault(k, {})
+            for m2, d in row:
+                slot[m2] = slot.get(m2, 0) + c * d
+        col = back.get(k)
+        if col:
+            w = c if pf & (pars[k] ^ pars[m]) else -c
+            for i, d in col:
+                slot = acc.setdefault(i, {})
+                slot[m] = slot.get(m, 0) + w * d
+    den = df * dv
+    return {((i,), m): F(c, den)
+            for i, slot in acc.items() for m, c in slot.items() if c}
+
+
 def _act_table(f: MultiLinMap):
     """Common denominator d of an operator, its forward rows {k: [(m, c * d)]}
     for f(k) = sum c e_m and its transposed rows {m: [(k, c * d)]}.
-    _act_flat builds them once per map and keeps them on the map."""
+    _act_flat and _bracket_flat build them once per map and keep them on it."""
     d = _common_denominator(f)
     fwd: dict = {}
     back: dict = {}
@@ -518,15 +545,14 @@ class FinSuperAlg:
         return dict(out) if out else {}
 
     def mult_vec(self, u: Vec, v: Vec) -> Vec:
+        pars = self.parities
         out: Vec = {}
         for i, a in u.items():
             for j, b in v.items():
-                for k, c in self.product(i, j).items():
-                    s = out.get(k, F(0)) + a * b * c
-                    if s:
-                        out[k] = s
-                    else:
-                        out.pop(k, None)
+                row = self.table.get((i, j) if i <= j else (j, i))
+                if row:
+                    w = -a * b if i > j and pars[i] and pars[j] else a * b
+                    _add_into(out, row, w)
         return out
 
     def mu_map(self) -> MultiLinMap:
@@ -572,25 +598,6 @@ def _homogeneous_maps(space: Subspace, arity, parities):
             for row in space.rows for part, p in split_parity(row, key_parity)]
 
 
-def _bound(f: MultiLinMap, parities):
-    """The linear map v -> w_bracket(f, v) on flattened operators, summed
-    over the homogeneous parts of v."""
-    key_parity = lambda key: _key_parity(key, parities)
-
-    def bound(v: Vec) -> Vec:
-        parts = split_parity(v, key_parity)
-        if len(parts) == 1:
-            (part, p), = parts
-            g = MultiLinMap.from_vec(part, 1, parities, p)
-            return w_bracket(f, g).as_vec()
-        acc: Vec = {}
-        for part, p in parts:
-            g = MultiLinMap.from_vec(part, 1, parities, p)
-            acc = vec_add(acc, w_bracket(f, g).as_vec())
-        return acc
-    return bound
-
-
 def _lie_closure(vecs, parities) -> Subspace:
     """Lie superalgebra generated by the given homogeneous flattened
     operators.
@@ -599,11 +606,11 @@ def _lie_closure(vecs, parities) -> Subspace:
     into itself for each generator f (Jacobson, Lie Algebras, ch. I).  By the
     graded Jacobi identity the x in V with [x, V] inside V form a subspace
     that holds the generators and is closed under bracketing with them, so it
-    is all of V and V is a subalgebra.  The closure's maps are therefore ad f
-    for the homogeneous parts f of the generators' span.
+    is all of V and V is a subalgebra.  The closure's maps are therefore ad f,
+    by _bracket_flat, for the homogeneous parts f of the generators' span.
     """
     gens = span_reduce(vecs)
-    return closure_under(gens, [_bound(f, parities)
+    return closure_under(gens, [lambda v, f=f: _bracket_flat(f, v)
                                 for f in _homogeneous_maps(gens, 1, parities)])
 
 

@@ -1,12 +1,22 @@
-"""Every public top-level name of the library has a caller in the library
-or the benchmark: code that only its own tests use is deleted, or moved into
-the tests when it is a reference for library code."""
+"""Every public top-level name of the library, and every public method of a
+public class, has a caller in the library or the benchmark: code that only
+its own tests use is deleted, or moved into the tests when it is a reference
+for library code."""
 import ast
 import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "superrigid"
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _public(nodes, kinds):
+    """(name, first line, last line) of each public def among the nodes."""
+    for node in nodes:
+        if isinstance(node, kinds) and not node.name.startswith("_"):
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            yield node.name, first, node.end_lineno
 
 
 def public_definitions():
@@ -14,34 +24,57 @@ def public_definitions():
     class in the package."""
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef))
-                    and not node.name.startswith("_")):
-                first = min([node.lineno]
-                            + [d.lineno for d in node.decorator_list])
-                yield path, node.name, first, node.end_lineno
+        for name, first, last in _public(tree.body, DEFS):
+            yield path, name, first, last
 
 
-def word_sites():
+def public_methods():
+    """(file, Class.name, first line, last line) of each public method of
+    each public top-level class in the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        classes = [n for n in tree.body if isinstance(n, ast.ClassDef)
+                   and not n.name.startswith("_")]
+        for cls in classes:
+            for name, first, last in _public(cls.body, DEFS[:2]):
+                yield path, f"{cls.name}.{name}", first, last
+
+
+def word_sites(pattern=r"\w+"):
     """Word -> (file, line number) of each line of Python in src/ and
-    perfbench/ that holds it."""
+    perfbench/ that holds a match of pattern; the word is the match's first
+    group, or the whole match when pattern has no group."""
     sites = {}
     for top in (ROOT / "src", ROOT / "perfbench"):
         for path in sorted(top.rglob("*.py")):
             for k, text in enumerate(path.read_text().splitlines(), 1):
-                for word in set(re.findall(r"\w+", text)):
+                for word in set(re.findall(pattern, text)):
                     sites.setdefault(word, []).append((path, k))
     return sites
+
+
+def _unused(defs, sites, word):
+    """Qualified names of the defs whose word has no site outside the def."""
+    return [f"{path.stem}.{name}" for path, name, first, last in defs
+            if all(where == path and first <= k <= last
+                   for where, k in sites.get(word(name), []))]
 
 
 def test_every_public_name_has_a_caller():
     defs = list(public_definitions())
     assert len(defs) > 50
-    sites = word_sites()
-    unused = [f"{path.stem}.{name}" for path, name, first, last in defs
-              if all(where == path and first <= k <= last
-                     for where, k in sites.get(name, []))]
+    unused = _unused(defs, word_sites(), lambda name: name)
     assert unused == [], (
         "public names with no caller in src/ or perfbench/: "
+        + ", ".join(unused))
+
+
+def test_every_public_method_has_a_caller():
+    """A method counts as called where its name follows a dot."""
+    defs = list(public_methods())
+    assert len(defs) > 30
+    unused = _unused(defs, word_sites(r"\.(\w+)"),
+                     lambda name: name.rpartition(".")[2])
+    assert unused == [], (
+        "public methods with no caller in src/ or perfbench/: "
         + ", ".join(unused))

@@ -243,7 +243,8 @@ class TestBasisOfDegree:
         k = 2 - 1  # weighted degree of xi1*xi2 d/dx1
         got = real.basis_of_degree(k, order=3)
         amb = Ambient(1, 2)
-        bad = Jet.monomial(amb, (0,), (1, 2)) * VectorField.partial(amb, "x", 1)
+        bad = (Jet(amb, {((0,), (1, 2)): F(1)})
+               * VectorField.partial(amb, "x", 1))
         span = [real.to_vec(v) for v in got]
         from superrigid.linalg import span_reduce
 
@@ -265,7 +266,7 @@ class TestBasisOfDegree:
         spec = GradingSpec((1, 1), (1, 1))
         real = FamilyRealization("SHO", spec)
         amb = Ambient(2, 2)
-        top = Jet.monomial(amb, (0, 0), (1, 2))
+        top = Jet(amb, {((0, 0), (1, 2)): F(1)})
         k = 2 - 2
         got = real.basis_of_degree(k, order=2)
         from superrigid.linalg import span_reduce

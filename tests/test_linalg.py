@@ -1,3 +1,4 @@
+from copy import deepcopy
 from fractions import Fraction as F
 
 import random
@@ -219,6 +220,37 @@ class TestClosure:
         calls.clear()
         assert closure_under(stopped, [counted(shift)], full_dim=3) == stopped
         assert calls == []
+
+
+class TestRowsAreNotWritten:
+    """Elimination writes neither the vectors it is given nor the rows of a
+    Subspace: spans grown from a seed share its row dicts, so a row that
+    changes is replaced by a new dict."""
+
+    vecs = TestSpanProperties.vecs
+
+    @staticmethod
+    def reverse(a):
+        return {(5 - k[0],): c for k, c in a.items()}
+
+    @staticmethod
+    def shift(a):
+        return {(k[0] + 1,): c for k, c in a.items() if k[0] < 5}
+
+    @given(st.lists(vecs, max_size=5), st.lists(vecs, min_size=1, max_size=4))
+    @settings(max_examples=150)
+    def test_inputs_and_seed_rows_unchanged(self, base, more):
+        seed = span_reduce(base)
+        inputs, rows = deepcopy((base, more)), deepcopy(seed.rows)
+        # The identity hands the seed's own rows back to the elimination.
+        maps = [self.shift, lambda a: a, self.reverse]
+        grown = [span_reduce(base + more), seed.extended(more),
+                 closure_under(seed, maps),
+                 ideal_closure(seed, maps[:2], maps[2:], full_dim=6)]
+        assert (base, more) == inputs
+        assert seed.rows == rows
+        assert grown[0] == grown[1]
+        assert grown[2] == grown[3]
 
 
 def counted(maps, calls):
