@@ -28,7 +28,7 @@ the same rule as a lookup through MultiLinMap.__call__.  The two flat
 kernels share the operator's forward and transposed rows from _act_table:
 each entry of the other operand meets the forward rows at its output and
 the transposed rows at its arguments, with its signs taken per entry, and
-act sums only canonical output keys.
+_act_flat sums only canonical output keys.
 
 A map's common denominator and its two kernel tables, box's first-argument
 table and the flat kernels' rows, are built at most once per map, on first
@@ -315,22 +315,12 @@ def w_bracket(f: MultiLinMap, g: MultiLinMap) -> MultiLinMap:
     return out
 
 
-def act(f: MultiLinMap, B: MultiLinMap) -> MultiLinMap:
-    """Operator action on a supersymmetric product, as a derivation-style
-    commutator: (f.B)(x,y) = f(B(x,y)) - +/-(B(f(x),y) + +/-B(x,f(y))).
-
-    Agrees with w_bracket restricted to arity-1 by arity-2 arguments.  It is
-    _act_flat on B's flattened entries, rebuilt into a map.
-    """
-    if f.arity != 1 or B.arity != 2:
-        raise ValueError("act expects an operator and a binary product")
-    return MultiLinMap.from_vec(_act_flat(f, B.as_vec()), 2, f.parities,
-                                f.parity + B.parity)
-
-
 def _act_flat(f: MultiLinMap, v: Vec) -> Vec:
-    """act(f, .) on a flattened binary product {((a, b), m): c} with
-    canonical keys (a <= b, no odd square), of any parities.
+    """The action of an operator on supersymmetric products, as a
+    derivation-style commutator, (f.B)(x,y) = f(B(x,y)) - +/-(B(f(x),y) +
+    +/-B(x,f(y))), on a flattened binary product {((a, b), m): c} with
+    canonical keys (a <= b, no odd square), of any parities.  It agrees with
+    w_bracket(f, B) on each homogeneous part B.
 
     The sum is driven by the entries of v.  An entry B(a, b) = c e_m adds
     c f(e_m) at (a, b), through f's forward rows, and meets f's transposed
@@ -536,23 +526,27 @@ class FinSuperAlg:
     def dim(self) -> int:
         return len(self.parities)
 
+    def _stored(self, i, j):
+        """The stored row for e_i e_j, or None, and its sign: the table
+        keeps i <= j, and swapping two odd factors negates."""
+        if i <= j:
+            return self.table.get((i, j)), 1
+        sign = -1 if (self.parities[i] and self.parities[j]) else 1
+        return self.table.get((j, i)), sign
+
     def product(self, i, j) -> Vec:
-        if i > j:
-            sign = -1 if (self.parities[i] and self.parities[j]) else 1
-            out = self.table.get((j, i))
-            return {k: sign * c for k, c in out.items()} if out else {}
-        out = self.table.get((i, j))
-        return dict(out) if out else {}
+        out, sign = self._stored(i, j)
+        if not out:
+            return {}
+        return dict(out) if sign > 0 else {k: -c for k, c in out.items()}
 
     def mult_vec(self, u: Vec, v: Vec) -> Vec:
-        pars = self.parities
         out: Vec = {}
         for i, a in u.items():
             for j, b in v.items():
-                row = self.table.get((i, j) if i <= j else (j, i))
+                row, sign = self._stored(i, j)
                 if row:
-                    w = -a * b if i > j and pars[i] and pars[j] else a * b
-                    _add_into(out, row, w)
+                    _add_into(out, row, a * b if sign > 0 else -a * b)
         return out
 
     def mu_map(self) -> MultiLinMap:
@@ -616,10 +610,9 @@ def _lie_closure(vecs, parities) -> Subspace:
 
 def _one_step_orbit(mu: MultiLinMap, ops: Subspace) -> Subspace:
     """Span of a product and its images under a space of operators."""
-    first = [mu.as_vec()]
-    for f in _homogeneous_maps(ops, 1, mu.parities):
-        first.append(act(f, mu).as_vec())
-    return span_reduce(first)
+    mu_vec = mu.as_vec()
+    return span_reduce([mu_vec] + [
+        _act_flat(f, mu_vec) for f in _homogeneous_maps(ops, 1, mu.parities)])
 
 
 def _left_mults(J: FinSuperAlg) -> list[Vec]:

@@ -26,7 +26,6 @@ from superrigid.walg import (
     _act_flat,
     _bracket_flat,
     _key_parity,
-    act,
     box,
     check_admissible_findim,
     format_element,
@@ -279,6 +278,17 @@ class TestFinSuperAlg:
         assert J.mult_vec({0: F(1), 1: F(1)}, {0: F(1)}) == {1: F(1)}
         # A zero coefficient adds nothing and leaves no zero entry.
         assert J.mult_vec({0: F(0), 1: F(1)}, {0: F(1), 1: F(1)}) == {0: F(1)}
+
+    def test_mult_vec_swaps_odd_factors_with_a_sign(self):
+        """The table keeps e_i e_j for i <= j only; e_j e_i is read from it,
+        negated when both factors are odd."""
+        J = FinSuperAlg((0, 1, 1), 0, {(1, 2): {0: 3}, (0, 1): {2: 1}})
+        assert J.mult_vec({2: F(2)}, {1: F(1)}) == {0: F(-6)}
+        assert J.mult_vec({1: F(1)}, {2: F(2)}) == {0: F(6)}
+        assert J.mult_vec({1: F(1)}, {0: F(5)}) == {2: F(5)}
+        for i in range(3):
+            for j in range(3):
+                assert J.mult_vec({i: F(1)}, {j: F(1)}) == J.product(i, j)
 
     def test_direct_sum(self):
         J = direct_sum(js02(), js02())
@@ -673,6 +683,13 @@ def test_common_denominator_is_kept(monkeypatch):
         raise AssertionError("common denominator computed again")
     monkeypatch.setattr(walg, "lcm", refuse)
     assert [box(f, g), box(g, f), w_bracket(f, g)] == want
+
+
+def act(f: MultiLinMap, B: MultiLinMap) -> MultiLinMap:
+    """The action of an operator on a binary product, as a map: _act_flat
+    on B's flattened entries, rebuilt."""
+    return MultiLinMap.from_vec(_act_flat(f, B.as_vec()), 2, f.parities,
+                                f.parity + B.parity)
 
 
 class TestAct:
