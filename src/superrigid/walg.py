@@ -5,8 +5,8 @@ anticommutative products are converted on construction to their parity-reversed
 supersymmetric partners, so every stored product is supersymmetric.
 
 MultiLinMap models k-argument supersymmetric multilinear maps on the underlying
-superspace.  The box product and its commutator bracket organize these maps
-into a Z-graded Lie superalgebra with the space itself in degree -1, operators
+superspace.  The insertion product and its commutator bracket, w_bracket,
+organize these maps into a Z-graded Lie superalgebra with the space itself in degree -1, operators
 in degree 0, and supersymmetric products in degree 1.  On top of that live the
 structure operators of an algebra, the orbit of its product under them,
 rigidity and simplicity tests, and the graded expansion generated by degree 1.
@@ -20,19 +20,21 @@ algebra and so a subspace invariant under generators is invariant under all
 of Str.  Both closures apply a flat kernel to flattened vectors as they
 are, with no map built per step: _bracket_flat for Str, _act_flat for R.
 
-Every kernel is driven by stored entries.  In box, and with it every
-w_bracket of the graded expansion and its admissibility check, each entry of
-g meets only the entries of f whose first argument it hits, and the
-MultiLinMap constructor sorts the combined key and applies its Koszul sign,
-the same rule as a lookup through MultiLinMap.__call__.  The two flat
-kernels share the operator's forward and transposed rows from _act_table:
-each entry of the other operand meets the forward rows at its output and
-the transposed rows at its arguments, with its signs taken per entry, and
-_act_flat sums only canonical output keys.
+Every kernel is driven by stored entries.  w_bracket, the one bracket of
+the graded expansion and its admissibility check, inserts each operand into
+the other through the other's first-argument table: each entry of g meets
+only the entries of f whose first argument it hits, and both insertion sums
+go into one integer accumulator on canonical keys, with no map built.  The
+two flat kernels of the closures share the operator's forward and
+transposed rows from _act_table: each entry of the other operand meets the
+forward rows at its output and the transposed rows at its arguments, with
+its signs taken per entry, and _act_flat sums only canonical output keys.
 
-A map's common denominator and its two kernel tables, box's first-argument
-table and the flat kernels' rows, are built at most once per map, on first
-use, and kept on it, so a map met by many partners is tabled once.
+A map's common denominator and its two kernel tables, the first-argument
+table and the operator rows, are built at most once per map, on first use,
+and kept on it, so a map met by many partners is tabled once.  An algebra
+keeps the maps of its left multiplications in the same way, so Str's and R's
+closures share one build of their generators.
 """
 from __future__ import annotations
 
@@ -55,6 +57,16 @@ from .linalg import (
 )
 
 F = Fraction
+
+
+def _coeff(c, where) -> Fraction:
+    """c as an exact Fraction; None, inf, nan or text that is no rational
+    number raise a ValueError naming where c was given."""
+    try:
+        return F(c)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise ValueError(f"coefficient {c!r} of {where} is not an exact "
+                         "rational number") from None
 
 
 def _sort_sign(idxs, parities):
@@ -93,20 +105,22 @@ class MultiLinMap:
     arity 0 is just a vector of the space, arity 1 an operator, arity 2 a
     supersymmetric product.
 
-    A map is not changed once it is handed out: only w_bracket writes to
-    entries, those of the map box has just built for it, before anything
-    reads them.  So the common denominator of a map's coefficients (_den)
-    and the tables of box and the flat kernels (_first_args and _ints) are
-    built on first use and kept on the map.  With check=True every index is
-    checked to lie in the space and every entry to have the map's parity;
-    internal callers that build maps from checked ones pass check=False and
-    skip both checks.
+    A map is not changed once it is built, so the common denominator of its
+    coefficients (_den), the first-argument table that w_bracket reads
+    (_first_args) and the operator rows of the flat kernels (_ints) are
+    built on first use and kept on the map.  Every coefficient is converted
+    to an exact Fraction, and zeros are dropped.  With check=True every
+    index is checked to lie in the space and every entry to have the map's
+    parity; internal callers that build maps from checked ones pass
+    check=False and skip both checks.
     """
 
     __slots__ = ("arity", "parity", "parities", "entries", "_den",
                  "_first_args", "_ints")
 
     def __init__(self, arity, parity, parities, entries=None, *, check=True):
+        if type(arity) is not int or arity < 0:
+            raise ValueError(f"arity must be an integer >= 0, got {arity!r}")
         self.arity = arity
         self.parity = parity % 2
         self.parities = tuple(parities)
@@ -125,7 +139,7 @@ class MultiLinMap:
             slot = canon.setdefault(skey, {})
             for k, c in out.items():
                 if type(c) is not F:
-                    c = F(c)
+                    c = _coeff(c, f"entry {key}->{k}")
                 if sign < 0:
                     c = -c
                 s = slot.get(k)
@@ -149,17 +163,13 @@ class MultiLinMap:
                         )
 
     @classmethod
-    def zero(cls, arity, parity, parities):
-        return cls(arity, parity, parities, {}, check=False)
-
-    @classmethod
     def vector(cls, v, parities):
         """Arity-0 map holding one homogeneous vector of the space."""
         pars = {parities[i] for i in v}
         if len(pars) > 1:
             raise ValueError("mixed parity vector")
         parity = pars.pop() if pars else 0
-        return cls(0, parity, parities, {(): vec_clean(dict(v))}, check=False)
+        return cls(0, parity, parities, {(): v}, check=False)
 
     @classmethod
     def from_vec(cls, vec, arity, parities, parity=None, *, check=False):
@@ -205,57 +215,6 @@ class MultiLinMap:
         return f"MultiLinMap(arity={self.arity}, parity={self.parity}, nnz={nnz})"
 
 
-def box(f: MultiLinMap, g: MultiLinMap) -> MultiLinMap:
-    """Insertion product: sum over shuffles of g into the first slot of f.
-
-    A map with a arguments sits in degree a-1; the result lives in the degree
-    sum, so two degree -1 maps underflow.
-
-    The sum is driven by the stored entries.  f is tabled by its first
-    argument, k -> (rest, f(k, *rest)), through f's own lookup; the table is
-    built on f's first use as a left operand and kept on f.  Each entry
-    A -> {k: c} of g meets the rows for k on the unsorted key A + rest; the
-    constructor sorts that key and applies its Koszul sign.  Position subsets
-    that pick different copies of a repeated even index give the same split
-    with the same sign, so a split is counted once and weighted by their
-    number, the product over indices v of C(m_A(v) + m_rest(v), m_rest(v)).
-    The sums run over integers scaled by the common denominators of f and g,
-    each computed once and kept on its map.
-    """
-    p, q = f.arity - 1, g.arity - 1
-    if p + q < -1:
-        raise ValueError("arity underflow: both operands are plain vectors")
-    arity = p + q + 1
-    parity = (f.parity + g.parity) % 2
-    pars = f.parities
-    if pars != g.parities:
-        raise ValueError("operands live over different spaces")
-    if f.arity == 0:
-        return MultiLinMap.zero(arity, parity, pars)
-    if f._first_args is None:
-        f._first_args = _first_arg_table(f)
-    df, ftab = f._first_args
-    dg = _common_denominator(g)
-    acc: dict = {}
-    for A, out in g.entries.items():
-        for k, c in out.items():
-            rows = ftab.get(k)
-            if not rows:
-                continue
-            c = c.numerator * (dg // c.denominator)
-            for rest, img in rows:
-                w = c
-                for v in set(A).intersection(rest):
-                    w *= comb(A.count(v) + rest.count(v), rest.count(v))
-                slot = acc.setdefault(A + rest, {})
-                for m, d in img:
-                    slot[m] = slot.get(m, 0) + w * d
-    den = df * dg
-    entries = {key: {m: F(c, den) for m, c in slot.items() if c}
-               for key, slot in acc.items()}
-    return MultiLinMap(arity, parity, pars, entries, check=False)
-
-
 def _common_denominator(m: MultiLinMap) -> int:
     """Least common multiple of m's denominators, computed on first use and
     kept on m with its kernel tables."""
@@ -269,8 +228,8 @@ def _first_arg_table(f: MultiLinMap):
     """Common denominator d of a map and its table {k: [(rest, [(m, c * d)])]}
     over every stored key and each distinct index k in it, where rest is the
     key less one k and the image is f(k, *rest), so the sign of moving k to
-    the front comes from f's lookup.  box builds it once per map and keeps it
-    on the map."""
+    the front comes from f's lookup.  _insert builds it once per map and
+    keeps it on the map."""
     d = _common_denominator(f)
     tab: dict = {}
     for key in f.entries:
@@ -283,36 +242,64 @@ def _first_arg_table(f: MultiLinMap):
     return d, tab
 
 
-def w_bracket(f: MultiLinMap, g: MultiLinMap) -> MultiLinMap:
-    """Graded commutator of the insertion product,
-    box(f, g) - (-1)^{|f||g|} box(g, f).
+def w_bracket(f: MultiLinMap, g: MultiLinMap) -> Vec:
+    """Graded commutator of the insertion product, flattened:
+    f o g - (-1)^{|f||g|} g o f as {(key, m): c} on canonical keys.
 
-    The entries of box(g, f), negated when the sign asks for it, are merged
-    into the map box(f, g) has just built, before anything else holds it,
-    has tabled it or has taken its common denominator, so the difference
-    builds no further map and the values kept on the map on first use stay
-    valid.
+    f o g inserts g into the first slot of f, summed over shuffles.  A map
+    with a arguments sits in degree a-1; the bracket lives in the degree sum,
+    so two degree -1 maps underflow.  Both insertion sums are driven by the
+    stored entries, each through the outer map's first-argument table (see
+    _insert), and go into one accumulator of integers scaled by the common
+    denominators of f and g; a Fraction is made once per surviving entry.
     """
-    out = box(f, g)
-    ent = out.entries
-    negate = not (f.parity and g.parity)
-    for key, images in box(g, f).entries.items():
-        if negate:
-            images = {k: -c for k, c in images.items()}
-        slot = ent.get(key)
-        if slot is None:
-            ent[key] = images
-            continue
-        for k, c in images.items():
-            if k in slot:
-                c += slot[k]
-                if not c:
-                    del slot[k]
+    if f.arity + g.arity < 1:
+        raise ValueError("arity underflow: both operands are plain vectors")
+    if f.parities != g.parities:
+        raise ValueError("operands live over different spaces")
+    acc: dict = {}
+    _insert(acc, f, g, 1)
+    _insert(acc, g, f, 1 if f.parity and g.parity else -1)
+    den = _common_denominator(f) * _common_denominator(g)
+    return {(key, m): F(c, den)
+            for key, slot in acc.items() for m, c in slot.items() if c}
+
+
+def _insert(acc: dict, f: MultiLinMap, g: MultiLinMap, sign: int) -> None:
+    """Add sign * (f o g), scaled by the common denominators of f and g, into
+    acc {canonical key: {m: integer}}.
+
+    f is tabled by its first argument, k -> (rest, f(k, *rest)); the table is
+    built on f's first use as an outer map and kept on f.  Each entry
+    A -> {k: c} of g meets the rows for k on the unsorted key A + rest, which
+    _sort_sign sorts and signs; a sign of 0 (a repeated odd index) drops the
+    term.  Position subsets that pick different copies of a repeated even
+    index give the same split with the same sign, so a split is counted once
+    and weighted by their number, the product over indices v of
+    C(m_A(v) + m_rest(v), m_rest(v)).
+    """
+    if f._first_args is None:
+        f._first_args = _first_arg_table(f)
+    ftab = f._first_args[1]
+    pars = f.parities
+    dg = _common_denominator(g)
+    for A, out in g.entries.items():
+        in_A = set(A)
+        for k, c in out.items():
+            rows = ftab.get(k)
+            if not rows:
+                continue
+            c = sign * c.numerator * (dg // c.denominator)
+            for rest, img in rows:
+                s, skey = _sort_sign(A + rest, pars)
+                if not s:
                     continue
-            slot[k] = c
-        if not slot:
-            del ent[key]
-    return out
+                for v in in_A.intersection(rest):
+                    s *= comb(A.count(v) + rest.count(v), rest.count(v))
+                w = s * c
+                slot = acc.setdefault(skey, {})
+                for m, d in img:
+                    slot[m] = slot.get(m, 0) + w * d
 
 
 def _act_flat(f: MultiLinMap, v: Vec) -> Vec:
@@ -426,10 +413,14 @@ class FinSuperAlg:
     product parity and twists by the sign of the first factor; the flag
     anticommutative_presentation records that the user-facing product is the
     anticommutative original.
+
+    Every coefficient is converted to an exact Fraction, and zeros are
+    dropped.  The table is not changed once built, so the generators of Str
+    (_gens, see _str_generators) are built on first use and kept.
     """
 
     __slots__ = ("parities", "product_parity", "table", "labels",
-                 "anticommutative_presentation")
+                 "anticommutative_presentation", "_gens")
 
     def __init__(self, parities, product_parity, table, labels=None, *,
                  anticommutative_presentation=False):
@@ -439,12 +430,15 @@ class FinSuperAlg:
         if self.labels and len(self.labels) != len(self.parities):
             raise ValueError("labels do not match dimension")
         self.anticommutative_presentation = bool(anticommutative_presentation)
+        self._gens = None
         n = len(self.parities)
         canon: dict = {}
         for (i, j), out in table.items():
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"basis index out of range in ({i},{j})")
-            out = {k: F(c) for k, c in out.items() if c}
+            out = {k: _coeff(c, f"product of {i},{j} at {k}")
+                   for k, c in out.items()}
+            out = {k: c for k, c in out.items() if c}
             if not out:
                 continue
             if i > j:
@@ -484,7 +478,9 @@ class FinSuperAlg:
         for (i, j), out in table.items():
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"basis index out of range in ({i},{j})")
-            out = {k: F(c) for k, c in out.items() if c}
+            out = {k: _coeff(c, f"product of {i},{j} at {k}")
+                   for k, c in out.items()}
+            out = {k: c for k, c in out.items() if c}
             if (i, j) in full and full[(i, j)] != out:
                 raise ValueError(f"product of {i},{j} given twice")
             full[(i, j)] = out
@@ -572,6 +568,11 @@ def left_mult_op(J: FinSuperAlg, a) -> MultiLinMap:
     """Operator of left multiplication by a basis index or homogeneous vector."""
     if isinstance(a, int):
         a = {a: F(1)}
+    for i in a:
+        if not (isinstance(i, int) and 0 <= i < J.dim):
+            raise ValueError(f"multiplier index {i!r} is not a basis index "
+                             f"of a {J.dim}-dimensional algebra")
+    a = {i: _coeff(c, f"multiplier index {i}") for i, c in a.items()}
     pars = {J.parities[i] for i in a}
     if len(pars) > 1:
         raise ValueError("mixed parity multiplier")
@@ -592,9 +593,9 @@ def _homogeneous_maps(space: Subspace, arity, parities):
             for row in space.rows for part, p in split_parity(row, key_parity)]
 
 
-def _lie_closure(vecs, parities) -> Subspace:
-    """Lie superalgebra generated by the given homogeneous flattened
-    operators.
+def _lie_closure(gens: Subspace, maps) -> Subspace:
+    """Lie superalgebra generated by a space of operators, given a map for
+    each homogeneous part of its rows.
 
     This is the smallest space V containing the generators that ad f sends
     into itself for each generator f (Jacobson, Lie Algebras, ch. I).  By the
@@ -603,9 +604,8 @@ def _lie_closure(vecs, parities) -> Subspace:
     is all of V and V is a subalgebra.  The closure's maps are therefore ad f,
     by _bracket_flat, for the homogeneous parts f of the generators' span.
     """
-    gens = span_reduce(vecs)
     return closure_under(gens, [lambda v, f=f: _bracket_flat(f, v)
-                                for f in _homogeneous_maps(gens, 1, parities)])
+                                for f in maps])
 
 
 def _one_step_orbit(mu: MultiLinMap, ops: Subspace) -> Subspace:
@@ -615,14 +615,21 @@ def _one_step_orbit(mu: MultiLinMap, ops: Subspace) -> Subspace:
         _act_flat(f, mu_vec) for f in _homogeneous_maps(ops, 1, mu.parities)])
 
 
-def _left_mults(J: FinSuperAlg) -> list[Vec]:
-    return [left_mult_op(J, i).as_vec() for i in range(J.dim)]
+def _str_generators(J: FinSuperAlg) -> tuple[Subspace, list[MultiLinMap]]:
+    """The span of J's left multiplications and a map for each homogeneous
+    part of its rows: Str's generators and the operators of R's closure.
+    Built on first use and kept on J, so the two closures share the maps and
+    their kernel tables."""
+    if J._gens is None:
+        gens = span_reduce([left_mult_op(J, i).as_vec() for i in range(J.dim)])
+        J._gens = gens, _homogeneous_maps(gens, 1, J.parities)
+    return J._gens
 
 
 def str_algebra(J: FinSuperAlg) -> Subspace:
     """Smallest bracket-closed operator space containing every left
     multiplication."""
-    return _lie_closure(_left_mults(J), J.parities)
+    return _lie_closure(*_str_generators(J))
 
 
 def related_products(J: FinSuperAlg) -> Subspace:
@@ -640,9 +647,9 @@ def related_products(J: FinSuperAlg) -> Subspace:
     mu_vec = J.mu_map().as_vec()
     if not mu_vec:
         return ZERO
-    ops = _homogeneous_maps(span_reduce(_left_mults(J)), 1, J.parities)
     return closure_under(span_reduce([mu_vec]),
-                         [lambda v, f=f: _act_flat(f, v) for f in ops])
+                         [lambda v, f=f: _act_flat(f, v)
+                          for f in _str_generators(J)[1]])
 
 
 @dataclass
@@ -742,7 +749,7 @@ def tkk(J: FinSuperAlg, depth_cap: int = 6) -> GradedLie:
     the related products, and each further degree the bracket of degree 1 with
     the previous one, up to depth_cap.  Reports whether the chain hit zero.
     """
-    if not isinstance(depth_cap, int):
+    if type(depth_cap) is not int:
         raise ValueError(f"depth_cap must be an integer, got {depth_cap!r}")
     if depth_cap < 1:
         raise ValueError("depth_cap must be at least 1")
@@ -756,7 +763,10 @@ def tkk(J: FinSuperAlg, depth_cap: int = 6) -> GradedLie:
     for k in range(1, depth_cap):
         if terminated:
             break
-        vecs = [w_bracket(u, v).as_vec() for u in g1_maps for v in prev]
+        # At k == 1 both sides are g1_maps, and w_bracket(v, u) =
+        # -(-1)^{|u||v|} w_bracket(u, v): each unordered pair is bracketed once.
+        vecs = [w_bracket(u, v) for a, u in enumerate(g1_maps)
+                for v in prev[a if k == 1 else 0:]]
         nxt = span_reduce(vecs)
         comps[k + 1] = nxt
         if nxt.dim == 0:
@@ -794,9 +804,10 @@ def check_admissible_findim(G: GradedLie) -> AdmissibleFindimReport:
 
     if not mu.is_zero():
         degree_one_spanned = _one_step_orbit(mu, g0) == g1
-        seeds = [w_bracket(MultiLinMap.vector({i: F(1)}, pars), mu).as_vec()
-                 for i in range(J.dim)]
-        degree_zero_generated = _lie_closure(seeds, pars) == g0
+        seeds = span_reduce([w_bracket(MultiLinMap.vector({i: F(1)}, pars), mu)
+                             for i in range(J.dim)])
+        degree_zero_generated = _lie_closure(
+            seeds, _homogeneous_maps(seeds, 1, pars)) == g0
     else:
         degree_one_spanned = g1.dim == 0
         degree_zero_generated = False
@@ -818,7 +829,7 @@ def check_admissible_findim(G: GradedLie) -> AdmissibleFindimReport:
                 continue
             for a, u in enumerate(maps_by_deg[i]):
                 for v in maps_by_deg[j][a if i == j else 0:]:
-                    vecs.append(w_bracket(u, v).as_vec())
+                    vecs.append(w_bracket(u, v))
         if span_reduce(vecs) != G.components[k]:
             chain_consistent = False
     return AdmissibleFindimReport(degree_one_spanned, degree_zero_generated,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import direct_sum
-from superrigid import walg
+from superrigid import catalog, walg
 from superrigid.catalog import make
 from superrigid.linalg import (
     Subspace,
@@ -26,7 +26,6 @@ from superrigid.walg import (
     _act_flat,
     _bracket_flat,
     _key_parity,
-    box,
     check_admissible_findim,
     format_element,
     is_rigid,
@@ -93,8 +92,15 @@ def identity_op(pars):
     return MultiLinMap(1, 0, pars, {(i,): {i: F(1)} for i in range(len(pars))})
 
 
-# MultiLinMap.add and MultiLinMap.scale as the library had them, before
-# w_bracket merged its two box results in place; only the tests use them.
+def wb(f: MultiLinMap, g: MultiLinMap) -> MultiLinMap:
+    """w_bracket(f, g), which the library keeps flat, rebuilt into a map."""
+    return MultiLinMap.from_vec(w_bracket(f, g), f.arity + g.arity - 1,
+                                f.parities, f.parity + g.parity)
+
+
+# MultiLinMap.add and MultiLinMap.scale as the library once had them.  The
+# library brackets flattened maps and needs neither; the tests' identities
+# between maps do.
 
 def mlm_add(f: MultiLinMap, other: MultiLinMap) -> MultiLinMap:
     if f.arity != other.arity or f.parities != other.parities:
@@ -118,7 +124,7 @@ def mlm_add(f: MultiLinMap, other: MultiLinMap) -> MultiLinMap:
 def mlm_scale(f: MultiLinMap, c) -> MultiLinMap:
     c = F(c)
     if c == 0:
-        return MultiLinMap.zero(f.arity, f.parity, f.parities)
+        return MultiLinMap(f.arity, f.parity, f.parities)
     ent = {key: {k: c * v for k, v in out.items()}
            for key, out in f.entries.items()}
     return MultiLinMap(f.arity, f.parity, f.parities, ent, check=False)
@@ -273,6 +279,20 @@ class TestFinSuperAlg:
         with pytest.raises(ValueError, match="out of range"):
             FinSuperAlg.from_anticommutative((0, 0), 0, {(0, 5): {1: 1}})
 
+    @pytest.mark.parametrize("c", [float("inf"), float("nan"), None, "x"])
+    def test_bad_coefficient_is_named(self, c):
+        with pytest.raises(ValueError, match=r"product of 0,0 at 1"):
+            FinSuperAlg((0, 0), 0, {(0, 0): {1: c}})
+        with pytest.raises(ValueError, match=r"product of 0,1 at 0"):
+            FinSuperAlg.from_anticommutative((0, 0), 0, {(0, 1): {0: c}})
+
+    def test_zero_coefficient_is_dropped(self):
+        assert FinSuperAlg((0, 0), 0, {(0, 0): {1: "0"}}).table == {}
+        J = FinSuperAlg((0, 0), 0, {(0, 0): {1: "0", 0: "1/2"}})
+        assert J.table == {(0, 0): {0: F(1, 2)}}
+        J = FinSuperAlg.from_anticommutative((0, 0), 0, {(0, 1): {0: "0"}})
+        assert J.table == {}
+
     def test_mult_vec(self):
         J = js02()
         assert J.mult_vec({0: F(1), 1: F(1)}, {0: F(1)}) == {1: F(1)}
@@ -337,6 +357,20 @@ class TestMultiLinMap:
         with pytest.raises(ValueError, match="out of range"):
             MultiLinMap(1, 0, (0,), {(0,): {3: 1}})
 
+    @pytest.mark.parametrize("arity", [-1, 1.5, True, "1"])
+    def test_bad_arity(self, arity):
+        with pytest.raises(ValueError, match="arity"):
+            MultiLinMap(arity, 0, (0,))
+
+    @pytest.mark.parametrize("c", [float("inf"), float("nan"), None, "x"])
+    def test_bad_coefficient_is_named(self, c):
+        with pytest.raises(ValueError, match=r"entry \(0,\)->0"):
+            MultiLinMap(1, 0, (0,), {(0,): {0: c}})
+
+    def test_zero_coefficient_is_dropped(self):
+        assert MultiLinMap(1, 0, (0,), {(0,): {0: "0"}}).entries == {}
+        assert MultiLinMap.vector({0: 0}, (0,)).is_zero()
+
     def test_vec_roundtrip(self):
         rng = random.Random(5)
         pars = (0, 1, 1, 0)
@@ -353,25 +387,28 @@ class TestMultiLinMap:
 
 class TestBox:
     def test_operator_on_vector(self):
-        # arity-1 box arity-0 is plain application
+        # Inserting a vector into an operator is plain application, and a
+        # vector has no slot to insert into.
         pars = (0, 0)
         f = MultiLinMap(1, 0, pars, {(0,): {1: 1}, (1,): {0: 2}})
         x = MultiLinMap.vector({0: F(1), 1: F(3)}, pars)
-        assert box(f, x).entries == {(): {1: F(1), 0: F(6)}}
+        assert _box_reference(f, x).entries == {(): {1: F(1), 0: F(6)}}
+        assert _box_reference(x, f).is_zero()
+        assert w_bracket(f, x) == {((), 1): F(1), ((), 0): F(6)}
 
     def test_product_bracket_vector_is_left_mult(self):
         J = js02()
         mu = J.mu_map()
         a = MultiLinMap.vector({0: F(1)}, J.parities)
-        m = w_bracket(mu, a)
+        m = wb(mu, a)
         assert m(0) == {1: F(1)}  # a*a = b
         assert m(1) == {}
 
     def test_arity_underflow(self):
         pars = (0,)
         x = MultiLinMap.vector({0: F(1)}, pars)
-        with pytest.raises(ValueError):
-            box(x, x)
+        with pytest.raises(ValueError, match="underflow"):
+            w_bracket(x, x)
 
     def test_right_associativity_defect_symmetry(self):
         rng = random.Random(7)
@@ -385,14 +422,15 @@ class TestBox:
             a = random_mlm(pars, aa, pa, rng)
             b = random_mlm(pars, ab, pb, rng)
             c = random_mlm(pars, ac, pc, rng)
+            box = _box_reference
             lhs = mlm_add(box(box(a, b), c), mlm_scale(box(a, box(b, c)), -1))
             rhs = mlm_add(box(box(a, c), b), mlm_scale(box(a, box(c, b)), -1))
             sign = -1 if (pb and pc) else 1
             assert mlm_add(lhs, mlm_scale(rhs, -sign)).is_zero()
 
 
-# The library's box before its entry-driven kernel, verbatim; the helper it
-# called is the tests' canonical_keys.
+# The library's insertion product before its entry-driven kernel, verbatim;
+# the helper it called is the tests' canonical_keys.
 _canonical_keys = canonical_keys
 
 
@@ -411,7 +449,7 @@ def _box_reference(f: MultiLinMap, g: MultiLinMap) -> MultiLinMap:
     if pars != g.parities:
         raise ValueError("operands live over different spaces")
     if f.arity == 0:
-        return MultiLinMap.zero(arity, parity, pars)
+        return MultiLinMap(arity, parity, pars)
     entries: dict = {}
     n = len(pars)
     for key in _canonical_keys(n, arity, pars):
@@ -449,9 +487,15 @@ KERNEL_PARITIES = {
 }
 
 
+def _shape(vec: Vec, pars) -> set:
+    """The (arity, parity) of each key of a flattened map."""
+    return {(len(args), _key_parity((args, m), pars)) for args, m in vec}
+
+
 class TestBoxKernel:
-    """The entry-driven box against the subset-sum sum over every canonical
-    output key and every position subset that it replaced."""
+    """The entry-driven w_bracket against the difference of two subset-sum
+    insertion products, each summed over every canonical output key and
+    every position subset."""
 
     @pytest.mark.parametrize("pars", KERNEL_PARITIES.values(),
                              ids=KERNEL_PARITIES)
@@ -465,32 +509,35 @@ class TestBoxKernel:
                 for pf, pg, _ in product((0, 1), (0, 1), range(3)):
                     f = random_mlm(pars, af, pf, rng, den=4)
                     g = random_mlm(pars, ag, pg, rng, den=4)
-                    got, want = box(f, g), _box_reference(f, g)
-                    assert (got.arity, got.parity) == (want.arity,
-                                                       want.parity)
-                    assert got == want
+                    got = w_bracket(f, g)
+                    want = _w_bracket_reference(f, g)
+                    assert _shape(got, pars) <= {(want.arity, want.parity)}
+                    assert got == want.as_vec()
                     nonzero += not want.is_zero()
         assert nonzero > 20
 
     def test_repeated_even_index_multiplicity(self):
-        # Over one even basis vector e, mu(e, e) = e and box(mu, mu)(e, e, e)
-        # picks the inner pair in C(3, 2) = 3 ways.
-        mu = MultiLinMap(2, 0, (0,), {(0, 0): {0: 1}})
-        assert box(mu, mu).entries == {(0, 0, 0): {0: F(3)}}
-        assert box(mu, mu) == _box_reference(mu, mu)
+        # Over even e0, e1 with mu(e0, e0) = e0 and g(e0, e0) = e1, inserting
+        # mu into g at (e0, e0, e0) picks the inner pair in C(3, 2) = 3 ways,
+        # and inserting g into mu gives mu(e1, e0) = 0.
+        mu = MultiLinMap(2, 0, (0, 0), {(0, 0): {0: 1}})
+        g = MultiLinMap(2, 0, (0, 0), {(0, 0): {1: 1}})
+        assert _box_reference(g, mu).entries == {(0, 0, 0): {1: F(3)}}
+        assert _box_reference(mu, g).is_zero()
+        assert w_bracket(mu, g) == {((0, 0, 0), 1): F(-3)}
+        assert w_bracket(mu, g) == _w_bracket_reference(mu, g).as_vec()
 
     def test_different_spaces(self):
         # Arity underflow is test_arity_underflow in TestBox.
         f = identity_op((0, 1))
         g = identity_op((0, 0))
         with pytest.raises(ValueError, match="different spaces"):
-            box(f, g)
-        with pytest.raises(ValueError, match="different spaces"):
             w_bracket(f, g)
 
     def test_w_bracket_graded_antisymmetry(self):
-        """w_bracket(v, u) = -(-1)^{|u||v|} w_bracket(u, v), as values; the
-        admissibility chain check brackets each unordered pair once by it."""
+        """w_bracket(v, u) = -(-1)^{|u||v|} w_bracket(u, v), as values; tkk's
+        degree-one step and the admissibility chain check bracket each
+        unordered pair once by it."""
         rng = random.Random(37)
         pars = (0, 1, 0, 1)
         for _ in range(30):
@@ -499,7 +546,8 @@ class TestBoxKernel:
             u = random_mlm(pars, au, pu, rng, den=3)
             v = random_mlm(pars, av, pv, rng, den=3)
             sign = -1 if (pu and pv) else 1
-            assert w_bracket(v, u) == mlm_scale(w_bracket(u, v), -sign)
+            assert w_bracket(v, u) == {key: -sign * c
+                                       for key, c in w_bracket(u, v).items()}
 
 
 class TestWBracket:
@@ -512,8 +560,7 @@ class TestWBracket:
             f = random_mlm(pars, af, pf, rng)
             g = random_mlm(pars, ag, pg, rng)
             sign = -1 if (pf and pg) else 1
-            assert mlm_add(w_bracket(f, g),
-                           mlm_scale(w_bracket(g, f), sign)).is_zero()
+            assert mlm_add(wb(f, g), mlm_scale(wb(g, f), sign)).is_zero()
 
     def test_super_jacobi(self):
         rng = random.Random(13)
@@ -527,10 +574,10 @@ class TestWBracket:
             ps = [rng.randint(0, 1) for _ in range(3)]
             f, g, h = (random_mlm(pars, a, p, rng)
                        for a, p in zip(arities, ps))
-            lhs = w_bracket(f, w_bracket(g, h))
-            rhs = w_bracket(w_bracket(f, g), h)
+            lhs = wb(f, wb(g, h))
+            rhs = wb(wb(f, g), h)
             sign = -1 if (ps[0] and ps[1]) else 1
-            rhs = mlm_add(rhs, mlm_scale(w_bracket(g, w_bracket(f, h)), sign))
+            rhs = mlm_add(rhs, mlm_scale(wb(g, wb(f, h)), sign))
             assert mlm_add(lhs, mlm_scale(rhs, -1)).is_zero()
 
     def test_matches_operator_superbracket(self):
@@ -540,7 +587,7 @@ class TestWBracket:
             pf, pg = rng.randint(0, 1), rng.randint(0, 1)
             f = random_mlm(pars, 1, pf, rng)
             g = random_mlm(pars, 1, pg, rng)
-            br = w_bracket(f, g)
+            br = wb(f, g)
             sign = -1 if (pf and pg) else 1
             for i in range(2):
                 direct = {}
@@ -557,13 +604,14 @@ class TestWBracket:
         rng = random.Random(19)
         pars = (0, 1)
         f = random_mlm(pars, 2, 1, rng)
-        assert w_bracket(f, f) == mlm_scale(box(f, f), 2)
+        assert wb(f, f) == mlm_scale(_box_reference(f, f), 2)
 
 
 def _w_bracket_reference(f: MultiLinMap, g: MultiLinMap) -> MultiLinMap:
-    """The library's w_bracket before it merged the two box results."""
+    """The graded commutator as two subset-sum insertion products, scaled
+    and added as maps."""
     sign = -1 if (f.parity and g.parity) else 1
-    return mlm_add(box(f, g), mlm_scale(box(g, f), -sign))
+    return mlm_add(_box_reference(f, g), mlm_scale(_box_reference(g, f), -sign))
 
 
 def _fresh(m: MultiLinMap) -> MultiLinMap:
@@ -592,13 +640,14 @@ def _map_pairs(draw):
 
 
 class TestWBracketMerge:
-    """w_bracket merges box(g, f) into box(f, g) in place of add and scale."""
+    """w_bracket sums both insertions into one accumulator, in place of two
+    insertion products added and scaled as maps."""
 
     @given(_map_pairs())
     @settings(max_examples=200, deadline=None)
     def test_matches_add_scale_reference(self, fg):
         f, g = fg
-        other = MultiLinMap.zero(1, 0, g.parities + (0,))
+        other = MultiLinMap(1, 0, g.parities + (0,))
         for a, b in ((f, g), (g, f), (f, f)):
             with pytest.raises(ValueError, match="different spaces"):
                 w_bracket(a, other)
@@ -608,23 +657,23 @@ class TestWBracketMerge:
                 continue
             want = _w_bracket_reference(_fresh(a), _fresh(b))
             got = w_bracket(a, b)
-            assert (got.arity, got.parity) == (want.arity, want.parity)
-            assert got == want
+            assert _shape(got, a.parities) <= {(want.arity, want.parity)}
+            assert got == want.as_vec()
             if a is b and not a.parity:
-                assert got.is_zero()
+                assert not got
 
     def test_even_self_bracket_cancels(self):
         rng = random.Random(43)
         pars = (0, 1, 1)
         for arity in (1, 2, 3):
             f = random_mlm(pars, arity, 0, rng, den=3)
-            while box(f, f).is_zero():
+            while _box_reference(f, f).is_zero():
                 f = random_mlm(pars, arity, 0, rng, den=3)
-            assert w_bracket(f, f).is_zero()
-            assert w_bracket(f, f) == _w_bracket_reference(f, f)
+            assert not w_bracket(f, f)
+            assert w_bracket(f, f) == _w_bracket_reference(f, f).as_vec()
 
     def test_kept_tables_match_fresh_copies(self):
-        """box, act and w_bracket give the same maps on operands that have
+        """act and w_bracket give the same values on operands that have
         already been tabled, in either position, as on fresh copies, and
         leave their operands unchanged."""
         rng = random.Random(47)
@@ -636,7 +685,7 @@ class TestWBracketMerge:
                            den=3)
             before = [{k: dict(v) for k, v in m.entries.items()}
                       for m in (f, B, g)]
-            calls = [(box, f, B), (box, B, f), (box, B, g), (box, g, B),
+            calls = [(w_bracket, f, B), (w_bracket, B, f),
                      (w_bracket, f, g), (w_bracket, g, f),
                      (w_bracket, B, g), (w_bracket, g, B),
                      (w_bracket, f, f), (act, f, B)]
@@ -646,9 +695,26 @@ class TestWBracketMerge:
             assert [m.entries for m in (f, B, g)] == before
 
 
+def test_w_bracket_builds_no_map(monkeypatch):
+    """w_bracket returns the flattened bracket and builds no map, on fresh
+    operands and on operands it has already tabled."""
+    rng = random.Random(59)
+    pars = (0, 1, 0, 1)
+    f = random_mlm(pars, 2, 0, rng, den=3)
+    g = random_mlm(pars, 3, 1, rng, den=3)
+    want = _w_bracket_reference(f, g).as_vec()
+    assert want
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("w_bracket built a map")
+    monkeypatch.setattr(MultiLinMap, "__init__", refuse)
+    for _ in range(2):
+        assert w_bracket(f, g) == want
+
+
 def test_each_map_is_tabled_once(monkeypatch):
     """Over tkk(JS_0_8, 4) and its admissibility check, every map is tabled
-    by box and by the flat kernels at most once, however many partners it
+    by w_bracket and by the flat kernels at most once, however many partners it
     meets: _act_flat and _bracket_flat table an operator through the same
     slot, so Str's closure is counted with R's."""
     tabled = {}
@@ -668,13 +734,12 @@ def test_each_map_is_tabled_once(monkeypatch):
 
 def test_common_denominator_is_kept(monkeypatch):
     """A map's common denominator is computed on first use and kept: once
-    box has met f and g in both positions, further products of the two
-    compute none."""
+    w_bracket has met f and g, further brackets of the two compute none."""
     rng = random.Random(53)
     pars = (0, 1, 0, 1)
     f = random_mlm(pars, 2, 0, rng, den=4)
     g = random_mlm(pars, 1, 1, rng, den=4)
-    want = [box(f, g), box(g, f), w_bracket(f, g)]
+    want = [w_bracket(f, g), w_bracket(g, f)]
     for m in (f, g):
         assert m._den == lcm(*(c.denominator for out in m.entries.values()
                                for c in out.values()))
@@ -682,7 +747,7 @@ def test_common_denominator_is_kept(monkeypatch):
     def refuse(*args):
         raise AssertionError("common denominator computed again")
     monkeypatch.setattr(walg, "lcm", refuse)
-    assert [box(f, g), box(g, f), w_bracket(f, g)] == want
+    assert [w_bracket(f, g), w_bracket(g, f)] == want
 
 
 def act(f: MultiLinMap, B: MultiLinMap) -> MultiLinMap:
@@ -701,7 +766,7 @@ class TestAct:
 
     def test_zero_operator(self):
         J = js02()
-        z = MultiLinMap.zero(1, 0, J.parities)
+        z = MultiLinMap(1, 0, J.parities)
         assert act(z, J.mu_map()).is_zero()
 
     def test_agrees_with_w_bracket(self):
@@ -711,7 +776,7 @@ class TestAct:
             pf, pb = rng.randint(0, 1), rng.randint(0, 1)
             f = random_mlm(pars, 1, pf, rng)
             B = random_mlm(pars, 2, pb, rng)
-            assert act(f, B) == w_bracket(f, B)
+            assert act(f, B) == wb(f, B)
 
 
 @pytest.mark.parametrize("name", ["JS_0_8", "LW_0_2"])
@@ -723,7 +788,7 @@ def test_act_agrees_with_w_bracket_on_str(name):
            for row in str_algebra(J).rows]
     assert {f.parity for f in ops} == {0, 1}
     for f in ops:
-        assert act(f, mu) == w_bracket(f, mu)
+        assert act(f, mu) == wb(f, mu)
 
 
 def _vsum(vecs):
@@ -751,7 +816,7 @@ def test_lift_on_mixed_parity_arguments(op, arity_v):
         for p in (0, 1):
             f = random_mlm(pars, 1, p, rng, den=4)
             got = LIFTS[op](f, v)
-            assert got == _vsum(w_bracket(f, g).as_vec() for g in gs)
+            assert got == _vsum(w_bracket(f, g) for g in gs)
 
 
 class TestBracketFlat:
@@ -770,10 +835,25 @@ class TestBracketFlat:
                      v, lambda key: _key_parity(key, pars))]
         for pf in (0, 1):
             f = random_mlm(pars, 1, pf, rng, den=4)
-            assert _bracket_flat(f, v) == _vsum(
-                w_bracket(f, g).as_vec() for g in parts)
-            assert _bracket_flat(f, f.as_vec()) == w_bracket(f, f).as_vec()
+            assert _bracket_flat(f, v) == _vsum(w_bracket(f, g) for g in parts)
+            assert _bracket_flat(f, f.as_vec()) == w_bracket(f, f)
             assert _bracket_flat(f, {}) == {}
+
+
+@pytest.mark.parametrize("run", [is_rigid, lambda J: tkk(J, 2)],
+                         ids=["is_rigid", "tkk"])
+def test_generators_are_built_once(monkeypatch, run):
+    """is_rigid and tkk close Str and R from one build of the left
+    multiplications and their maps, so each map is tabled once."""
+    J = make("JS_0_8").algebra
+    built, tabled = [], []
+    monkeypatch.setattr(walg, "left_mult_op",
+                        lambda J, a, f=walg.left_mult_op: built.append(a) or f(J, a))
+    monkeypatch.setattr(walg, "_act_table",
+                        lambda m, f=walg._act_table: tabled.append(m) or f(m))
+    run(J)
+    assert sorted(built) == list(range(J.dim))
+    assert len({id(m) for m in tabled}) == len(tabled)
 
 
 def test_str_algebra_builds_no_map_per_step(monkeypatch):
@@ -872,7 +952,7 @@ class TestGeneratorShortcut:
     def test_str_as_full_lie_closure(self, J):
         pars = J.parities
         gens = span_reduce([left_mult_op(J, i).as_vec() for i in range(J.dim)])
-        S = _closure_reference(gens, [_lifted(w_bracket, 1, 1, pars)])
+        S = _closure_reference(gens, [_lifted(wb, 1, 1, pars)])
         assert S == str_algebra(J)
 
 
@@ -895,6 +975,12 @@ class TestLeftMult:
     def test_mixed_parity_rejected(self):
         with pytest.raises(ValueError):
             left_mult_op(lw02(), {0: F(1), 1: F(1)})
+
+    @pytest.mark.parametrize("a", [5, -1, {2: F(1)}])
+    def test_index_out_of_range(self, a):
+        bad = a if isinstance(a, int) else 2
+        with pytest.raises(ValueError, match=f"index {bad} "):
+            left_mult_op(js02(), a)
 
 
 class TestStrAndRelated:
@@ -1059,7 +1145,7 @@ class TestTkk:
                 target = G.components[i + j]
                 for u in _homogeneous_maps(G.components[i], i + 1, pars):
                     for v in _homogeneous_maps(G.components[j], j + 1, pars):
-                        assert target.contains(w_bracket(u, v).as_vec())
+                        assert target.contains(w_bracket(u, v))
 
     def test_depth_cap_validation(self):
         with pytest.raises(ValueError):
@@ -1068,6 +1154,47 @@ class TestTkk:
     def test_depth_cap_must_be_an_integer(self):
         with pytest.raises(ValueError, match="integer"):
             tkk(js02(), depth_cap=2.5)
+
+    @pytest.mark.parametrize("cap", [True, "2"])
+    def test_depth_cap_is_not_a_bool_or_text(self, cap):
+        with pytest.raises(ValueError, match="integer"):
+            tkk(js02(), depth_cap=cap)
+
+    def test_brackets_each_unordered_degree_one_pair_once(self, monkeypatch):
+        # JS_0_8's 16 degree-one maps make 16 * 17 / 2 = 136 brackets, not
+        # 16 * 16 = 256, and the 5 maps of degree 2 meet all 16: 216.
+        calls = []
+        bracket = walg.w_bracket
+
+        def counted(f, g):
+            calls.append((f, g))
+            return bracket(f, g)
+        monkeypatch.setattr(walg, "w_bracket", counted)
+        G = tkk(make("JS_0_8").algebra, 4)
+        assert G.dims == {-1: 8, 0: 20, 1: 16, 2: 5, 3: 0}
+        assert len(calls) == 216
+
+
+def _tkk_reference(J, depth_cap):
+    """tkk's components with every ordered pair of a degree-one map and a
+    map of the previous degree bracketed."""
+    pars = J.parities
+    comps = {-1: span_reduce([{i: F(1)} for i in range(J.dim)]),
+             0: str_algebra(J), 1: related_products(J)}
+    g1 = walg._homogeneous_maps(comps[1], 2, pars)
+    prev = g1
+    for k in range(1, depth_cap):
+        if comps[k].dim == 0:
+            break
+        comps[k + 1] = span_reduce([w_bracket(u, v) for u in g1 for v in prev])
+        prev = walg._homogeneous_maps(comps[k + 1], k + 2, pars)
+    return comps
+
+
+@pytest.mark.parametrize("name", ["JS_0_2", "LW_0_2", *catalog._GRADED])
+def test_tkk_matches_every_ordered_pair(name):
+    J = make(name).algebra
+    assert tkk(J, 4).components == _tkk_reference(J, 4)
 
 
 class TestStructureConstantRecovery:
@@ -1079,7 +1206,7 @@ class TestStructureConstantRecovery:
                 for j in range(i, J.dim):
                     ei = MultiLinMap.vector({i: F(1)}, pars)
                     ej = MultiLinMap.vector({j: F(1)}, pars)
-                    out = w_bracket(w_bracket(mu, ei), ej)
+                    out = wb(wb(mu, ei), ej)
                     got = out.entries.get((), {})
                     assert got == J.product(i, j)
 
@@ -1107,9 +1234,9 @@ class TestAdmissibleFindim:
                         {(0, 0): {2: 1}, (0, 1): {3: 1}, (2, 3): {0: 1}})
         mu = J.mu_map()
         square = w_bracket(mu, mu)
-        assert not square.is_zero()
+        assert square
         G = GradedLie(J, {0: str_algebra(J), 1: span_reduce([mu.as_vec()]),
-                          2: span_reduce([square.as_vec()])})
+                          2: span_reduce([square])})
         assert check_admissible_findim(G).chain_consistent
 
 
@@ -1168,18 +1295,18 @@ class TestOddSquareZeroGivesLie:
             J = self.make_square_zero(F(rng.randint(-3, 3)),
                                       F(rng.randint(-3, 3)))
             mu = J.mu_map()
-            assert w_bracket(mu, mu).is_zero()
+            assert not w_bracket(mu, mu)
             assert all(not d for d in self.reversed_jacobi_defects(J))
 
     def test_nonzero_square_breaks_jacobi(self):
         J = self.make_square_zero(F(1), F(1), gamma=F(1))
         mu = J.mu_map()
-        assert not w_bracket(mu, mu).is_zero()
+        assert w_bracket(mu, mu)
         assert any(self.reversed_jacobi_defects(J))
 
     def test_sl2_partner_squares_to_zero(self):
         mu = sl2().mu_map()
-        assert w_bracket(mu, mu).is_zero()
+        assert not w_bracket(mu, mu)
 
 
 def br_vec_outer(br, vec, k):
