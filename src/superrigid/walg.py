@@ -14,31 +14,30 @@ rigidity and simplicity tests, and the graded expansion generated by degree 1.
 Str and the related products R are closures under the n left
 multiplications L_i alone, each bound once into a unary map.  Str is the Lie
 superalgebra the L_i generate, the smallest space holding them that ad L_i
-sends into itself; R is the smallest space holding the product that act by
-each L_i sends into itself, because act is a representation of the operator
-algebra and so a subspace invariant under generators is invariant under all
-of Str.  Both closures apply a flat kernel to flattened vectors as they
-are, with no map built per step: _bracket_flat for Str, _act_flat for R.
+sends into itself.  R is the smallest space holding the product that
+w_bracket with each L_i sends into itself: operators act on products by
+w_bracket, a representation of the operator algebra, so a subspace invariant
+under the generators is invariant under all of Str.
 
-Every kernel is driven by stored entries.  w_bracket, the one bracket of
-the graded expansion and its admissibility check, inserts each operand into
-the other through the other's first-argument table: each entry of g meets
-only the entries of f whose first argument it hits, and both insertion sums
-go into one integer accumulator on canonical keys, with no map built.  The
-two flat kernels of the closures share the operator's forward and
-transposed rows from _act_table: each entry of the other operand meets the
-forward rows at its output and the transposed rows at its arguments, with
-its signs taken per entry, and _act_flat sums only canonical output keys.
+One kernel, _bracket_flat, computes every bracket: w_bracket itself (the
+bracket of the graded expansion and its admissibility check), both closures
+and the one-step orbit of the product, the last three on flattened vectors
+as they are, with no map built per step.  It is driven by stored entries:
+each entry of the flattened operand meets only the rows of the other map's
+table that it hits, each output key is a merge of two sorted runs, and all
+terms go into one integer accumulator on canonical keys.
 
-A map's common denominator and its two kernel tables, the first-argument
-table and the operator rows, are built at most once per map, on first use,
-and kept on it, so a map met by many partners is tabled once.  An algebra
-keeps the maps of its left multiplications in the same way, so Str's and R's
-closures share one build of their generators.
+Each map has one table: its common denominator, its first-argument and
+output rows, and the terms each key it has met gives against its output
+rows.  The table is built on first use and kept on the map, so a map met by
+many partners is tabled once.  An algebra keeps the maps of its left
+multiplications in the same way, so Str's and R's closures share one build
+of their generators.
 """
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
@@ -105,18 +104,15 @@ class MultiLinMap:
     arity 0 is just a vector of the space, arity 1 an operator, arity 2 a
     supersymmetric product.
 
-    A map is not changed once it is built, so the common denominator of its
-    coefficients (_den), the first-argument table that w_bracket reads
-    (_first_args) and the operator rows of the flat kernels (_ints) are
-    built on first use and kept on the map.  Every coefficient is converted
-    to an exact Fraction, and zeros are dropped.  With check=True every
-    index is checked to lie in the space and every entry to have the map's
-    parity; internal callers that build maps from checked ones pass
-    check=False and skip both checks.
+    A map is not changed once it is built, so its one kernel table (_tabs,
+    see _tables) is built on first use and kept on the map.  Every
+    coefficient is converted to an exact Fraction, and zeros are dropped.
+    With check=True every index is checked to lie in the space and every
+    entry to have the map's parity; internal callers that build maps from
+    checked ones pass check=False and skip both checks.
     """
 
-    __slots__ = ("arity", "parity", "parities", "entries", "_den",
-                 "_first_args", "_ints")
+    __slots__ = ("arity", "parity", "parities", "entries", "_tabs")
 
     def __init__(self, arity, parity, parities, entries=None, *, check=True):
         if type(arity) is not int or arity < 0:
@@ -124,7 +120,7 @@ class MultiLinMap:
         self.arity = arity
         self.parity = parity % 2
         self.parities = tuple(parities)
-        self._den = self._first_args = self._ints = None
+        self._tabs = None
         n = len(self.parities)
         canon: dict = {}
         for key, out in (entries or {}).items():
@@ -165,6 +161,10 @@ class MultiLinMap:
     @classmethod
     def vector(cls, v, parities):
         """Arity-0 map holding one homogeneous vector of the space."""
+        for i in v:
+            if not (isinstance(i, int) and 0 <= i < len(parities)):
+                raise ValueError(f"vector index {i!r} is not a basis index of "
+                                 f"a {len(parities)}-dimensional space")
         pars = {parities[i] for i in v}
         if len(pars) > 1:
             raise ValueError("mixed parity vector")
@@ -215,194 +215,164 @@ class MultiLinMap:
         return f"MultiLinMap(arity={self.arity}, parity={self.parity}, nnz={nnz})"
 
 
-def _common_denominator(m: MultiLinMap) -> int:
-    """Least common multiple of m's denominators, computed on first use and
-    kept on m with its kernel tables."""
-    if m._den is None:
-        m._den = lcm(*(c.denominator for out in m.entries.values()
-                       for c in out.values()))
-    return m._den
+def _merge(A, B, pars):
+    """The canonical key of A + B, for canonical keys A and B, with the sign
+    and weight of reaching it: (s, key), s = 0 when an odd index is in both.
+
+    s is the Koszul sign of the odd pairs that cross, an index of B before a
+    larger one of A, times the even multiplicity, the product over indices x
+    of C(m_A(x) + m_B(x), m_B(x)): position subsets of A + B that pick
+    different copies of a repeated even index give the same term, so a key
+    is reached once and weighted by their number.  A single index B, the
+    one that f o g meets for a binary f, is placed by bisection.
+    """
+    if len(B) == 1:
+        b = B[0]
+        i = bisect_right(A, b)
+        s = 1
+        if pars[b]:
+            for a in A[i:]:
+                if pars[a]:
+                    s = -s
+        if i and A[i - 1] == b:
+            if pars[b]:
+                return 0, None
+            s *= i - bisect_left(A, b) + 1
+        return s, A[:i] + B + A[i:]
+    s = 1
+    for b in B:
+        if pars[b]:
+            for a in reversed(A):
+                if a < b:
+                    break
+                if a == b:
+                    return 0, None
+                if pars[a]:
+                    s = -s
+    for x in set(A).intersection(B):
+        s *= comb(A.count(x) + B.count(x), B.count(x))
+    return s, tuple(sorted(A + B))
 
 
-def _first_arg_table(f: MultiLinMap):
-    """Common denominator d of a map and its table {k: [(rest, [(m, c * d)])]}
-    over every stored key and each distinct index k in it, where rest is the
-    key less one k and the image is f(k, *rest), so the sign of moving k to
-    the front comes from f's lookup.  _insert builds it once per map and
-    keeps it on the map."""
-    d = _common_denominator(f)
-    tab: dict = {}
-    for key in f.entries:
-        for k in dict.fromkeys(key):
-            i = key.index(k)
-            rest = key[:i] + key[i + 1:]
-            img = [(m, c.numerator * (d // c.denominator))
-                   for m, c in f(k, *rest).items()]
-            tab.setdefault(k, []).append((rest, img))
-    return d, tab
+def _splits(key, pars):
+    """(k, rest, flip) for each distinct index k of a canonical key: rest is
+    the key less one k, and flip is 1 when moving k to the front passes an
+    odd number of odd indices while k is odd."""
+    odd, prev = 0, None
+    for i, k in enumerate(key):
+        if k != prev:
+            yield k, key[:i] + key[i + 1:], odd & pars[k]
+            prev = k
+        odd ^= pars[k]
+
+
+def _tables(f: MultiLinMap):
+    """f's one kernel table: its common denominator d, its first-argument
+    rows {k: [(rest, [(m, c * d)])]}, its output rows {m: [(key, c * d)]}
+    and an empty dict for the g o f terms of each key that f meets (see
+    _outer_terms).
+
+    A first-argument row holds, for a stored key and each distinct index k
+    of it, the key less one k and the image f(k, *rest), signed for moving
+    k to the front.  An output row holds each stored key whose image hits
+    e_m, with that coefficient.  _bracket_flat builds the table on f's first
+    use and keeps it on f.
+    """
+    pars = f.parities
+    d = lcm(*(c.denominator for out in f.entries.values()
+              for c in out.values()))
+    first: dict = {}
+    outs: dict = {}
+    for key, out in f.entries.items():
+        img = [(m, c.numerator * (d // c.denominator)) for m, c in out.items()]
+        for m, c in img:
+            outs.setdefault(m, []).append((key, c))
+        for k, rest, flip in _splits(key, pars):
+            row = [(m, -c) for m, c in img] if flip else img
+            first.setdefault(k, []).append((rest, row))
+    return d, first, outs, {}
+
+
+def _outer_terms(K, outs, pars):
+    """The parity of a canonical key K and the g o f terms [(key, w)] of an
+    entry g(K) = e_m, for a map f with output rows outs: g(f(x_B), x_rest)
+    at B + rest for each split of K into p and rest and each key B whose
+    image hits e_p, with the sign of moving p to the front and of merging
+    B with rest.  They depend on K alone, not on m or the coefficient."""
+    terms: dict = {}
+    for p, rest, flip in _splits(K, pars):
+        for B, d in outs.get(p, ()):
+            s, key = _merge(B, rest, pars)
+            if s:
+                terms[key] = terms.get(key, 0) + (-s if flip else s) * d
+    return sum(pars[a] for a in K) & 1, [t for t in terms.items() if t[1]]
+
+
+def _bracket_flat(f: MultiLinMap, v: Vec) -> Vec:
+    """w_bracket(f, g) = f o g - (-1)^{|f||g|} g o f for a map f and a
+    flattened g = v {(key, m): c} on canonical keys, of any arities and
+    parities, flattened onto canonical keys.  A mixed-parity v gives the sum
+    of the brackets with its homogeneous parts.
+
+    f o g inserts g into the first slot of f, summed over shuffles.  The sums
+    are driven by the entries of v and f's one table (see _tables), built on
+    f's first use and kept on f.  An entry g(K) = c e_m meets f's
+    first-argument rows at m, which give the f o g terms at K + rest.  For
+    each distinct index p of K it meets f's output rows at p, which give the
+    g o f terms at B + (K less p); these depend on K alone, so they are
+    merged once per key that f meets and kept in its table.  Each key is a
+    merge of two sorted runs (_merge).  The g o f sign is taken with the
+    entry's own parity, so a mixed-parity v needs no split.  The sums run
+    over integers scaled by the common denominators of f and v; a Fraction
+    is made once per surviving entry.
+    """
+    if f._tabs is None:
+        f._tabs = _tables(f)
+    df, first, outs, outer = f._tabs
+    pars = f.parities
+    pf = f.parity
+    dv = lcm(*(c.denominator for c in v.values()))
+    acc: dict = {}
+    for (K, m), c in v.items():
+        c = c.numerator * (dv // c.denominator)
+        for rest, img in first.get(m, ()):
+            if rest:
+                s, key = _merge(K, rest, pars)
+                if not s:
+                    continue
+                w = s * c
+            else:
+                key, w = K, c
+            slot = acc.setdefault(key, {})
+            for m2, d in img:
+                slot[m2] = slot.get(m2, 0) + w * d
+        kept = outer.get(K)
+        if kept is None:
+            kept = outer[K] = _outer_terms(K, outs, pars)
+        kp, terms = kept
+        if not pf & (kp ^ pars[m]):
+            c = -c
+        for key, d in terms:
+            slot = acc.setdefault(key, {})
+            slot[m] = slot.get(m, 0) + c * d
+    den = df * dv
+    return {(key, m): F(c, den)
+            for key, slot in acc.items() for m, c in slot.items() if c}
 
 
 def w_bracket(f: MultiLinMap, g: MultiLinMap) -> Vec:
     """Graded commutator of the insertion product, flattened:
     f o g - (-1)^{|f||g|} g o f as {(key, m): c} on canonical keys.
 
-    f o g inserts g into the first slot of f, summed over shuffles.  A map
-    with a arguments sits in degree a-1; the bracket lives in the degree sum,
-    so two degree -1 maps underflow.  Both insertion sums are driven by the
-    stored entries, each through the outer map's first-argument table (see
-    _insert), and go into one accumulator of integers scaled by the common
-    denominators of f and g; a Fraction is made once per surviving entry.
+    A map with a arguments sits in degree a-1; the bracket lives in the degree
+    sum, so two degree -1 maps underflow.  The bracket is _bracket_flat on
+    g's flattened entries.
     """
     if f.arity + g.arity < 1:
         raise ValueError("arity underflow: both operands are plain vectors")
     if f.parities != g.parities:
         raise ValueError("operands live over different spaces")
-    acc: dict = {}
-    _insert(acc, f, g, 1)
-    _insert(acc, g, f, 1 if f.parity and g.parity else -1)
-    den = _common_denominator(f) * _common_denominator(g)
-    return {(key, m): F(c, den)
-            for key, slot in acc.items() for m, c in slot.items() if c}
-
-
-def _insert(acc: dict, f: MultiLinMap, g: MultiLinMap, sign: int) -> None:
-    """Add sign * (f o g), scaled by the common denominators of f and g, into
-    acc {canonical key: {m: integer}}.
-
-    f is tabled by its first argument, k -> (rest, f(k, *rest)); the table is
-    built on f's first use as an outer map and kept on f.  Each entry
-    A -> {k: c} of g meets the rows for k on the unsorted key A + rest, which
-    _sort_sign sorts and signs; a sign of 0 (a repeated odd index) drops the
-    term.  Position subsets that pick different copies of a repeated even
-    index give the same split with the same sign, so a split is counted once
-    and weighted by their number, the product over indices v of
-    C(m_A(v) + m_rest(v), m_rest(v)).
-    """
-    if f._first_args is None:
-        f._first_args = _first_arg_table(f)
-    ftab = f._first_args[1]
-    pars = f.parities
-    dg = _common_denominator(g)
-    for A, out in g.entries.items():
-        in_A = set(A)
-        for k, c in out.items():
-            rows = ftab.get(k)
-            if not rows:
-                continue
-            c = sign * c.numerator * (dg // c.denominator)
-            for rest, img in rows:
-                s, skey = _sort_sign(A + rest, pars)
-                if not s:
-                    continue
-                for v in in_A.intersection(rest):
-                    s *= comb(A.count(v) + rest.count(v), rest.count(v))
-                w = s * c
-                slot = acc.setdefault(skey, {})
-                for m, d in img:
-                    slot[m] = slot.get(m, 0) + w * d
-
-
-def _act_flat(f: MultiLinMap, v: Vec) -> Vec:
-    """The action of an operator on supersymmetric products, as a
-    derivation-style commutator, (f.B)(x,y) = f(B(x,y)) - +/-(B(f(x),y) +
-    +/-B(x,f(y))), on a flattened binary product {((a, b), m): c} with
-    canonical keys (a <= b, no odd square), of any parities.  It agrees with
-    w_bracket(f, B) on each homogeneous part B.
-
-    The sum is driven by the entries of v.  An entry B(a, b) = c e_m adds
-    c f(e_m) at (a, b), through f's forward rows, and meets f's transposed
-    rows twice for each order (p, q) of its key: every i with f(i) hitting p
-    gives the B(f(i), q) term at (i, q), and every j with f(j) hitting q the
-    B(p, f(j)) term at (p, j).  Only canonical output keys are summed and
-    odd squares are left out: the other values of a supersymmetric map
-    follow from these, and its odd squares vanish.  The Koszul signs of the
-    two terms are taken with the entry's own parity, so a mixed-parity v
-    needs no split.  The sums run over integers scaled by the common
-    denominators of f and v.
-    """
-    pars = f.parities
-    if f._ints is None:
-        f._ints = _act_table(f)
-    df, fwd, back = f._ints
-    pf = f.parity
-    dv = lcm(*(c.denominator for c in v.values()))
-    acc: dict = {}
-    for ((a, b), m), c in v.items():
-        c = c.numerator * (dv // c.denominator)
-        row = fwd.get(m)
-        if row:
-            slot = acc.setdefault((a, b), {})
-            for m2, d in row:
-                slot[m2] = slot.get(m2, 0) + c * d
-        # s2 is the sign of B(f(x), y) for an entry of parity pB; that of
-        # B(x, f(y)), folded into w3, also depends on the parity of x.
-        pB = (pars[a] + pars[b] + pars[m]) & 1
-        s2 = 1 if pf & pB else -1
-        orders = [(a, b, c)]
-        if a != b:
-            orders.append((b, a, -c if pars[a] & pars[b] else c))
-        for p, q, w in orders:
-            w2 = s2 * w
-            for i, d in back.get(p, ()):
-                if i < q or (i == q and not pars[q]):
-                    slot = acc.setdefault((i, q), {})
-                    slot[m] = slot.get(m, 0) + w2 * d
-            w3 = w if pf & (pB ^ pars[p]) else -w
-            for j, d in back.get(q, ()):
-                if p < j or (p == j and not pars[p]):
-                    slot = acc.setdefault((p, j), {})
-                    slot[m] = slot.get(m, 0) + w3 * d
-    den = df * dv
-    return {(key, m): F(c, den)
-            for key, slot in acc.items() for m, c in slot.items() if c}
-
-
-def _bracket_flat(f: MultiLinMap, v: Vec) -> Vec:
-    """w_bracket(f, .) on a flattened operator {((k,), m): c} of any parities.
-
-    An entry g(e_k) = c e_m meets f's forward rows at m, giving the f o g
-    term c f(e_m) at k, and f's transposed rows at k: each i with f(e_i)
-    hitting e_k gives the g o f term at (i, m), signed with the entry's own
-    parity, so a mixed-parity v needs no split.  Sums run over integers.
-    """
-    pars = f.parities
-    if f._ints is None:
-        f._ints = _act_table(f)
-    df, fwd, back = f._ints
-    pf = f.parity
-    dv = lcm(*(c.denominator for c in v.values()))
-    acc: dict = {}
-    for ((k,), m), c in v.items():
-        c = c.numerator * (dv // c.denominator)
-        row = fwd.get(m)
-        if row:
-            slot = acc.setdefault(k, {})
-            for m2, d in row:
-                slot[m2] = slot.get(m2, 0) + c * d
-        col = back.get(k)
-        if col:
-            w = c if pf & (pars[k] ^ pars[m]) else -c
-            for i, d in col:
-                slot = acc.setdefault(i, {})
-                slot[m] = slot.get(m, 0) + w * d
-    den = df * dv
-    return {((i,), m): F(c, den)
-            for i, slot in acc.items() for m, c in slot.items() if c}
-
-
-def _act_table(f: MultiLinMap):
-    """Common denominator d of an operator, its forward rows {k: [(m, c * d)]}
-    for f(k) = sum c e_m and its transposed rows {m: [(k, c * d)]}.
-    _act_flat and _bracket_flat build them once per map and keep them on it."""
-    d = _common_denominator(f)
-    fwd: dict = {}
-    back: dict = {}
-    for (k,), out in f.entries.items():
-        for m, c in out.items():
-            c = c.numerator * (d // c.denominator)
-            fwd.setdefault(k, []).append((m, c))
-            back.setdefault(m, []).append((k, c))
-    return d, fwd, back
+    return _bracket_flat(f, g.as_vec())
 
 
 class FinSuperAlg:
@@ -494,14 +464,9 @@ class FinSuperAlg:
                 raise ValueError(
                     f"even basis vector {i} cannot have a nonzero square in "
                     "an anticommutative product")
-            want = (parities[i] + parities[j] + product_parity) % 2
-            for k in out:
-                if not 0 <= k < n:
-                    raise ValueError(
-                        f"product of {i},{j} hits {k}, out of range")
-                if parities[k] != want:
-                    raise ValueError(
-                        f"product of {i},{j} hits {k} of the wrong parity")
+        # The partner's constructor checks each output's range and parity:
+        # flipping every parity and the product parity keeps the rule
+        # p_k = p_i + p_j + p.
         partner: dict = {}
         for (i, j) in full:
             a, b = (i, j) if i <= j else (j, i)
@@ -593,26 +558,25 @@ def _homogeneous_maps(space: Subspace, arity, parities):
             for row in space.rows for part, p in split_parity(row, key_parity)]
 
 
-def _lie_closure(gens: Subspace, maps) -> Subspace:
-    """Lie superalgebra generated by a space of operators, given a map for
-    each homogeneous part of its rows.
-
-    This is the smallest space V containing the generators that ad f sends
-    into itself for each generator f (Jacobson, Lie Algebras, ch. I).  By the
-    graded Jacobi identity the x in V with [x, V] inside V form a subspace
-    that holds the generators and is closed under bracketing with them, so it
-    is all of V and V is a subalgebra.  The closure's maps are therefore ad f,
-    by _bracket_flat, for the homogeneous parts f of the generators' span.
-    """
-    return closure_under(gens, [lambda v, f=f: _bracket_flat(f, v)
+def _bracket_closure(seed: Subspace, maps) -> Subspace:
+    """Smallest span holding seed that w_bracket with each map sends into
+    itself, each bracket applied by _bracket_flat to the flattened vectors
+    as they are."""
+    return closure_under(seed, [lambda v, f=f: _bracket_flat(f, v)
                                 for f in maps])
 
 
 def _one_step_orbit(mu: MultiLinMap, ops: Subspace) -> Subspace:
-    """Span of a product and its images under a space of operators."""
-    mu_vec = mu.as_vec()
-    return span_reduce([mu_vec] + [
-        _act_flat(f, mu_vec) for f in _homogeneous_maps(ops, 1, mu.parities)])
+    """Span of a product and its images under a space of operators.
+
+    The image of each homogeneous part f of an operator row is [f, mu] =
+    -(-1)^{|f||mu|} [mu, f], a multiple of the kernel applied as mu on f's
+    flattened entries: mu is tabled once, and no operator becomes a map.
+    """
+    key_parity = lambda key: _key_parity(key, mu.parities)
+    return span_reduce([mu.as_vec()] + [
+        _bracket_flat(mu, part) for row in ops.rows
+        for part, _ in split_parity(row, key_parity)])
 
 
 def _str_generators(J: FinSuperAlg) -> tuple[Subspace, list[MultiLinMap]]:
@@ -628,28 +592,33 @@ def _str_generators(J: FinSuperAlg) -> tuple[Subspace, list[MultiLinMap]]:
 
 def str_algebra(J: FinSuperAlg) -> Subspace:
     """Smallest bracket-closed operator space containing every left
-    multiplication."""
-    return _lie_closure(*_str_generators(J))
+    multiplication.
+
+    This is the smallest space V containing the generators that ad f sends
+    into itself for each generator f (Jacobson, Lie Algebras, ch. I).  By the
+    graded Jacobi identity the x in V with [x, V] inside V form a subspace
+    that holds the generators and is closed under bracketing with them, so it
+    is all of V and V is a subalgebra.  The closure's maps are therefore ad f
+    for the homogeneous parts f of the generators' span.
+    """
+    return _bracket_closure(*_str_generators(J))
 
 
 def related_products(J: FinSuperAlg) -> Subspace:
-    """Smallest act-invariant space of supersymmetric products containing the
-    structure product.
+    """Smallest space of supersymmetric products containing the structure
+    product that every structure operator sends into itself by w_bracket.
 
     Invariance under Str follows from invariance under the left
-    multiplications alone: act is w_bracket restricted to operators on binary
-    products, so by the graded Jacobi identity it is a representation of the
-    operator algebra, and the operators that keep a subspace invariant form a
-    Lie subalgebra.  The closure's maps are therefore act(f, .) for the
-    homogeneous parts f of span(L_i), not for all of Str, each applied by
-    _act_flat to the flattened products as they are, with no map built.
+    multiplications alone: by the graded Jacobi identity w_bracket is a
+    representation of the operator algebra on binary products, and the
+    operators that keep a subspace invariant form a Lie subalgebra.  The
+    closure's maps are therefore w_bracket(f, .) for the homogeneous parts f
+    of span(L_i), not for all of Str.
     """
     mu_vec = J.mu_map().as_vec()
     if not mu_vec:
         return ZERO
-    return closure_under(span_reduce([mu_vec]),
-                         [lambda v, f=f: _act_flat(f, v)
-                          for f in _str_generators(J)[1]])
+    return _bracket_closure(span_reduce([mu_vec]), _str_generators(J)[1])
 
 
 @dataclass
@@ -665,7 +634,7 @@ class RigidityReport:
 
 def is_rigid(J: FinSuperAlg) -> RigidityReport:
     """Whether every related product already lies in the one-step orbit of the
-    structure product (its act-image plus its scalar line)."""
+    structure product (its image under Str plus its scalar line)."""
     S = str_algebra(J)
     mu = J.mu_map()
     if mu.is_zero():
@@ -806,7 +775,7 @@ def check_admissible_findim(G: GradedLie) -> AdmissibleFindimReport:
         degree_one_spanned = _one_step_orbit(mu, g0) == g1
         seeds = span_reduce([w_bracket(MultiLinMap.vector({i: F(1)}, pars), mu)
                              for i in range(J.dim)])
-        degree_zero_generated = _lie_closure(
+        degree_zero_generated = _bracket_closure(
             seeds, _homogeneous_maps(seeds, 1, pars)) == g0
     else:
         degree_one_spanned = g1.dim == 0

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations, combinations_with_replacement, product
-from math import lcm
+from math import comb, lcm
 from typing import Callable, Sequence
 
 import pytest
@@ -23,9 +23,10 @@ from superrigid.walg import (
     FinSuperAlg,
     GradedLie,
     MultiLinMap,
-    _act_flat,
     _bracket_flat,
     _key_parity,
+    _merge,
+    _sort_sign,
     check_admissible_findim,
     format_element,
     is_rigid,
@@ -279,6 +280,18 @@ class TestFinSuperAlg:
         with pytest.raises(ValueError, match="out of range"):
             FinSuperAlg.from_anticommutative((0, 0), 0, {(0, 5): {1: 1}})
 
+    @pytest.mark.parametrize("k", [5, -1])
+    def test_anticommutative_output_index_out_of_range(self, k):
+        with pytest.raises(ValueError, match="out of range"):
+            FinSuperAlg.from_anticommutative((0, 0), 0, {(0, 1): {k: 1}})
+
+    def test_anticommutative_output_of_wrong_parity(self):
+        # e0 e1 of even e0 and odd e1 under an even product must be odd.
+        with pytest.raises(ValueError, match="wrong parity"):
+            FinSuperAlg.from_anticommutative((0, 1), 0, {(0, 1): {0: 1}})
+        with pytest.raises(ValueError, match="wrong parity"):
+            FinSuperAlg.from_anticommutative((0, 1), 1, {(1, 0): {1: 1}})
+
     @pytest.mark.parametrize("c", [float("inf"), float("nan"), None, "x"])
     def test_bad_coefficient_is_named(self, c):
         with pytest.raises(ValueError, match=r"product of 0,0 at 1"):
@@ -383,6 +396,12 @@ class TestMultiLinMap:
         assert v.parity == 1
         with pytest.raises(ValueError):
             MultiLinMap.vector({0: F(1), 1: F(1)}, (0, 1))
+
+    @pytest.mark.parametrize("v, pars", [({5: 1}, (0,)), ({-1: 1}, (0, 1)),
+                                         ({"0": 1}, (0,)), ({0.0: 1}, (0,))])
+    def test_vector_index_out_of_range(self, v, pars):
+        with pytest.raises(ValueError, match="not a basis index"):
+            MultiLinMap.vector(v, pars)
 
 
 class TestBox:
@@ -714,46 +733,49 @@ def test_w_bracket_builds_no_map(monkeypatch):
 
 def test_each_map_is_tabled_once(monkeypatch):
     """Over tkk(JS_0_8, 4) and its admissibility check, every map is tabled
-    by w_bracket and by the flat kernels at most once, however many partners it
-    meets: _act_flat and _bracket_flat table an operator through the same
-    slot, so Str's closure is counted with R's."""
-    tabled = {}
-    for name in ("_first_arg_table", "_act_table"):
-        maps = tabled[name] = []
+    at most once, however many partners it meets: Str's closure, R's
+    closure, the one-step orbit and w_bracket all read the one table."""
+    maps = []
 
-        def counted(m, build=getattr(walg, name), maps=maps):
-            maps.append(m)  # keeps m alive, so ids stay distinct
-            return build(m)
-        monkeypatch.setattr(walg, name, counted)
+    def counted(m, build=walg._tables):
+        maps.append(m)  # keeps m alive, so ids stay distinct
+        return build(m)
+    monkeypatch.setattr(walg, "_tables", counted)
     G = tkk(make("JS_0_8").algebra, 4)
     assert check_admissible_findim(G).admissible
-    for name, maps in tabled.items():
-        assert maps, name
-        assert len({id(m) for m in maps}) == len(maps), name
+    assert maps
+    assert len({id(m) for m in maps}) == len(maps)
+    assert {m.arity for m in maps} == {0, 1, 2}
 
 
 def test_common_denominator_is_kept(monkeypatch):
-    """A map's common denominator is computed on first use and kept: once
-    w_bracket has met f and g, further brackets of the two compute none."""
+    """A map's common denominator is computed on first use and kept in its
+    table: once w_bracket has met f and g, each further bracket computes one
+    common denominator, that of its flattened right operand, and none of its
+    left one."""
     rng = random.Random(53)
     pars = (0, 1, 0, 1)
     f = random_mlm(pars, 2, 0, rng, den=4)
     g = random_mlm(pars, 1, 1, rng, den=4)
     want = [w_bracket(f, g), w_bracket(g, f)]
     for m in (f, g):
-        assert m._den == lcm(*(c.denominator for out in m.entries.values()
-                               for c in out.values()))
+        assert m._tabs[0] == lcm(*(c.denominator for out in m.entries.values()
+                                   for c in out.values()))
+    assert {m._tabs[0] for m in (f, g)} != {1}
+    seen = []
 
-    def refuse(*args):
-        raise AssertionError("common denominator computed again")
-    monkeypatch.setattr(walg, "lcm", refuse)
+    def counted(*dens):
+        seen.append(len(dens))
+        return lcm(*dens)
+    monkeypatch.setattr(walg, "lcm", counted)
     assert [w_bracket(f, g), w_bracket(g, f)] == want
+    assert seen == [len(g.as_vec()), len(f.as_vec())]
 
 
 def act(f: MultiLinMap, B: MultiLinMap) -> MultiLinMap:
-    """The action of an operator on a binary product, as a map: _act_flat
+    """The action of an operator on a binary product, as a map: the kernel
     on B's flattened entries, rebuilt."""
-    return MultiLinMap.from_vec(_act_flat(f, B.as_vec()), 2, f.parities,
+    return MultiLinMap.from_vec(_bracket_flat(f, B.as_vec()), 2, f.parities,
                                 f.parity + B.parity)
 
 
@@ -798,46 +820,100 @@ def _vsum(vecs):
     return out
 
 
-# The closures' unary lift of each operation for an operator f.
-LIFTS = {"act": _act_flat, "w_bracket": _bracket_flat}
+def _reference_on_parts(f: MultiLinMap, v: Vec) -> Vec:
+    """The test-side reference bracket of f with each homogeneous part of a
+    flattened v of one arity, summed."""
+    pars = f.parities
+    out: Vec = {}
+    for part, p in split_parity(v, lambda key: _key_parity(key, pars)):
+        g = MultiLinMap.from_vec(part, len(next(iter(part))[0]), pars, p,
+                                 check=True)
+        out = vec_add(out, _w_bracket_reference(_fresh(f), g).as_vec())
+    return out
 
 
 @pytest.mark.parametrize("op, arity_v", [("act", 2), ("w_bracket", 1)])
 def test_lift_on_mixed_parity_arguments(op, arity_v):
-    """The closures' unary lifts v -> act(f, v) and v -> w_bracket(f, v),
-    which both take each entry's own parity, sum w_bracket over the
+    """The closures' unary lifts v -> w_bracket(f, v) for an operator f, the
+    action on products (R's closure) and the bracket of operators (Str's),
+    take each entry's own parity and so sum the reference bracket over the
     homogeneous parts of a mixed-parity v.  The odd indices allow odd
-    squares, which act's lift must skip."""
+    squares, which the action's lift must skip."""
     rng = random.Random(31)
     pars = (0, 1, 0, 1, 1)
     for _ in range(10):
         gs = [random_mlm(pars, arity_v, p, rng, den=4) for p in (0, 1)]
         v = _vsum(g.as_vec() for g in gs)
+        assert {p for _, p in split_parity(
+            v, lambda key: _key_parity(key, pars))} == {0, 1}
         for p in (0, 1):
             f = random_mlm(pars, 1, p, rng, den=4)
-            got = LIFTS[op](f, v)
-            assert got == _vsum(w_bracket(f, g) for g in gs)
+            assert _bracket_flat(f, v) == _reference_on_parts(f, v), op
+
+
+@st.composite
+def _mixed_pairs(draw):
+    """A homogeneous map f and a flattened v of mixed parity, each of arity
+    0 to 3 and not both of arity 0."""
+    pars = tuple(draw(st.lists(st.integers(0, 1), min_size=1, max_size=3)))
+    af, av = draw(st.tuples(st.integers(0, 3), st.integers(0, 3))
+                  .filter(lambda a: a != (0, 0)))
+    f = draw(_maps(pars, af, draw(st.integers(0, 1))))
+    v = _vsum(draw(_maps(pars, av, p)).as_vec() for p in (0, 1))
+    return f, v
 
 
 class TestBracketFlat:
-    """_bracket_flat(f, .) is w_bracket(f, .) summed over the homogeneous
-    parts of a flattened operator, for operators f of either parity."""
+    """The kernel is the test-side reference bracket summed over the
+    homogeneous parts of a flattened v, for maps f and vectors v of any
+    arities and parities."""
 
-    @given(st.integers(0, 2**30),
-           st.lists(st.integers(0, 1), min_size=1, max_size=4))
-    @settings(max_examples=100, deadline=None)
-    def test_sums_w_bracket_over_homogeneous_parts(self, seed, pars):
-        rng = random.Random(seed)
-        pars = tuple(pars)
-        v = _vsum(random_mlm(pars, 1, p, rng, den=4).as_vec() for p in (0, 1))
-        parts = [MultiLinMap.from_vec(part, 1, pars, p, check=True)
-                 for part, p in split_parity(
-                     v, lambda key: _key_parity(key, pars))]
+    @given(_mixed_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_sums_w_bracket_over_homogeneous_parts(self, fv):
+        f, v = fv
+        want = _reference_on_parts(f, v)
+        assert _bracket_flat(f, v) == want
+        assert _bracket_flat(f, v) == want  # through f's kept table
+        assert _bracket_flat(f, {}) == {}
+
+    def test_operator_on_itself(self):
+        rng = random.Random(61)
+        pars = (0, 1, 1)
         for pf in (0, 1):
             f = random_mlm(pars, 1, pf, rng, den=4)
-            assert _bracket_flat(f, v) == _vsum(w_bracket(f, g) for g in parts)
-            assert _bracket_flat(f, f.as_vec()) == w_bracket(f, f)
-            assert _bracket_flat(f, {}) == {}
+            assert _bracket_flat(f, f.as_vec()) == _reference_on_parts(
+                f, f.as_vec())
+
+
+@st.composite
+def _merge_runs(draw):
+    """Two canonical keys over a few indices, so that even and odd indices
+    repeat across the two runs and even ones within a run."""
+    pars = tuple(draw(st.lists(st.integers(0, 1), min_size=1, max_size=4)))
+    runs = []
+    for _ in range(2):
+        key = sorted(draw(st.lists(st.integers(0, len(pars) - 1), max_size=4)))
+        runs.append(tuple(k for i, k in enumerate(key)
+                          if not (pars[k] and i and key[i - 1] == k)))
+    return pars, runs[0], runs[1]
+
+
+@given(_merge_runs())
+@settings(max_examples=400, deadline=None)
+def test_merge_matches_sort_sign(runs):
+    """_merge(A, B) is the key and sign _sort_sign gives A + B, times the
+    even multiplicity, the product of C(m_A(x) + m_B(x), m_B(x)); a sign of
+    0 means an odd index is in both runs."""
+    pars, A, B = runs
+    sign, key = _sort_sign(A + B, pars)
+    weight = 1
+    for x in set(A) | set(B):
+        weight *= comb(A.count(x) + B.count(x), B.count(x))
+    s, got = _merge(A, B, pars)
+    assert s == sign * weight
+    if s:
+        assert got == key
 
 
 @pytest.mark.parametrize("run", [is_rigid, lambda J: tkk(J, 2)],
@@ -849,8 +925,8 @@ def test_generators_are_built_once(monkeypatch, run):
     built, tabled = [], []
     monkeypatch.setattr(walg, "left_mult_op",
                         lambda J, a, f=walg.left_mult_op: built.append(a) or f(J, a))
-    monkeypatch.setattr(walg, "_act_table",
-                        lambda m, f=walg._act_table: tabled.append(m) or f(m))
+    monkeypatch.setattr(walg, "_tables",
+                        lambda m, f=walg._tables: tabled.append(m) or f(m))
     run(J)
     assert sorted(built) == list(range(J.dim))
     assert len({id(m) for m in tabled}) == len(tabled)
