@@ -180,29 +180,32 @@ class OracleEntry:
                 raise CatalogError(
                     f"{self.name} has slots {self.slots}, not {s!r}")
 
-    def left(self, a: Element) -> _Left:
-        """a prepared as a left factor: product(left(a), b) equals
-        product(a, b) for every b."""
+    def left(self, a: Element) -> Callable[[Element], Element]:
+        """The map b -> a o b.  a's rules are bound to each parity part of
+        each of its slots once, so one left factor serves many b's."""
         self._check_slots(a)
-        return _Left([{s2: rule(part, p)
-                       for (r1, s2), rule in self.rules.items() if r1 == s1}
-                      for s1, f1 in a.items()
-                      for part, p in f1.parity_parts()])
+        rows = [{s2: rule(part, p)
+                 for (r1, s2), rule in self.rules.items() if r1 == s1}
+                for s1, f1 in a.items() for part, p in f1.parity_parts()]
 
-    def product(self, a: Element | _Left, b: Element) -> Element:
-        left = a if isinstance(a, _Left) else self.left(a)
-        self._check_slots(b)
-        rights = [(s2, part2, p2) for s2, f2 in b.items()
-                  for part2, p2 in f2.parity_parts()]
-        out: Element = {}
-        for rows in left.rows:
-            for s2, part2, p2 in rights:
-                inner = rows.get(s2)
-                if inner is None:
-                    continue
-                for s, f in inner(part2, p2).items():
-                    out[s] = out[s] + f if s in out else f
-        return elem_clean(self.reduce(out))
+        def product(b: Element) -> Element:
+            self._check_slots(b)
+            rights = [(s2, part2, p2) for s2, f2 in b.items()
+                      for part2, p2 in f2.parity_parts()]
+            out: Element = {}
+            for row in rows:
+                for s2, part2, p2 in rights:
+                    inner = row.get(s2)
+                    if inner is None:
+                        continue
+                    for s, f in inner(part2, p2).items():
+                        out[s] = out[s] + f if s in out else f
+            return elem_clean(self.reduce(out))
+
+        return product
+
+    def product(self, a: Element, b: Element) -> Element:
+        return self.left(a)(b)
 
     # -- flattening --------------------------------------------------------
 
@@ -231,16 +234,6 @@ class OracleEntry:
             if s in a:
                 parts.append(f"{s}: {format_jet(a[s])}")
         return "; ".join(parts)
-
-
-class _Left:
-    """A left factor prepared by OracleEntry.left: for each parity part of
-    each slot, the right slot -> that row's rule bound to the part."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: list):
-        self.rows = rows
 
 
 class FiniteEntry:
@@ -1071,7 +1064,7 @@ def _lp_closed_form(entry: OracleEntry, order: int, rng) -> tuple[bool, str]:
         left, bracket = entry.left({"j": u}), bound_bracket(pairing, u)
         eu = (space.eta() * u).scale(2 * _sgn(u.parity()))
         for v in monos:
-            lhs = entry.product(left, {"j": v}).get("j", zero)
+            lhs = left({"j": v}).get("j", zero)
             if not (lhs + bracket(v) - eu * v).is_zero():
                 return False, (f"mismatch at {format_jet(u)}, "
                                f"{format_jet(v)}")
@@ -1201,8 +1194,8 @@ def verify_entry(entry, order: int | None = None,
     lefts = [entry.left(a) for a in lo]
     for i in range(n):
         for j in range(i, n):
-            ab = entry.product(lefts[i], lo[j])
-            ba = ab if i == j else entry.product(lefts[j], lo[i])
+            ab = lefts[i](lo[j])
+            ba = ab if i == j else lefts[j](lo[i])
             check(i * n + j, lo[i], lo[j], ab, ba)
             if i != j:
                 check(j * n + i, lo[j], lo[i], ba, ab)
@@ -1285,8 +1278,8 @@ def ideal_spot_checks(entry, seeds: Sequence | None = None,
     vecs = [window(b) for b in basis]
     # The left and right product with each partner, converted once.
     partners = [entry.from_vec(p) for p in span_reduce(vecs).rows]
-    lefts = [lambda v, u=entry.left(u):
-             window(entry.product(u, entry.from_vec(v))) for u in partners]
+    lefts = [lambda v, left=entry.left(u): window(left(entry.from_vec(v)))
+             for u in partners]
     rights = [lambda v, u=u: window(entry.product(entry.from_vec(v), u))
               for u in partners]
 

@@ -438,9 +438,3 @@ class FamilyRealization:
             op = lambda m: div_beta(Jet(amb, {m: F(1)}), self.beta).terms
         return [Jet(amb, dict(v)) for v in nullspace(domain, op)]
 
-
-def basis_of_degree(family: str, spec: GradingSpec, k: int, order: int,
-                    beta=None) -> list:
-    """Degree-k basis of the family under the grading, with coefficient
-    x-degrees capped by order."""
-    return FamilyRealization(family, spec, beta).basis_of_degree(k, order)

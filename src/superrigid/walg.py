@@ -1,15 +1,19 @@
 """Finite-dimensional superalgebras and the graded algebra of multilinear maps.
 
-A FinSuperAlg stores exact structure constants of a supercommutative product;
-anticommutative products are converted on construction to their parity-reversed
-supersymmetric partners, so every stored product is supersymmetric.
+A FinSuperAlg stores exact structure constants of a supersymmetric product,
+checked in its one constructor.  An anticommutative product enters through
+from_anticommutative, which twists each given entry by the parity of its
+first factor and hands the result, its parity-reversed partner, to that same
+constructor: the partner is supersymmetric exactly when the original is
+anticommutative, so one set of checks serves both presentations.
 
-MultiLinMap models k-argument supersymmetric multilinear maps on the underlying
-superspace.  The insertion product and its commutator bracket, w_bracket,
-organize these maps into a Z-graded Lie superalgebra with the space itself in degree -1, operators
-in degree 0, and supersymmetric products in degree 1.  On top of that live the
-structure operators of an algebra, the orbit of its product under them,
-rigidity and simplicity tests, and the graded expansion generated by degree 1.
+MultiLinMap models k-argument supersymmetric multilinear maps on the
+underlying superspace, each checked as it is built.  The insertion product
+and its commutator bracket, w_bracket, organize these maps into a Z-graded
+Lie superalgebra with the space itself in degree -1, operators in degree 0,
+and supersymmetric products in degree 1.  On top of that live the structure
+operators of an algebra, the orbit of its product under them, rigidity and
+simplicity tests, and the graded expansion generated by degree 1.
 
 Str and the related products R are closures under the n left
 multiplications L_i alone, each bound once into a unary map.  Str is the Lie
@@ -19,20 +23,22 @@ w_bracket with each L_i sends into itself: operators act on products by
 w_bracket, a representation of the operator algebra, so a subspace invariant
 under the generators is invariant under all of Str.
 
-One kernel, _bracket_flat, computes every bracket: w_bracket itself (the
-bracket of the graded expansion and its admissibility check), both closures
-and the one-step orbit of the product, the last three on flattened vectors
-as they are, with no map built per step.  It is driven by stored entries:
-each entry of the flattened operand meets only the rows of the other map's
-table that it hits, each output key is a merge of two sorted runs, and all
-terms go into one integer accumulator on canonical keys.
+One kernel, _bracket_flat, computes every bracket: w_bracket itself, both
+closures, the one-step orbit of the product, the graded expansion and its
+admissibility check.  Its left operand is a map and its right one a
+flattened vector, taken as it is: only a left operand becomes a map, and no
+map is built per step.  It is driven by stored entries: each entry of the
+flattened operand meets only the rows of the other map's table that it
+hits, each output key is a merge of two sorted runs, and all terms go into
+one integer accumulator on canonical keys.
 
 Each map has one table: its common denominator, its first-argument and
 output rows, and the terms each key it has met gives against its output
 rows.  The table is built on first use and kept on the map, so a map met by
-many partners is tabled once.  An algebra keeps the maps of its left
-multiplications in the same way, so Str's and R's closures share one build
-of their generators.
+many partners is tabled once.  An algebra keeps its product map and the
+maps of its left multiplications in the same way, so Str's and R's closures
+share one build of their generators and every use of the product shares one
+table.
 """
 from __future__ import annotations
 
@@ -104,17 +110,16 @@ class MultiLinMap:
     arity 0 is just a vector of the space, arity 1 an operator, arity 2 a
     supersymmetric product.
 
-    A map is not changed once it is built, so its one kernel table (_tabs,
-    see _tables) is built on first use and kept on the map.  Every
-    coefficient is converted to an exact Fraction, and zeros are dropped.
-    With check=True every index is checked to lie in the space and every
-    entry to have the map's parity; internal callers that build maps from
-    checked ones pass check=False and skip both checks.
+    Every map is checked as it is built: each index must lie in the space
+    and each entry must have the map's parity.  Every coefficient is
+    converted to an exact Fraction, and zeros are dropped.  A map is not
+    changed once it is built, so its one kernel table (_tabs, see _tables)
+    is built on first use and kept on the map.
     """
 
     __slots__ = ("arity", "parity", "parities", "entries", "_tabs")
 
-    def __init__(self, arity, parity, parities, entries=None, *, check=True):
+    def __init__(self, arity, parity, parities, entries=None):
         if type(arity) is not int or arity < 0:
             raise ValueError(f"arity must be an integer >= 0, got {arity!r}")
         self.arity = arity
@@ -127,7 +132,7 @@ class MultiLinMap:
             key = tuple(key)
             if len(key) != arity:
                 raise ValueError(f"entry key {key} does not have arity {arity}")
-            if check and not all(0 <= a < n for a in key):
+            if not all(0 <= a < n for a in key):
                 raise ValueError(f"entry key {key} has an index out of range")
             sign, skey = _sort_sign(key, self.parities)
             if sign == 0:
@@ -146,17 +151,15 @@ class MultiLinMap:
                 else:
                     slot.pop(k, None)
         self.entries = {k: v for k, v in canon.items() if v}
-        if check:
-            for skey, out in self.entries.items():
-                base = sum(self.parities[a] for a in skey)
-                for k in out:
-                    if not 0 <= k < n:
-                        raise ValueError(
-                            f"entry {skey}->{k} has an output out of range")
-                    if (base + self.parities[k]) % 2 != self.parity:
-                        raise ValueError(
-                            f"entry {skey}->{k} violates parity {self.parity}"
-                        )
+        for skey, out in self.entries.items():
+            base = sum(self.parities[a] for a in skey)
+            for k in out:
+                if not 0 <= k < n:
+                    raise ValueError(
+                        f"entry {skey}->{k} has an output out of range")
+                if (base + self.parities[k]) % 2 != self.parity:
+                    raise ValueError(
+                        f"entry {skey}->{k} violates parity {self.parity}")
 
     @classmethod
     def vector(cls, v, parities):
@@ -169,17 +172,19 @@ class MultiLinMap:
         if len(pars) > 1:
             raise ValueError("mixed parity vector")
         parity = pars.pop() if pars else 0
-        return cls(0, parity, parities, {(): v}, check=False)
+        return cls(0, parity, parities, {(): v})
 
     @classmethod
-    def from_vec(cls, vec, arity, parities, parity=None, *, check=False):
+    def from_vec(cls, vec, arity, parities, parity=None):
+        """The map of a flattened {(key, m): c}; parity defaults to that of
+        its first key."""
         entries: dict = {}
         for (args, out), c in vec.items():
             entries.setdefault(tuple(args), {})[out] = c
         if parity is None:
             key = next(iter(vec), None)
             parity = _key_parity(key, parities) if key else 0
-        return cls(arity, parity, parities, entries, check=check)
+        return cls(arity, parity, parities, entries)
 
     def as_vec(self) -> Vec:
         out = {}
@@ -378,19 +383,20 @@ def w_bracket(f: MultiLinMap, g: MultiLinMap) -> Vec:
 class FinSuperAlg:
     """Finite-dimensional superalgebra with exact structure constants.
 
-    The stored product is always supersymmetric.  Anticommutative products
-    enter through from_anticommutative, which flips every parity and the
-    product parity and twists by the sign of the first factor; the flag
-    anticommutative_presentation records that the user-facing product is the
-    anticommutative original.
+    The stored product is always supersymmetric, and this constructor is the
+    one place a table is checked.  Anticommutative products enter through
+    from_anticommutative as their parity-reversed partners; the flag
+    anticommutative_presentation records that the user-facing product is
+    the anticommutative original, and words the errors for it.
 
     Every coefficient is converted to an exact Fraction, and zeros are
-    dropped.  The table is not changed once built, so the generators of Str
-    (_gens, see _str_generators) are built on first use and kept.
+    dropped.  The table is not changed once built, so the product map (_mu,
+    see mu_map) and the generators of Str (_gens, see _str_generators) are
+    built on first use and kept.
     """
 
     __slots__ = ("parities", "product_parity", "table", "labels",
-                 "anticommutative_presentation", "_gens")
+                 "anticommutative_presentation", "_mu", "_gens")
 
     def __init__(self, parities, product_parity, table, labels=None, *,
                  anticommutative_presentation=False):
@@ -399,8 +405,9 @@ class FinSuperAlg:
         self.labels = tuple(labels) if labels else None
         if self.labels and len(self.labels) != len(self.parities):
             raise ValueError("labels do not match dimension")
-        self.anticommutative_presentation = bool(anticommutative_presentation)
-        self._gens = None
+        anti = self.anticommutative_presentation = bool(
+            anticommutative_presentation)
+        self._mu = self._gens = None
         n = len(self.parities)
         canon: dict = {}
         for (i, j), out in table.items():
@@ -409,22 +416,22 @@ class FinSuperAlg:
             out = {k: _coeff(c, f"product of {i},{j} at {k}")
                    for k, c in out.items()}
             out = {k: c for k, c in out.items() if c}
-            if not out:
-                continue
             if i > j:
                 sign = -1 if (self.parities[i] and self.parities[j]) else 1
                 i, j = j, i
                 out = {k: sign * c for k, c in out.items()}
-            if (i, j) in canon:
-                if canon[(i, j)] != out:
-                    raise ValueError(
-                        f"product of basis vectors {i},{j} given twice with "
-                        "values that break supersymmetry")
-            else:
-                canon[(i, j)] = out
+            # A zero row is kept until here, so a nonzero mirror of it clashes.
+            if canon.setdefault((i, j), out) != out:
+                raise ValueError(
+                    f"products of {i},{j} and {j},{i} break anticommutativity"
+                    if anti else f"product of basis vectors {i},{j} given "
+                    "twice with values that break supersymmetry")
+        canon = {key: out for key, out in canon.items() if out}
         for (i, j), out in canon.items():
             if i == j and self.parities[i]:
                 raise ValueError(
+                    f"even basis vector {i} cannot have a nonzero square in "
+                    "an anticommutative product" if anti else
                     f"odd basis vector {i} cannot have a nonzero square in a "
                     "supersymmetric product")
             want = (self.parities[i] + self.parities[j]
@@ -440,48 +447,24 @@ class FinSuperAlg:
 
     @classmethod
     def from_anticommutative(cls, parities, product_parity, table, labels=None):
-        """Store an anticommutative product via its parity-reversed partner."""
+        """Store an anticommutative product x_i x_j as its parity-reversed
+        partner e_i e_j = (-1)^{p_i} x_i x_j, every parity and the product
+        parity flipped.  The partner is supersymmetric exactly when the
+        original is anticommutative, so the constructor's checks serve both;
+        only the indices are checked here, before their parities are read.
+        """
         parities = tuple(int(p) % 2 for p in parities)
-        product_parity = int(product_parity) % 2
         n = len(parities)
-        full: dict = {}
+        partner: dict = {}
         for (i, j), out in table.items():
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"basis index out of range in ({i},{j})")
-            out = {k: _coeff(c, f"product of {i},{j} at {k}")
-                   for k, c in out.items()}
-            out = {k: c for k, c in out.items() if c}
-            if (i, j) in full and full[(i, j)] != out:
-                raise ValueError(f"product of {i},{j} given twice")
-            full[(i, j)] = out
-        for (i, j), out in list(full.items()):
-            sign = -1 if (parities[i] and parities[j]) else 1
-            mirror = {k: -sign * c for k, c in out.items()}
-            if (j, i) in full and full[(j, i)] != mirror:
-                raise ValueError(
-                    f"products of {i},{j} and {j},{i} break anticommutativity")
-            if i == j and not parities[i] and out:
-                raise ValueError(
-                    f"even basis vector {i} cannot have a nonzero square in "
-                    "an anticommutative product")
-        # The partner's constructor checks each output's range and parity:
-        # flipping every parity and the product parity keeps the rule
-        # p_k = p_i + p_j + p.
-        partner: dict = {}
-        for (i, j) in full:
-            a, b = (i, j) if i <= j else (j, i)
-            if (a, b) in partner:
-                continue
-            out = full.get((a, b))
-            if out is None:
-                sign = -1 if (parities[a] and parities[b]) else 1
-                out = {k: -sign * c for k, c in full[(b, a)].items()}
-            if not out:
-                continue
-            tw = -1 if parities[a] else 1
-            partner[(a, b)] = {k: tw * c for k, c in out.items()}
-        return cls(tuple(1 - p for p in parities), 1 - product_parity, partner,
-                   labels, anticommutative_presentation=True)
+            if parities[i]:
+                out = {k: -_coeff(c, f"product of {i},{j} at {k}")
+                       for k, c in out.items()}
+            partner[(i, j)] = out
+        return cls(tuple(1 - p for p in parities), 1 - int(product_parity) % 2,
+                   partner, labels, anticommutative_presentation=True)
 
     @property
     def dim(self) -> int:
@@ -511,9 +494,12 @@ class FinSuperAlg:
         return out
 
     def mu_map(self) -> MultiLinMap:
-        ent = {key: dict(out) for key, out in self.table.items()}
-        return MultiLinMap(2, self.product_parity, self.parities, ent,
-                           check=False)
+        """The product as a binary map, built on first use and kept, so
+        every bracket with it reads one kernel table."""
+        if self._mu is None:
+            self._mu = MultiLinMap(2, self.product_parity, self.parities,
+                                   self.table)
+        return self._mu
 
     def __eq__(self, other):
         return (isinstance(other, FinSuperAlg)
@@ -549,13 +535,21 @@ def left_mult_op(J: FinSuperAlg, a) -> MultiLinMap:
             img = vec_add(img, J.product(i, j), c)
         if img:
             entries[(j,)] = img
-    return MultiLinMap(1, parity, J.parities, entries, check=False)
+    return MultiLinMap(1, parity, J.parities, entries)
 
 
-def _homogeneous_maps(space: Subspace, arity, parities):
+def _parts(space: Subspace, parities) -> list:
+    """(part, parity) for each homogeneous part of each row of a space of
+    flattened maps, in row order: the kernel's right operands as they are."""
     key_parity = lambda key: _key_parity(key, parities)
+    return [pp for row in space.rows for pp in split_parity(row, key_parity)]
+
+
+def _homogeneous_maps(parts, arity, parities) -> list[MultiLinMap]:
+    """A map for each (part, parity) of _parts, at the same index: the
+    kernel's left operands."""
     return [MultiLinMap.from_vec(part, arity, parities, p)
-            for row in space.rows for part, p in split_parity(row, key_parity)]
+            for part, p in parts]
 
 
 def _bracket_closure(seed: Subspace, maps) -> Subspace:
@@ -573,20 +567,19 @@ def _one_step_orbit(mu: MultiLinMap, ops: Subspace) -> Subspace:
     -(-1)^{|f||mu|} [mu, f], a multiple of the kernel applied as mu on f's
     flattened entries: mu is tabled once, and no operator becomes a map.
     """
-    key_parity = lambda key: _key_parity(key, mu.parities)
     return span_reduce([mu.as_vec()] + [
-        _bracket_flat(mu, part) for row in ops.rows
-        for part, _ in split_parity(row, key_parity)])
+        _bracket_flat(mu, part) for part, _ in _parts(ops, mu.parities)])
 
 
 def _str_generators(J: FinSuperAlg) -> tuple[Subspace, list[MultiLinMap]]:
-    """The span of J's left multiplications and a map for each homogeneous
-    part of its rows: Str's generators and the operators of R's closure.
+    """The span of J's left multiplications L_i and their maps: Str's
+    generators and the operators of both closures.  Each L_i is homogeneous,
+    and a space invariant under the L_i is invariant under their span.
     Built on first use and kept on J, so the two closures share the maps and
     their kernel tables."""
     if J._gens is None:
-        gens = span_reduce([left_mult_op(J, i).as_vec() for i in range(J.dim)])
-        J._gens = gens, _homogeneous_maps(gens, 1, J.parities)
+        ops = [left_mult_op(J, i) for i in range(J.dim)]
+        J._gens = span_reduce([f.as_vec() for f in ops]), ops
     return J._gens
 
 
@@ -598,8 +591,8 @@ def str_algebra(J: FinSuperAlg) -> Subspace:
     into itself for each generator f (Jacobson, Lie Algebras, ch. I).  By the
     graded Jacobi identity the x in V with [x, V] inside V form a subspace
     that holds the generators and is closed under bracketing with them, so it
-    is all of V and V is a subalgebra.  The closure's maps are therefore ad f
-    for the homogeneous parts f of the generators' span.
+    is all of V and V is a subalgebra.  The closure's maps are therefore
+    ad L_i for the left multiplications L_i.
     """
     return _bracket_closure(*_str_generators(J))
 
@@ -612,8 +605,8 @@ def related_products(J: FinSuperAlg) -> Subspace:
     multiplications alone: by the graded Jacobi identity w_bracket is a
     representation of the operator algebra on binary products, and the
     operators that keep a subspace invariant form a Lie subalgebra.  The
-    closure's maps are therefore w_bracket(f, .) for the homogeneous parts f
-    of span(L_i), not for all of Str.
+    closure's maps are therefore w_bracket(L_i, .), not those of all of
+    Str.
     """
     mu_vec = J.mu_map().as_vec()
     if not mu_vec:
@@ -727,21 +720,22 @@ def tkk(J: FinSuperAlg, depth_cap: int = 6) -> GradedLie:
     R = related_products(J)
     comps = {-1: span_reduce([{i: F(1)} for i in range(J.dim)]), 0: S, 1: R}
     terminated = R.dim == 0
-    g1_maps = _homogeneous_maps(R, 2, pars)
-    prev = g1_maps
+    prev = _parts(R, pars)
+    g1_maps = _homogeneous_maps(prev, 2, pars)
     for k in range(1, depth_cap):
         if terminated:
             break
-        # At k == 1 both sides are g1_maps, and w_bracket(v, u) =
-        # -(-1)^{|u||v|} w_bracket(u, v): each unordered pair is bracketed once.
-        vecs = [w_bracket(u, v) for a, u in enumerate(g1_maps)
-                for v in prev[a if k == 1 else 0:]]
+        # At k == 1 both sides are degree 1, and w_bracket(v, u) =
+        # -(-1)^{|u||v|} w_bracket(u, v): each unordered pair is bracketed
+        # once.  The maps come from the parts, so index a is one element.
+        vecs = [_bracket_flat(u, v) for a, u in enumerate(g1_maps)
+                for v, _ in prev[a if k == 1 else 0:]]
         nxt = span_reduce(vecs)
         comps[k + 1] = nxt
         if nxt.dim == 0:
             terminated = True
         else:
-            prev = _homogeneous_maps(nxt, k + 2, pars)
+            prev = _parts(nxt, pars)
     return GradedLie(J, comps, depth_cap, terminated)
 
 
@@ -776,29 +770,33 @@ def check_admissible_findim(G: GradedLie) -> AdmissibleFindimReport:
         seeds = span_reduce([w_bracket(MultiLinMap.vector({i: F(1)}, pars), mu)
                              for i in range(J.dim)])
         degree_zero_generated = _bracket_closure(
-            seeds, _homogeneous_maps(seeds, 1, pars)) == g0
+            seeds, _homogeneous_maps(_parts(seeds, pars), 1, pars)) == g0
     else:
         degree_one_spanned = g1.dim == 0
         degree_zero_generated = False
 
+    # Degree i sits on the left only for i <= top // 2 and degree j on the
+    # right only for j < top, so the top degree is neither.
     chain_consistent = True
-    maps_by_deg = {
-        k: _homogeneous_maps(G.components[k], k + 1, pars)
-        for k in G.components if k >= 1
-    }
+    top = max(G.components)
+    parts = {k: _parts(G.components[k], pars)
+             for k in G.components if 1 <= k < top}
+    lefts = {k: _homogeneous_maps(parts[k], k + 1, pars)
+             for k in parts if 2 * k <= top}
     for k in sorted(G.components):
         if k < 2:
             continue
         vecs = []
         # w_bracket(v, u) = -(-1)^{|u||v|} w_bracket(u, v), so each unordered
         # splitting is bracketed once: i <= j, and u before v when i == j.
+        # The maps come from the parts, so index a is one element.
         for i in range(1, k // 2 + 1):
             j = k - i
-            if i not in maps_by_deg or j not in maps_by_deg:
+            if i not in lefts or j not in parts:
                 continue
-            for a, u in enumerate(maps_by_deg[i]):
-                for v in maps_by_deg[j][a if i == j else 0:]:
-                    vecs.append(w_bracket(u, v))
+            for a, u in enumerate(lefts[i]):
+                for v, _ in parts[j][a if i == j else 0:]:
+                    vecs.append(_bracket_flat(u, v))
         if span_reduce(vecs) != G.components[k]:
             chain_consistent = False
     return AdmissibleFindimReport(degree_one_spanned, degree_zero_generated,

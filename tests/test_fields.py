@@ -10,7 +10,6 @@ from superrigid.fields import (
     FamilyRealization,
     GradingSpec,
     VectorField,
-    basis_of_degree,
     divergence,
     format_field,
     lie_bracket,
@@ -197,7 +196,7 @@ class TestGradingSpec:
 class TestBasisOfDegree:
     def test_full_family_small_degree(self):
         spec = GradingSpec((), (1, 1, 0))
-        got = basis_of_degree("W", spec, -1, order=0)
+        got = FamilyRealization("W", spec).basis_of_degree(-1, order=0)
         amb = Ambient(0, 3)
         expect = {
             VectorField.partial(amb, "xi", 1),
@@ -209,13 +208,14 @@ class TestBasisOfDegree:
 
     def test_full_family_dimension_profile(self):
         spec = GradingSpec((), (1, 1, 0))
-        dims = [len(basis_of_degree("W", spec, k, order=0)) for k in (-1, 0, 1, 2)]
+        real = FamilyRealization("W", spec)
+        dims = [len(real.basis_of_degree(k, order=0)) for k in (-1, 0, 1, 2)]
         assert dims == [4, 10, 8, 2]
         assert sum(dims) == 24
 
     def test_divfree_polynomial_slice(self):
         spec = GradingSpec((1, 0), ())
-        got = basis_of_degree("S", spec, -1, order=3)
+        got = FamilyRealization("S", spec).basis_of_degree(-1, order=3)
         amb = Ambient(2, 0)
         expect = [Jet.x(amb, 2, r) * VectorField.partial(amb, "x", 1)
                   for r in range(4)]

@@ -5,7 +5,7 @@ from math import comb, lcm
 from typing import Callable, Sequence
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import direct_sum
 from superrigid import catalog, walg
@@ -119,7 +119,7 @@ def mlm_add(f: MultiLinMap, other: MultiLinMap) -> MultiLinMap:
             else:
                 slot.pop(k, None)
     ent = {k: v for k, v in ent.items() if v}
-    return MultiLinMap(f.arity, parity, f.parities, ent, check=False)
+    return MultiLinMap(f.arity, parity, f.parities, ent)
 
 
 def mlm_scale(f: MultiLinMap, c) -> MultiLinMap:
@@ -128,7 +128,7 @@ def mlm_scale(f: MultiLinMap, c) -> MultiLinMap:
         return MultiLinMap(f.arity, f.parity, f.parities)
     ent = {key: {k: c * v for k, v in out.items()}
            for key, out in f.entries.items()}
-    return MultiLinMap(f.arity, f.parity, f.parities, ent, check=False)
+    return MultiLinMap(f.arity, f.parity, f.parities, ent)
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +335,99 @@ class TestFinSuperAlg:
         assert format_element(J, {0: F(1), 1: F(-2)}) == "a - 2*b"
 
 
+def _mirror(pars, i, j, out):
+    """x_j x_i of an anticommutative product: -(-1)^{p_i p_j} x_i x_j."""
+    sign = 1 if pars[i] and pars[j] else -1
+    return {k: sign * c for k, c in out.items()}
+
+
+@st.composite
+def _anticommutative_tables(draw):
+    """Parities of up to four basis vectors, a product parity and an
+    anticommutative table on pairs i <= j, with outputs of the right parity:
+    an even x_i has no square, an odd one may."""
+    pars = tuple(draw(st.lists(st.integers(0, 1), min_size=1, max_size=4)))
+    p = draw(st.integers(0, 1))
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    table = {}
+    for i, j in combinations_with_replacement(range(len(pars)), 2):
+        ks = [k for k in range(len(pars)) if pars[k] == (pars[i] + pars[j] + p) % 2]
+        if (i < j or pars[i]) and ks:
+            out = draw(st.dictionaries(st.sampled_from(ks), coeffs, max_size=2))
+            if any(out.values()):
+                table[(i, j)] = out
+    return pars, p, table
+
+
+class TestFromAnticommutative:
+    """An anticommutative table builds one algebra whichever order each
+    entry is given in, and a table that breaks anticommutativity is
+    rejected in the anticommutative presentation's words."""
+
+    @given(_anticommutative_tables(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_either_order_builds_one_algebra(self, tab, data):
+        pars, p, table = tab
+        J = FinSuperAlg.from_anticommutative(pars, p, table)
+        flips = data.draw(st.lists(st.booleans(), min_size=len(table),
+                                   max_size=len(table)))
+        turned = dict(((j, i), _mirror(pars, i, j, out)) if flip
+                      else ((i, j), out)
+                      for ((i, j), out), flip in zip(table.items(), flips))
+        both = {**table, **{(j, i): _mirror(pars, i, j, out)
+                            for (i, j), out in table.items()}}
+        for other in (turned, both):
+            assert FinSuperAlg.from_anticommutative(pars, p, other) == J
+        # The stored partner is e_i e_j = (-1)^{p_i} x_i x_j.
+        for (i, j), out in table.items():
+            tw = -1 if pars[i] else 1
+            assert J.product(i, j) == {k: tw * c for k, c in out.items() if c}
+
+    @given(_anticommutative_tables(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_broken_mirror_is_rejected(self, tab, data):
+        pars, p, table = tab
+        off = [key for key in table if key[0] != key[1]]
+        assume(off)
+        i, j = data.draw(st.sampled_from(off))
+        mirror = _mirror(pars, i, j, table[(i, j)])
+        wrong = data.draw(st.sampled_from([
+            {k: 2 * c for k, c in mirror.items()}, {k: 0 for k in mirror}]))
+        for broken in ({**table, (j, i): wrong}, {(j, i): wrong, **table}):
+            with pytest.raises(ValueError, match="anticommut"):
+                FinSuperAlg.from_anticommutative(pars, p, broken)
+
+    @given(_anticommutative_tables(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_nonzero_even_square_is_rejected(self, tab, data):
+        pars, p, table = tab
+        spots = [(i, k) for i in range(len(pars)) if not pars[i]
+                 for k in range(len(pars)) if pars[k] == p]
+        assume(spots)
+        i, k = data.draw(st.sampled_from(spots))
+        c = data.draw(st.fractions(min_value=-3, max_value=3).filter(bool))
+        with pytest.raises(ValueError, match="anticommut"):
+            FinSuperAlg.from_anticommutative(pars, p, {**table, (i, i): {k: c}})
+
+    def test_errors_are_worded_for_the_presentation(self):
+        with pytest.raises(ValueError, match="products of 0,1 and 1,0 break "
+                                             "anticommutativity"):
+            FinSuperAlg.from_anticommutative(
+                (0, 0, 0), 0, {(0, 1): {2: 1}, (1, 0): {2: 1}})
+        with pytest.raises(ValueError, match="even basis vector 0 cannot have "
+                                             "a nonzero square in an "
+                                             "anticommutative product"):
+            FinSuperAlg.from_anticommutative((0,), 0, {(0, 0): {0: 1}})
+        # A product given as zero clashes with a nonzero mirror.
+        for mirror in ({0: 2}, {0: 0}):
+            with pytest.raises(ValueError, match="break supersymmetry"):
+                FinSuperAlg((0, 0), 0, {(0, 1): {0: 1}, (1, 0): mirror})
+        with pytest.raises(ValueError, match="odd basis vector 0 cannot have "
+                                             "a nonzero square in a "
+                                             "supersymmetric product"):
+            FinSuperAlg((1,), 0, {(0, 0): {0: 1}})
+
+
 class TestMultiLinMap:
     def test_reorder_sign(self):
         pars = (1, 1)
@@ -495,7 +588,7 @@ def _box_reference(f: MultiLinMap, g: MultiLinMap) -> MultiLinMap:
                         acc.pop(m, None)
         if acc:
             entries[key] = acc
-    return MultiLinMap(arity, parity, pars, entries, check=False)
+    return MultiLinMap(arity, parity, pars, entries)
 
 
 KERNEL_PARITIES = {
@@ -647,7 +740,7 @@ def _maps(draw, pars, arity, parity):
     coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
     vec = draw(st.dictionaries(st.sampled_from(slots), coeffs, max_size=8)
                if slots else st.just({}))
-    return MultiLinMap.from_vec(vec, arity, pars, parity, check=True)
+    return MultiLinMap.from_vec(vec, arity, pars, parity)
 
 
 @st.composite
@@ -806,7 +899,7 @@ def test_act_agrees_with_w_bracket_on_str(name):
     J = make(name).algebra
     mu = J.mu_map()
     # A row of mixed parity would fail the parity check.
-    ops = [MultiLinMap.from_vec(row, 1, J.parities, check=True)
+    ops = [MultiLinMap.from_vec(row, 1, J.parities)
            for row in str_algebra(J).rows]
     assert {f.parity for f in ops} == {0, 1}
     for f in ops:
@@ -826,8 +919,7 @@ def _reference_on_parts(f: MultiLinMap, v: Vec) -> Vec:
     pars = f.parities
     out: Vec = {}
     for part, p in split_parity(v, lambda key: _key_parity(key, pars)):
-        g = MultiLinMap.from_vec(part, len(next(iter(part))[0]), pars, p,
-                                 check=True)
+        g = MultiLinMap.from_vec(part, len(next(iter(part))[0]), pars, p)
         out = vec_add(out, _w_bracket_reference(_fresh(f), g).as_vec())
     return out
 
@@ -933,12 +1025,9 @@ def test_generators_are_built_once(monkeypatch, run):
 
 
 def test_str_algebra_builds_no_map_per_step(monkeypatch):
-    """str_algebra builds the left multiplications and one map for each
-    homogeneous part of their span, and none while it closes."""
+    """str_algebra builds a map of each left multiplication, which both
+    closures use as it is, and none while it closes."""
     J = make("JS_0_8").algebra
-    gens = span_reduce([left_mult_op(J, i).as_vec() for i in range(J.dim)])
-    parts = sum(len(split_parity(row, lambda key: _key_parity(key, J.parities)))
-                for row in gens.rows)
     built = []
     init = MultiLinMap.__init__
 
@@ -947,8 +1036,33 @@ def test_str_algebra_builds_no_map_per_step(monkeypatch):
         init(self, *args, **kwargs)
     monkeypatch.setattr(MultiLinMap, "__init__", counted)
     assert str_algebra(J).dim == 20
-    assert J.dim + parts == 16
-    assert len(built) <= J.dim + parts
+    assert len(built) == J.dim
+    assert walg._str_generators(J)[1] == built
+
+
+def test_product_map_is_built_once():
+    J = make("JS_0_8").algebra
+    assert J.mu_map() is J.mu_map()
+    assert J.mu_map() == MultiLinMap(2, J.product_parity, J.parities, J.table)
+
+
+def test_only_left_operands_become_maps(monkeypatch):
+    """Over tkk(JS_0_8, 4) and its admissibility check every map built is
+    tabled: right operands stay flattened, and the product map is built
+    once for R's seed, the one-step orbit and the degree-zero seeds."""
+    J = make("JS_0_8").algebra
+    built, tabled = [], []
+    init = MultiLinMap.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)  # keeps each map alive, so ids stay distinct
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(MultiLinMap, "__init__", counted)
+    monkeypatch.setattr(walg, "_tables",
+                        lambda m, f=walg._tables: tabled.append(m) or f(m))
+    assert check_admissible_findim(tkk(J, 4)).admissible
+    assert built
+    assert {id(m) for m in built} <= {id(m) for m in tabled}
 
 
 def _permuted(J, seed):
@@ -969,8 +1083,8 @@ def _lifted(op, arity_u, arity_v, pars):
     def lifted(u, v):
         if len(next(iter(u))[0]) != arity_u or len(next(iter(v))[0]) != arity_v:
             return {}
-        f = MultiLinMap.from_vec(u, arity_u, pars, check=True)
-        g = MultiLinMap.from_vec(v, arity_v, pars, check=True)
+        f = MultiLinMap.from_vec(u, arity_u, pars)
+        g = MultiLinMap.from_vec(v, arity_v, pars)
         return op(f, g).as_vec()
     return lifted
 
@@ -1211,16 +1325,19 @@ class TestTkk:
         assert G.dims[1] == 1
 
     def test_grading_containment(self):
-        from superrigid.walg import _homogeneous_maps
         G = tkk(js02(), depth_cap=3)
         pars = G.J.parities
+
+        def maps(k):
+            return walg._homogeneous_maps(walg._parts(G.components[k], pars),
+                                          k + 1, pars)
         for i in (1, 2):
             for j in (1, 2):
                 if i + j not in G.components:
                     continue
                 target = G.components[i + j]
-                for u in _homogeneous_maps(G.components[i], i + 1, pars):
-                    for v in _homogeneous_maps(G.components[j], j + 1, pars):
+                for u in maps(i):
+                    for v in maps(j):
                         assert target.contains(w_bracket(u, v))
 
     def test_depth_cap_validation(self):
@@ -1238,17 +1355,19 @@ class TestTkk:
 
     def test_brackets_each_unordered_degree_one_pair_once(self, monkeypatch):
         # JS_0_8's 16 degree-one maps make 16 * 17 / 2 = 136 brackets, not
-        # 16 * 16 = 256, and the 5 maps of degree 2 meet all 16: 216.
+        # 16 * 16 = 256, and the 5 parts of degree 2 meet all 16: 216.  The
+        # closures of Str and R bracket with operators, of arity 1.
         calls = []
-        bracket = walg.w_bracket
+        bracket = walg._bracket_flat
 
-        def counted(f, g):
-            calls.append((f, g))
-            return bracket(f, g)
-        monkeypatch.setattr(walg, "w_bracket", counted)
+        def counted(f, v):
+            calls.append(f.arity)
+            return bracket(f, v)
+        monkeypatch.setattr(walg, "_bracket_flat", counted)
         G = tkk(make("JS_0_8").algebra, 4)
         assert G.dims == {-1: 8, 0: 20, 1: 16, 2: 5, 3: 0}
-        assert len(calls) == 216
+        assert set(calls) == {1, 2}
+        assert calls.count(2) == 216
 
 
 def _tkk_reference(J, depth_cap):
@@ -1257,13 +1376,15 @@ def _tkk_reference(J, depth_cap):
     pars = J.parities
     comps = {-1: span_reduce([{i: F(1)} for i in range(J.dim)]),
              0: str_algebra(J), 1: related_products(J)}
-    g1 = walg._homogeneous_maps(comps[1], 2, pars)
+    def maps(k):
+        return walg._homogeneous_maps(walg._parts(comps[k], pars), k + 1, pars)
+    g1 = maps(1)
     prev = g1
     for k in range(1, depth_cap):
         if comps[k].dim == 0:
             break
         comps[k + 1] = span_reduce([w_bracket(u, v) for u in g1 for v in prev])
-        prev = walg._homogeneous_maps(comps[k + 1], k + 2, pars)
+        prev = maps(k + 1)
     return comps
 
 
