@@ -85,7 +85,7 @@ def test_no_public_function_shares_a_method_name():
     named like a public method would pass it through the method's callers
     alone; each public function needs a name of its own."""
     methods = {name.rpartition(".")[2] for _, name, _, _ in public_methods()}
-    shared = [f"{path.stem}.{name}" for path, name, _, _ in public_definitions()
-              if name in methods]
+    shared = [f"{path.stem}.{name}"
+              for path, name, _, _ in public_definitions() if name in methods]
     assert shared == [], (
         "public functions named like a public method: " + ", ".join(shared))

@@ -351,9 +351,11 @@ def _anticommutative_tables(draw):
     coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
     table = {}
     for i, j in combinations_with_replacement(range(len(pars)), 2):
-        ks = [k for k in range(len(pars)) if pars[k] == (pars[i] + pars[j] + p) % 2]
+        ks = [k for k in range(len(pars))
+              if pars[k] == (pars[i] + pars[j] + p) % 2]
         if (i < j or pars[i]) and ks:
-            out = draw(st.dictionaries(st.sampled_from(ks), coeffs, max_size=2))
+            out = draw(st.dictionaries(st.sampled_from(ks), coeffs,
+                                       max_size=2))
             if any(out.values()):
                 table[(i, j)] = out
     return pars, p, table
@@ -407,7 +409,8 @@ class TestFromAnticommutative:
         i, k = data.draw(st.sampled_from(spots))
         c = data.draw(st.fractions(min_value=-3, max_value=3).filter(bool))
         with pytest.raises(ValueError, match="anticommut"):
-            FinSuperAlg.from_anticommutative(pars, p, {**table, (i, i): {k: c}})
+            FinSuperAlg.from_anticommutative(pars, p,
+                                             {**table, (i, i): {k: c}})
 
     def test_errors_are_worded_for_the_presentation(self):
         with pytest.raises(ValueError, match="products of 0,1 and 1,0 break "
