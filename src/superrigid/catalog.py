@@ -101,7 +101,7 @@ class OracleEntry:
     def __init__(self, name: str, ambient: Ambient, slot_parity: dict,
                  symmetry: str, rules: dict, *, excluded: dict | None = None,
                  kernel: tuple | None = None, params: dict | None = None,
-                 summary: str = "", extra_checks: Sequence = ()):
+                 extra_checks: Sequence = ()):
         if symmetry not in ("commutative", "anticommutative"):
             raise ValueError(f"unknown symmetry {symmetry!r}")
         self.name = name
@@ -113,7 +113,7 @@ class OracleEntry:
         self.excluded = {s: set(v) for s, v in (excluded or {}).items()}
         self.kernel = kernel
         self.params = dict(params or {})
-        self.summary = summary
+        self.summary = ""
         self.extra_checks = tuple(extra_checks)
         self.default_seeds: list[Element] | None = None
         self.space = None
@@ -958,8 +958,6 @@ def _entry_lskoa_3_1(alpha, beta) -> OracleEntry:
 
 
 def _entry_lsho(n: int) -> OracleEntry:
-    if n < 2:
-        raise CatalogError(f"carrier needs n >= 2, got n={n}")
     amb = Ambient(n, n)
     xi1 = Jet.xi(amb, 1)
     w = Jet.x(amb, 2) * xi1 * Jet.xi(amb, 2)
@@ -976,9 +974,7 @@ def _entry_lsho(n: int) -> OracleEntry:
 
     return OracleEntry(
         f"LSHO_{n}_{2 ** (n - 1)}", amb, {"j": 1}, "anticommutative",
-        {("j", "j"): rule}, kernel=(odd_laplacian, top), params={"n": n},
-        summary="kernel of the odd Laplacian with no top odd component, "
-                "under a twisted divergence-free bracket")
+        {("j", "j"): rule}, kernel=(odd_laplacian, top), params={"n": n})
 
 
 def _contact_rules(amb: Ambient, c, xx: Jet | None = None) -> dict:
@@ -1008,8 +1004,6 @@ def _contact_rules(amb: Ambient, c, xx: Jet | None = None) -> dict:
 
 
 def _entry_lsko(n: int, beta) -> OracleEntry:
-    if n < 1:
-        raise CatalogError(f"carrier needs n >= 1, got n={n}")
     beta = F(beta)
     if beta == F(4, n + 1):
         raise CatalogError(
@@ -1025,9 +1019,7 @@ def _entry_lsko(n: int, beta) -> OracleEntry:
     return OracleEntry(
         f"LSKO_{n}_{2 ** n}", amb, {"j": 1}, "anticommutative",
         _contact_rules(amb, beta * (n + 1)), kernel=(op, special),
-        params={"n": n, "beta": beta},
-        summary="kernel of a weighted divergence under a twisted contact "
-                "bracket; special weights drop one top odd component")
+        params={"n": n, "beta": beta})
 
 
 def _entry_lskop_2_4() -> OracleEntry:
@@ -1082,16 +1074,12 @@ def _entry_series(n: int, m: int, twin: bool) -> OracleEntry:
     if twin:
         checks = ((("closed_form", _lp_closed_form),)
                   if n <= 2 and m == n else ())
-        summary = ("parity-reversed twin of the odd-type series product; "
-                   "matches a closed-form bracket on the enlarged ambient")
     else:
         checks = (("operator_relations", _ojp_checks),)
-        summary = ("commutative odd-type series product over an odd Poisson "
-                   "coefficient algebra with marker and series variable")
     entry = OracleEntry(
         f"{'LP' if twin else 'OJP'}_{n}_{m}", space.ambient, {"j": int(twin)},
         "anticommutative" if twin else "commutative", {("j", "j"): rule},
-        params={"n": n, "m": m}, extra_checks=checks, summary=summary)
+        params={"n": n, "m": m}, extra_checks=checks)
     entry.space = space
     if not twin:
         entry.default_seeds = [{"j": space.eta()}, {"j": space.one()}, {}]
@@ -1395,9 +1383,11 @@ _FIXED: dict = {
 }
 
 # base -> (params, constraints, summary, index rule on (n, m), builder).
+# make attaches the summary to every instance, so it holds for each one.
 _PATTERNS: dict = {
     "OJP": (("n", "m"), "n >= 0, m in {n, n+1}",
-            "odd-type series product over an odd Poisson carrier",
+            "commutative odd-type series product over an odd Poisson "
+            "coefficient algebra with marker and series variable",
             lambda n, m: n >= 0 and m in (n, n + 1),
             lambda n, m: _entry_series(n, m, False)),
     "LP": (("n", "m"), "n >= 0, m in {n, n+1}",
@@ -1405,11 +1395,13 @@ _PATTERNS: dict = {
            lambda n, m: n >= 0 and m in (n, n + 1),
            lambda n, m: _entry_series(n, m, True)),
     "LSHO": (("n",), "n >= 2, second index 2^(n-1)",
-             "monomial divergence kernel under a twisted bracket",
+             "kernel of the odd Laplacian with no top odd component, under "
+             "a twisted divergence-free bracket",
              lambda n, m: n >= 2 and m == 2 ** (n - 1),
              lambda n, m: _entry_lsho(n)),
     "LSKO": (("n", "beta"), "n >= 1, second index 2^n, beta != 4/(n+1)",
-             "weighted divergence kernel under a twisted contact bracket",
+             "kernel of a weighted divergence under a twisted contact "
+             "bracket; special weights drop one top odd component",
              lambda n, m: n >= 1 and m == 2 ** n,
              lambda n, m, beta: _entry_lsko(n, beta)),
 }
@@ -1465,16 +1457,17 @@ def make(name: str, *, alpha=None, beta=None):
     if key in _FIXED:
         *_, summary, build = _FIXED[key]
         entry = build(**kwargs)
-        entry.summary = summary
-        return entry
-    _, constraints, _, fits, build = _PATTERNS[base]
-    try:
-        n, m = (int(i) for i in indices)
-    except ValueError as exc:
-        raise CatalogError(f"unknown entry {name!r}") from exc
-    if not fits(n, m):
-        raise CatalogError(f"{key} is outside its family: {constraints}")
-    return build(n, m, **kwargs)
+    else:
+        _, constraints, summary, fits, build = _PATTERNS[base]
+        try:
+            n, m = (int(i) for i in indices)
+        except ValueError as exc:
+            raise CatalogError(f"unknown entry {name!r}") from exc
+        if not fits(n, m):
+            raise CatalogError(f"{key} is outside its family: {constraints}")
+        entry = build(n, m, **kwargs)
+    entry.summary = summary
+    return entry
 
 
 def registry_listing() -> list:

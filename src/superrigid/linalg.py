@@ -23,8 +23,10 @@ of a seed from closure_under walks: under left products first, then, only when
 that span is proper, under left and right products together.  A full span is
 the whole space and holds every right image, and a proper one lies inside the
 ideal, so the result is exact for any product; a symmetric product only makes
-the second walk rare.  split_parity is the one parity splitter, for jets,
-vector fields and flattened multilinear maps.
+the second walk rare.  nullspace reads a kernel off span_reduce of an
+operator's graph, so it grows its span through the same step.  split_parity
+is the one parity splitter, for jets, vector fields and flattened
+multilinear maps.
 """
 from __future__ import annotations
 
@@ -236,24 +238,20 @@ def nullspace(
     operator: Callable[[Key], Vec],
 ) -> list[Vec]:
     """Basis of the kernel of a linear operator given by its action on basis
-    keys.  Returns coordinate vectors over the domain keys."""
-    # Gaussian elimination on the transpose: track domain combinations.
-    images = [vec_clean(operator(k)) for k in domain_basis]
-    combos = [{k: Fraction(1)} for k in domain_basis]
-    pivots: dict[Key, int] = {}
-    kernel: list[Vec] = []
-    for i, img in enumerate(images):
-        for piv, j in pivots.items():
-            c = img.get(piv)
-            if c:
-                _add_into(img, images[j], -c)
-                _add_into(combos[i], combos[j], -c)
-        if img:
-            piv = min(img)
-            s = Fraction(1) / img[piv]
-            images[i] = vec_scale(img, s)
-            combos[i] = vec_scale(combos[i], s)
-            pivots[piv] = i
-        else:
-            kernel.append(combos[i])
-    return kernel
+    keys, as coordinate vectors over the domain keys: for each key whose
+    image lies in the span of the earlier keys' images, in domain order,
+    that key minus its combination of the earlier keys that own no vector.
+
+    It is read off one span_reduce of the graph vectors (T e_j, e_j), with
+    image key k as (0, k) and the j-th domain key as (1, -j).  Image keys
+    rank first, so a row pivoted on a domain key has no image part: it is
+    in the kernel.  Later domain keys rank before earlier ones, so such a
+    row is e_j less earlier keys that pivot no other domain row.
+    """
+    graph = []
+    for j, k in enumerate(domain_basis):
+        v = {(0, i): c for i, c in operator(k).items()}
+        v[(1, -j)] = Fraction(1)
+        graph.append(v)
+    return [{domain_basis[-j]: c for (_, j), c in row.items()}
+            for row in reversed(span_reduce(graph).rows) if min(row)[0]]

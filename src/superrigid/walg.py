@@ -57,7 +57,6 @@ from .linalg import (
     ideal_closure,
     span_reduce,
     split_parity,
-    vec_add,
     vec_clean,
 )
 
@@ -515,27 +514,13 @@ class FinSuperAlg:
                 f"product_parity={self.product_parity})")
 
 
-def left_mult_op(J: FinSuperAlg, a) -> MultiLinMap:
-    """Operator of left multiplication by a basis index or homogeneous vector."""
-    if isinstance(a, int):
-        a = {a: F(1)}
-    for i in a:
-        if not (isinstance(i, int) and 0 <= i < J.dim):
-            raise ValueError(f"multiplier index {i!r} is not a basis index "
-                             f"of a {J.dim}-dimensional algebra")
-    a = {i: _coeff(c, f"multiplier index {i}") for i, c in a.items()}
-    pars = {J.parities[i] for i in a}
-    if len(pars) > 1:
-        raise ValueError("mixed parity multiplier")
-    parity = (J.product_parity + pars.pop()) % 2 if pars else J.product_parity
-    entries: dict = {}
-    for j in range(J.dim):
-        img: Vec = {}
-        for i, c in a.items():
-            img = vec_add(img, J.product(i, j), c)
-        if img:
-            entries[(j,)] = img
-    return MultiLinMap(1, parity, J.parities, entries)
+def left_mult_op(J: FinSuperAlg, i) -> MultiLinMap:
+    """Operator of left multiplication by the basis vector e_i."""
+    if type(i) is not int or not 0 <= i < J.dim:
+        raise ValueError(f"multiplier index {i!r} is not a basis index "
+                         f"of a {J.dim}-dimensional algebra")
+    return MultiLinMap(1, J.product_parity + J.parities[i], J.parities,
+                       {(j,): J.product(i, j) for j in range(J.dim)})
 
 
 def _parts(space: Subspace, parities) -> list:
@@ -550,6 +535,17 @@ def _homogeneous_maps(parts, arity, parities) -> list[MultiLinMap]:
     kernel's left operands."""
     return [MultiLinMap.from_vec(part, arity, parities, p)
             for part, p in parts]
+
+
+def _splitting_brackets(lefts, parts, same: bool) -> list[Vec]:
+    """_bracket_flat of each left map with each right (part, parity).
+
+    With same, lefts[a] is the map of parts[a] and meets parts[a:] only:
+    w_bracket(v, u) = -(-1)^{|u||v|} w_bracket(u, v), so each unordered
+    pair of one degree is bracketed once.
+    """
+    return [_bracket_flat(u, v) for a, u in enumerate(lefts)
+            for v, _ in parts[a if same else 0:]]
 
 
 def _bracket_closure(seed: Subspace, maps) -> Subspace:
@@ -710,6 +706,8 @@ def tkk(J: FinSuperAlg, depth_cap: int = 6) -> GradedLie:
     Degree -1 is the space itself, degree 0 its structure operators, degree 1
     the related products, and each further degree the bracket of degree 1 with
     the previous one, up to depth_cap.  Reports whether the chain hit zero.
+    Each step is one _splitting_brackets of the degree-1 maps with the parts
+    of the previous degree; degree 2 brackets each unordered pair once.
     """
     if type(depth_cap) is not int:
         raise ValueError(f"depth_cap must be an integer, got {depth_cap!r}")
@@ -725,12 +723,7 @@ def tkk(J: FinSuperAlg, depth_cap: int = 6) -> GradedLie:
     for k in range(1, depth_cap):
         if terminated:
             break
-        # At k == 1 both sides are degree 1, and w_bracket(v, u) =
-        # -(-1)^{|u||v|} w_bracket(u, v): each unordered pair is bracketed
-        # once.  The maps come from the parts, so index a is one element.
-        vecs = [_bracket_flat(u, v) for a, u in enumerate(g1_maps)
-                for v, _ in prev[a if k == 1 else 0:]]
-        nxt = span_reduce(vecs)
+        nxt = span_reduce(_splitting_brackets(g1_maps, prev, k == 1))
         comps[k + 1] = nxt
         if nxt.dim == 0:
             terminated = True
@@ -758,6 +751,11 @@ def check_admissible_findim(G: GradedLie) -> AdmissibleFindimReport:
     degree 0 generated by brackets of the space with the product, and every
     higher component equal to the span of all bracket splittings of lower
     positive degrees.
+
+    The brackets [e_i, mu] are +-L_i, so degree 0 is generated by them when
+    they span Str's generators and g0 is str_algebra, their closure: Str is
+    not closed a second time.  The splittings of each degree go through
+    _splitting_brackets, as in tkk.
     """
     J = G.J
     pars = J.parities
@@ -769,8 +767,8 @@ def check_admissible_findim(G: GradedLie) -> AdmissibleFindimReport:
         degree_one_spanned = _one_step_orbit(mu, g0) == g1
         seeds = span_reduce([w_bracket(MultiLinMap.vector({i: F(1)}, pars), mu)
                              for i in range(J.dim)])
-        degree_zero_generated = _bracket_closure(
-            seeds, _homogeneous_maps(_parts(seeds, pars), 1, pars)) == g0
+        degree_zero_generated = (seeds == _str_generators(J)[0]
+                                 and str_algebra(J) == g0)
     else:
         degree_one_spanned = g1.dim == 0
         degree_zero_generated = False
@@ -786,17 +784,11 @@ def check_admissible_findim(G: GradedLie) -> AdmissibleFindimReport:
     for k in sorted(G.components):
         if k < 2:
             continue
+        # Each unordered splitting i + j = k is bracketed once: i <= j.
         vecs = []
-        # w_bracket(v, u) = -(-1)^{|u||v|} w_bracket(u, v), so each unordered
-        # splitting is bracketed once: i <= j, and u before v when i == j.
-        # The maps come from the parts, so index a is one element.
         for i in range(1, k // 2 + 1):
-            j = k - i
-            if i not in lefts or j not in parts:
-                continue
-            for a, u in enumerate(lefts[i]):
-                for v, _ in parts[j][a if i == j else 0:]:
-                    vecs.append(_bracket_flat(u, v))
+            if i in lefts and k - i in parts:
+                vecs += _splitting_brackets(lefts[i], parts[k - i], 2 * i == k)
         if span_reduce(vecs) != G.components[k]:
             chain_consistent = False
     return AdmissibleFindimReport(degree_one_spanned, degree_zero_generated,

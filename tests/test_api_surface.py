@@ -1,7 +1,8 @@
 """Every public top-level name of the library, and every public method of a
 public class, has a caller in the library or the benchmark: code that only
 its own tests use is deleted, or moved into the tests when it is a reference
-for library code."""
+for library code.  Every private function and method has a caller outside
+its own definition, so a helper left behind by a refactor is caught."""
 import ast
 import re
 from pathlib import Path
@@ -11,32 +12,55 @@ PACKAGE = ROOT / "src" / "superrigid"
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _public(nodes, kinds):
-    """(name, first line, last line) of each public def among the nodes."""
+def _defs(nodes, kinds, private=False):
+    """(name, first line, last line) of each public def among the nodes, or
+    with private, of each one with a leading underscore that is no dunder."""
     for node in nodes:
-        if isinstance(node, kinds) and not node.name.startswith("_"):
+        if not isinstance(node, kinds):
+            continue
+        name = node.name
+        if (name.startswith("_") == private
+                and not (name.startswith("__") and name.endswith("__"))):
             first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-            yield node.name, first, node.end_lineno
+            yield name, first, node.end_lineno
+
+
+def _modules():
+    """(file, parsed module) of each module of the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        yield path, ast.parse(path.read_text(), filename=str(path))
 
 
 def public_definitions():
     """(file, name, first line, last line) of each public top-level def and
     class in the package."""
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for name, first, last in _public(tree.body, DEFS):
+    for path, tree in _modules():
+        for name, first, last in _defs(tree.body, DEFS):
             yield path, name, first, last
 
 
 def public_methods():
     """(file, Class.name, first line, last line) of each public method of
     each public top-level class in the package."""
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for path, tree in _modules():
         classes = [n for n in tree.body if isinstance(n, ast.ClassDef)
                    and not n.name.startswith("_")]
         for cls in classes:
-            for name, first, last in _public(cls.body, DEFS[:2]):
+            for name, first, last in _defs(cls.body, DEFS[:2]):
+                yield path, f"{cls.name}.{name}", first, last
+
+
+def private_definitions():
+    """(file, name, first line, last line) of each private top-level
+    function, and of each private method of any top-level class, in the
+    package."""
+    for path, tree in _modules():
+        for name, first, last in _defs(tree.body, DEFS[:2], private=True):
+            yield path, name, first, last
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for name, first, last in _defs(cls.body, DEFS[:2], private=True):
                 yield path, f"{cls.name}.{name}", first, last
 
 
@@ -89,3 +113,18 @@ def test_no_public_function_shares_a_method_name():
               for path, name, _, _ in public_definitions() if name in methods]
     assert shared == [], (
         "public functions named like a public method: " + ", ".join(shared))
+
+
+def test_every_private_name_has_a_caller():
+    """A private function counts as called wherever its name appears, a
+    private method where its name follows a dot."""
+    defs = list(private_definitions())
+    functions = [d for d in defs if "." not in d[1]]
+    methods = [d for d in defs if "." in d[1]]
+    assert len(functions) > 50 and len(methods) > 5
+    unused = (_unused(functions, word_sites(), lambda name: name)
+              + _unused(methods, word_sites(r"\.(\w+)"),
+                        lambda name: name.rpartition(".")[2]))
+    assert unused == [], (
+        "private names with no caller outside their definition: "
+        + ", ".join(unused))

@@ -409,3 +409,31 @@ class TestNullspace:
             return {k: F(2)}
 
         assert nullspace([(0,), (1,)], op) == []
+
+    cells = st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 4)),
+                            st.fractions(max_denominator=4), max_size=12)
+
+    @given(st.integers(0, 7), cells)
+    @settings(max_examples=200)
+    def test_random_sparse_operator(self, n, cells):
+        """One vector per key whose image depends on the earlier images: 1
+        on that key, and otherwise only earlier keys that own no vector."""
+        # The domain keys are in no order of their own: "earlier" is their
+        # position in the domain.
+        domain = [f"k{5 * j % 8}" for j in range(n)]
+        pos = {k: j for j, k in enumerate(domain)}
+        image = {k: {} for k in domain}
+        for (j, i), c in cells.items():
+            if j < n and c:
+                image[domain[j]][i] = c
+        kernel = nullspace(domain, image.__getitem__)
+        owners = [max(w, key=pos.__getitem__) for w in kernel]
+        assert [pos[k] for k in owners] == sorted({pos[k] for k in owners})
+        for w, own in zip(kernel, owners):
+            assert w[own] == 1
+            assert all(k not in owners for k in w if k != own)
+            total: dict = {}
+            for k, c in w.items():
+                total = vec_add(total, image[k], c)
+            assert total == {}
+        assert len(kernel) == n - span_reduce(image.values()).dim

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 from itertools import combinations, combinations_with_replacement, product
 from math import comb, lcm
@@ -1080,6 +1081,24 @@ def _permuted(J, seed):
                        anticommutative_presentation=J.anticommutative_presentation)
 
 
+FINITE = sorted(row["name"] for row in catalog.registry_listing()
+                if row["kind"] == "finite")
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+@pytest.mark.parametrize("name", FINITE)
+def test_degree_zero_seeds_span_str_generators(name, seed):
+    """[e_i, mu] = +-L_i, so the degree-zero seeds of check_admissible_findim
+    span exactly Str's generators, on every finite entry and relabelled
+    copies of it."""
+    J = make(name).algebra
+    if seed is not None:
+        J = _permuted(J, seed)
+    units = [MultiLinMap.vector({i: F(1)}, J.parities) for i in range(J.dim)]
+    seeds = span_reduce([w_bracket(e, J.mu_map()) for e in units])
+    assert seeds == walg._str_generators(J)[0]
+
+
 def _lifted(op, arity_u, arity_v, pars):
     """op on maps as a bilinear map of homogeneous flattened maps, zero on
     other arities."""
@@ -1165,14 +1184,11 @@ class TestLeftMult:
         assert m(0) == {}
         assert m(1) == {1: F(1)}
 
-    def test_mixed_parity_rejected(self):
-        with pytest.raises(ValueError):
-            left_mult_op(lw02(), {0: F(1), 1: F(1)})
-
-    @pytest.mark.parametrize("a", [5, -1, {2: F(1)}])
+    @pytest.mark.parametrize("a", [5, -1, True, 1.0, {0: F(1)}])
     def test_index_out_of_range(self, a):
-        bad = a if isinstance(a, int) else 2
-        with pytest.raises(ValueError, match=f"index {bad} "):
+        # Only a basis index names a multiplier: not a bool, a float or a
+        # vector.
+        with pytest.raises(ValueError, match=re.escape(f"index {a!r} ")):
             left_mult_op(js02(), a)
 
 
@@ -1426,6 +1442,23 @@ class TestAdmissibleFindim:
     def test_zero_product_fails_generation(self):
         rep = check_admissible_findim(tkk(FinSuperAlg((0, 0), 0, {})))
         assert not rep.degree_zero_generated
+
+    def test_degree_zero_other_than_str_fails(self):
+        # Str(JS_0_2) is 3-dimensional, the span of L_0 and L_1 only 2.
+        J = js02()
+        G = tkk(J, depth_cap=3)
+        G.components[0] = walg._str_generators(J)[0]
+        assert G.components[0] != str_algebra(J)
+        assert not check_admissible_findim(G).degree_zero_generated
+
+    def test_cut_degree_two_breaks_the_chain(self):
+        G = tkk(js02(), depth_cap=3)
+        g2 = G.components[2]
+        G.components[2] = span_reduce(g2.rows[:-1])
+        assert 0 < G.components[2].dim < g2.dim
+        rep = check_admissible_findim(G)
+        assert not rep.chain_consistent
+        assert rep.degree_one_spanned and rep.degree_zero_generated
 
     def test_chain_brackets_an_odd_map_with_itself(self):
         # Degree 1 is the line of one odd product whose square is nonzero,
