@@ -35,23 +35,21 @@ one integer accumulator on canonical keys.
 Each map has one table: its common denominator, its first-argument and
 output rows, and the terms each key it has met gives against its output
 rows.  The table is built on first use and kept on the map, so a map met by
-many partners is tabled once.  An algebra keeps its product map and the
-maps of its left multiplications in the same way, so Str's and R's closures
-share one build of their generators and every use of the product shares one
-table.
+many partners is tabled once.  An algebra keeps one memo (see _kept) of
+what several readers share: its product map, Str's generators, Str and R.
+So is_rigid, tkk and check_admissible_findim on one algebra close Str once.
 """
 from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 
 from .linalg import (
     Subspace,
     Vec,
-    ZERO,
     _add_into,
     closure_under,
     ideal_closure,
@@ -379,6 +377,32 @@ def w_bracket(f: MultiLinMap, g: MultiLinMap) -> Vec:
     return _bracket_flat(f, g.as_vec())
 
 
+def _parity(p) -> int:
+    """p as a parity, 0 or 1; anything else raises a ValueError naming it."""
+    if isinstance(p, int) and p in (0, 1):
+        return int(p)
+    raise ValueError(f"parity {p!r} is not 0 or 1")
+
+
+def _index_pair(key, n):
+    """A table key as a pair of basis indices of an n-dimensional space;
+    anything else raises a ValueError naming it."""
+    if type(key) is not tuple or len(key) != 2 or not all(
+            type(a) is int for a in key):
+        raise ValueError(f"table key {key!r} is not a pair of integers")
+    if not all(0 <= a < n for a in key):
+        raise ValueError(f"basis index out of range in {key}")
+    return key
+
+
+def _kept(J, key, build):
+    """J's memoised value for key, built by build() on first read and kept:
+    exact, since J's table never changes after the constructor."""
+    if key not in J._memo:
+        J._memo[key] = build()
+    return J._memo[key]
+
+
 class FinSuperAlg:
     """Finite-dimensional superalgebra with exact structure constants.
 
@@ -389,29 +413,28 @@ class FinSuperAlg:
     the anticommutative original, and words the errors for it.
 
     Every coefficient is converted to an exact Fraction, and zeros are
-    dropped.  The table is not changed once built, so the product map (_mu,
-    see mu_map) and the generators of Str (_gens, see _str_generators) are
-    built on first use and kept.
+    dropped.  The table is not changed once built, so one memo (_memo, see
+    _kept) keeps what several readers share: the product map, Str's
+    generators, Str and R.
     """
 
     __slots__ = ("parities", "product_parity", "table", "labels",
-                 "anticommutative_presentation", "_mu", "_gens")
+                 "anticommutative_presentation", "_memo")
 
     def __init__(self, parities, product_parity, table, labels=None, *,
                  anticommutative_presentation=False):
-        self.parities = tuple(int(p) % 2 for p in parities)
-        self.product_parity = int(product_parity) % 2
+        self.parities = tuple(_parity(p) for p in parities)
+        self.product_parity = _parity(product_parity)
         self.labels = tuple(labels) if labels else None
         if self.labels and len(self.labels) != len(self.parities):
             raise ValueError("labels do not match dimension")
         anti = self.anticommutative_presentation = bool(
             anticommutative_presentation)
-        self._mu = self._gens = None
+        self._memo = {}
         n = len(self.parities)
         canon: dict = {}
-        for (i, j), out in table.items():
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"basis index out of range in ({i},{j})")
+        for key, out in table.items():
+            i, j = _index_pair(key, n)
             out = {k: _coeff(c, f"product of {i},{j} at {k}")
                    for k, c in out.items()}
             out = {k: c for k, c in out.items() if c}
@@ -436,9 +459,9 @@ class FinSuperAlg:
             want = (self.parities[i] + self.parities[j]
                     + self.product_parity) % 2
             for k in out:
-                if not 0 <= k < n:
+                if type(k) is not int or not 0 <= k < n:
                     raise ValueError(
-                        f"product of {i},{j} hits {k}, out of range")
+                        f"product of {i},{j} hits {k!r}, out of range")
                 if self.parities[k] != want:
                     raise ValueError(
                         f"product of {i},{j} hits {k} of the wrong parity")
@@ -450,19 +473,18 @@ class FinSuperAlg:
         partner e_i e_j = (-1)^{p_i} x_i x_j, every parity and the product
         parity flipped.  The partner is supersymmetric exactly when the
         original is anticommutative, so the constructor's checks serve both;
-        only the indices are checked here, before their parities are read.
+        only the parities and keys are checked here, before they are read.
         """
-        parities = tuple(int(p) % 2 for p in parities)
+        parities = tuple(_parity(p) for p in parities)
         n = len(parities)
         partner: dict = {}
-        for (i, j), out in table.items():
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"basis index out of range in ({i},{j})")
+        for key, out in table.items():
+            i, j = _index_pair(key, n)
             if parities[i]:
                 out = {k: -_coeff(c, f"product of {i},{j} at {k}")
                        for k, c in out.items()}
             partner[(i, j)] = out
-        return cls(tuple(1 - p for p in parities), 1 - int(product_parity) % 2,
+        return cls(tuple(1 - p for p in parities), 1 - _parity(product_parity),
                    partner, labels, anticommutative_presentation=True)
 
     @property
@@ -493,12 +515,9 @@ class FinSuperAlg:
         return out
 
     def mu_map(self) -> MultiLinMap:
-        """The product as a binary map, built on first use and kept, so
-        every bracket with it reads one kernel table."""
-        if self._mu is None:
-            self._mu = MultiLinMap(2, self.product_parity, self.parities,
-                                   self.table)
-        return self._mu
+        """The product as a binary map, kept in the memo."""
+        return _kept(self, "mu", lambda: MultiLinMap(
+            2, self.product_parity, self.parities, self.table))
 
     def __eq__(self, other):
         return (isinstance(other, FinSuperAlg)
@@ -571,12 +590,12 @@ def _str_generators(J: FinSuperAlg) -> tuple[Subspace, list[MultiLinMap]]:
     """The span of J's left multiplications L_i and their maps: Str's
     generators and the operators of both closures.  Each L_i is homogeneous,
     and a space invariant under the L_i is invariant under their span.
-    Built on first use and kept on J, so the two closures share the maps and
-    their kernel tables."""
-    if J._gens is None:
+    Kept in J's memo, so the two closures share the maps and their kernel
+    tables."""
+    def build():
         ops = [left_mult_op(J, i) for i in range(J.dim)]
-        J._gens = span_reduce([f.as_vec() for f in ops]), ops
-    return J._gens
+        return span_reduce([f.as_vec() for f in ops]), ops
+    return _kept(J, "gens", build)
 
 
 def str_algebra(J: FinSuperAlg) -> Subspace:
@@ -588,9 +607,9 @@ def str_algebra(J: FinSuperAlg) -> Subspace:
     graded Jacobi identity the x in V with [x, V] inside V form a subspace
     that holds the generators and is closed under bracketing with them, so it
     is all of V and V is a subalgebra.  The closure's maps are therefore
-    ad L_i for the left multiplications L_i.
+    ad L_i for the left multiplications L_i.  Kept in J's memo.
     """
-    return _bracket_closure(*_str_generators(J))
+    return _kept(J, "str", lambda: _bracket_closure(*_str_generators(J)))
 
 
 def related_products(J: FinSuperAlg) -> Subspace:
@@ -602,43 +621,36 @@ def related_products(J: FinSuperAlg) -> Subspace:
     representation of the operator algebra on binary products, and the
     operators that keep a subspace invariant form a Lie subalgebra.  The
     closure's maps are therefore w_bracket(L_i, .), not those of all of
-    Str.
+    Str.  Kept in J's memo.
     """
-    mu_vec = J.mu_map().as_vec()
-    if not mu_vec:
-        return ZERO
-    return _bracket_closure(span_reduce([mu_vec]), _str_generators(J)[1])
+    return _kept(J, "r", lambda: _bracket_closure(
+        span_reduce([J.mu_map().as_vec()]), _str_generators(J)[1]))
 
 
 @dataclass
 class RigidityReport:
     rigid: bool
-    degenerate: bool
-    dim_str: int
-    dim_r: int
     witness: MultiLinMap | None
     str_space: Subspace
     r_space: Subspace
+
+    dim_str = property(lambda self: self.str_space.dim)
+    dim_r = property(lambda self: self.r_space.dim)
+    # The product is zero exactly when R, which holds it, is 0.
+    degenerate = property(lambda self: self.r_space.dim == 0)
 
 
 def is_rigid(J: FinSuperAlg) -> RigidityReport:
     """Whether every related product already lies in the one-step orbit of the
     structure product (its image under Str plus its scalar line)."""
     S = str_algebra(J)
-    mu = J.mu_map()
-    if mu.is_zero():
-        return RigidityReport(True, True, S.dim, 0, None, S, ZERO)
     R = related_products(J)
-    one_step = _one_step_orbit(mu, S)
-    if one_step == R:
-        return RigidityReport(True, False, S.dim, R.dim, None, S, R)
-    witness = None
-    for row in R.rows:
-        red = one_step.reduce(row)
-        if red:
-            witness = MultiLinMap.from_vec(red, 2, J.parities)
-            break
-    return RigidityReport(False, False, S.dim, R.dim, witness, S, R)
+    one_step = _one_step_orbit(J.mu_map(), S)
+    rigid = one_step == R
+    reds = () if rigid else filter(None, map(one_step.reduce, R.rows))
+    red = next(iter(reds), None)
+    witness = red and MultiLinMap.from_vec(red, 2, J.parities)
+    return RigidityReport(rigid, witness, S, R)
 
 
 @dataclass
@@ -664,11 +676,8 @@ def is_simple(J: FinSuperAlg) -> SimplicityReport:
     zero product is never simple.
     """
     n = J.dim
-    if n == 0:
+    if n <= 1 and not J.table:
         return SimplicityReport(False, None)
-    if not J.table:
-        witness = span_reduce([{0: F(1)}]) if n > 1 else None
-        return SimplicityReport(False, witness)
     # Left and right multiplication by each basis vector.
     units = [{i: F(1)} for i in range(n)]
     lefts = [lambda v, e=e: J.mult_vec(e, v) for e in units]
@@ -691,13 +700,16 @@ def is_simple(J: FinSuperAlg) -> SimplicityReport:
 class GradedLie:
     """Graded expansion of an algebra: components indexed by degree."""
     J: FinSuperAlg
-    components: dict[int, Subspace] = field(default_factory=dict)
-    depth_cap: int = 6
-    terminated: bool = False
+    components: dict[int, Subspace]
 
     @property
     def dims(self) -> dict[int, int]:
         return {k: self.components[k].dim for k in sorted(self.components)}
+
+    @property
+    def terminated(self) -> bool:
+        """The chain hit zero: its last component is 0."""
+        return self.components[max(self.components)].dim == 0
 
 
 def tkk(J: FinSuperAlg, depth_cap: int = 6) -> GradedLie:
@@ -705,8 +717,8 @@ def tkk(J: FinSuperAlg, depth_cap: int = 6) -> GradedLie:
 
     Degree -1 is the space itself, degree 0 its structure operators, degree 1
     the related products, and each further degree the bracket of degree 1 with
-    the previous one, up to depth_cap.  Reports whether the chain hit zero.
-    Each step is one _splitting_brackets of the degree-1 maps with the parts
+    the previous one, up to depth_cap or the first zero component.  Each
+    step is one _splitting_brackets of the degree-1 maps with the parts
     of the previous degree; degree 2 brackets each unordered pair once.
     """
     if type(depth_cap) is not int:
@@ -714,22 +726,16 @@ def tkk(J: FinSuperAlg, depth_cap: int = 6) -> GradedLie:
     if depth_cap < 1:
         raise ValueError("depth_cap must be at least 1")
     pars = J.parities
-    S = str_algebra(J)
-    R = related_products(J)
-    comps = {-1: span_reduce([{i: F(1)} for i in range(J.dim)]), 0: S, 1: R}
-    terminated = R.dim == 0
-    prev = _parts(R, pars)
+    comps = {-1: span_reduce([{i: F(1)} for i in range(J.dim)]),
+             0: str_algebra(J), 1: related_products(J)}
+    prev = _parts(comps[1], pars)
     g1_maps = _homogeneous_maps(prev, 2, pars)
     for k in range(1, depth_cap):
-        if terminated:
+        if comps[k].dim == 0:
             break
-        nxt = span_reduce(_splitting_brackets(g1_maps, prev, k == 1))
-        comps[k + 1] = nxt
-        if nxt.dim == 0:
-            terminated = True
-        else:
-            prev = _parts(nxt, pars)
-    return GradedLie(J, comps, depth_cap, terminated)
+        comps[k + 1] = span_reduce(_splitting_brackets(g1_maps, prev, k == 1))
+        prev = _parts(comps[k + 1], pars)
+    return GradedLie(J, comps)
 
 
 @dataclass
@@ -753,25 +759,19 @@ def check_admissible_findim(G: GradedLie) -> AdmissibleFindimReport:
     positive degrees.
 
     The brackets [e_i, mu] are +-L_i, so degree 0 is generated by them when
-    they span Str's generators and g0 is str_algebra, their closure: Str is
-    not closed a second time.  The splittings of each degree go through
-    _splitting_brackets, as in tkk.
+    they span Str's generators and g0 is str_algebra, their closure, read
+    from J's memo.  A zero product generates nothing.  The splittings of
+    each degree go through _splitting_brackets, as in tkk.
     """
     J = G.J
     pars = J.parities
     mu = J.mu_map()
     g0 = G.components[0]
-    g1 = G.components[1]
-
-    if not mu.is_zero():
-        degree_one_spanned = _one_step_orbit(mu, g0) == g1
-        seeds = span_reduce([w_bracket(MultiLinMap.vector({i: F(1)}, pars), mu)
-                             for i in range(J.dim)])
-        degree_zero_generated = (seeds == _str_generators(J)[0]
-                                 and str_algebra(J) == g0)
-    else:
-        degree_one_spanned = g1.dim == 0
-        degree_zero_generated = False
+    degree_one_spanned = _one_step_orbit(mu, g0) == G.components[1]
+    seeds = span_reduce([w_bracket(MultiLinMap.vector({i: F(1)}, pars), mu)
+                         for i in range(J.dim)])
+    degree_zero_generated = (seeds.dim > 0 and seeds == _str_generators(J)[0]
+                             and str_algebra(J) == g0)
 
     # Degree i sits on the left only for i <= top // 2 and degree j on the
     # right only for j < top, so the top degree is neither.

@@ -72,3 +72,56 @@ def direct_sum(J1: FinSuperAlg, J2: FinSuperAlg) -> FinSuperAlg:
     return FinSuperAlg(
         J1.parities + J2.parities, J1.product_parity, table, labels,
         anticommutative_presentation=J1.anticommutative_presentation)
+
+
+def _inverse(P):
+    """The inverse of a square Fraction matrix by Gauss-Jordan elimination,
+    or None when it is singular."""
+    n = len(P)
+    rows = [list(P[i]) + [F(int(i == j)) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if rows[r][col]), None)
+        if piv is None:
+            return None
+        rows[col], rows[piv] = rows[piv], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
+
+
+def conjugate(J: FinSuperAlg, rng: random.Random,
+              density: float) -> FinSuperAlg:
+    """J in the basis e'_a = sum_i P[i][a] e_i for a random even integer P:
+    each diagonal entry is 1, 2 or -1, and each off-diagonal entry between
+    two basis vectors of one parity is drawn from -2..2 with probability
+    density (0 otherwise); P is drawn again until it is invertible.  Each
+    product e'_a e'_b is written back in the new basis through P^-1; an
+    anticommutative entry's stored partner is conjugated as it is, since an
+    even P commutes with the twist by parity.  An isomorphic algebra whose
+    table is most often not monomial, so a fixture for invariance tests."""
+    n, pars = J.dim, J.parities
+    Q = None
+    while Q is None:
+        P = [[F(rng.choice((1, 2, -1))) if i == a
+              else F(rng.randint(-2, 2)) if pars[i] == pars[a]
+              and rng.random() < density else F(0)
+              for a in range(n)] for i in range(n)]
+        Q = _inverse(P)
+    table = {}
+    for a in range(n):
+        for b in range(a, n):
+            old: dict = {}
+            for i in range(n):
+                for j in range(n):
+                    if P[i][a] and P[j][b]:
+                        for k, c in J.product(i, j).items():
+                            old[k] = old.get(k, 0) + P[i][a] * P[j][b] * c
+            new = {m: sum(Q[m][k] * c for k, c in old.items())
+                   for m in range(n)}
+            table[(a, b)] = {m: c for m, c in new.items() if c}
+    return FinSuperAlg(
+        pars, J.product_parity, table,
+        anticommutative_presentation=J.anticommutative_presentation)

@@ -128,3 +128,35 @@ def test_every_private_name_has_a_caller():
     assert unused == [], (
         "private names with no caller outside their definition: "
         + ", ".join(unused))
+
+
+def slot_definitions():
+    """(file, Class.slot, first line, last line) for each name in the
+    __slots__ of each top-level class in the package; the lines span the
+    class's __init__, or none when it has no __init__."""
+    for path, tree in _modules():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            init = next((n for n in cls.body if isinstance(n, ast.FunctionDef)
+                         and n.name == "__init__"), None)
+            first, last = (init.lineno, init.end_lineno) if init else (0, -1)
+            for node in cls.body:
+                if (isinstance(node, ast.Assign)
+                        and [getattr(t, "id", None) for t in node.targets]
+                        == ["__slots__"]):
+                    for name in ast.literal_eval(node.value):
+                        yield path, f"{cls.name}.{name}", first, last
+
+
+def test_every_slot_is_read():
+    """A slot counts as read where its name follows a dot outside its
+    class's __init__, so a cache slot that only __init__ touches is
+    caught."""
+    defs = list(slot_definitions())
+    assert len(defs) > 10
+    unused = _unused(defs, word_sites(r"\.(\w+)"),
+                     lambda name: name.rpartition(".")[2])
+    assert unused == [], (
+        "slots read nowhere outside their class's __init__: "
+        + ", ".join(unused))

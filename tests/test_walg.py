@@ -8,7 +8,7 @@ from typing import Callable, Sequence
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import direct_sum
+from conftest import conjugate, direct_sum
 from superrigid import catalog, walg
 from superrigid.catalog import make
 from superrigid.linalg import (
@@ -16,6 +16,7 @@ from superrigid.linalg import (
     Vec,
     _accept,
     closure_under,
+    nullspace,
     span_reduce,
     split_parity,
     vec_add,
@@ -299,6 +300,26 @@ class TestFinSuperAlg:
             FinSuperAlg((0, 0), 0, {(0, 0): {1: c}})
         with pytest.raises(ValueError, match=r"product of 0,1 at 0"):
             FinSuperAlg.from_anticommutative((0, 0), 0, {(0, 1): {0: c}})
+
+    @pytest.mark.parametrize("parities, product_parity, table, named", [
+        ((0, 1.5), 0, {}, "parity 1.5"),
+        ((0, 2), 0, {}, "parity 2"),
+        ((0, 0), 3, {}, "parity 3"),
+        ((0, 0), 0, {("a", 0): {1: 1}}, "('a', 0)"),
+        ((0, 0), 0, {(1.0, 0): {1: 1}}, "(1.0, 0)"),
+        ((0, 0), 0, {(0, 0, 1): {1: 1}}, "(0, 0, 1)"),
+        ((0, 0), 0, {(0, 1): {"a": 1}}, "'a'"),
+        ((0, 0), 0, {(0, 1): {1.0: 1}}, "1.0"),
+    ], ids=["parity 1.5", "parity 2", "product parity 3", "index a",
+            "index 1.0", "3-tuple key", "output a", "output 1.0"])
+    def test_bad_input_is_named(self, parities, product_parity, table,
+                                named):
+        """A parity other than 0 or 1, a table key that is not a pair of
+        integers and an output index that is no integer raise the library's
+        ValueError naming the value, in both presentations."""
+        for build in (FinSuperAlg, FinSuperAlg.from_anticommutative):
+            with pytest.raises(ValueError, match=re.escape(named)):
+                build(parities, product_parity, table)
 
     def test_zero_coefficient_is_dropped(self):
         assert FinSuperAlg((0, 0), 0, {(0, 0): {1: "0"}}).table == {}
@@ -1097,6 +1118,105 @@ def test_degree_zero_seeds_span_str_generators(name, seed):
     units = [MultiLinMap.vector({i: F(1)}, J.parities) for i in range(J.dim)]
     seeds = span_reduce([w_bracket(e, J.mu_map()) for e in units])
     assert seeds == walg._str_generators(J)[0]
+
+
+def test_str_is_closed_once_per_algebra(monkeypatch):
+    """is_rigid, tkk and check_admissible_findim on one algebra read Str and
+    R from its memo: two closures in all, and one Str object."""
+    J = make("JS_0_8").algebra
+    closed = []
+    monkeypatch.setattr(walg, "closure_under",
+                        lambda *a, f=walg.closure_under: closed.append(a)
+                        or f(*a))
+    assert is_rigid(J).rigid
+    assert check_admissible_findim(tkk(J, 4)).admissible
+    assert len(closed) == 2
+    assert str_algebra(J) is str_algebra(J)
+
+
+def _stabiliser_count(J):
+    """(dim Str, dim stab, mu outside [Str, mu], dim orbit): stab = {D in
+    Str : [D, mu] = 0}, the kernel of D -> [mu, D] over Str's homogeneous
+    rows, as [D, mu] = -(-1)^{|D||mu|} [mu, D]."""
+    mu = J.mu_map()
+    S = str_algebra(J)
+    stab = nullspace(range(S.dim), lambda j: _bracket_flat(mu, S.rows[j]))
+    brackets = span_reduce([_bracket_flat(mu, row) for row in S.rows])
+    orbit = walg._one_step_orbit(mu, S)
+    return S.dim, len(stab), not brackets.contains(mu.as_vec()), orbit.dim
+
+
+def _derivations(J):
+    """Der(J), the kernel of D -> [D, mu] over all n^2 operators, as the
+    kernels of D -> [mu, D] over the even and the odd ones."""
+    mu, pars, n = J.mu_map(), J.parities, J.dim
+    return [nullspace([((k,), m) for k in range(n) for m in range(n)
+                       if pars[k] ^ pars[m] == p],
+                      lambda key: _bracket_flat(mu, {key: F(1)}))
+            for p in (0, 1)]
+
+
+# name: (dim stab, mu outside [Str, mu], (even, odd) dims of Der(J))
+STABILISERS = {
+    "JS_0_2": (0, True, (0, 0)),
+    "LW_0_2": (0, False, (0, 0)),
+    "JW_0_4": (2, False, (1, 1)),
+    "JS_0_8": (5, True, (3, 2)),
+    "JS_0_16": (0, False, (1, 0)),
+    "JW_0_8": (1, False, (1, 0)),
+}
+
+
+@pytest.mark.parametrize("name", STABILISERS)
+def test_orbit_dimension_by_rank_nullity(name):
+    """dim orbit = dim Str - dim stab + [mu not in [Str, mu]], with the
+    stabiliser in Str computed apart from the closures.  JW_0_8's one
+    stabilising operator is why its orbit is 23 of R's 24."""
+    dim_str, stab, outside, orbit = _stabiliser_count(make(name).algebra)
+    assert (stab, outside) == STABILISERS[name][:2]
+    assert orbit == dim_str - stab + outside
+
+
+@pytest.mark.parametrize("name", STABILISERS)
+def test_derivations(name):
+    """Der(J) has the pinned superdimension, and lies inside Str on every
+    finite entry but JS_0_16: its one even derivation is, modulo Str, -4/3
+    times the identity on the eight basis vectors xi^I*dxi2, I in {3,4,5},
+    and zero on the xi^I*dxi1."""
+    J = make(name).algebra
+    even, odd = _derivations(J)
+    assert (len(even), len(odd)) == STABILISERS[name][2]
+    S = str_algebra(J)
+    outside = [S.reduce(D) for D in even + odd if not S.contains(D)]
+    if name != "JS_0_16":
+        assert outside == []
+        return
+    dxi2 = [k for k, label in enumerate(J.labels) if label.endswith("dxi2")]
+    assert len(dxi2) == 8
+    assert outside == [{((k,), k): F(-4, 3) for k in dxi2}]
+
+
+def _invariants(J):
+    """is_rigid's (rigid, dim Str, dim R), is_simple, tkk(J, 4).dims and the
+    rank-nullity count."""
+    rep = is_rigid(J)
+    return ((rep.rigid, rep.dim_str, rep.dim_r), is_simple(J).simple,
+            tkk(J, 4).dims, _stabiliser_count(J))
+
+
+@pytest.mark.parametrize("name",
+                         ["JS_0_2", "LW_0_2", "JW_0_4", "JS_0_8", "JW_0_8"])
+def test_even_basis_change_keeps_every_invariant(name):
+    """An even change of basis gives an isomorphic algebra, most often with
+    a table that is not monomial, so every verdict and dimension is
+    unchanged at seeds 1-3; JW_0_8 still fails, 24 of 24."""
+    J = make(name).algebra
+    want = _invariants(J)
+    for seed in (1, 2, 3):
+        C = conjugate(J, random.Random(seed), 0.3)
+        assert _invariants(C) == want, seed
+    if name == "JW_0_8":
+        assert want[0] == (False, 24, 24)
 
 
 def _lifted(op, arity_u, arity_v, pars):
