@@ -607,3 +607,93 @@ def test_finite_structure_constants(name):
     key = (alg.parities, alg.product_parity, alg.anticommutative_presentation,
            table)
     assert hashlib.sha256(repr(key).encode()).hexdigest() == FINITE_DIGESTS[name]
+
+
+# sha256 over repr([verify_entry(e, seed=s) for s in (9, 12345)]) and over
+# repr(ideal_spot_checks(e)) (None for the family instances, which have no
+# pinned reach): the whole reports, details and stats included.  The entries
+# are the fixed oracle entries, with parameters probed as registry_listing
+# probes them, then the family instances, as perfbench's oracle_window
+# workload runs them.
+REPORT_DIGESTS = [
+    ("JS_1_1", {},
+     "8234435483e0264d27eed306a215f04fbca474db7d2f33f2e14a0d54f9962d84",
+     "e086330618836b4dad022bcc4d49304640bfbed116000d517c5dfe126a38a8bb"),
+    ("JSHO_2_2", {},
+     "a05bbf2abef7ba4f01d868d7e66593d087cdd3ceb252b344fbcdef73caca05db",
+     "d1545c1c01336ae1f10e31f27d0ffe1bf1b2dbf80c8750d22c98571e2a786d80"),
+    ("JSKO_1_2", {},
+     "bbf41208f93cb2ed2c3443b3cb6117338b1ea6e391f8b1f9ae17b7ce037dec74",
+     "97ce84d63592a15f3109815952721d9cde9a73b35d59cea21e290af424be4849"),
+    ("JS_1_8", {"alpha": F(0)},
+     "d90533f3aaaee354e83accb5e1d8300d295b55957781691106b8b2e0081ade9d",
+     "cb205dd6bb7c4ff9ea9b09e674f274c466efebc215e04a8bafaa53798329be34"),
+    ("LW_1_2", {},
+     "b35ed614f56c9e555ccbc1a429c063b3e379c2508226eec12578007df744c0b9",
+     "7f30d0572f8e77ad5c860f4badafed9a857dc84a3c000757dfab7a712e3d6ff1"),
+    ("LHO_1_2", {},
+     "3a52c020835b5d2d3d5c7ccc0b4b4c0adfb09e3d4607c6884797db6b69ca7cc3",
+     "e12ffa9277da69572dee96835940b610f3acbf24fde3258b5f89180b0afaf3bf"),
+    ("LSHOp_2_2", {},
+     "a1c9043f58eccd8344ed093369462fdbaeef6a37d7a133b71c44b3aa3380cc65",
+     "7838821125b3e2a301ead8550550df2a1ac55566688c812aafe8f152e5200c72"),
+    ("LSKOp_2_4", {},
+     "67afe2d69ef7785367b4140273a37908ec0d134df0e9d740895a9bebf696eef1",
+     "336f408da001b48f82656d0fc7417c0239edbad4087642146ce36bcd2e236965"),
+    ("LSKOp_1_2", {"beta": F(1, 2)},
+     "da4ca0391badb3d60a0f6d0866878666b5c2593f87a5f5042fb886d11e87f122",
+     "96a07312357c068d84bc571a794b82fda328c1ac0f0fee6d5e33306f54758b4a"),
+    ("LHa_1_2", {"alpha": F(0)},
+     "fa7cd7272c8bf6c6d40a0dfe762c90fc2033a03228bf4fb65f8da88676da628f",
+     "11f280dece2862527c10679145df363fce5dc1f5031f92744f6b62bfbecc85d8"),
+    ("LWa_1_2", {"alpha": F(0)},
+     "bc63864d8257a68eb424d5c9d036c8f75c0eb0c5601f42bf8dbf9c3e9ddda899",
+     "567d90ddf3b9854332e7587b80e84c90dbfbe7438f799792ee35422e6887b470"),
+    ("LWa_2_2", {"alpha": F(0)},
+     "5a05336819624de56c95825d4b0950f694eedc1b389c75c1750e37572c70b41e",
+     "5148932ff63821146e1f803d23a121db1b5e628797beff722fa6f0deae9da9db"),
+    ("LSa_2_2", {"alpha": F(0)},
+     "9984635b8b25af6b8be2af40b5785650fc76749bbae30879714b8e4f265b9f83",
+     "1016827b4f1ef6c58cadb2209afd61c9661ae847afb8c53cdeb853633a056ea1"),
+    ("LS_1_3", {},
+     "521079b597dbbf63eb2b4e1926ab725a08fd4cbcd56881b05160f0efb1365359",
+     "409b845dcfbf64fdff15a5f304189b3c81b1da1e055ba467c268e4510df798b6"),
+    ("LHOa_3_1", {"alpha": F(0)},
+     "3b7edbee6737bd59d8ca8612db2a0d33f42bccf1cf58a3b09d003d4bc7c40c62",
+     "bc2360eef35303341e5f37e4545d6cedbee5c040906f3a48e7b7618704b90b75"),
+    ("LSHOa_4_1", {"alpha": F(0)},
+     "dc323907ff8b6d052fbbe76058878810feccc6c11f5ae99e84d15fb01be0d0bd",
+     "7e6dd87806f7cea84cc8e2dddb72897b6dd649f2b431b13d077119f0b207eac4"),
+    ("LKO_2_1", {},
+     "d63aa2981c9edc298f7f5c890058b914cf4b7b9601eb901f7f43f93071e42f4b",
+     "4a678dbab54b8941b43e584284b8bb8c37d05288ef58405da26cf114de8b347f"),
+    ("LSKOa_3_1", {"alpha": F(0), "beta": F(1, 2)},
+     "496917852a5da768546efd7f6c4d0e87348ba67b3634f1ecce49dd70d9973e08",
+     "7b9cbfa33d0f39b3ee895f9236c6038ff75ead19b9ff83356530894bf71f2d92"),
+    ("OJP_1_1", {},
+     "e19d8230a8ad1e7de56a6433f7ff6be0ebc38c018c2d5d3cb89643c878fc4270", None),
+    ("LP_1_1", {},
+     "98cfa08768366a81ad0830af8516b0e2bb0aae1b7c0795577a9ad8376f94765d", None),
+    ("OJP_2_2", {},
+     "300bd98f8e71b3c4f24a10fe613a07d0d94519d449ebd1aeb79c26e85cb53284", None),
+    ("LP_2_2", {},
+     "3924a82771aa77aae8cd5f0731d36a3bfae182894c723e2575c120534b9d4a67", None),
+    ("LSHO_2_2", {},
+     "371738494613a561edaca807d4f220a141eb2c09a23f89ff27bed71caa0299f6", None),
+    ("LSKO_1_2", {"beta": F(1, 3)},
+     "6441897ad24c62fdc0eae1303470183c75dc026c67ccb16f09436baec75bb128", None),
+]
+
+
+@pytest.mark.parametrize("name, kw, verify, spot", REPORT_DIGESTS)
+def test_report_digests(name, kw, verify, spot):
+    entry = make(name, **kw)
+    reports = [catalog.verify_entry(entry, seed=s) for s in (9, 12345)]
+    assert hashlib.sha256(repr(reports).encode()).hexdigest() == verify
+    if spot is not None:
+        rep = ideal_spot_checks(entry)
+        assert hashlib.sha256(repr(rep).encode()).hexdigest() == spot
+
+
+def test_report_digests_cover_the_spot_entries():
+    assert [n for n, _, _, spot in REPORT_DIGESTS if spot] == list(SPOT_REACH)
