@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
-from .jets import Ambient, Jet, _min_order
+from .jets import Ambient, Jet
 
 
 class ParityError(ValueError):
@@ -47,28 +47,20 @@ class Pairing(NamedTuple):
     euler: tuple = ((), ())
 
 
-def bound_bracket(spec: Pairing, f: Jet,
-                  _forced_parity: int | None = None) -> Callable[[Jet], Jet]:
-    """The map g -> {f, g} of a Pairing, summed over the parity parts of f,
-    or with all of f taken at ``_forced_parity`` when that is given.
+def bound_bracket(spec: Pairing, f: Jet) -> Callable[[Jet], Jet]:
+    """The map g -> {f, g} of a Pairing, summed over the parity parts of f.
 
     f's parity parts are taken once.  Each operand of f is computed on the
     first g whose matching operand is nonzero and kept for later g's; each
-    g's operands are taken once per call.  A result's validity order is the
-    least order over every term the pairing defines, vanishing ones
-    included, so skipping a vanishing term cannot change it.
+    g's operands are taken once per call.
     """
-    plan, lowers = _plan(spec)
-    parts = (f.parity_parts() if _forced_parity is None
-             else [(f, _forced_parity)])
+    plan = _plan(spec)
+    parts = f.parity_parts()
     if not plan or not parts:
         return lambda g: Jet.zero(f.ambient)
     memos = [{} for _ in parts]  # f operand key -> operand, per part
 
     def bracket(g: Jet) -> Jet:
-        order = _min_order(f.order, g.order)
-        if order is not None and lowers:
-            order -= 1
         dg = {gk: _operand(g, gk, spec.euler) for _, gk, _ in plan}
         out = Jet.zero(f.ambient)
         for (part, p), memo in zip(parts, memos):
@@ -81,21 +73,21 @@ def bound_bracket(spec: Pairing, f: Jet,
                         term = term * dg[gk]
                         neg = p if sign is None else sign < 0
                         out = out - term if neg else out + term
-        return Jet(f.ambient, out.terms, order)
+        return out
 
     return bracket
 
 
-def paired_bracket(spec: Pairing, f: Jet, g: Jet,
-                   _forced_parity: int | None = None) -> Jet:
+def paired_bracket(spec: Pairing, f: Jet, g: Jet) -> Jet:
     """The bracket {f, g} of a Pairing: ``bound_bracket`` applied once."""
-    return bound_bracket(spec, f, _forced_parity)(g)
+    return bound_bracket(spec, f)(g)
 
 
 @lru_cache
-def _plan(spec: Pairing) -> tuple[tuple, bool]:
+def _plan(spec: Pairing) -> tuple:
     """The terms of a Pairing as (f operand, g operand, sign), sign None
-    standing for (-1)^p(f), and whether the bracket lowers the order."""
+    standing for (-1)^p(f); an operand is ("x", i), ("xi", j) or "E", the
+    contact operator (E-2)."""
     plan = []
     for p, q in spec.even:
         plan += [(("x", p), ("x", q), 1), (("x", q), ("x", p), -1)]
@@ -103,10 +95,10 @@ def _plan(spec: Pairing) -> tuple[tuple, bool]:
         plan += [(("x", i), ("xi", j), 1), (("xi", j), ("x", i), None)]
     plan += [(("xi", j), ("xi", k), None) for j, k in spec.odd]
     t = spec.contact
-    odd = t is not None and t[0] == "xi"
     if t is not None:
+        odd = t[0] == "xi"
         plan += [("E", t, 1 if odd else -1), (t, "E", None if odd else 1)]
-    return tuple(plan), bool(spec.even or spec.mixed or t and not odd)
+    return tuple(plan)
 
 
 def _operand(h: Jet, key, euler: tuple) -> Jet:
@@ -147,8 +139,8 @@ def buttin(f: Jet, g: Jet) -> Jet:
     _check_paired(f.ambient)
     if f.ambient.tau:
         raise ValueError("ambient with tau: use k_bracket")
-    return paired_bracket(_odd_pairing(f.ambient), f, g,
-                          _parity(f, "first argument"))
+    _parity(f, "first argument")  # raises ParityError on a mixed f
+    return paired_bracket(_odd_pairing(f.ambient), f, g)
 
 
 def k_bracket(f: Jet, g: Jet) -> Jet:

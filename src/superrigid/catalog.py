@@ -67,10 +67,6 @@ def elem_scale(a: Element, c) -> Element:
     return {s: f.scale(c) for s, f in a.items()}
 
 
-def elem_truncate(a: Element, order: int | None) -> Element:
-    return elem_clean({s: f.truncate(order) for s, f in a.items()})
-
-
 # -- oracle entries --------------------------------------------------------
 
 
@@ -156,8 +152,7 @@ class OracleEntry:
             excl = self.excluded.get(s)
             if excl:
                 f = Jet(f.ambient,
-                        {m: c for m, c in f.terms.items() if m not in excl},
-                        f.order)
+                        {m: c for m, c in f.terms.items() if m not in excl})
             out[s] = f
         return out
 
@@ -315,8 +310,8 @@ class OjpSpace:
         """Write f = plain + marker * rest; returns (plain, rest)."""
         plain = {m: c for m, c in f.terms.items() if self.eta_j not in m[1]}
         rest = {m: c for m, c in f.terms.items() if self.eta_j in m[1]}
-        g = Jet(self.ambient, rest, f.order).d_odd(self.eta_j)
-        return Jet(self.ambient, plain, f.order), g
+        g = Jet(self.ambient, rest).d_odd(self.eta_j)
+        return Jet(self.ambient, plain), g
 
     # -- the commutative odd-type product ---------------------------------
 
@@ -448,7 +443,7 @@ def ojp_relation_suite(space: OjpSpace, vw_pairs: Sequence,
             if u.parity() is None:
                 raise CatalogError("probe elements must be homogeneous and "
                                    f"nonzero, got {format_jet(u)}")
-            if not any(u.same_series(q) for q in probes):
+            if u not in probes:
                 probes.append(u)
     lefts, products = {}, {}  # u -> left(u) and (u, v) -> u o v, by value
 
@@ -966,8 +961,7 @@ def _entry_lsho(n: int) -> OracleEntry:
     pairing = _odd_pairing(amb)
 
     def rule(f1, p1):
-        # twist is even, so twist * f1 has f1's parity
-        bracket = bound_bracket(pairing, twist * f1, p1)
+        bracket = bound_bracket(pairing, twist * f1)
         m = ((xi1 * f1).scale(2 * _sgn(p1 + 1))
              + buttin(w, f1).scale(2 * _sgn(p1)))
         return lambda f2, p2: {"j": bracket(f2) + m * f2}
@@ -1237,7 +1231,8 @@ def ideal_spot_checks(entry, seeds: Sequence | None = None,
     elements of degree at most order - 1, and there must be one.  A finite
     entry raises CatalogError; its ideal check is ``walg.is_simple``.
 
-    Products are truncated back into the window, so the closure is the
+    Seeds and products are cut back into the window (their flattened
+    vectors keep the terms of degree <= order), so the closure is the
     window shadow of the true ideal; a seed that reaches every target is
     reported complete.  The ideal comes from ``linalg.ideal_closure``: left
     products with every partner first, right products too only while that
@@ -1260,7 +1255,8 @@ def ideal_spot_checks(entry, seeds: Sequence | None = None,
     _check_order(order, 1)
 
     def window(a):
-        return entry.to_vec(elem_truncate(a, order))
+        return {k: c for k, c in entry.to_vec(a).items()
+                if sum(k[1]) <= order}
 
     basis = entry.basis(order)
     vecs = [window(b) for b in basis]

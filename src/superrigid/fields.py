@@ -120,10 +120,11 @@ class VectorField:
     # -- action ------------------------------------------------------------
 
     def apply(self, f: Jet) -> Jet:
-        out = Jet.zero(self.ambient).truncate(f.order)
+        out = Jet.zero(self.ambient)
         for (kind, idx), c in self.coeffs.items():
             df = f.d_even(idx) if kind == "x" else f.d_odd(idx)
-            out = out + c * df
+            if df.terms:
+                out = out + c * df
         return out
 
     __call__ = apply
@@ -295,7 +296,7 @@ def _drop_unit(f: Jet) -> Jet:
         return f
     t = dict(f.terms)
     del t[unit]
-    return Jet(f.ambient, t, f.order)
+    return Jet(f.ambient, t)
 
 
 def _excluded_monomials(family: str, amb: Ambient, beta) -> set:

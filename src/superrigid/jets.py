@@ -2,11 +2,9 @@
 
 An Ambient fixes m commuting generators x1..xm and n anticommuting ones
 xi1..xin; when ``tau=True`` the last anticommuting generator is special (it
-prints as ``tau`` and the default Euler weight skips it).  A Jet is a finite
-Fraction-linear combination of monomials together with a validity order: the
-series is trusted only up to that total degree in the commuting generators
-(None means exact).  Products and derivatives track the order so truncated
-data never masquerades as exact.
+prints as ``tau`` and the default Euler weight skips it).  A Jet is an exact
+polynomial: a finite Fraction-linear combination of monomials with nonzero
+coefficients.  A degree window, where one is needed, is cut by the caller.
 """
 from __future__ import annotations
 
@@ -103,34 +101,21 @@ def merge_sign(a: tuple, b: tuple) -> tuple[int, tuple]:
 
 
 class Jet:
-    """Finite combination of monomials with an even-degree validity order."""
+    """Finite combination of monomials with exact coefficients."""
 
-    __slots__ = ("ambient", "terms", "order")
+    __slots__ = ("ambient", "terms")
 
-    def __init__(self, ambient: Ambient, terms: dict | None = None,
-                 order: int | None = None):
+    def __init__(self, ambient: Ambient, terms: dict | None = None):
         self.ambient = ambient
-        self.order = order
-        if terms:
-            if order is None:
-                self.terms = {m: c for m, c in terms.items() if c}
-            else:
-                self.terms = {
-                    m: c for m, c in terms.items() if c and sum(m[0]) <= order
-                }
-        else:
-            self.terms = {}
+        self.terms = {m: c for m, c in terms.items() if c} if terms else {}
 
     @classmethod
-    def _clean(cls, ambient: Ambient, terms: dict,
-               order: int | None) -> "Jet":
+    def _clean(cls, ambient: Ambient, terms: dict) -> "Jet":
         """Jet holding ``terms`` as given: the caller vouches that every
-        coefficient is nonzero, no term lies above ``order``, and no other
-        jet holds the dict."""
+        coefficient is nonzero and no other jet holds the dict."""
         out = object.__new__(cls)
         out.ambient = ambient
         out.terms = terms
-        out.order = order
         return out
 
     # -- constructors ------------------------------------------------------
@@ -184,36 +169,22 @@ class Jet:
     def parity_parts(self) -> list[tuple["Jet", int]]:
         """Parity-homogeneous parts as (part, parity) pairs: none for zero,
         the jet itself when it is homogeneous."""
-        return [(self if t is self.terms
-                 else Jet._clean(self.ambient, t, self.order), p)
+        return [(self if t is self.terms else Jet._clean(self.ambient, t), p)
                 for t, p in split_parity(self.terms, lambda m: len(m[1]) & 1)]
 
     def even_degree(self) -> int:
         """Largest total degree in the commuting generators (0 if zero)."""
         return max((sum(m[0]) for m in self.terms), default=0)
 
-    def truncate(self, order: int | None) -> "Jet":
-        """Forget information above the given even degree."""
-        new_order = order if self.order is None else (
-            self.order if order is None else min(self.order, order)
-        )
-        return Jet(self.ambient, dict(self.terms), new_order)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Jet)
             and self.ambient == other.ambient
             and self.terms == other.terms
-            and self.order == other.order
         )
 
     def __hash__(self):
-        return hash((self.ambient, tuple(sorted(self.terms.items())), self.order))
-
-    def same_series(self, other: "Jet") -> bool:
-        """Agreement up to the smaller validity order."""
-        o = _min_order(self.order, other.order)
-        return self.truncate(o).terms == other.truncate(o).terms
+        return hash((self.ambient, tuple(sorted(self.terms.items()))))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -231,9 +202,7 @@ class Jet:
                     del out[m]
             else:
                 out[m] = -c if negate else c
-        if self.order == other.order:
-            return Jet._clean(self.ambient, out, self.order)
-        return Jet(self.ambient, out, _min_order(self.order, other.order))
+        return Jet._clean(self.ambient, out)
 
     def __add__(self, other: "Jet") -> "Jet":
         return self._combine(other, False)
@@ -242,21 +211,19 @@ class Jet:
         return self._combine(other, True)
 
     def __neg__(self) -> "Jet":
-        return Jet._clean(self.ambient,
-                          {m: -c for m, c in self.terms.items()}, self.order)
+        return Jet._clean(self.ambient, {m: -c for m, c in self.terms.items()})
 
     def scale(self, c) -> "Jet":
         if c == 1:
-            return Jet._clean(self.ambient, dict(self.terms), self.order)
+            return Jet._clean(self.ambient, dict(self.terms))
         if c == -1:
             return -self
         if not isinstance(c, Fraction):
             c = F(c)
         if not c:
-            return Jet._clean(self.ambient, {}, self.order)
+            return Jet._clean(self.ambient, {})
         return Jet._clean(self.ambient,
-                          {m: c * v for m, v in self.terms.items()},
-                          self.order)
+                          {m: c * v for m, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -265,7 +232,6 @@ class Jet:
             return NotImplemented
         if other.ambient is not self.ambient:
             _same_ambient(self, other)
-        order = _min_order(self.order, other.order)
         out: dict = {}
         for (ex1, od1), c1 in self.terms.items():
             for (ex2, od2), c2 in other.terms.items():
@@ -282,9 +248,7 @@ class Jet:
                         del out[key]
                 else:
                     out[key] = p
-        if order is None:
-            return Jet._clean(self.ambient, out, None)
-        return Jet(self.ambient, out, order)
+        return Jet._clean(self.ambient, out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -294,7 +258,7 @@ class Jet:
     def __pow__(self, k: int) -> "Jet":
         if k < 0:
             raise ValueError(f"negative power {k} of a jet")
-        out = Jet.one(self.ambient).truncate(self.order)
+        out = Jet.one(self.ambient)
         for _ in range(k):
             out = out * self
         return out
@@ -309,8 +273,7 @@ class Jet:
             if e:
                 ex2 = ex[: i - 1] + (e - 1,) + ex[i:]
                 out[(ex2, odds)] = c * e
-        return Jet._clean(self.ambient, out,
-                          None if self.order is None else self.order - 1)
+        return Jet._clean(self.ambient, out)
 
     def d_odd(self, j: int) -> "Jet":
         """Left partial derivative in the j-th anticommuting generator."""
@@ -321,7 +284,7 @@ class Jet:
             pos = odds.index(j)
             odds2 = odds[:pos] + odds[pos + 1:]
             out[(ex, odds2)] = -c if pos & 1 else c
-        return Jet._clean(self.ambient, out, self.order)
+        return Jet._clean(self.ambient, out)
 
     def d_tau(self) -> "Jet":
         return self.d_odd(self.ambient.n_odd)
@@ -337,8 +300,7 @@ class Jet:
         if constant:
             unit = ((0,) * self.ambient.n_even, ())
             out[unit] = out.get(unit, F(0)) + constant
-        return Jet(self.ambient, out,
-                   None if self.order is None else self.order + 1)
+        return Jet(self.ambient, out)
 
     def euler(self, even_idx: Iterable[int] | None = None,
               odd_idx: Iterable[int] | None = None) -> "Jet":
@@ -361,7 +323,7 @@ class Jet:
             w += sum(1 for j in odds if j in od)
             if w:
                 out[(ex, odds)] = c * w
-        return Jet._clean(self.ambient, out, self.order)
+        return Jet._clean(self.ambient, out)
 
 
 def _same_ambient(f: Jet, g: Jet) -> None:
@@ -370,21 +332,11 @@ def _same_ambient(f: Jet, g: Jet) -> None:
                          "do not combine")
 
 
-def _min_order(a: int | None, b: int | None) -> int | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
 def odd_laplacian(f: Jet) -> Jet:
     """Sum over matched pairs (x_i, xi_i) of the mixed second derivative."""
     amb = f.ambient
     pairs = min(amb.n_even, amb.n_odd - (1 if amb.tau else 0))
-    out = Jet.zero(amb).truncate(
-        None if f.order is None else f.order - 1
-    )
+    out = Jet.zero(amb)
     for i in range(1, pairs + 1):
         out = out + f.d_odd(i).d_even(i)
     return out

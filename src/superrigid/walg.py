@@ -107,11 +107,12 @@ class MultiLinMap:
     arity 0 is just a vector of the space, arity 1 an operator, arity 2 a
     supersymmetric product.
 
-    Every map is checked as it is built: each index must lie in the space
-    and each entry must have the map's parity.  Every coefficient is
-    converted to an exact Fraction, and zeros are dropped.  A map is not
-    changed once it is built, so its one kernel table (_tabs, see _tables)
-    is built on first use and kept on the map.
+    Every map is checked as it is built: its parity and the space's must
+    each be 0 or 1, each index must lie in the space and each entry must
+    have the map's parity.  Every coefficient is converted to an exact
+    Fraction, and zeros are dropped.  A map is not changed once it is built,
+    so its one kernel table (_tabs, see _tables) is built on first use and
+    kept on the map.
     """
 
     __slots__ = ("arity", "parity", "parities", "entries", "_tabs")
@@ -120,8 +121,8 @@ class MultiLinMap:
         if type(arity) is not int or arity < 0:
             raise ValueError(f"arity must be an integer >= 0, got {arity!r}")
         self.arity = arity
-        self.parity = parity % 2
-        self.parities = tuple(parities)
+        self.parity = _parity(parity)
+        self.parities = tuple(_parity(p) for p in parities)
         self._tabs = None
         n = len(self.parities)
         canon: dict = {}
@@ -538,7 +539,7 @@ def left_mult_op(J: FinSuperAlg, i) -> MultiLinMap:
     if type(i) is not int or not 0 <= i < J.dim:
         raise ValueError(f"multiplier index {i!r} is not a basis index "
                          f"of a {J.dim}-dimensional algebra")
-    return MultiLinMap(1, J.product_parity + J.parities[i], J.parities,
+    return MultiLinMap(1, (J.product_parity + J.parities[i]) % 2, J.parities,
                        {(j,): J.product(i, j) for j in range(J.dim)})
 
 

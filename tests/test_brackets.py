@@ -286,8 +286,7 @@ class TestFdBracket:
 
 # -- reference brackets ------------------------------------------------------
 # The hand-written brackets that the pairing engine replaced, kept verbatim
-# as references: each rebuilt bracket must equal its reference under ==,
-# validity order included.
+# as references: each rebuilt bracket must equal its reference under ==.
 
 
 def _homogeneous(f: Jet):
@@ -295,7 +294,7 @@ def _homogeneous(f: Jet):
     for p in (0, 1):
         t = {m: c for m, c in f.terms.items() if len(m[1]) & 1 == p}
         if t:
-            yield Jet(f.ambient, t, f.order), p
+            yield Jet(f.ambient, t), p
 
 
 def _check_paired(amb: Ambient):
@@ -390,19 +389,18 @@ def _pbracket_reference(self: OjpSpace, f: Jet, g: Jet) -> Jet:
     return out
 
 
-ORDERS = st.sampled_from([None, 0, 1, 2, 3])
 PARITIES = st.sampled_from([0, 1, None])
 
 
-def _pair(amb, seed, pf, of, og):
-    """A first argument of parity pf (None: mixed), a mixed second argument,
-    each truncated to its order; sometimes one of them is zero."""
+def _pair(amb, seed, pf):
+    """A first argument of parity pf (None: mixed) and a mixed second
+    argument; sometimes one of them is zero."""
     rng = random.Random(seed)
     if not amb.n_odd:
         pf = 0
     f = random_jet(amb, rng, parity=pf, n_terms=rng.randint(0, 4))
     g = random_jet(amb, rng, n_terms=rng.randint(0, 5))
-    return f.truncate(of), g.truncate(og)
+    return f, g
 
 
 def _same(got_call, want_call):
@@ -418,54 +416,53 @@ def _same(got_call, want_call):
 
 
 class TestAgainstReferences:
-    @given(st.integers(0, 2**30), PARITIES, ORDERS, ORDERS,
+    @given(st.integers(0, 2**30), PARITIES,
            st.sampled_from([O11, O22, Ambient(3, 3), Ambient(2, 1),
                             Ambient(0, 0), O12]))
     @settings(max_examples=120)
-    def test_buttin(self, seed, pf, of, og, amb):
-        f, g = _pair(amb, seed, pf, of, og)
+    def test_buttin(self, seed, pf, amb):
+        f, g = _pair(amb, seed, pf)
         _same(lambda: buttin(f, g), lambda: _buttin_reference(f, g))
 
-    @given(st.integers(0, 2**30), PARITIES, ORDERS, ORDERS,
+    @given(st.integers(0, 2**30), PARITIES,
            st.sampled_from([O12, O23, Ambient(0, 1, tau=True),
                             Ambient(3, 4, tau=True), Ambient(2, 2, tau=True),
                             O22]))
     @settings(max_examples=120)
-    def test_k_bracket(self, seed, pf, of, og, amb):
-        f, g = _pair(amb, seed, pf, of, og)
+    def test_k_bracket(self, seed, pf, amb):
+        f, g = _pair(amb, seed, pf)
         _same(lambda: k_bracket(f, g), lambda: _k_bracket_reference(f, g))
 
-    @given(st.integers(0, 2**30), PARITIES, ORDERS, ORDERS,
+    @given(st.integers(0, 2**30), PARITIES,
            st.sampled_from([Ambient(3, 2), Ambient(2, 3), Ambient(1, 1),
                             Ambient(0, 2), E30, Ambient(1, 0), O12]))
     @settings(max_examples=120)
-    def test_gen_poisson_even(self, seed, pf, of, og, amb):
-        f, g = _pair(amb, seed, pf, of, og)
+    def test_gen_poisson_even(self, seed, pf, amb):
+        f, g = _pair(amb, seed, pf)
         _same(lambda: gen_poisson_even(f, g),
               lambda: _gen_poisson_even_reference(f, g))
 
-    @given(st.integers(0, 2**30), PARITIES, ORDERS, ORDERS,
+    @given(st.integers(0, 2**30), PARITIES,
            st.sampled_from([Ambient(2, 3), Ambient(3, 2), Ambient(2, 2),
                             Ambient(0, 3), Ambient(0, 0)]))
     @settings(max_examples=100)
-    def test_poisson_antidiagonal(self, seed, pf, of, og, amb):
-        f, g = _pair(amb, seed, pf, of, og)
+    def test_poisson_antidiagonal(self, seed, pf, amb):
+        f, g = _pair(amb, seed, pf)
         _same(lambda: poisson_antidiagonal(f, g),
               lambda: _poisson_antidiagonal_reference(f, g))
 
-    @given(st.integers(0, 2**30), PARITIES, ORDERS, ORDERS,
+    @given(st.integers(0, 2**30), PARITIES,
            st.sampled_from([(0, 0), (1, 1), (1, 2), (2, 3)]))
     @settings(max_examples=100)
-    def test_ojp_pbracket(self, seed, pf, of, og, nm):
+    def test_ojp_pbracket(self, seed, pf, nm):
         space = OjpSpace(*nm)
-        f, g = _pair(space.ambient, seed, pf, of, og)
+        f, g = _pair(space.ambient, seed, pf)
         _same(lambda: paired_bracket(space._pairing, f, g),
               lambda: _pbracket_reference(space, f, g))
 
 # (bound map of f, reference bracket, ambients, whether f is homogeneous)
 BOUND_CASES = {
-    "buttin": (lambda f: bound_bracket(_odd_pairing(f.ambient), f,
-                                       _parity(f, "f")),
+    "buttin": (lambda f: bound_bracket(_odd_pairing(f.ambient), f),
                _buttin_reference, [O11, O22, Ambient(3, 3)], True),
     "k_bracket": (lambda f: bound_bracket(_odd_pairing(f.ambient), f),
                   _k_bracket_reference, [O12, O23, Ambient(0, 1, tau=True)],
@@ -482,9 +479,8 @@ BOUND_CASES = {
 
 
 def _g_run(amb, rng, n):
-    """Second arguments, each truncated to a random order: random jets,
-    and jets whose operands vanish in part or in full (zero, a constant,
-    one generator alone)."""
+    """Second arguments: random jets, and jets whose operands vanish in part
+    or in full (zero, a constant, one generator alone)."""
     special = [Jet.zero(amb), Jet.const(amb, rng.choice([1, -2]))]
     if amb.n_even:
         special.append(Jet.x(amb, rng.randint(1, amb.n_even)))
@@ -494,38 +490,36 @@ def _g_run(amb, rng, n):
     for _ in range(n):
         g = (rng.choice(special) if rng.random() < 0.4
              else random_jet(amb, rng, n_terms=rng.randint(1, 4)))
-        out.append(g.truncate(rng.choice([None, 0, 1, 2, 3])))
+        out.append(g)
     return out
 
 
 class TestBoundBracket:
     """One bound bracket applied to a run of g's: each result equals the
-    reference bracket under ==, validity order included, so no operand of f
-    kept for one g leaks into another."""
+    reference bracket under ==, so no operand of f kept for one g leaks into
+    another."""
 
     @given(st.integers(0, 2**30), st.sampled_from(sorted(BOUND_CASES)),
-           ORDERS, st.integers(0, 8))
+           st.integers(0, 8))
     @settings(max_examples=120)
-    def test_run_matches_reference(self, seed, case, of, n):
+    def test_run_matches_reference(self, seed, case, n):
         bind, reference, ambs, homogeneous = BOUND_CASES[case]
         rng = random.Random(seed)
         amb = rng.choice(ambs)
         pf = rng.randrange(2) if homogeneous and amb.n_odd else (
             0 if homogeneous else None)
-        f = random_jet(amb, rng, parity=pf,
-                       n_terms=rng.randint(0, 4)).truncate(of)
+        f = random_jet(amb, rng, parity=pf, n_terms=rng.randint(0, 4))
         bound = bind(f)
         for g in _g_run(amb, rng, n):
             assert bound(g) == reference(f, g)
 
-    @given(st.integers(0, 2**30), ORDERS,
+    @given(st.integers(0, 2**30),
            st.sampled_from([(0, 0), (1, 1), (1, 2), (2, 3)]))
     @settings(max_examples=60)
-    def test_ojp_pbracket_run(self, seed, of, nm):
+    def test_ojp_pbracket_run(self, seed, nm):
         space = OjpSpace(*nm)
         rng = random.Random(seed)
-        f = random_jet(space.ambient, rng,
-                       n_terms=rng.randint(0, 4)).truncate(of)
+        f = random_jet(space.ambient, rng, n_terms=rng.randint(0, 4))
         bound = bound_bracket(space._pairing, f)
         for g in _g_run(space.ambient, rng, 6):
             assert bound(g) == _pbracket_reference(space, f, g)

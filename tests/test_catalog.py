@@ -226,6 +226,25 @@ def test_spot_seed_outside_window_coordinates(name, monkeypatch):
     assert len(calls) == len(seeds)
 
 
+# One entry per carrier kind: plain, an ``excluded`` monomial, a kernel.
+# The window cuts each seed at the spot-check order, so terms above it
+# change nothing the closure reaches.
+@pytest.mark.parametrize("name", ["JS_1_1", "LHO_1_2", "LSKOp_2_4"])
+def test_spot_seed_terms_above_window_are_cut(name):
+    entry = probe(name)
+
+    def deg(a):
+        return max(f.even_degree() for f in a.values())
+    high = [b for b in entry.basis(5) if deg(b) > 3]
+    above = elem_add(high[0], elem_scale(high[-1], F(-2, 3)))
+    seeds = [entry.basis(3)[0], {}, entry.basis(3)[-1]]
+    plain = ideal_spot_checks(entry, seeds=seeds, order=3)
+    cut = ideal_spot_checks(entry, [elem_add(s, above) for s in seeds], 3)
+    assert ([(s.dim, s.reached, s.targets) for s in cut.seeds]
+            == [(s.dim, s.reached, s.targets) for s in plain.seeds])
+    assert plain.seeds[0].complete and plain.seeds[1].dim == 0
+
+
 FINITE = {"JS_0_2", "JW_0_4", "JW_0_8", "JS_0_8", "JS_0_16", "LW_0_2"}
 
 # The fixed oracle entries, the family instances next to them and the finite
@@ -685,7 +704,8 @@ REPORT_DIGESTS = [
 ]
 
 
-@pytest.mark.parametrize("name, kw, verify, spot", REPORT_DIGESTS)
+@pytest.mark.parametrize("name, kw, verify, spot", REPORT_DIGESTS,
+                         ids=[name for name, *_ in REPORT_DIGESTS])
 def test_report_digests(name, kw, verify, spot):
     entry = make(name, **kw)
     reports = [catalog.verify_entry(entry, seed=s) for s in (9, 12345)]

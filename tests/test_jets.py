@@ -12,7 +12,6 @@ from superrigid.jets import (
     div_beta,
     format_jet,
     MAX_NESTING,
-    _min_order,
     merge_sign,
     odd_laplacian,
     parse_jet,
@@ -172,29 +171,10 @@ class TestLaplacianAndDivergence:
         assert out == Jet.x(A23, 1).scale(F(1) - F(1, 2) * 2)
 
 
-class TestValidityOrder:
-    def test_product_takes_min(self):
-        f = x(1, A11).truncate(3)
-        g = Jet.one(A11)
-        assert (f * g).order == 3
-        assert (g * f).order == 3
-
-    def test_truncation_drops_high_terms(self):
-        f = Jet.x(A11, 1, 5) + Jet.one(A11)
-        t = f.truncate(3)
-        assert t.terms == Jet.one(A11).terms
-        assert t.order == 3
-
-    def test_derivative_lowers(self):
-        f = x(1, A11).truncate(3)
-        assert f.d_even(1).order == 2
-        assert f.d_odd(1).order == 3
-
+class TestAntiderivative:
     def test_antiderivative_raises(self):
-        f = x(1, A11).truncate(3)
-        g = f.antiderivative(1)
-        assert g.order == 4
-        assert g == Jet.x(A11, 1, 2).scale(F(1, 2)).truncate(4)
+        g = x(1, A11).antiderivative(1)
+        assert g == Jet.x(A11, 1, 2).scale(F(1, 2))
 
     def test_antiderivative_constant(self):
         f = Jet.one(A11)
@@ -277,25 +257,24 @@ class TestParser:
 
 
 # -- kernel properties: each operation against a reference built through the
-# filtering constructor Jet(amb, terms, order) ------------------------------
+# filtering constructor Jet(amb, terms) --------------------------------------
 
 A32 = Ambient(2, 3, tau=True)
 MONOS = sorted(A32.monomials(4))
-ORDERS = st.one_of(st.none(), st.integers(0, 4))
 COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
 @st.composite
 def jets(draw):
     terms = draw(st.dictionaries(st.sampled_from(MONOS), COEFFS, max_size=6))
-    return Jet(A32, terms, draw(ORDERS))
+    return Jet(A32, terms)
 
 
 def ref_add(f, g):
     out = dict(f.terms)
     for m, c in g.terms.items():
         out[m] = out.get(m, F(0)) + c
-    return Jet(f.ambient, out, _min_order(f.order, g.order))
+    return Jet(f.ambient, out)
 
 
 def ref_mul(f, g):
@@ -305,29 +284,23 @@ def ref_mul(f, g):
             sign, odds = merge_sign(od1, od2)
             key = (tuple(a + b for a, b in zip(ex1, ex2)), odds)
             out[key] = out.get(key, F(0)) + sign * c1 * c2
-    return Jet(f.ambient, out, _min_order(f.order, g.order))
+    return Jet(f.ambient, out)
 
 
-def ref_map(f, fn, order):
+def ref_map(f, fn):
     """Jet with each term (m, c) of f sent to fn(m, c) -> (m', c') or None."""
     out = {}
     for m, c in f.terms.items():
         hit = fn(m, c)
         if hit is not None:
             out[hit[0]] = hit[1]
-    return Jet(f.ambient, out, order)
+    return Jet(f.ambient, out)
 
 
 def assert_clean(h, *inputs):
-    """No zero coefficient, no term above the order, no shared dict."""
+    """No zero coefficient, no shared dict."""
     assert all(c != 0 for c in h.terms.values())
-    if h.order is not None:
-        assert all(sum(m[0]) <= h.order for m in h.terms)
     assert all(h.terms is not f.terms for f in inputs)
-
-
-def _lower(order):
-    return None if order is None else order - 1
 
 
 class TestKernelProperties:
@@ -336,8 +309,8 @@ class TestKernelProperties:
     def test_add_sub_neg(self, f, g):
         for got, want in ((f + g, ref_add(f, g)),
                           (f - g, ref_add(f, ref_map(
-                              g, lambda m, c: (m, -c), g.order))),
-                          (-f, ref_map(f, lambda m, c: (m, -c), f.order))):
+                              g, lambda m, c: (m, -c)))),
+                          (-f, ref_map(f, lambda m, c: (m, -c)))):
             assert got == want
             assert_clean(got, f, g)
 
@@ -345,7 +318,7 @@ class TestKernelProperties:
     @settings(max_examples=25)
     def test_add_to_itself_negated(self, f):
         h = f + (-f)
-        assert h.is_zero() and h.order == f.order
+        assert h.is_zero()
 
     @given(jets(), jets())
     @settings(max_examples=60)
@@ -359,7 +332,7 @@ class TestKernelProperties:
     @settings(max_examples=60)
     def test_scale(self, f, c):
         h = f.scale(c)
-        assert h == ref_map(f, lambda m, v: (m, F(c) * v), f.order)
+        assert h == ref_map(f, lambda m, v: (m, F(c) * v))
         assert_clean(h, f)
         assert h == c * f == f * c
 
@@ -372,7 +345,7 @@ class TestKernelProperties:
                 ex2 = ex[:i - 1] + (ex[i - 1] - 1,) + ex[i:]
                 return (ex2, odds), c * ex[i - 1]
         h = f.d_even(i)
-        assert h == ref_map(f, d, _lower(f.order))
+        assert h == ref_map(f, d)
         assert_clean(h, f)
 
     @given(jets(), st.integers(1, 3))
@@ -384,7 +357,7 @@ class TestKernelProperties:
                 pos = odds.index(j)
                 return (ex, odds[:pos] + odds[pos + 1:]), (-1) ** pos * c
         h = f.d_odd(j)
-        assert h == ref_map(f, d, f.order)
+        assert h == ref_map(f, d)
         assert_clean(h, f)
 
     @given(jets(), st.one_of(st.none(), st.sets(st.integers(1, 2))),
@@ -399,5 +372,5 @@ class TestKernelProperties:
             w = sum(ex[i - 1] for i in ev_w) + sum(1 for j in odds if j in od_w)
             return ((ex, odds), c * w) if w else None
         h = f.euler(ev, od)
-        assert h == ref_map(f, e, f.order)
+        assert h == ref_map(f, e)
         assert_clean(h, f)

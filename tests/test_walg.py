@@ -98,7 +98,7 @@ def identity_op(pars):
 def wb(f: MultiLinMap, g: MultiLinMap) -> MultiLinMap:
     """w_bracket(f, g), which the library keeps flat, rebuilt into a map."""
     return MultiLinMap.from_vec(w_bracket(f, g), f.arity + g.arity - 1,
-                                f.parities, f.parity + g.parity)
+                                f.parities, (f.parity + g.parity) % 2)
 
 
 # MultiLinMap.add and MultiLinMap.scale as the library once had them.  The
@@ -479,6 +479,15 @@ class TestMultiLinMap:
     def test_parity_check(self):
         with pytest.raises(ValueError):
             MultiLinMap(1, 0, (0, 1), {(0,): {1: 1}})
+
+    @pytest.mark.parametrize("parity, parities, named", [
+        (1.5, (0, 0), "1.5"), (2, (0, 0), "2"), (0, (0, 2), "2")])
+    def test_bad_parity_is_named(self, parity, parities, named):
+        """The map's parity and each basis parity must be 0 or 1: nothing
+        is reduced mod 2 or kept as given."""
+        with pytest.raises(ValueError,
+                           match=re.escape(f"parity {named} is not 0 or 1")):
+            MultiLinMap(1, parity, parities)
 
     def test_key_index_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -894,7 +903,7 @@ def act(f: MultiLinMap, B: MultiLinMap) -> MultiLinMap:
     """The action of an operator on a binary product, as a map: the kernel
     on B's flattened entries, rebuilt."""
     return MultiLinMap.from_vec(_bracket_flat(f, B.as_vec()), 2, f.parities,
-                                f.parity + B.parity)
+                                (f.parity + B.parity) % 2)
 
 
 class TestAct:
