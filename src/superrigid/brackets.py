@@ -7,12 +7,14 @@ A Pairing lists the generator pairs of a bracket:
   even-odd (i, j):   d_{x_i} f d_{xi_j} g + (-1)^p(f) d_{xi_j} f d_{x_i} g;
   odd-odd (j, k):    (-1)^p(f) d_{xi_j} f d_{xi_k} g;
 and an optional contact generator, with E the Euler operator on the indices
-it names: odd tau adds (E-2)(f) dg/dtau + (-1)^p(f) df/dtau (E-2)(g), even t
-adds -(E-2)(f) dg/dt + df/dt (E-2)(g).  bound_bracket(spec, f) is the one
-engine: it returns g -> {f, g}, splitting f by parity once and keeping each
-operand of f it has computed, so a caller with a fixed f and many g's pays
-for f's share once.  paired_bracket is that map applied to one g; the
-brackets of H, K, HO, SHO, KO and SKO are each a Pairing and that call.
+it names, each as often as it is listed: odd tau adds (E-2)(f) dg/dtau +
+(-1)^p(f) df/dtau (E-2)(g), even t adds -(E-2)(f) dg/dt + df/dt (E-2)(g).
+bound_bracket(spec, f) is the one engine: it returns g -> {f, g}, with f's
+nonzero operands computed once when it binds and, per g, only the operands
+of g that those multiply, so a caller with a fixed f and many g's pays for
+f's share once.  paired_bracket is that map applied to one g; the brackets
+of H, K, HO, SHO, KO and SKO are each a Pairing and that call, and so is
+the catalog's series product (OjpSpace), an odd contact bracket of KO type.
 
 Parity conventions: signs use the parity of the function argument itself;
 operations that need a homogeneous argument raise ParityError on mixed input.
@@ -38,7 +40,8 @@ def _parity(f: Jet, what: str) -> int:
 
 class Pairing(NamedTuple):
     """Generator pairs of a bracket, as in the module docstring; contact is
-    ("xi", k) or ("x", k), and euler the (even, odd) indices E counts."""
+    ("xi", k) or ("x", k), and euler the (even, odd) indices E counts, an
+    index listed twice weighing 2."""
 
     even: tuple = ()
     mixed: tuple = ()
@@ -50,29 +53,25 @@ class Pairing(NamedTuple):
 def bound_bracket(spec: Pairing, f: Jet) -> Callable[[Jet], Jet]:
     """The map g -> {f, g} of a Pairing, summed over the parity parts of f.
 
-    f's parity parts are taken once.  Each operand of f is computed on the
-    first g whose matching operand is nonzero and kept for later g's; each
-    g's operands are taken once per call.
+    f's nonzero operands are computed once, at bind time, each with the g
+    operand it multiplies and its sign; each g then computes only the
+    operands those terms use, once per call.
     """
-    plan = _plan(spec)
-    parts = f.parity_parts()
-    if not plan or not parts:
-        return lambda g: Jet.zero(f.ambient)
-    memos = [{} for _ in parts]  # f operand key -> operand, per part
+    terms = []  # (operand of a part of f, g operand key, negate)
+    for part, p in f.parity_parts():
+        for fk, gk, sign in _plan(spec):
+            term = _operand(part, fk, spec.euler)
+            if term.terms:
+                terms.append((term, gk, p if sign is None else sign < 0))
+    keys = {gk for _, gk, _ in terms}
 
     def bracket(g: Jet) -> Jet:
-        dg = {gk: _operand(g, gk, spec.euler) for _, gk, _ in plan}
+        dg = {gk: _operand(g, gk, spec.euler) for gk in keys}
         out = Jet.zero(f.ambient)
-        for (part, p), memo in zip(parts, memos):
-            for fk, gk, sign in plan:
-                if dg[gk].terms:
-                    term = memo.get(fk)
-                    if term is None:
-                        term = memo[fk] = _operand(part, fk, spec.euler)
-                    if term.terms:
-                        term = term * dg[gk]
-                        neg = p if sign is None else sign < 0
-                        out = out - term if neg else out + term
+        for term, gk, neg in terms:
+            if dg[gk].terms:
+                prod = term * dg[gk]
+                out = out - prod if neg else out + prod
         return out
 
     return bracket

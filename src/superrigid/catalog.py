@@ -260,12 +260,17 @@ class OjpSpace:
     and a square-zero odd marker adjoined as honest generators.
 
     The carrier P uses even generators x_1..x_n and odd xi_1..xi_n (plus a
-    distinguished last odd generator when m = n + 1); the series variable is
-    x_{n+1} and the marker is xi_{n+1}.  Working inside one ambient makes
-    every sign a plain Koszul sign of the jet algebra.
+    distinguished last odd generator tau when m = n + 1); the series variable
+    is x_{n+1} and the marker is eta = xi_{n+1}.  Working inside one ambient
+    makes every sign a plain Koszul sign of the jet algebra.
 
-    ``left(u)`` is the one engine of the series product: it does u's share
-    once and returns v -> u o v; ``product(u, v)`` is ``left(u)(v)``.
+    The series product is one odd contact bracket of KO type: over the
+    parity parts u_p of u, u o v = sum 2 eta u_p v - (-1)^p {u_p, v}.  The
+    bracket pairs x_i with xi_i for i = 1..n+1, so the series variable pairs
+    with the marker, and has tau as contact generator when m = n + 1; its
+    Euler operator weighs x_i and xi_i (i <= n) by 1, the series variable by
+    0 and the marker by 2.  ``left(u)`` binds u's parts once and returns
+    v -> u o v.
     """
 
     def __init__(self, n: int, m: int):
@@ -281,10 +286,12 @@ class OjpSpace:
         self.x_i = n + 1
         self.eta_j = n + 1
         self._eta = Jet.xi(self.ambient, self.eta_j)
-        # x_i paired with xi_i for i <= n; E in the tau terms counts these
-        idx = tuple(range(1, n + 1))
-        self._pairing = Pairing(mixed=tuple(zip(idx, idx)), euler=(idx, idx),
-                                contact=("xi", n_odd) if self.has_d else None)
+        # the marker is listed twice in the Euler indices: weight 2
+        idx = tuple(range(1, n + 2))
+        self._pairing = Pairing(
+            mixed=tuple(zip(idx, idx)),
+            contact=("xi", n_odd) if self.has_d else None,
+            euler=(idx[:n], idx[:n] + (n + 1, n + 1)))
 
     def __repr__(self):
         return f"OjpSpace({self.n}, {self.m})"
@@ -306,59 +313,22 @@ class OjpSpace:
             return Jet.zero(self.ambient)
         return f.d_tau().scale(-2)
 
-    def split(self, f: Jet) -> tuple[Jet, Jet]:
-        """Write f = plain + marker * rest; returns (plain, rest)."""
-        plain = {m: c for m, c in f.terms.items() if self.eta_j not in m[1]}
-        rest = {m: c for m, c in f.terms.items() if self.eta_j in m[1]}
-        g = Jet(self.ambient, rest).d_odd(self.eta_j)
-        return Jet(self.ambient, plain), g
-
     # -- the commutative odd-type product ---------------------------------
 
     def left(self, u: Jet) -> Callable[[Jet], Jet]:
-        """v -> u o v.  With f1 + eta g1 a part of u of parity p, f2 + eta g2
-        one of v of parity q, {,} the odd Poisson bracket of the pairing (the
-        series variable and the marker ride along) and w = dx + eta D, u o v
-        sums (-1)^(p+1) {f1, f2} + 2 eta f1 f2 + eta {f1, g2} - (-1)^p w(f1) g2
-        - (-1)^p eta {g1, f2} - (-1)^((p+1)q) w(f2) g1 + (-1)^(p+1) eta (dx(g1)
-        g2 - g1 dx(g2)), as {f2, g1} = -(-1)^((q+1)p) {g1, f2}."""
-        eta, plain, marked = self._eta, [], []
-        for part, p in u.parity_parts():
-            f1, g1 = self.split(part)
-            if not f1.is_zero():
-                w1 = (self.dx(f1) + eta * self.D(f1)).scale(_sgn(p))
-                plain.append((p, bound_bracket(self._pairing, f1),
-                              (eta * f1).scale(2), w1))
-            if not g1.is_zero():
-                s = _sgn(p + 1)
-                marked.append((p, bound_bracket(self._pairing, g1), g1,
-                               (eta * self.dx(g1)).scale(s),
-                               (eta * g1).scale(s)))
+        """v -> u o v: 2 eta u v less (-1)^p {u_p, v} for each parity part
+        u_p of u, each part's bracket bound once."""
+        brackets = [(bound_bracket(self._pairing, part), p)
+                    for part, p in u.parity_parts()]
+        eta_u = (self._eta * u).scale(2)
 
         def product(v: Jet) -> Jet:
-            out = Jet.zero(self.ambient)
-            for part, q in v.parity_parts():
-                f2, g2 = self.split(part)
-                if not f2.is_zero():
-                    for p, br, e2f1, _ in plain:
-                        t = br(f2)
-                        out = out + (e2f1 * f2 + t if p else e2f1 * f2 - t)
-                    for p, br, g1, _, _ in marked:
-                        t = eta * br(f2)
-                        w = (self.dx(f2) + eta * self.D(f2)) * g1
-                        t = t - w if p or q else t + w
-                        out = out + t if p else out - t
-                if not g2.is_zero():
-                    for _, br, _, w1 in plain:
-                        out = out + (eta * br(g2) - w1 * g2)
-                    for _, _, _, edg1, eg1 in marked:
-                        out = out + (edg1 * g2 - eg1 * self.dx(g2))
+            out = eta_u * v
+            for bracket, p in brackets:
+                out = out + bracket(v) if p else out - bracket(v)
             return out
 
         return product
-
-    def product(self, u: Jet, v: Jet) -> Jet:
-        return self.left(u)(v)
 
 
 # -- operator identities of the series product -----------------------------
@@ -1038,25 +1008,6 @@ def _ojp_checks(entry: OracleEntry, order: int, rng) -> tuple[bool, str]:
     return False, bad
 
 
-def _lp_closed_form(entry: OracleEntry, order: int, rng) -> tuple[bool, str]:
-    # u o v against -{u, v} + 2 (-1)^p(u) eta u v, {,} the odd bracket of the
-    # whole ambient, bound from its own Pairing so two engines are compared
-    space = entry.space
-    eff = min(order, 3)
-    monos = [Jet(space.ambient, {m: F(1)})
-             for m in sorted(space.ambient.monomials(eff))][:40]
-    zero, pairing = Jet.zero(space.ambient), _odd_pairing(space.ambient)
-    for u in monos:
-        left, bracket = entry.left({"j": u}), bound_bracket(pairing, u)
-        eu = (space.eta() * u).scale(2 * _sgn(u.parity()))
-        for v in monos:
-            lhs = left({"j": v}).get("j", zero)
-            if not (lhs + bracket(v) - eu * v).is_zero():
-                return False, (f"mismatch at {format_jet(u)}, "
-                               f"{format_jet(v)}")
-    return True, f"{len(monos)}^2 monomial pairs"
-
-
 def _entry_series(n: int, m: int, twin: bool) -> OracleEntry:
     """OJP_n_m: u o v, or its parity-reversed twin LP_n_m: (-1)^p(u) u o v."""
     space = OjpSpace(n, m)
@@ -1065,11 +1016,7 @@ def _entry_series(n: int, m: int, twin: bool) -> OracleEntry:
         left, c = space.left(f), _sgn(p & twin)
         return lambda g, q: {"j": left(g).scale(c)}
 
-    if twin:
-        checks = ((("closed_form", _lp_closed_form),)
-                  if n <= 2 and m == n else ())
-    else:
-        checks = (("operator_relations", _ojp_checks),)
+    checks = () if twin else (("operator_relations", _ojp_checks),)
     entry = OracleEntry(
         f"{'LP' if twin else 'OJP'}_{n}_{m}", space.ambient, {"j": int(twin)},
         "anticommutative" if twin else "commutative", {("j", "j"): rule},
@@ -1114,8 +1061,7 @@ def verify_entry(entry, order: int | None = None,
     operator dimensions.  Oracle entries are sampled inside the degree
     window of ``order`` (4 when None; an integer >= 0 otherwise, whose
     window must not be empty): declared symmetry, carrier closure of
-    products, and any entry-specific checks (operator relations, closed
-    forms).
+    products, and any entry-specific checks (OJP's operator relations).
     """
     if order is not None:
         _check_order(order, 0)

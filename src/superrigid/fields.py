@@ -15,7 +15,8 @@ from typing import Iterable
 
 from . import brackets as br
 from .brackets import poisson_antidiagonal
-from .jets import Ambient, Jet, div_beta, format_jet, odd_laplacian, parse_jet
+from .jets import (Ambient, Jet, _check_generator, div_beta, format_jet,
+                   odd_laplacian, parse_jet)
 from .linalg import nullspace
 
 F = Fraction
@@ -44,9 +45,7 @@ class VectorField:
     def partial(cls, amb: Ambient, kind: str, idx: int) -> "VectorField":
         if kind not in ("x", "xi"):
             raise ValueError(f"unknown slot kind {kind!r}")
-        limit = amb.n_even if kind == "x" else amb.n_odd
-        if not 1 <= idx <= limit:
-            raise ValueError(f"slot {kind}{idx} not in {amb!r}")
+        _check_generator(amb, kind, idx)
         return cls(amb, {(kind, idx): Jet.one(amb)})
 
     # -- basics ------------------------------------------------------------
@@ -195,6 +194,7 @@ def parse_slot(text: str, amb: Ambient) -> Slot:
         return ("xi", amb.n_odd)
     if not idx:
         raise ValueError(f"bad slot {text!r}")
+    _check_generator(amb, kind, int(idx))
     return (kind, int(idx))
 
 

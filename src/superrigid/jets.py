@@ -9,6 +9,7 @@ coefficients.  A degree window, where one is needed, is cut by the caller.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Iterator
@@ -27,11 +28,15 @@ class Ambient:
     __slots__ = ("n_even", "n_odd", "tau")
 
     def __init__(self, n_even: int, n_odd: int, tau: bool = False):
+        for k in (n_even, n_odd):
+            if type(k) is not int or k < 0:
+                raise ValueError("generator counts must be integers >= 0, "
+                                 f"got {n_even!r} and {n_odd!r}")
         if tau and n_odd == 0:
             raise ValueError("tau designation needs at least one odd generator")
         self.n_even = n_even
         self.n_odd = n_odd
-        self.tau = tau
+        self.tau = bool(tau)
 
     def odd_name(self, j: int) -> str:
         return "tau" if self.tau and j == self.n_odd else f"xi{j}"
@@ -55,6 +60,14 @@ class Ambient:
         for odds in _subsets(self.n_odd):
             for ex in _exponents(self.n_even, max_even_deg):
                 yield (ex, odds)
+
+
+def _check_generator(amb: Ambient, kind: str, i) -> None:
+    """Raise ValueError unless i is an integer index of a generator of amb
+    of this kind, "x" or "xi"."""
+    if type(i) is not int or not 1 <= i <= (
+            amb.n_even if kind == "x" else amb.n_odd):
+        raise ValueError(f"{kind}{i!r} not in {amb!r}")
 
 
 def _subsets(n: int) -> Iterator[tuple]:
@@ -134,18 +147,16 @@ class Jet:
 
     @classmethod
     def x(cls, amb: Ambient, i: int, power: int = 1) -> "Jet":
-        if not 1 <= i <= amb.n_even:
-            raise ValueError(f"x{i} not in {amb!r}")
-        if power < 0:
-            raise ValueError(f"negative power {power} of x{i}")
+        _check_generator(amb, "x", i)
+        if type(power) is not int or power < 0:
+            raise ValueError(f"power {power!r} of x{i} is no integer >= 0")
         ex = [0] * amb.n_even
         ex[i - 1] = power
         return cls(amb, {(tuple(ex), ()): F(1)})
 
     @classmethod
     def xi(cls, amb: Ambient, j: int) -> "Jet":
-        if not 1 <= j <= amb.n_odd:
-            raise ValueError(f"xi{j} not in {amb!r}")
+        _check_generator(amb, "xi", j)
         return cls(amb, {((0,) * amb.n_even, (j,)): F(1)})
 
     @classmethod
@@ -267,6 +278,7 @@ class Jet:
 
     def d_even(self, i: int) -> "Jet":
         """Partial derivative in the i-th commuting generator."""
+        _check_generator(self.ambient, "x", i)
         out = {}
         for (ex, odds), c in self.terms.items():
             e = ex[i - 1]
@@ -291,6 +303,7 @@ class Jet:
 
     def antiderivative(self, i: int, constant=0) -> "Jet":
         """Inverse of d_even(i); the constant lands on the unit monomial."""
+        _check_generator(self.ambient, "x", i)
         out = {}
         for (ex, odds), c in self.terms.items():
             e = ex[i - 1]
@@ -304,23 +317,21 @@ class Jet:
 
     def euler(self, even_idx: Iterable[int] | None = None,
               odd_idx: Iterable[int] | None = None) -> "Jet":
-        """Degree-counting operator over the chosen generators.
+        """Degree-counting operator over the chosen generators, an index
+        weighing as many times as it is listed.
 
         Defaults count every commuting generator and every anticommuting one
         except a designated tau.
         """
         amb = self.ambient
-        ev = set(range(1, amb.n_even + 1)) if even_idx is None else set(even_idx)
-        if odd_idx is None:
-            od = set(range(1, amb.n_odd + 1))
-            if amb.tau:
-                od.discard(amb.n_odd)
-        else:
-            od = set(odd_idx)
+        ev = Counter(range(1, amb.n_even + 1) if even_idx is None
+                     else even_idx)
+        od = Counter(range(1, amb.n_odd + 1 - amb.tau) if odd_idx is None
+                     else odd_idx)
         out = {}
         for (ex, odds), c in self.terms.items():
-            w = sum(e for i, e in enumerate(ex, 1) if i in ev)
-            w += sum(1 for j in odds if j in od)
+            w = sum(e * ev[i] for i, e in enumerate(ex, 1) if e)
+            w += sum(od[j] for j in odds)
             if w:
                 out[(ex, odds)] = c * w
         return Jet._clean(self.ambient, out)

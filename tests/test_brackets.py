@@ -10,6 +10,7 @@ from superrigid.brackets import (
     ParityError,
     _even_pairing,
     _odd_pairing,
+    _operand,
     bound_bracket,
     buttin,
     fd_bracket,
@@ -374,18 +375,26 @@ def _poisson_antidiagonal_reference(f: Jet, g: Jet) -> Jet:
 
 
 def _pbracket_reference(self: OjpSpace, f: Jet, g: Jet) -> Jet:
-    n = self.n
+    """The series product's contact bracket: x_i paired with xi_i for
+    i <= n + 1 (the series variable with the marker), and E weighing x_i,
+    xi_i (i <= n) by 1 and the marker by 2, as 2 eta d/d_eta."""
+    n, k = self.n, self.n + 1
+    eta = self.eta()
+
+    def weight(h: Jet) -> Jet:  # (E - 2)(h)
+        idx = range(1, n + 1)
+        return (h.euler(even_idx=idx, odd_idx=idx)
+                + (eta * h.d_odd(k)).scale(2) - h.scale(2))
+
     out = Jet.zero(self.ambient)
     for part, p in _homogeneous(f):
         s = _sgn(p)
-        for i in range(1, n + 1):
+        for i in range(1, k + 1):
             out = out + part.d_even(i) * g.d_odd(i)
             out = out + (part.d_odd(i) * g.d_even(i)).scale(s)
         if self.has_d:
-            idx = range(1, n + 1)
-            ef = part.euler(even_idx=idx, odd_idx=idx) - part.scale(2)
-            eg = g.euler(even_idx=idx, odd_idx=idx) - g.scale(2)
-            out = out + ef * g.d_tau() + (part.d_tau() * eg).scale(s)
+            out = (out + weight(part) * g.d_tau()
+                   + (part.d_tau() * weight(g)).scale(s))
     return out
 
 
@@ -452,7 +461,7 @@ class TestAgainstReferences:
               lambda: _poisson_antidiagonal_reference(f, g))
 
     @given(st.integers(0, 2**30), PARITIES,
-           st.sampled_from([(0, 0), (1, 1), (1, 2), (2, 3)]))
+           st.sampled_from([(0, 0), (0, 1), (1, 1), (1, 2), (2, 3)]))
     @settings(max_examples=100)
     def test_ojp_pbracket(self, seed, pf, nm):
         space = OjpSpace(*nm)
@@ -514,7 +523,7 @@ class TestBoundBracket:
             assert bound(g) == reference(f, g)
 
     @given(st.integers(0, 2**30),
-           st.sampled_from([(0, 0), (1, 1), (1, 2), (2, 3)]))
+           st.sampled_from([(0, 0), (0, 1), (1, 1), (1, 2), (2, 3)]))
     @settings(max_examples=60)
     def test_ojp_pbracket_run(self, seed, nm):
         space = OjpSpace(*nm)
@@ -523,3 +532,25 @@ class TestBoundBracket:
         bound = bound_bracket(space._pairing, f)
         for g in _g_run(space.ambient, rng, 6):
             assert bound(g) == _pbracket_reference(space, f, g)
+
+    def test_g_operands_follow_the_terms_of_f(self, monkeypatch):
+        """A bound f with no x-derivative computes no x-operand of g, and a
+        bound f with no xi-derivative no xi-operand of its x-partner."""
+        made = []
+
+        def counted(h, key, euler):
+            made.append((h, key))
+            return _operand(h, key, euler)
+
+        monkeypatch.setattr("superrigid.brackets._operand", counted)
+        amb = Ambient(2, 2)
+        f, g = j("xi1*xi2 + xi1", amb), j("x1*x2*xi1 + x2^2 + xi2", amb)
+        bound = bound_bracket(_even_pairing(amb, False), f)
+        made.clear()
+        assert bound(g) == _gen_poisson_even_reference(f, g)
+        assert made and all(h is g and key[0] == "xi" for h, key in made)
+        f = j("x1^2 + x1*x2", O22)
+        bound = bound_bracket(_odd_pairing(O22), f)
+        made.clear()
+        assert bound(g) == _buttin_reference(f, g)
+        assert sorted(key for _, key in made) == [("xi", 1), ("xi", 2)]

@@ -692,11 +692,11 @@ REPORT_DIGESTS = [
     ("OJP_1_1", {},
      "e19d8230a8ad1e7de56a6433f7ff6be0ebc38c018c2d5d3cb89643c878fc4270", None),
     ("LP_1_1", {},
-     "98cfa08768366a81ad0830af8516b0e2bb0aae1b7c0795577a9ad8376f94765d", None),
+     "c79fc0362d109b1fcb2b21d3c6f387f0b4baff97634d1e76feeb0f7a7f09b9b3", None),
     ("OJP_2_2", {},
      "300bd98f8e71b3c4f24a10fe613a07d0d94519d449ebd1aeb79c26e85cb53284", None),
     ("LP_2_2", {},
-     "3924a82771aa77aae8cd5f0731d36a3bfae182894c723e2575c120534b9d4a67", None),
+     "d041c1b471df43541cdf7841790ed84cbae7f31016e1393690b2259249835b29", None),
     ("LSHO_2_2", {},
      "371738494613a561edaca807d4f220a141eb2c09a23f89ff27bed71caa0299f6", None),
     ("LSKO_1_2", {"beta": F(1, 3)},

@@ -178,6 +178,9 @@ class TestFormatting:
             parse_slot("dq1", amb)
         with pytest.raises(ValueError):
             parse_slot("dtau", A22)
+        for text in ("dx0", "dx3", "dxi0", "dxi4"):
+            with pytest.raises(ValueError, match="not in Ambient"):
+                parse_slot(text, amb)
 
     def test_parse_field_roundtrip(self):
         X = parse_field([("xi1", "dx1"), ("-x1^2", "dxi2")], A22)

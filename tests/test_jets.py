@@ -149,6 +149,40 @@ class TestEuler:
         f = Jet(A22, {((1, 2), (1, 2)): F(1)})
         assert f.euler(even_idx=[2], odd_idx=[]) == f.scale(2)
 
+    def test_repeated_index_counts_each_time(self):
+        f = Jet(A22, {((1, 2), (1, 2)): F(1)})
+        assert f.euler(even_idx=[2, 2], odd_idx=[1, 1, 2]) == f.scale(7)
+        eta = Jet.xi(A23, 2)
+        assert eta.euler(even_idx=(), odd_idx=(1, 2, 2)) == eta.scale(2)
+
+
+class TestBadInput:
+    """Malformed generator counts and indices raise ValueError, never a
+    RecursionError or a key that is no monomial."""
+
+    @pytest.mark.parametrize("n_even, n_odd", [
+        (-1, 2), (1.5, 0), (2, -1), (0, 1.0), (True, 0), ("2", 1)])
+    def test_ambient_counts(self, n_even, n_odd):
+        with pytest.raises(ValueError, match="generator counts"):
+            Ambient(n_even, n_odd)
+
+    @pytest.mark.parametrize("make", [
+        lambda amb: Jet.x(amb, 1, 1.5), lambda amb: Jet.x(amb, 1.0),
+        lambda amb: Jet.x(amb, 0), lambda amb: Jet.xi(amb, 1.0),
+        lambda amb: Jet.xi(amb, 2), lambda amb: Jet.xi(amb, True)])
+    def test_generators(self, make):
+        with pytest.raises(ValueError):
+            make(Ambient(2, 1))
+
+    @pytest.mark.parametrize("i", [0, -1, 3, 1.0])
+    def test_even_index_of_derivatives(self, i):
+        amb = Ambient(2, 1)
+        f = Jet.x(amb, 1) * Jet.x(amb, 2)
+        with pytest.raises(ValueError, match="not in Ambient"):
+            f.d_even(i)
+        with pytest.raises(ValueError, match="not in Ambient"):
+            f.antiderivative(i)
+
 
 class TestLaplacianAndDivergence:
     def test_basic_pairing(self):

@@ -1,6 +1,6 @@
-"""The series product of OjpSpace: the prepared left factor against the
-one-shot product it replaced, the operator-relation suite's tables and
-input checks, and the LP closed-form check's failure detail."""
+"""The series product of OjpSpace: the one-bracket product against the
+split-form product it replaced, the LP rule against OJP's product, and the
+operator-relation suite's tables and input checks."""
 import random
 import re
 
@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_jet
-from superrigid import catalog
-from superrigid.brackets import paired_bracket
+from superrigid.brackets import Pairing, paired_bracket
 from superrigid.catalog import (
     CatalogError,
     OjpSpace,
     _sgn,
-    elem_add,
+    elem_clean,
     make,
     ojp_probe_pairs,
     ojp_relation_suite,
@@ -22,22 +21,38 @@ from superrigid.catalog import (
 from superrigid.jets import Jet
 
 
-# The library's one-shot series product before it prepared its left factor,
-# verbatim but for self -> space and space.pbracket(...) -> _pbracket(space,
-# ...).  _pbracket is that method, moved here because nothing else used it.
+# The library's split-form series product before it became one contact
+# bracket, verbatim but for self -> space, space.pbracket(...) ->
+# _pbracket(space, ...) and space.split(...) -> _split(space, ...).  Its
+# bracket pairs x_i with xi_i for i <= n only, so the series variable and the
+# marker ride along as passengers; both helpers build their own pairing and
+# split, and read nothing of the library's but the engine and the space's
+# generators.
 
 def _pbracket(space: OjpSpace, f: Jet, g: Jet) -> Jet:
     """Odd Poisson bracket of the coefficient algebra; the series variable
     and the marker ride along as passengers."""
-    return paired_bracket(space._pairing, f, g)
+    n = space.n
+    idx = tuple(range(1, n + 1))
+    pairing = Pairing(mixed=tuple(zip(idx, idx)), euler=(idx, idx),
+                      contact=("xi", n + 2) if space.has_d else None)
+    return paired_bracket(pairing, f, g)
+
+
+def _split(space: OjpSpace, f: Jet) -> tuple[Jet, Jet]:
+    """Write f = plain + marker * rest; returns (plain, rest)."""
+    j = space.n + 1
+    plain = {m: c for m, c in f.terms.items() if j not in m[1]}
+    rest = {m: c for m, c in f.terms.items() if j in m[1]}
+    return Jet(space.ambient, plain), Jet(space.ambient, rest).d_odd(j)
 
 
 def _product_reference(space: OjpSpace, u: Jet, v: Jet) -> Jet:
     out = Jet.zero(space.ambient)
     for pu_part, pu in u.parity_parts():
-        f1, g1 = space.split(pu_part)
+        f1, g1 = _split(space, pu_part)
         for pv_part, pv in v.parity_parts():
-            f2, g2 = space.split(pv_part)
+            f2, g2 = _split(space, pv_part)
             if not f1.is_zero() and not f2.is_zero():
                 out = out + _pp(space, f1, pu, f2)
             if not f1.is_zero() and not g2.is_zero():
@@ -66,7 +81,8 @@ def _ee(space: OjpSpace, g1: Jet, p1: int, g2: Jet) -> Jet:
             ).scale(_sgn(p1))
 
 
-SPACES = st.sampled_from([(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)])
+SPACES = st.sampled_from([(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 3),
+                         (3, 3)])
 
 
 def _factor(space, rng, parity):
@@ -82,7 +98,7 @@ def _factor(space, rng, parity):
        st.integers(1, 6))
 @settings(max_examples=150, deadline=None)
 def test_prepared_left_matches_one_shot_product(seed, nm, pu, n):
-    """One prepared u against a run of v's: each result equals the one-shot
+    """One prepared u against a run of v's: each result equals the split-form
     product under ==, so nothing kept for one v leaks into the next."""
     space = OjpSpace(*nm)
     rng = random.Random(seed)
@@ -91,7 +107,21 @@ def test_prepared_left_matches_one_shot_product(seed, nm, pu, n):
     for _ in range(n):
         v = _factor(space, rng, rng.choice([0, 1, None]))
         assert left(v) == _product_reference(space, u, v)
-        assert space.product(u, v) == _product_reference(space, u, v)
+
+
+@given(st.integers(0, 2**30), SPACES)
+@settings(max_examples=60, deadline=None)
+def test_lp_rule_is_signed_ojp_product(seed, nm):
+    """LP_n_m's product is (-1)^p(u) times OJP_n_m's, part by part of u."""
+    lp, ojp = (make(f"{base}_{nm[0]}_{nm[1]}") for base in ("LP", "OJP"))
+    rng = random.Random(seed)
+    u, v = _factor(ojp.space, rng, None), _factor(ojp.space, rng, None)
+    zero = Jet.zero(ojp.space.ambient)
+    want = zero
+    for part, p in u.parity_parts():
+        uv = ojp.product({"j": part}, {"j": v}).get("j", zero)
+        want = want + uv.scale(_sgn(p))
+    assert lp.product({"j": u}, {"j": v}) == elem_clean({"j": want})
 
 
 @pytest.mark.parametrize("n, m", [
@@ -144,33 +174,3 @@ def test_relation_suite_makes_each_product_once(nm, monkeypatch):
     assert prepared and evaluated
     assert len(set(prepared)) == len(prepared)
     assert len(set(evaluated)) == len(evaluated)
-
-
-# A deliberately broken LP row: a left factor with the marker gains
-# x_k * f * g against every g with x_k.  The closed-form check must still
-# name the first mismatch in its loop order.
-@pytest.mark.parametrize("name, k, detail", [
-    ("LP_1_1", 1, "mismatch at xi1*xi2, x1"),
-    ("LP_1_1", 2, "mismatch at xi1*xi2, x2"),
-    ("LP_2_2", 2, "mismatch at xi1*xi2*xi3, x2"),
-])
-def test_lp_closed_form_names_first_mismatch(name, k, detail):
-    entry = make(name)
-    space, rule = entry.space, entry.rules["j", "j"]
-    xk = Jet.x(entry.ambient, k)
-
-    def broken(f, p):
-        inner = rule(f, p)
-        marked = any(space.eta_j in m[1] for m in f.terms)
-
-        def bound(g, q):
-            out = inner(g, q)
-            if marked and any(m[0][k - 1] for m in g.terms):
-                out = elem_add(out, {"j": xk * f * g})
-            return out
-        return bound
-    entry.rules["j", "j"] = broken
-    assert catalog._lp_closed_form(entry, 4, random.Random(0)) == (
-        False, detail)
-    assert catalog._lp_closed_form(make(name), 4, random.Random(0)) == (
-        True, "40^2 monomial pairs")

@@ -1205,6 +1205,38 @@ def test_derivations(name):
     assert outside == [{((k,), k): F(-4, 3) for k in dxi2}]
 
 
+# name: (dim R0, dim T, dim of R0 + T), R0 the part of R with mu's parity and
+# T = [gl(V)_0, mu] + Q mu the tangent of mu's orbit under every even change
+# of basis
+EVEN_ORBIT = {
+    "JS_0_2": (4, 4, 4),
+    "LW_0_2": (2, 2, 2),
+    "JW_0_4": (4, 7, 7),
+    "JS_0_8": (8, 29, 29),
+    "JS_0_16": (24, 127, 127),
+    "JW_0_8": (12, 31, 32),
+}
+
+
+@pytest.mark.parametrize("name", EVEN_ORBIT)
+def test_even_orbit_tangent(name):
+    """R0 lies in T on the five rigid entries.  On JW_0_8 it does not, so no
+    even operator algebra, Str plus Der(J) included, makes JW_0_8 rigid on
+    the part of R with mu's parity."""
+    J = make(name).algebra
+    mu, pars, n = J.mu_map(), J.parities, J.dim
+    r0 = span_reduce([part for row in related_products(J).rows
+                      for part, p in split_parity(
+                          row, lambda key: _key_parity(key, pars))
+                      if p == mu.parity])
+    T = span_reduce([mu.as_vec()] + [
+        _bracket_flat(mu, {((k,), m): F(1)})
+        for k in range(n) for m in range(n) if pars[k] == pars[m]])
+    both = span_reduce(r0.rows + T.rows)
+    assert (r0.dim, T.dim, both.dim) == EVEN_ORBIT[name]
+    assert all(T.contains(v) for v in r0.rows) == (name != "JW_0_8")
+
+
 def _invariants(J):
     """is_rigid's (rigid, dim Str, dim R), is_simple, tkk(J, 4).dims and the
     rank-nullity count."""
