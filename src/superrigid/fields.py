@@ -194,6 +194,9 @@ def parse_slot(text: str, amb: Ambient) -> Slot:
         return ("xi", amb.n_odd)
     if not idx:
         raise ValueError(f"bad slot {text!r}")
+    if kind == "xi" and amb.tau and int(idx) == amb.n_odd:
+        raise ValueError(f"bad slot {text!r}: use 'dtau' for the last odd "
+                         "generator")
     _check_generator(amb, kind, int(idx))
     return (kind, int(idx))
 

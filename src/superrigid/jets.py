@@ -3,8 +3,11 @@
 An Ambient fixes m commuting generators x1..xm and n anticommuting ones
 xi1..xin; when ``tau=True`` the last anticommuting generator is special (it
 prints as ``tau`` and the default Euler weight skips it).  A Jet is an exact
-polynomial: a finite Fraction-linear combination of monomials with nonzero
-coefficients.  A degree window, where one is needed, is cut by the caller.
+polynomial: a finite rational combination of monomials with nonzero
+coefficients.  Jets built here hold Fractions; jets read off linalg's
+elimination (a kernel basis) hold an int for each whole coefficient.  The
+two compare and combine alike.  A degree window, where one is needed, is cut
+by the caller.
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Iterator
 
-from .linalg import split_parity
+from .linalg import _coeff, split_parity
 
 F = Fraction
 
@@ -57,6 +60,9 @@ class Ambient:
 
     def monomials(self, max_even_deg: int) -> Iterator[Monomial]:
         """All monomials with total even degree <= max_even_deg."""
+        if type(max_even_deg) is not int or max_even_deg < 0:
+            raise ValueError(f"even degree {max_even_deg!r} is no integer "
+                             ">= 0")
         for odds in _subsets(self.n_odd):
             for ex in _exponents(self.n_even, max_even_deg):
                 yield (ex, odds)
@@ -139,7 +145,7 @@ class Jet:
 
     @classmethod
     def const(cls, amb: Ambient, c) -> "Jet":
-        return cls(amb, {((0,) * amb.n_even, ()): F(c)})
+        return cls(amb, {((0,) * amb.n_even, ()): _coeff(c, "a constant")})
 
     @classmethod
     def one(cls, amb: Ambient) -> "Jet":
@@ -230,7 +236,7 @@ class Jet:
         if c == -1:
             return -self
         if not isinstance(c, Fraction):
-            c = F(c)
+            c = _coeff(c, "a scaling")
         if not c:
             return Jet._clean(self.ambient, {})
         return Jet._clean(self.ambient,
@@ -267,8 +273,8 @@ class Jet:
         return NotImplemented
 
     def __pow__(self, k: int) -> "Jet":
-        if k < 0:
-            raise ValueError(f"negative power {k} of a jet")
+        if type(k) is not int or k < 0:
+            raise ValueError(f"power {k!r} of a jet is no integer >= 0")
         out = Jet.one(self.ambient)
         for _ in range(k):
             out = out * self
@@ -289,6 +295,7 @@ class Jet:
 
     def d_odd(self, j: int) -> "Jet":
         """Left partial derivative in the j-th anticommuting generator."""
+        _check_generator(self.ambient, "xi", j)
         out = {}
         for (ex, odds), c in self.terms.items():
             if j not in odds:

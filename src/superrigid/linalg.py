@@ -1,10 +1,14 @@
 """Exact rational linear algebra over sparse vectors with orderable keys.
 
 Vectors are dicts mapping hashable, totally ordered coordinate keys to nonzero
-Fractions.  A Subspace is a canonical reduced-echelon basis of such vectors:
-each basis row has a pivot (its smallest key), pivot coefficient 1, and no row
-contains another row's pivot.  Equal spans produce identical Subspace values,
-so subspaces compare by ==.
+rational coefficients: an int when the coefficient is whole and a Fraction
+otherwise.  Every vector the elimination makes keeps that rule (_whole),
+whatever mix of ints and whole or proper Fractions it is given; as 2 ==
+Fraction(2) and the two hash alike, the rule changes no comparison.  A
+Subspace is a canonical reduced-echelon basis of such vectors: each basis row
+has a pivot (its smallest key), pivot coefficient 1, and no row contains
+another row's pivot.  Equal spans produce identical Subspace values, so
+subspaces compare by ==.
 
 Spans grow one vector at a time through a single elimination step: the vector's
 remainder against the rows is normalised at its pivot and that pivot is cleared
@@ -37,11 +41,28 @@ Vec = dict
 Key = Hashable
 
 
+def _coeff(c, where) -> Fraction:
+    """c as an exact Fraction, the form that structure constants and jets
+    store; None, inf, nan or text that is no rational number raise a
+    ValueError naming where c was given."""
+    try:
+        return Fraction(c)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise ValueError(f"coefficient {c!r} of {where} is not an exact "
+                         "rational number") from None
+
+
+def _whole(c):
+    """c as an int when it is a whole Fraction, otherwise c as it is."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
 def vec_clean(v: Vec) -> Vec:
-    return {k: c for k, c in v.items() if c != 0}
+    """v without its zero coefficients, whole ones as ints."""
+    return {k: _whole(c) for k, c in v.items() if c != 0}
 
 
-def vec_add(u: Vec, v: Vec, scale: Fraction = Fraction(1)) -> Vec:
+def vec_add(u: Vec, v: Vec, scale=1) -> Vec:
     """u + scale*v as a new vector, clean when u is."""
     out = dict(u)
     _add_into(out, v, scale)
@@ -49,19 +70,21 @@ def vec_add(u: Vec, v: Vec, scale: Fraction = Fraction(1)) -> Vec:
 
 
 def _add_into(u: Vec, v: Vec, scale) -> None:
-    """u += scale*v in place, dropping keys that cancel or stay zero."""
+    """u += scale*v in place, dropping keys that cancel or stay zero; a sum
+    that is whole is stored as an int."""
     for k, c in v.items():
         s = u.get(k)
         s = scale * c if s is None else s + scale * c
         if s:
-            u[k] = s
+            u[k] = _whole(s)
         else:
             u.pop(k, None)
 
 
-def vec_scale(v: Vec, scale: Fraction) -> Vec:
-    """scale*v as a new vector, clean for a clean v and a nonzero scale."""
-    return {k: scale * c for k, c in v.items()}
+def vec_scale(v: Vec, scale) -> Vec:
+    """scale*v as a new vector, clean for a clean v and a nonzero scale;
+    whole products are ints."""
+    return {k: _whole(scale * c) for k, c in v.items()}
 
 
 def split_parity(v: Vec, parity_of: Callable[[Key], int]) -> list:
@@ -118,8 +141,9 @@ class Subspace:
 
 
 def _remainder(rows: dict, v: Vec) -> Vec:
-    """Remainder of v against reduced-echelon rows keyed by pivot: a copy of
-    v, cleared pivot by pivot in place.  Neither v nor any row is written.
+    """Remainder of v against reduced-echelon rows keyed by pivot: a clean
+    copy of v, cleared pivot by pivot in place.  Neither v nor any row is
+    written.
 
     No row holds another row's pivot, so each pivot coefficient of v is read
     before any elimination can change it.
@@ -134,14 +158,16 @@ def _accept(rows: dict, v: Vec) -> Vec:
     """Grow the rows {pivot: row} by v; returns v's remainder, empty when v
     already lies in their span.
 
-    The remainder is normalised at its pivot (its smallest key) and that
-    pivot is cleared from the other rows, which keeps them reduced-echelon.
-    Rows may be shared with other Subspaces: one holding the pivot is replaced.
+    The remainder is normalised at its pivot (its smallest key), which is
+    no work when the pivot coefficient is already 1, and that pivot is
+    cleared from the other rows, which keeps them reduced-echelon.  Rows may
+    be shared with other Subspaces: one holding the pivot is replaced.
     """
     r = _remainder(rows, v)
     if r:
         piv = min(r)
-        row = vec_scale(r, Fraction(1) / r[piv])
+        lead = r[piv]
+        row = r if lead == 1 else vec_scale(r, Fraction(1) / lead)
         for p, other in rows.items():
             c = other.get(piv)
             if c:
@@ -251,7 +277,7 @@ def nullspace(
     graph = []
     for j, k in enumerate(domain_basis):
         v = {(0, i): c for i, c in operator(k).items()}
-        v[(1, -j)] = Fraction(1)
+        v[(1, -j)] = 1
         graph.append(v)
     return [{domain_basis[-j]: c for (_, j), c in row.items()}
             for row in reversed(span_reduce(graph).rows) if min(row)[0]]

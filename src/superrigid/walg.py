@@ -51,6 +51,7 @@ from .linalg import (
     Subspace,
     Vec,
     _add_into,
+    _coeff,
     closure_under,
     ideal_closure,
     span_reduce,
@@ -59,16 +60,6 @@ from .linalg import (
 )
 
 F = Fraction
-
-
-def _coeff(c, where) -> Fraction:
-    """c as an exact Fraction; None, inf, nan or text that is no rational
-    number raise a ValueError naming where c was given."""
-    try:
-        return F(c)
-    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-        raise ValueError(f"coefficient {c!r} of {where} is not an exact "
-                         "rational number") from None
 
 
 def _sort_sign(idxs, parities):
@@ -326,8 +317,9 @@ def _bracket_flat(f: MultiLinMap, v: Vec) -> Vec:
     merged once per key that f meets and kept in its table.  Each key is a
     merge of two sorted runs (_merge).  The g o f sign is taken with the
     entry's own parity, so a mixed-parity v needs no split.  The sums run
-    over integers scaled by the common denominators of f and v; a Fraction
-    is made once per surviving entry.
+    over integers scaled by the common denominators of f and v.  A
+    surviving entry comes out as an int when that denominator divides it, so
+    a Fraction is made once per surviving entry that is not whole.
     """
     if f._tabs is None:
         f._tabs = _tables(f)
@@ -359,7 +351,7 @@ def _bracket_flat(f: MultiLinMap, v: Vec) -> Vec:
             slot = acc.setdefault(key, {})
             slot[m] = slot.get(m, 0) + c * d
     den = df * dv
-    return {(key, m): F(c, den)
+    return {(key, m): c // den if not c % den else F(c, den)
             for key, slot in acc.items() for m, c in slot.items() if c}
 
 
@@ -680,14 +672,13 @@ def is_simple(J: FinSuperAlg) -> SimplicityReport:
     if n <= 1 and not J.table:
         return SimplicityReport(False, None)
     # Left and right multiplication by each basis vector.
-    units = [{i: F(1)} for i in range(n)]
+    units = [{i: 1} for i in range(n)]
     lefts = [lambda v, e=e: J.mult_vec(e, v) for e in units]
     rights = [lambda v, e=e: J.mult_vec(v, e) for e in units]
     rng = random.Random(11)
     candidates = list(units)
     for _ in range(_PROBES):
-        v = {i: F(rng.randint(-2, 2)) for i in range(n)}
-        v = vec_clean(v)
+        v = vec_clean({i: rng.randint(-2, 2) for i in range(n)})
         if v:
             candidates.append(v)
     for v in candidates:

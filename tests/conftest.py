@@ -9,6 +9,13 @@ from superrigid.jets import Ambient, Jet
 from superrigid.walg import FinSuperAlg
 
 
+def whole_as_int(vec: dict) -> bool:
+    """True when every coefficient of vec is an int when it is whole and a
+    Fraction otherwise: no whole Fraction, no float."""
+    return all(c.denominator != 1 if type(c) is F else type(c) is int
+               for c in vec.values())
+
+
 def random_jet(
     amb: Ambient,
     rng: random.Random,

@@ -178,6 +178,9 @@ class TestFormatting:
             parse_slot("dq1", amb)
         with pytest.raises(ValueError):
             parse_slot("dtau", A22)
+        # tau has one name, as in parse_jet
+        with pytest.raises(ValueError, match="use 'dtau'"):
+            parse_slot("dxi3", amb)
         for text in ("dx0", "dx3", "dxi0", "dxi4"):
             with pytest.raises(ValueError, match="not in Ambient"):
                 parse_slot(text, amb)

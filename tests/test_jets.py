@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -182,6 +183,32 @@ class TestBadInput:
             f.d_even(i)
         with pytest.raises(ValueError, match="not in Ambient"):
             f.antiderivative(i)
+
+    @pytest.mark.parametrize("j", [0, -1, 2, 5, 1.0])
+    def test_odd_index_of_derivative(self, j):
+        amb = Ambient(2, 1)
+        with pytest.raises(ValueError, match="not in Ambient"):
+            (Jet.x(amb, 1) * Jet.xi(amb, 1)).d_odd(j)
+
+    @pytest.mark.parametrize("k", [1.5, 2.0, -1, True])
+    def test_power(self, k):
+        with pytest.raises(ValueError, match=re.escape(repr(k))):
+            Jet.x(Ambient(2, 1), 1) ** k
+
+    @pytest.mark.parametrize("deg", [1.5, 2.0, None, -1])
+    def test_monomial_degree(self, deg):
+        # Ambient(0, 2) listed all four odd monomials for degree -1.
+        for amb in (Ambient(2, 1), Ambient(0, 2)):
+            with pytest.raises(ValueError, match=re.escape(repr(deg))):
+                list(amb.monomials(deg))
+
+    @pytest.mark.parametrize("c", ["1/0", "one", None, float("nan")])
+    def test_scale_and_constant(self, c):
+        amb = Ambient(2, 1)
+        with pytest.raises(ValueError, match=re.escape(repr(c))):
+            Jet.x(amb, 1).scale(c)
+        with pytest.raises(ValueError, match=re.escape(repr(c))):
+            Jet.const(amb, c)
 
 
 class TestLaplacianAndDivergence:

@@ -5,7 +5,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import direct_sum, random_field, random_jet
+from conftest import direct_sum, random_field, random_jet, whole_as_int
 from superrigid import catalog, linalg, walg
 from superrigid.fields import VectorField
 from superrigid.jets import Ambient, Jet
@@ -436,3 +436,117 @@ class TestNullspace:
                 total = vec_add(total, image[k], c)
             assert total == {}
         assert len(kernel) == n - span_reduce(image.values()).dim
+
+
+def _frac_reduce(vectors):
+    """Reference: the reduced-echelon rows of the span of the vectors, by
+    Gauss-Jordan elimination on Fraction copies, in pivot order."""
+    rows = {}
+    for v in vectors:
+        v = {k: F(c) for k, c in v.items() if c}
+        for p, row in rows.items():
+            c = v.get(p)
+            if c:
+                for k, d in row.items():
+                    v[k] = v.get(k, F(0)) - c * d
+                v = {k: c for k, c in v.items() if c}
+        if not v:
+            continue
+        p = min(v)
+        v = {k: c / v[p] for k, c in v.items()}
+        for q, row in rows.items():
+            c = row.get(p)
+            if c:
+                keys = set(row) | set(v)
+                rows[q] = {k: row.get(k, F(0)) - c * v.get(k, F(0))
+                           for k in keys}
+                rows[q] = {k: d for k, d in rows[q].items() if d}
+        rows[p] = v
+    return [rows[p] for p in sorted(rows)]
+
+
+def _frac_closure(vectors, maps):
+    """Reference: the span of the vectors grown by every map's images of
+    its rows until it stops growing."""
+    rows = _frac_reduce(vectors)
+    while True:
+        grown = _frac_reduce(rows + [m(r) for r in rows for m in maps])
+        if len(grown) == len(rows):
+            return grown
+        rows = grown
+
+
+def _frac_kernel(domain, operator):
+    """Reference: for each domain key whose image depends on the earlier
+    images, in domain order, that key minus its combination of the earlier
+    keys whose images are independent, by elimination that tracks each
+    reduced image as a combination of domain keys."""
+    basis = []   # (reduced image, its combination of domain keys)
+    kernel = []
+    for k in domain:
+        r = {i: F(c) for i, c in operator(k).items() if c}
+        comb = {k: F(1)}
+        for b, bc in basis:
+            c = r.get(min(b))
+            if c:
+                r = {i: d for i in set(r) | set(b)
+                     if (d := r.get(i, F(0)) - c * b.get(i, F(0)))}
+                for i, d in bc.items():
+                    comb[i] = comb.get(i, F(0)) - c * d
+        comb = {i: c for i, c in comb.items() if c}
+        if r:
+            p = r[min(r)]
+            basis.append(({i: c / p for i, c in r.items()},
+                          {i: c / p for i, c in comb.items()}))
+        else:
+            kernel.append(comb)
+    return kernel
+
+
+class TestWholeCoefficients:
+    """Elimination keeps linalg's coefficient rule: every coefficient it
+    stores is an int when it is whole and a Fraction otherwise, whatever mix
+    of ints and whole or proper Fractions it was given, and its spans,
+    closures and kernels equal those of a Fraction-only reference
+    elimination."""
+
+    keys = st.integers(0, 5).map(lambda i: (i,))
+    coeffs = st.one_of(st.integers(-3, 3), st.integers(-3, 3).map(F),
+                       st.fractions(min_value=-3, max_value=3,
+                                    max_denominator=4))
+    vecs = st.dictionaries(keys, coeffs, max_size=4)
+    matrices = st.dictionaries(keys, vecs, max_size=6)
+
+    @staticmethod
+    def apply(matrix, v):
+        """The linear map sending each key k to matrix[k], applied to v."""
+        out = {}
+        for k, c in v.items():
+            for i, d in matrix.get(k, {}).items():
+                out[i] = out.get(i, 0) + c * d
+        return out
+
+    @given(st.lists(vecs, max_size=5), st.lists(matrices, min_size=1,
+                                                max_size=2))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fraction_reference(self, vs, mats):
+        maps = [lambda v, m=m: self.apply(m, v) for m in mats]
+        span = span_reduce(vs)
+        assert list(span.rows) == _frac_reduce(vs)
+        want = _frac_closure(vs, maps)
+        closed = [closure_under(span, maps),
+                  closure_under(span, maps, full_dim=6)]
+        assert [list(c.rows) for c in closed] == [want, want]
+        domain = [(j,) for j in range(6)]
+        kernel = nullspace(domain, lambda k: mats[0].get(k, {}))
+        assert kernel == _frac_kernel(domain, lambda k: mats[0].get(k, {}))
+        for row in [*span.rows, *closed[0].rows, *closed[1].rows, *kernel]:
+            assert whole_as_int(row), row
+
+    def test_pivot_scaling_leaves_whole_entries_as_ints(self):
+        s = span_reduce([{(0,): 2, (1,): 4, (2,): 3},
+                         {(1,): F(3), (2,): F(1, 2)}])
+        assert s.rows == ({(0,): 1, (2,): F(7, 6)}, {(1,): 1, (2,): F(1, 6)})
+        assert [list(map(type, r.values())) for r in s.rows] == [
+            [int, F], [int, F]]
+        assert all(whole_as_int(r) for r in s.rows)

@@ -8,7 +8,7 @@ from typing import Callable, Sequence
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import conjugate, direct_sum
+from conftest import conjugate, direct_sum, whole_as_int
 from superrigid import catalog, walg
 from superrigid.catalog import make
 from superrigid.linalg import (
@@ -1001,7 +1001,27 @@ class TestBracketFlat:
         want = _reference_on_parts(f, v)
         assert _bracket_flat(f, v) == want
         assert _bracket_flat(f, v) == want  # through f's kept table
+        assert whole_as_int(_bracket_flat(f, v))
         assert _bracket_flat(f, {}) == {}
+
+    def test_whole_entries_are_ints(self):
+        """Each entry is an int when the common denominator divides it and
+        a Fraction otherwise; whole tables give ints throughout."""
+        rng = random.Random(67)
+        pars = (0, 1, 0, 1)
+        kinds = set()
+        for _ in range(10):
+            f = random_mlm(pars, 1, rng.randint(0, 1), rng, den=4)
+            g = random_mlm(pars, 2, rng.randint(0, 1), rng, den=4)
+            out = _bracket_flat(f, g.as_vec())
+            assert whole_as_int(out)
+            kinds |= {type(c) for c in out.values()}
+        assert kinds == {int, F}
+        J = make("JS_0_8").algebra
+        mu = J.mu_map()
+        for i in range(J.dim):
+            out = _bracket_flat(left_mult_op(J, i), mu.as_vec())
+            assert out and all(type(c) is int for c in out.values())
 
     def test_operator_on_itself(self):
         rng = random.Random(61)
