@@ -12,9 +12,11 @@ it names, each as often as it is listed: odd tau adds (E-2)(f) dg/dtau +
 bound_bracket(spec, f) is the one engine: it returns g -> {f, g}, with f's
 nonzero operands computed once when it binds and, per g, only the operands
 of g that those multiply, so a caller with a fixed f and many g's pays for
-f's share once.  paired_bracket is that map applied to one g; the brackets
-of H, K, HO, SHO, KO and SKO are each a Pairing and that call, and so is
-the catalog's series product (OjpSpace), an odd contact bracket of KO type.
+f's share once.  The products for one g accumulate in place in one term
+dict (jets._mul_into).  paired_bracket is that map applied to one g; the
+brackets of H, K, HO, SHO, KO and SKO are each a Pairing and that call, and
+so is the catalog's series product (OjpSpace), an odd contact bracket of KO
+type.
 
 Parity conventions: signs use the parity of the function argument itself;
 operations that need a homogeneous argument raise ParityError on mixed input.
@@ -24,7 +26,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
-from .jets import Ambient, Jet
+from .jets import Ambient, Jet, _mul_into, _same_ambient
 
 
 class ParityError(ValueError):
@@ -55,24 +57,27 @@ def bound_bracket(spec: Pairing, f: Jet) -> Callable[[Jet], Jet]:
 
     f's nonzero operands are computed once, at bind time, each with the g
     operand it multiplies and its sign; each g then computes only the
-    operands those terms use, once per call.
+    operands those terms use, once per call, and adds every product into
+    one term dict.
     """
-    terms = []  # (operand of a part of f, g operand key, negate)
+    amb = f.ambient
+    terms = []  # (terms of an operand of a part of f, g operand key, negate)
     for part, p in f.parity_parts():
         for fk, gk, sign in _plan(spec):
-            term = _operand(part, fk, spec.euler)
-            if term.terms:
+            term = _operand(part, fk, spec.euler).terms
+            if term:
                 terms.append((term, gk, p if sign is None else sign < 0))
     keys = {gk for _, gk, _ in terms}
 
     def bracket(g: Jet) -> Jet:
-        dg = {gk: _operand(g, gk, spec.euler) for gk in keys}
-        out = Jet.zero(f.ambient)
+        if g.ambient is not amb:
+            _same_ambient(f, g)
+        dg = {gk: _operand(g, gk, spec.euler).terms for gk in keys}
+        out: dict = {}
         for term, gk, neg in terms:
-            if dg[gk].terms:
-                prod = term * dg[gk]
-                out = out - prod if neg else out + prod
-        return out
+            if dg[gk]:
+                _mul_into(out, term, dg[gk], neg)
+        return Jet._clean(amb, out)
 
     return bracket
 

@@ -124,9 +124,9 @@ class OracleEntry:
         monos = sorted(amb.monomials(max_deg))
         if self.kernel is None:
             excl = self.excluded.get(slot, ())
-            return [Jet(amb, {m: F(1)}) for m in monos if m not in excl]
+            return [Jet(amb, {m: 1}) for m in monos if m not in excl]
         op, dropped = self.kernel
-        vec_of = lambda key: dict(op(Jet(amb, {key: F(1)})).terms)
+        vec_of = lambda key: dict(op(Jet(amb, {key: 1})).terms)
         return [Jet(amb, dict(v)) for v in
                 nullspace([m for m in monos if m != dropped], vec_of)]
 
@@ -515,7 +515,7 @@ def ojp_relation_suite(space: OjpSpace, vw_pairs: Sequence,
 
 def ojp_probe_pairs(space: OjpSpace, count: int, seed: int = 9) -> list:
     """Deterministic homogeneous probe pairs of low even degree."""
-    singles = [Jet(space.ambient, {m: F(1)})
+    singles = [Jet(space.ambient, {m: 1})
                for m in sorted(space.ambient.monomials(1))]
     pairs = [(a, b) for a in singles for b in singles]
     if len(pairs) <= count:
@@ -528,7 +528,7 @@ def ojp_probe_pairs(space: OjpSpace, count: int, seed: int = 9) -> list:
 
 
 def _entry_js_0_2() -> FiniteEntry:
-    alg = FinSuperAlg((0, 0), 0, {(0, 0): {1: F(1)}, (1, 1): {0: F(1)}},
+    alg = FinSuperAlg((0, 0), 0, {(0, 0): {1: 1}, (1, 1): {0: 1}},
                       ("a", "b"))
     return FiniteEntry("JS_0_2", alg)
 
@@ -536,7 +536,7 @@ def _entry_js_0_2() -> FiniteEntry:
 def _entry_lw_0_2() -> FiniteEntry:
     alg = FinSuperAlg.from_anticommutative(
         (0, 1), 0,
-        {(0, 1): {1: F(1)}, (1, 0): {1: F(-1)}, (1, 1): {0: F(1)}},
+        {(0, 1): {1: 1}, (1, 0): {1: -1}, (1, 1): {0: 1}},
         ("a", "abar"))
     return FiniteEntry("LW_0_2", alg)
 
@@ -601,7 +601,7 @@ def product_from_mu(family: str, spec: GradingSpec, mu, order: int = 4,
         keys += vec
     keys.sort(key=lambda k: (k[:-1], len(k[-1]), k[-1]))
     index = {k: i for i, k in enumerate(keys)}
-    basis = [real.from_vec({k: F(1)}) for k in keys]
+    basis = [real.from_vec({k: 1}) for k in keys]
     fmt = format_field if real.field_side else format_jet
     labels = [fmt(x) for x in basis]
     table = {}

@@ -15,8 +15,8 @@ from typing import Iterable
 
 from . import brackets as br
 from .brackets import poisson_antidiagonal
-from .jets import (Ambient, Jet, _check_generator, div_beta, format_jet,
-                   odd_laplacian, parse_jet)
+from .jets import (Ambient, Jet, _check_generator, _mul_into, _same_ambient,
+                   div_beta, format_jet, odd_laplacian, parse_jet)
 from .linalg import nullspace
 
 F = Fraction
@@ -119,12 +119,14 @@ class VectorField:
     # -- action ------------------------------------------------------------
 
     def apply(self, f: Jet) -> Jet:
-        out = Jet.zero(self.ambient)
+        if f.ambient is not self.ambient:
+            _same_ambient(self, f)
+        out: dict = {}
         for (kind, idx), c in self.coeffs.items():
             df = f.d_even(idx) if kind == "x" else f.d_odd(idx)
             if df.terms:
-                out = out + c * df
-        return out
+                _mul_into(out, c.terms, df.terms, False)
+        return Jet._clean(self.ambient, out)
 
     __call__ = apply
 
@@ -419,10 +421,10 @@ class FamilyRealization:
             top = (0, 1, (0,), tuple(range(1, amb.n_odd + 1)))
             domain = [key for key in domain if key != top]
         if self.family == "W":
-            return [self.from_vec({key: F(1)}) for key in domain]
+            return [self.from_vec({key: 1}) for key in domain]
 
         def op(key):
-            return divergence(self.from_vec({key: F(1)})).terms
+            return divergence(self.from_vec({key: 1})).terms
 
         return [self.from_vec(v) for v in nullspace(domain, op)]
 
@@ -435,10 +437,10 @@ class FamilyRealization:
             if self.spec.wdeg(m) - self.shift == k and m not in excluded
         )
         if self.family in ("H", "K", "HO", "KO"):
-            return [Jet(amb, {m: F(1)}) for m in domain]
+            return [Jet(amb, {m: 1}) for m in domain]
         if self.family == "SHO":
-            op = lambda m: odd_laplacian(Jet(amb, {m: F(1)})).terms
+            op = lambda m: odd_laplacian(Jet(amb, {m: 1})).terms
         else:
-            op = lambda m: div_beta(Jet(amb, {m: F(1)}), self.beta).terms
+            op = lambda m: div_beta(Jet(amb, {m: 1}), self.beta).terms
         return [Jet(amb, dict(v)) for v in nullspace(domain, op)]
 

@@ -4,10 +4,13 @@ An Ambient fixes m commuting generators x1..xm and n anticommuting ones
 xi1..xin; when ``tau=True`` the last anticommuting generator is special (it
 prints as ``tau`` and the default Euler weight skips it).  A Jet is an exact
 polynomial: a finite rational combination of monomials with nonzero
-coefficients.  Jets built here hold Fractions; jets read off linalg's
-elimination (a kernel basis) hold an int for each whole coefficient.  The
-two compare and combine alike.  A degree window, where one is needed, is cut
-by the caller.
+coefficients, each an int when it is whole and a Fraction otherwise (linalg's
+one rule).  The public constructor brings every coefficient to that form and
+rejects any that is no exact rational number; every operation here keeps it,
+dividing exactly and storing a whole result as an int.  So jets of whole
+numbers never touch Fraction arithmetic.  Products, here and in the bracket
+engine, accumulate into one term dict in place (_mul_into).  A degree window,
+where one is needed, is cut by the caller.
 """
 from __future__ import annotations
 
@@ -17,9 +20,7 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Iterator
 
-from .linalg import _coeff, split_parity
-
-F = Fraction
+from .linalg import _coeff, _whole, split_parity, vec_scale
 
 # monomial: (tuple of even exponents, strictly increasing tuple of odd indices)
 Monomial = tuple
@@ -126,12 +127,19 @@ class Jet:
 
     def __init__(self, ambient: Ambient, terms: dict | None = None):
         self.ambient = ambient
-        self.terms = {m: c for m, c in terms.items() if c} if terms else {}
+        out = {}
+        for m, c in (terms or {}).items():
+            if type(c) is not int:
+                c = _coeff(c, f"the term {m!r}")
+            if c:
+                out[m] = c
+        self.terms = out
 
     @classmethod
     def _clean(cls, ambient: Ambient, terms: dict) -> "Jet":
         """Jet holding ``terms`` as given: the caller vouches that every
-        coefficient is nonzero and no other jet holds the dict."""
+        coefficient is nonzero and follows the rule, and that no other jet
+        holds the dict."""
         out = object.__new__(cls)
         out.ambient = ambient
         out.terms = terms
@@ -158,12 +166,12 @@ class Jet:
             raise ValueError(f"power {power!r} of x{i} is no integer >= 0")
         ex = [0] * amb.n_even
         ex[i - 1] = power
-        return cls(amb, {(tuple(ex), ()): F(1)})
+        return cls(amb, {(tuple(ex), ()): 1})
 
     @classmethod
     def xi(cls, amb: Ambient, j: int) -> "Jet":
         _check_generator(amb, "xi", j)
-        return cls(amb, {((0,) * amb.n_even, (j,)): F(1)})
+        return cls(amb, {((0,) * amb.n_even, (j,)): 1})
 
     @classmethod
     def tau_gen(cls, amb: Ambient) -> "Jet":
@@ -214,7 +222,7 @@ class Jet:
             if m in out:
                 s = out[m] - c if negate else out[m] + c
                 if s:
-                    out[m] = s
+                    out[m] = s if type(s) is int else _whole(s)
                 else:
                     del out[m]
             else:
@@ -235,12 +243,11 @@ class Jet:
             return Jet._clean(self.ambient, dict(self.terms))
         if c == -1:
             return -self
-        if not isinstance(c, Fraction):
+        if type(c) is not int:
             c = _coeff(c, "a scaling")
         if not c:
             return Jet._clean(self.ambient, {})
-        return Jet._clean(self.ambient,
-                          {m: c * v for m, v in self.terms.items()})
+        return Jet._clean(self.ambient, vec_scale(self.terms, c))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -250,21 +257,7 @@ class Jet:
         if other.ambient is not self.ambient:
             _same_ambient(self, other)
         out: dict = {}
-        for (ex1, od1), c1 in self.terms.items():
-            for (ex2, od2), c2 in other.terms.items():
-                sign, odds = merge_sign(od1, od2)
-                if sign == 0:
-                    continue
-                key = (tuple(map(add, ex1, ex2)), odds)
-                p = c1 * c2 if sign > 0 else -(c1 * c2)
-                if key in out:
-                    s = out[key] + p
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
-                else:
-                    out[key] = p
+        _mul_into(out, self.terms, other.terms, False)
         return Jet._clean(self.ambient, out)
 
     def __rmul__(self, other):
@@ -290,7 +283,7 @@ class Jet:
             e = ex[i - 1]
             if e:
                 ex2 = ex[: i - 1] + (e - 1,) + ex[i:]
-                out[(ex2, odds)] = c * e
+                out[(ex2, odds)] = c * e if type(c) is int else _whole(c * e)
         return Jet._clean(self.ambient, out)
 
     def d_odd(self, j: int) -> "Jet":
@@ -309,18 +302,19 @@ class Jet:
         return self.d_odd(self.ambient.n_odd)
 
     def antiderivative(self, i: int, constant=0) -> "Jet":
-        """Inverse of d_even(i); the constant lands on the unit monomial."""
+        """Inverse of d_even(i); the constant lands on the unit monomial.
+        Each division is exact, and a whole quotient is an int."""
         _check_generator(self.ambient, "x", i)
         out = {}
         for (ex, odds), c in self.terms.items():
             e = ex[i - 1]
             ex2 = ex[: i - 1] + (e + 1,) + ex[i:]
-            out[(ex2, odds)] = c / (e + 1)
-        constant = F(constant)
+            out[(ex2, odds)] = _whole(Fraction(c, e + 1))
+        constant = _coeff(constant, "a constant")
         if constant:
-            unit = ((0,) * self.ambient.n_even, ())
-            out[unit] = out.get(unit, F(0)) + constant
-        return Jet(self.ambient, out)
+            # no image of a term is the unit monomial, so the slot is free
+            out[((0,) * self.ambient.n_even, ())] = constant
+        return Jet._clean(self.ambient, out)
 
     def euler(self, even_idx: Iterable[int] | None = None,
               odd_idx: Iterable[int] | None = None) -> "Jet":
@@ -340,11 +334,32 @@ class Jet:
             w = sum(e * ev[i] for i, e in enumerate(ex, 1) if e)
             w += sum(od[j] for j in odds)
             if w:
-                out[(ex, odds)] = c * w
+                out[(ex, odds)] = c * w if type(c) is int else _whole(c * w)
         return Jet._clean(self.ambient, out)
 
 
-def _same_ambient(f: Jet, g: Jet) -> None:
+def _mul_into(out: dict, a: dict, b: dict, negate: bool) -> None:
+    """out += a*b, or out -= a*b when negate is set, in place over term dicts
+    of one ambient: keys that cancel are dropped and a whole sum is stored as
+    an int.  The one product kernel of jets, vector fields and brackets."""
+    for (ex1, od1), c1 in a.items():
+        if negate:
+            c1 = -c1
+        for (ex2, od2), c2 in b.items():
+            sign, odds = merge_sign(od1, od2)
+            if not sign:
+                continue
+            key = (tuple(map(add, ex1, ex2)), odds)
+            p = c1 * c2 if sign > 0 else -(c1 * c2)
+            s = out.get(key)
+            s = p if s is None else s + p
+            if s:
+                out[key] = s if type(s) is int else _whole(s)
+            else:
+                del out[key]
+
+
+def _same_ambient(f, g) -> None:
     if f.ambient != g.ambient:
         raise ValueError(f"jets from {f.ambient!r} and {g.ambient!r} "
                          "do not combine")
@@ -368,7 +383,8 @@ def div_beta(f: Jet, beta) -> Jet:
     if not amb.tau:
         raise ValueError("div_beta needs a tau generator")
     ft = f.d_tau()
-    return odd_laplacian(f) + ft.euler() - ft.scale(F(beta) * amb.n_even)
+    return (odd_laplacian(f) + ft.euler()
+            - ft.scale(_coeff(beta, "beta") * amb.n_even))
 
 
 class ExprError(ValueError):
@@ -479,7 +495,7 @@ class _JetParser:
     def _generator(self, name: str) -> Jet:
         amb = self.amb
         if name in self.params:
-            return Jet.const(amb, Fraction(self.params[name]))
+            return Jet.const(amb, self.params[name])
         if name == "tau":
             if not amb.tau:
                 raise ExprError("no tau generator in this ambient")

@@ -2,7 +2,9 @@
 
 Vectors are dicts mapping hashable, totally ordered coordinate keys to nonzero
 rational coefficients: an int when the coefficient is whole and a Fraction
-otherwise.  Every vector the elimination makes keeps that rule (_whole),
+otherwise.  That is the package's one coefficient rule: _coeff brings a given
+coefficient to it, and the jets, structure constants and maps built on this
+module keep it.  Every vector the elimination makes keeps it too (_whole),
 whatever mix of ints and whole or proper Fractions it is given; as 2 ==
 Fraction(2) and the two hash alike, the rule changes no comparison.  A
 Subspace is a canonical reduced-echelon basis of such vectors: each basis row
@@ -41,12 +43,13 @@ Vec = dict
 Key = Hashable
 
 
-def _coeff(c, where) -> Fraction:
-    """c as an exact Fraction, the form that structure constants and jets
-    store; None, inf, nan or text that is no rational number raise a
-    ValueError naming where c was given."""
+def _coeff(c, where):
+    """c as an exact coefficient under the one rule: an int when it is whole
+    and a Fraction otherwise, the form that vectors, structure constants,
+    maps and jets store; None, inf, nan or text that is no rational number
+    raise a ValueError naming where c was given."""
     try:
-        return Fraction(c)
+        return _whole(Fraction(c))
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         raise ValueError(f"coefficient {c!r} of {where} is not an exact "
                          "rational number") from None

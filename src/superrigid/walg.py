@@ -52,6 +52,7 @@ from .linalg import (
     Vec,
     _add_into,
     _coeff,
+    _whole,
     closure_under,
     ideal_closure,
     span_reduce,
@@ -100,10 +101,10 @@ class MultiLinMap:
 
     Every map is checked as it is built: its parity and the space's must
     each be 0 or 1, each index must lie in the space and each entry must
-    have the map's parity.  Every coefficient is converted to an exact
-    Fraction, and zeros are dropped.  A map is not changed once it is built,
-    so its one kernel table (_tabs, see _tables) is built on first use and
-    kept on the map.
+    have the map's parity.  Every coefficient is stored exactly, an int when
+    it is whole and a Fraction otherwise (linalg._coeff), and zeros are
+    dropped.  A map is not changed once it is built, so its one kernel table
+    (_tabs, see _tables) is built on first use and kept on the map.
     """
 
     __slots__ = ("arity", "parity", "parities", "entries", "_tabs")
@@ -128,13 +129,13 @@ class MultiLinMap:
                 continue
             slot = canon.setdefault(skey, {})
             for k, c in out.items():
-                if type(c) is not F:
+                if type(c) is not int:
                     c = _coeff(c, f"entry {key}->{k}")
                 if sign < 0:
                     c = -c
                 s = slot.get(k)
                 if s is not None:
-                    c += s
+                    c = _whole(c + s)
                 if c:
                     slot[k] = c
                 else:
@@ -405,10 +406,11 @@ class FinSuperAlg:
     anticommutative_presentation records that the user-facing product is
     the anticommutative original, and words the errors for it.
 
-    Every coefficient is converted to an exact Fraction, and zeros are
-    dropped.  The table is not changed once built, so one memo (_memo, see
-    _kept) keeps what several readers share: the product map, Str's
-    generators, Str and R.
+    Every coefficient is stored exactly, an int when it is whole and a
+    Fraction otherwise (linalg._coeff), so whole-number tables keep the
+    kernels on int arithmetic; zeros are dropped.  The table is not changed
+    once built, so one memo (_memo, see _kept) keeps what several readers
+    share: the product map, Str's generators, Str and R.
     """
 
     __slots__ = ("parities", "product_parity", "table", "labels",
@@ -718,7 +720,7 @@ def tkk(J: FinSuperAlg, depth_cap: int = 6) -> GradedLie:
     if depth_cap < 1:
         raise ValueError("depth_cap must be at least 1")
     pars = J.parities
-    comps = {-1: span_reduce([{i: F(1)} for i in range(J.dim)]),
+    comps = {-1: span_reduce([{i: 1} for i in range(J.dim)]),
              0: str_algebra(J), 1: related_products(J)}
     prev = _parts(comps[1], pars)
     g1_maps = _homogeneous_maps(prev, 2, pars)
@@ -760,7 +762,7 @@ def check_admissible_findim(G: GradedLie) -> AdmissibleFindimReport:
     mu = J.mu_map()
     g0 = G.components[0]
     degree_one_spanned = _one_step_orbit(mu, g0) == G.components[1]
-    seeds = span_reduce([w_bracket(MultiLinMap.vector({i: F(1)}, pars), mu)
+    seeds = span_reduce([w_bracket(MultiLinMap.vector({i: 1}, pars), mu)
                          for i in range(J.dim)])
     degree_zero_generated = (seeds.dim > 0 and seeds == _str_generators(J)[0]
                              and str_algebra(J) == g0)

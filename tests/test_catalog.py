@@ -452,6 +452,8 @@ def test_product_from_mu_rejects_grading(family, spec, mu, reason):
 # sha256 over sorted(to_vec(a o b).items()) for every ordered pair of
 # entry.basis(2): the exact structure constants of each oracle entry at the
 # parameters the registry covers, and of the family instances verified below.
+# Each coefficient is hashed as a Fraction, so the digest pins values, not
+# whether a whole one is stored as an int.
 STRUCTURE_DIGESTS = [
     ("JS_1_1", {},
      "21d59018a62bf4fa0c583471e0f94f4ba98ee9f3145b53358dcc29c04c2b9622"),
@@ -533,7 +535,8 @@ def test_structure_constants(name, kw, digest):
     h = hashlib.sha256()
     for a in basis:
         for b in basis:
-            h.update(repr(sorted(entry.to_vec(entry.product(a, b)).items()))
+            vec = entry.to_vec(entry.product(a, b))
+            h.update(repr(sorted((k, F(c)) for k, c in vec.items()))
                      .encode())
     assert h.hexdigest() == digest
 
@@ -602,7 +605,8 @@ def test_verify_entry_first_failure_in_sample_order(name, symmetry, closure):
 
 # sha256 over (parities, product_parity, anticommutative_presentation, the
 # sorted table with sorted cells) of each finite entry's FinSuperAlg: its
-# exact structure constants in basis order, labels left out.
+# exact structure constants in basis order, labels left out.  Each
+# coefficient is hashed as a Fraction, so the digest pins values, not types.
 FINITE_DIGESTS = {
     "JS_0_2":
         "f39f0f65b991c3a0b70721439011a215f6919390ab15ed4c24542204ee84382d",
@@ -622,7 +626,8 @@ FINITE_DIGESTS = {
 @pytest.mark.parametrize("name", FINITE_DIGESTS)
 def test_finite_structure_constants(name):
     alg = make(name).algebra
-    table = sorted((ij, sorted(cell.items())) for ij, cell in alg.table.items())
+    table = sorted((ij, sorted((k, F(c)) for k, c in cell.items()))
+                   for ij, cell in alg.table.items())
     key = (alg.parities, alg.product_parity, alg.anticommutative_presentation,
            table)
     assert hashlib.sha256(repr(key).encode()).hexdigest() == FINITE_DIGESTS[name]

@@ -5,11 +5,13 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_jet
+from conftest import random_jet, whole_as_int
+from superrigid.brackets import _odd_pairing, bound_bracket
 from superrigid.jets import (
     Ambient,
     ExprError,
     Jet,
+    _mul_into,
     div_beta,
     format_jet,
     MAX_NESTING,
@@ -202,13 +204,40 @@ class TestBadInput:
             with pytest.raises(ValueError, match=re.escape(repr(deg))):
                 list(amb.monomials(deg))
 
-    @pytest.mark.parametrize("c", ["1/0", "one", None, float("nan")])
+    @pytest.mark.parametrize("c", ["1/0", "one", None, float("nan"),
+                                   float("inf"), "x1", [1]])
     def test_scale_and_constant(self, c):
         amb = Ambient(2, 1)
         with pytest.raises(ValueError, match=re.escape(repr(c))):
             Jet.x(amb, 1).scale(c)
         with pytest.raises(ValueError, match=re.escape(repr(c))):
             Jet.const(amb, c)
+        with pytest.raises(ValueError, match=re.escape(repr(c))):
+            Jet.x(amb, 1).antiderivative(1, c)
+
+    @pytest.mark.parametrize("beta", ["1/0", "one", None, float("nan")])
+    def test_div_beta(self, beta):
+        # None raised a TypeError.
+        f = Jet.x(A23, 1) * Jet.tau_gen(A23)
+        with pytest.raises(ValueError, match=re.escape(repr(beta))):
+            div_beta(f, beta)
+
+    @pytest.mark.parametrize("c", ["1/0", "one", None, float("nan"),
+                                   float("inf"), "x1", [1]])
+    def test_constructor_coefficient(self, c):
+        # Jet(amb, {m: "one"}) stored the text, and a None was dropped.
+        amb = Ambient(2, 1)
+        with pytest.raises(ValueError, match=re.escape(repr(c))):
+            Jet(amb, {((1, 0), ()): c})
+
+    @pytest.mark.parametrize("c, want", [
+        ("1/2", F(1, 2)), (0.5, F(1, 2)), ("3", 3), (F(4, 2), 2), (True, 1),
+        (-2.0, -2)])
+    def test_constructor_converts_exact_values(self, c, want):
+        # A string or a float was stored as it was given.
+        m = ((1, 0), ())
+        got = Jet(Ambient(2, 1), {m: c, ((0, 0), ()): "0"}).terms
+        assert got == {m: want} and type(got[m]) is type(want)
 
 
 class TestLaplacianAndDivergence:
@@ -236,6 +265,17 @@ class TestAntiderivative:
     def test_antiderivative_raises(self):
         g = x(1, A11).antiderivative(1)
         assert g == Jet.x(A11, 1, 2).scale(F(1, 2))
+
+    def test_division_is_exact(self):
+        # c / (e + 1) on an int coefficient gave the float 0.5.
+        g = Jet(A11, {((1,), ()): 1}).antiderivative(1)
+        assert g.terms == {((2,), ()): F(1, 2)}
+        assert type(g.terms[((2,), ())]) is F
+        # A whole quotient is an int.
+        h = Jet(A11, {((1,), ()): 4, ((2,), (1,)): F(3, 2)}).antiderivative(1)
+        assert h.terms == {((2,), ()): 2, ((3,), (1,)): F(1, 2)}
+        assert type(h.terms[((2,), ())]) is int
+        assert whole_as_int(Jet.one(A11).antiderivative(1, F(6, 3)).terms)
 
     def test_antiderivative_constant(self):
         f = Jet.one(A11)
@@ -287,6 +327,15 @@ class TestParser:
         assert f == Jet.x(A23, 1) * Jet.tau_gen(A23)
         g = parse_jet("alpha*x1 + beta", A23, params={"alpha": F(2), "beta": F(1, 3)})
         assert g == Jet.x(A23, 1).scale(2) + Jet.const(A23, F(1, 3))
+        assert whole_as_int(g.terms)
+        with pytest.raises(ValueError, match="'one'"):
+            parse_jet("alpha*x1", A23, params={"alpha": "one"})
+
+    def test_literals_follow_the_rule(self):
+        f = parse_jet("4/2*x1 - 1/2*x2 + 3", A22)
+        assert f.terms == {((1, 0), ()): 2, ((0, 1), ()): F(-1, 2),
+                           ((0, 0), ()): 3}
+        assert whole_as_int(f.terms)
 
     def test_roundtrip_format(self):
         f = (x(1) * xi(2)).scale(2) - Jet.x(A22, 2, 3).scale(F(1, 2))
@@ -359,9 +408,11 @@ def ref_map(f, fn):
 
 
 def assert_clean(h, *inputs):
-    """No zero coefficient, no shared dict."""
+    """No zero coefficient, no shared dict, and each coefficient an int when
+    it is whole and a Fraction otherwise."""
     assert all(c != 0 for c in h.terms.values())
     assert all(h.terms is not f.terms for f in inputs)
+    assert whole_as_int(h.terms)
 
 
 class TestKernelProperties:
@@ -435,3 +486,65 @@ class TestKernelProperties:
         h = f.euler(ev, od)
         assert h == ref_map(f, e)
         assert_clean(h, f)
+
+
+# -- whole coefficients: jets of ints stay on ints, and a division stores a
+# whole quotient as an int -------------------------------------------------
+
+INTS = st.integers(-3, 3).filter(bool)
+
+
+@st.composite
+def int_jets(draw):
+    return Jet(A32, draw(st.dictionaries(st.sampled_from(MONOS), INTS,
+                                         max_size=6)))
+
+
+def as_fractions(f):
+    """f with each coefficient a Fraction, whole ones too, built unchecked:
+    a reference input that breaks the rule on purpose."""
+    return Jet._clean(f.ambient, {m: F(c) for m, c in f.terms.items()})
+
+
+def int_ops(f, g):
+    """The operations that keep int coefficients, on f and g."""
+    k = bound_bracket(_odd_pairing(f.ambient), f)
+    return [f + g, f - g, -f, f * g, f.scale(-2), 3 * f, f.d_even(1),
+            f.d_even(2), f.d_odd(1), f.d_odd(3), f.euler(), f.euler((2, 2)),
+            k(g)]
+
+
+class TestWholeCoefficients:
+    @given(int_jets(), int_jets())
+    @settings(max_examples=60)
+    def test_int_jets_stay_int(self, f, g):
+        got = int_ops(f, g)
+        for h in got:
+            assert all(type(c) is int for c in h.terms.values())
+        assert got == int_ops(as_fractions(f), as_fractions(g))
+
+    @given(st.one_of(int_jets(), jets()), st.integers(1, 2),
+           st.fractions(min_value=-3, max_value=3, max_denominator=6))
+    @settings(max_examples=60)
+    def test_divisions_store_whole_quotients_as_ints(self, f, i, c):
+        fr = as_fractions(f)
+        for h, ref in ((f.antiderivative(i), fr.antiderivative(i)),
+                       (f.scale(c), fr.scale(c))):
+            assert whole_as_int(h.terms) and h == ref
+        assert whole_as_int(f.antiderivative(i, c).terms)
+        want = {}
+        for (ex, odds), v in f.terms.items():
+            ex2 = ex[:i - 1] + (ex[i - 1] + 1,) + ex[i:]
+            want[(ex2, odds)] = F(v) / (ex[i - 1] + 1)
+        assert f.antiderivative(i) == Jet(A32, want)
+
+    @given(jets(), jets(), jets(), st.booleans())
+    @settings(max_examples=60)
+    def test_mul_into(self, a, b, c, negate):
+        out = dict(c.terms)
+        _mul_into(out, a.terms, b.terms, negate)
+        assert Jet(A32, out) == (c - a * b if negate else c + a * b)
+        assert whole_as_int(out) and all(out.values())
+        fresh: dict = {}
+        _mul_into(fresh, a.terms, b.terms, True)
+        assert Jet._clean(A32, fresh) == -(a * b)

@@ -474,7 +474,9 @@ class TestMultiLinMap:
         assert C.is_zero()
         D = MultiLinMap(2, 0, pars, {(0, 2): {1: 2}, (2, 0): {1: 1}})
         assert D.entries == {(0, 2): {1: F(3)}}
-        assert all(type(c) is F for c in D.entries[(0, 2)].values())
+        # A whole entry is stored as an int, a proper one as a Fraction.
+        assert all(type(c) is int for c in D.entries[(0, 2)].values())
+        assert type(B.entries[(0, 2)][0]) is F
 
     def test_parity_check(self):
         with pytest.raises(ValueError):
