@@ -1,6 +1,13 @@
-"""Bracket structures on jets: one engine for the Poisson, Buttin and
-contact brackets, bivector-driven quasi-Poisson brackets, and the bracket of
-coefficient-times-derivation terms that the catalog's field rules use.
+"""Bracket structures on jets, and the one evaluator of bilinear products.
+
+Every bracket here, and every product of the catalog's oracle entries, is a
+sum of terms F * op(g): F is a jet made from the left factor f alone (its
+f-side factor) and op is one of a few operators on the right factor g, g
+itself, a partial derivative, or the contact operator E-2.  ``bind_terms``
+evaluates such a term list for any g: it takes each operand of g once and
+adds every product into one term dict (jets._mul_into).  The f-side factor
+always comes first, so every sign depends on the parity of f alone and g is
+never split by parity.
 
 A Pairing lists the generator pairs of a bracket:
   even-even (p, q):  d_p f d_q g - d_q f d_p g;
@@ -9,11 +16,8 @@ A Pairing lists the generator pairs of a bracket:
 and an optional contact generator, with E the Euler operator on the indices
 it names, each as often as it is listed: odd tau adds (E-2)(f) dg/dtau +
 (-1)^p(f) df/dtau (E-2)(g), even t adds -(E-2)(f) dg/dt + df/dt (E-2)(g).
-bound_bracket(spec, f) is the one engine: it returns g -> {f, g}, with f's
-nonzero operands computed once when it binds and, per g, only the operands
-of g that those multiply, so a caller with a fixed f and many g's pays for
-f's share once.  The products for one g accumulate in place in one term
-dict (jets._mul_into).  paired_bracket is that map applied to one g; the
+``pairing_terms(spec, f)`` compiles {f, -} into terms, ``bound_bracket`` is
+their map g -> {f, g} and ``paired_bracket`` that map applied once.  The
 brackets of H, K, HO, SHO, KO and SKO are each a Pairing and that call, and
 so is the catalog's series product (OjpSpace), an odd contact bracket of KO
 type.
@@ -24,7 +28,7 @@ operations that need a homogeneous argument raise ParityError on mixed input.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 from .jets import Ambient, Jet, _mul_into, _same_ambient
 
@@ -52,34 +56,63 @@ class Pairing(NamedTuple):
     euler: tuple = ((), ())
 
 
-def bound_bracket(spec: Pairing, f: Jet) -> Callable[[Jet], Jet]:
-    """The map g -> {f, g} of a Pairing, summed over the parity parts of f.
+def bind_terms(terms: dict) -> Callable[[Jet, dict], None]:
+    """The one evaluator of bilinear products.
 
-    f's nonzero operands are computed once, at bind time, each with the g
-    operand it multiplies and its sign; each g then computes only the
-    operands those terms use, once per call, and adds every product into
-    one term dict.
+    ``terms`` maps an output slot to (f-side jet, g operand) pairs.  The
+    returned add(g, out) adds f-side * operand(g) for every pair into the
+    term dict out[slot], the f-side factor first; each distinct operand of g
+    is computed once per call.  An operand is None (g itself), ("x", i) or
+    ("xi", j) (a partial derivative) or ("E", euler), the contact operator
+    E-2 with E counting the (even, odd) indices of euler.
     """
-    amb = f.ambient
-    terms = []  # (terms of an operand of a part of f, g operand key, negate)
-    for part, p in f.parity_parts():
-        for fk, gk, sign in _plan(spec):
-            term = _operand(part, fk, spec.euler).terms
-            if term:
-                terms.append((term, gk, p if sign is None else sign < 0))
-    keys = {gk for _, gk, _ in terms}
+    plan = [(s, [(f.terms, op) for f, op in pairs if f.terms])
+            for s, pairs in terms.items()]
+    ops = {op for _, pairs in plan for _, op in pairs}
 
-    def bracket(g: Jet) -> Jet:
+    def add(g: Jet, out: dict) -> None:
+        dg = {op: _operand(g, op).terms for op in ops}
+        for s, pairs in plan:
+            acc = out.setdefault(s, {})
+            for ft, op in pairs:
+                if dg[op]:
+                    _mul_into(acc, ft, dg[op], False)
+
+    return add
+
+
+def term_map(f: Jet, terms: list) -> Callable[[Jet], Jet]:
+    """The map g -> sum of f-side * operand(g) over the (f-side jet, g
+    operand) terms of a left factor f, on f's ambient."""
+    add, amb = bind_terms({0: terms}), f.ambient
+
+    def apply(g: Jet) -> Jet:
         if g.ambient is not amb:
             _same_ambient(f, g)
-        dg = {gk: _operand(g, gk, spec.euler).terms for gk in keys}
         out: dict = {}
-        for term, gk, neg in terms:
-            if dg[gk]:
-                _mul_into(out, term, dg[gk], neg)
-        return Jet._clean(amb, out)
+        add(g, out)
+        return Jet._clean(amb, out[0])
 
-    return bracket
+    return apply
+
+
+def pairing_terms(spec: Pairing, f: Jet, sign: int = 1) -> list:
+    """The terms of g -> sign * {f, g}: each nonzero operand of each parity
+    part of f, signed, with the g operand it multiplies."""
+    terms = []
+    for part, p in f.parity_parts():
+        for fk, gk, s in _plan(spec):
+            t = _operand(part, fk)
+            if t.terms:
+                neg = (p if s is None else s < 0) ^ (sign < 0)
+                terms.append((-t if neg else t, gk))
+    return terms
+
+
+def bound_bracket(spec: Pairing, f: Jet) -> Callable[[Jet], Jet]:
+    """The map g -> {f, g} of a Pairing, summed over the parity parts of f:
+    f's operands are taken once, each g's once per call."""
+    return term_map(f, pairing_terms(spec, f))
 
 
 def paired_bracket(spec: Pairing, f: Jet, g: Jet) -> Jet:
@@ -90,8 +123,7 @@ def paired_bracket(spec: Pairing, f: Jet, g: Jet) -> Jet:
 @lru_cache
 def _plan(spec: Pairing) -> tuple:
     """The terms of a Pairing as (f operand, g operand, sign), sign None
-    standing for (-1)^p(f); an operand is ("x", i), ("xi", j) or "E", the
-    contact operator (E-2)."""
+    standing for (-1)^p(f)."""
     plan = []
     for p, q in spec.even:
         plan += [(("x", p), ("x", q), 1), (("x", q), ("x", p), -1)]
@@ -100,15 +132,18 @@ def _plan(spec: Pairing) -> tuple:
     plan += [(("xi", j), ("xi", k), None) for j, k in spec.odd]
     t = spec.contact
     if t is not None:
-        odd = t[0] == "xi"
-        plan += [("E", t, 1 if odd else -1), (t, "E", None if odd else 1)]
+        odd, e = t[0] == "xi", ("E", spec.euler)
+        plan += [(e, t, 1 if odd else -1), (t, e, None if odd else 1)]
     return tuple(plan)
 
 
-def _operand(h: Jet, key, euler: tuple) -> Jet:
-    if key == "E":
-        return h.euler(*euler) - h.scale(2)
-    return h.d_even(key[1]) if key[0] == "x" else h.d_odd(key[1])
+def _operand(h: Jet, key) -> Jet:
+    if key is None:
+        return h
+    kind, i = key
+    if kind == "x":
+        return h.d_even(i)
+    return h.d_odd(i) if kind == "xi" else h.euler(*i) - h.scale(2)
 
 
 @lru_cache
@@ -172,50 +207,3 @@ def poisson_antidiagonal(f: Jet, g: Jet) -> Jet:
     """Even Poisson bracket with consecutive even pairs and the odd
     generators paired j <-> n+1-j."""
     return paired_bracket(_even_pairing(f.ambient, True), f, g)
-
-
-def quasi_poisson(
-    Z,
-    pairs: Sequence[tuple],
-    f: Jet,
-    g: Jet,
-) -> Jet:
-    """Bracket of a generalized bivector given by a vector field Z and
-    wedge pairs (X_i, Y_i): Z(f)g - fZ(g) + sum X_i(f)Y_i(g) - Y_i(f)X_i(g).
-    Fields are any callables from jets to jets; Z may be None."""
-    out = Jet.zero(f.ambient)
-    if Z is not None:
-        out = out + Z(f) * g - f * Z(g)
-    for X, Y in pairs:
-        out = out + X(f) * Y(g) - Y(f) * X(g)
-    return out
-
-
-def fd_bracket(
-    f1: Jet,
-    p1: int,
-    i1: int,
-    i2: int,
-    derivations: Sequence[Callable[[Jet], Jet]],
-    *,
-    plus: bool,
-    odd_type: bool,
-) -> Callable[[Jet, int], dict[int, Jet]]:
-    """The map (f2, p2) -> bracket of the coefficient-times-derivation terms
-    f1 D_{i1} and f2 D_{i2}:
-    f1 D_{i1}(f2) D_{i2} +/- (-1)^eps f2 D_{i2}(f1) D_{i1}, with eps the
-    product of the coefficient parities p1 and p2, shifted by one each when
-    the derivations are odd.  D_{i2}(f1) is taken once.  Each map returns
-    slot -> coefficient."""
-    d2f1 = derivations[i2](f1)
-    d1 = derivations[i1]
-
-    def bracket(f2: Jet, p2: int) -> dict[int, Jet]:
-        eps = (p1 ^ odd_type) & (p2 ^ odd_type)
-        sign = (1 if plus else -1) * (-1 if eps else 1)
-        out = {i2: f1 * d1(f2)}
-        second = (f2 * d2f1).scale(sign)
-        out[i1] = out[i1] + second if i1 in out else second
-        return {i: c for i, c in out.items() if not c.is_zero()}
-
-    return bracket

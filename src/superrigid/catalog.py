@@ -6,9 +6,13 @@ either a small table or a graded row: a vector-field family, its odd weights
 and an even mu in g_1, with x o y = [[mu, x], y] on g_-1 (``product_from_mu``).
 Oracle entries describe infinite-dimensional products through jet
 coefficients: a carrier (an ambient, a kernel, or a quotient), a named slot
-layout, and a table of product rules keyed by ordered slot pair.  A pair
-missing from the table multiplies to zero, and each mirror pair is a row of
-its own.
+layout, and a table of product rules keyed by ordered slot pair.  Every rule
+has one form: ``rule(f1, p1)`` takes a parity-homogeneous coefficient f1 of
+the left factor and its parity, and returns for each output slot a list of
+(f1-side jet, g operand) terms, which ``brackets.bind_terms`` evaluates on
+the right factor's coefficient g.  The f1-side jet multiplies first, so
+every sign depends on p1 alone.  A pair missing from the table multiplies
+to zero, and each mirror pair is a row of its own.
 
 Conventions shared by all entries:
 
@@ -30,8 +34,8 @@ from fractions import Fraction as F
 from functools import partial
 from typing import Callable, Iterable, Sequence
 
-from .brackets import (Pairing, _odd_pairing, bound_bracket, buttin,
-                       fd_bracket, k_bracket, quasi_poisson)
+from .brackets import (Pairing, _odd_pairing, bind_terms, buttin, k_bracket,
+                       pairing_terms, term_map)
 from .fields import (FamilyRealization, GradingSpec, VectorField, format_field,
                      parse_field)
 from .jets import Ambient, Jet, div_beta, format_jet, odd_laplacian
@@ -56,35 +60,28 @@ def elem_clean(a: Element) -> Element:
     return {s: f for s, f in a.items() if not f.is_zero()}
 
 
-def elem_add(a: Element, b: Element) -> Element:
-    out = dict(a)
-    for s, f in b.items():
-        out[s] = out[s] + f if s in out else f
-    return out
-
-
-def elem_scale(a: Element, c) -> Element:
-    return {s: f.scale(c) for s, f in a.items()}
-
-
 # -- oracle entries --------------------------------------------------------
 
 
 class OracleEntry:
     """Infinite-dimensional product given by a table of slot-pair rules.
 
-    ``rules`` maps an ordered slot pair (s1, s2) to a curried rule:
-    ``rule(f1, p1)`` takes a parity-homogeneous coefficient jet of the left
-    factor and its jet parity, does the work that needs f1 alone, and
-    returns ``(f2, p2) -> element`` for the right factor.  A pair missing
-    from the table multiplies to zero.  A mirror pair (s2, s1) is its own
-    row, never derived from the declared symmetry, so that verify_entry
-    tests the symmetry.  ``product`` extends the table bilinearly and
-    applies the quotient reduction.
+    ``rules`` maps an ordered slot pair (s1, s2) to ``rule(f1, p1)``: for a
+    parity-homogeneous coefficient jet f1 in slot s1 of the left factor and
+    its jet parity p1, a dict from output slot to a list of (f1-side jet, g
+    operand) terms, g being the right factor's coefficient in slot s2 (see
+    ``brackets.bind_terms``).  The f1-side jet multiplies first, so signs
+    depend on p1 alone and no rule reads g's parity.  A pair missing from
+    the table multiplies to zero.  A mirror pair (s2, s1) is its own row,
+    never derived from the declared symmetry, so that verify_entry tests the
+    symmetry.  ``product`` extends the table bilinearly and applies the
+    quotient reduction.
 
-    ``left(a)`` prepares a left factor once: a's parity parts and each
-    matching row's ``rule(f1, p1)``.  ``product`` takes it in place of a, so
-    a caller that multiplies one a by many b's does a's share once.
+    ``left(a)`` prepares a left factor once: it splits a by parity, runs each
+    matching rule and binds the terms by s2.  The map it returns takes each
+    b whole, so a caller that multiplies one a by many b's does a's share
+    once.  An element whose slots are unknown, or whose values are not jets
+    on the entry's ambient, raises CatalogError.
 
     Each slot carries the monomials outside ``excluded[slot]``, or, with
     ``kernel=(op, dropped_key)``, the kernel of ``op`` with the component
@@ -127,7 +124,7 @@ class OracleEntry:
             return [Jet(amb, {m: 1}) for m in monos if m not in excl]
         op, dropped = self.kernel
         vec_of = lambda key: dict(op(Jet(amb, {key: 1})).terms)
-        return [Jet(amb, dict(v)) for v in
+        return [Jet(amb, v) for v in
                 nullspace([m for m in monos if m != dropped], vec_of)]
 
     def basis(self, max_deg: int) -> list[Element]:
@@ -169,33 +166,46 @@ class OracleEntry:
             return None
         return seen.pop()
 
-    def _check_slots(self, a: Element) -> None:
-        for s in a:
+    def _check(self, a: Element) -> None:
+        """Raise CatalogError unless a maps known slots to jets on the
+        entry's ambient."""
+        amb = self.ambient
+        if not isinstance(a, dict):
+            raise CatalogError(f"{self.name} elements are slot dicts, "
+                               f"not {a!r}")
+        for s, f in a.items():
             if s not in self.slot_parity:
                 raise CatalogError(
                     f"{self.name} has slots {self.slots}, not {s!r}")
+            if not (isinstance(f, Jet)
+                    and (f.ambient is amb or f.ambient == amb)):
+                got = (f"a jet on {f.ambient!r}" if isinstance(f, Jet)
+                       else repr(f))
+                raise CatalogError(f"{self.name}: slot {s!r} needs a jet on "
+                                   f"{amb!r}, got {got}")
 
     def left(self, a: Element) -> Callable[[Element], Element]:
-        """The map b -> a o b.  a's rules are bound to each parity part of
-        each of its slots once, so one left factor serves many b's."""
-        self._check_slots(a)
-        rows = [{s2: rule(part, p)
-                 for (r1, s2), rule in self.rules.items() if r1 == s1}
-                for s1, f1 in a.items() for part, p in f1.parity_parts()]
+        """The map b -> a o b, with a's terms bound once by right slot."""
+        self._check(a)
+        rows: dict = {}  # s2 -> output slot -> terms
+        for s1, f1 in a.items():
+            for part, p in f1.parity_parts():
+                for (r1, s2), rule in self.rules.items():
+                    if r1 == s1:
+                        row = rows.setdefault(s2, {})
+                        for s, terms in rule(part, p).items():
+                            row.setdefault(s, []).extend(terms)
+        adds = [(s2, bind_terms(row)) for s2, row in rows.items()]
+        amb = self.ambient
 
         def product(b: Element) -> Element:
-            self._check_slots(b)
-            rights = [(s2, part2, p2) for s2, f2 in b.items()
-                      for part2, p2 in f2.parity_parts()]
-            out: Element = {}
-            for row in rows:
-                for s2, part2, p2 in rights:
-                    inner = row.get(s2)
-                    if inner is None:
-                        continue
-                    for s, f in inner(part2, p2).items():
-                        out[s] = out[s] + f if s in out else f
-            return elem_clean(self.reduce(out))
+            self._check(b)
+            out: dict = {}
+            for s2, add in adds:
+                if s2 in b:
+                    add(b[s2], out)
+            return elem_clean(self.reduce(
+                {s: Jet._clean(amb, t) for s, t in out.items()}))
 
         return product
 
@@ -269,8 +279,8 @@ class OjpSpace:
     bracket pairs x_i with xi_i for i = 1..n+1, so the series variable pairs
     with the marker, and has tau as contact generator when m = n + 1; its
     Euler operator weighs x_i and xi_i (i <= n) by 1, the series variable by
-    0 and the marker by 2.  ``left(u)`` binds u's parts once and returns
-    v -> u o v.
+    0 and the marker by 2.  ``terms(u)`` compiles v -> u o v into (u-side
+    jet, v operand) terms, and ``left(u)`` is their map.
     """
 
     def __init__(self, n: int, m: int):
@@ -315,20 +325,17 @@ class OjpSpace:
 
     # -- the commutative odd-type product ---------------------------------
 
+    def terms(self, u: Jet, sign: int = 1) -> list:
+        """The terms of v -> sign * u o v: 2 eta u v less (-1)^p {u_p, v}
+        for each parity part u_p of u."""
+        out = [((self._eta * u).scale(2 * sign), None)]
+        for part, p in u.parity_parts():
+            out += pairing_terms(self._pairing, part, -sign * _sgn(p))
+        return out
+
     def left(self, u: Jet) -> Callable[[Jet], Jet]:
-        """v -> u o v: 2 eta u v less (-1)^p {u_p, v} for each parity part
-        u_p of u, each part's bracket bound once."""
-        brackets = [(bound_bracket(self._pairing, part), p)
-                    for part, p in u.parity_parts()]
-        eta_u = (self._eta * u).scale(2)
-
-        def product(v: Jet) -> Jet:
-            out = eta_u * v
-            for bracket, p in brackets:
-                out = out + bracket(v) if p else out - bracket(v)
-            return out
-
-        return product
+        """v -> u o v, with u's terms bound once."""
+        return term_map(u, self.terms(u))
 
 
 # -- operator identities of the series product -----------------------------
@@ -586,6 +593,10 @@ def product_from_mu(family: str, spec: GradingSpec, mu, order: int = 4,
     leaving that window, raises CatalogError.
     """
     real = FamilyRealization(family, spec, beta=beta)
+    kind = VectorField if real.field_side else Jet
+    if not isinstance(mu, kind) or mu.ambient != real.ambient:
+        raise CatalogError(f"mu must be a {kind.__name__} on "
+                           f"{real.ambient!r}, got {mu!r}")
     if real.parity(mu) != 0:
         raise CatalogError("mu must be parity-homogeneous and even")
     if real.degrees(mu) != {1}:
@@ -619,53 +630,67 @@ def product_from_mu(family: str, spec: GradingSpec, mu, order: int = 4,
 
 
 # -- oracle builders: shared rows -------------------------------------------
+# A rule's g operands: None is g itself, ("x", i) the derivative in x_i.
+
+_X1, _X2 = ("x", 1), ("x", 2)
 
 
 def _dx(f: Jet) -> Jet:
     return f.d_even(1)
 
 
-def _witt(f: Jet, g: Jet) -> Jet:
-    """Coefficient of the bracket of the one-variable fields f d and g d."""
-    return f * _dx(g) - g * _dx(f)
+def _lie(f: Jet, c=1) -> list:
+    """Terms of c (f g' - f' g), the coefficient of c [f d, g d] for the
+    one-variable fields f d and g d."""
+    return [(f.scale(c), _X1), (_dx(f).scale(-c), None)]
 
 
-def _acting(slot: str, sign: int) -> dict:
-    """Rows of one-variable fields acting on ``slot``: the field f acts on g
-    as f g', and the mirror row is ``sign`` times that."""
-    return {("field", slot): lambda f, p: lambda g, q: {slot: f * _dx(g)},
-            (slot, "field"): lambda g, q: lambda f, p: {
-                slot: (f * _dx(g)).scale(sign)}}
+def _field_terms(h: Jet, X: VectorField) -> list:
+    """Terms of g -> h X(g): h times each coefficient of X, with the
+    derivative it multiplies."""
+    return [(h * c, slot) for slot, c in X.coeffs.items()]
 
 
-def _fd_rules(derivs: dict, *, plus: bool, odd_type: bool,
-              cross: Callable | None = None) -> dict:
-    """Rows of the formal bracket ``brackets.fd_bracket`` of f D_a and g D_b
-    over the named derivation slots ``derivs``; binding f applies D_b to it.
-    ``cross(f, g)`` is added to the row of the first slot with the second,
-    and minus ``cross(g, f)`` to its mirror row."""
+def _fd_rules(derivs: dict, *, plus: bool, cross: dict | None = None) -> dict:
+    """Rows of the bracket of f D_a and g D_b over the named derivation
+    slots ``derivs``, vector fields all of parity t: the formal plus- or
+    minus-bracket f D_a(g) D_b +/- (-1)^eps g D_b(f) D_a, eps the product
+    of p(f) + t and p(g) + t.  Reordered f-side first, its second term is
+    s D_b(f) g D_a with s = +/-1 times (-1)^{t (p(f) + 1)}, free of p(g).
+    ``cross`` maps a slot to a coefficient jet c: c f g is added to that
+    slot on the row of the first slot with the second, and -c f g on its
+    mirror row."""
     names = tuple(derivs)
-    fns = [derivs[s] for s in names]
-    extras = {}
-    if cross is not None:
-        extras = {(0, 1): cross,
-                  (1, 0): lambda f, g: elem_scale(cross(g, f), -1)}
+    odd = derivs[names[0]].parity()
+    corner = ({(names[0], names[1]): 1, (names[1], names[0]): -1}
+              if cross else {})
 
-    def row(i1, i2):
-        extra = extras.get((i1, i2))
+    def row(a, b):
+        k = corner.get((a, b))
 
-        def rule(f1, p1):
-            bracket = fd_bracket(f1, p1, i1, i2, fns, plus=plus,
-                                 odd_type=odd_type)
-
-            def inner(f2, p2):
-                out = {names[k]: v for k, v in bracket(f2, p2).items()}
-                return out if extra is None else elem_add(out, extra(f1, f2))
-            return inner
+        def rule(f, p):
+            out = {b: _field_terms(f, derivs[a])}
+            s = (1 if plus else -1) * _sgn(odd & (p ^ 1))
+            out.setdefault(a, []).append((derivs[b](f).scale(s), None))
+            for slot, c in cross.items() if k else ():
+                out.setdefault(slot, []).append(((c * f).scale(k), None))
+            return out
         return rule
 
-    return {(s1, s2): row(i1, i2) for i1, s1 in enumerate(names)
-            for i2, s2 in enumerate(names)}
+    return {(a, b): row(a, b) for a in names for b in names}
+
+
+def _bivector_rules(z: VectorField | None, pairs: Sequence) -> dict:
+    """The one row of the skew bracket of the bivector of vector fields z
+    and wedge pairs (X_i, Y_i):
+    Z(f) g - f Z(g) + sum X_i(f) Y_i(g) - Y_i(f) X_i(g)."""
+    def rule(f, p):
+        terms = [] if z is None else [(z(f), None)] + _field_terms(-f, z)
+        for X, Y in pairs:
+            terms += _field_terms(X(f), Y) + _field_terms(-Y(f), X)
+        return {"fun": terms}
+
+    return {("fun", "fun"): rule}
 
 
 # -- oracle builders: commutative series entries ---------------------------
@@ -674,31 +699,29 @@ def _fd_rules(derivs: dict, *, plus: bool, odd_type: bool,
 def _entry_js_1_1() -> OracleEntry:
     return OracleEntry(
         "JS_1_1", Ambient(1, 0), {"field": 0}, "commutative",
-        {("field", "field"): lambda f, p: lambda g, q: {
-            "field": _dx(f * g)}})
-
-
-def _field_bar_rules(bar_bar: Callable) -> dict:
-    """The rows JSHO_2_2 and JSKO_1_2 share: fields multiply to f g' + g f'
-    and act on the odd copy; ``bar_bar`` is the odd square."""
-    return {("field", "field"): lambda f, p: lambda g, q: {
-                "field": f * _dx(g) + g * _dx(f)},
-            **_acting("bar", 1), ("bar", "bar"): bar_bar}
+        {("field", "field"): lambda f, p: {
+            "field": [(_dx(f), None), (f, _X1)]}})
 
 
 def _entry_jsho_2_2() -> OracleEntry:
-    d2 = lambda f: f.d_even(2)
     return OracleEntry(
         "JSHO_2_2", Ambient(2, 0), {"field": 0, "bar": 1}, "commutative",
-        _field_bar_rules(lambda f, p: lambda g, q: {
-            "field": _dx(f) * d2(g) - d2(f) * _dx(g)}))
+        {("field", "field"): lambda f, p: {
+            "field": [(f, _X1), (_dx(f), None)]},
+         ("field", "bar"): lambda f, p: {"bar": [(f, _X1)]},
+         ("bar", "field"): lambda f, p: {"bar": [(_dx(f), None)]},
+         ("bar", "bar"): lambda f, p: {
+             "field": [(_dx(f), _X2), (-f.d_even(2), _X1)]}})
 
 
 def _entry_jsko_1_2() -> OracleEntry:
     return OracleEntry(
         "JSKO_1_2", Ambient(1, 0), {"field": 0, "bar": 1}, "commutative",
-        _field_bar_rules(lambda f, p: lambda g, q: {
-            "field": _witt(f, g).scale(2)}))
+        {("field", "field"): lambda f, p: {
+            "field": [(f, _X1), (_dx(f), None)]},
+         ("field", "bar"): lambda f, p: {"bar": [(f, _X1)]},
+         ("bar", "field"): lambda f, p: {"bar": [(_dx(f), None)]},
+         ("bar", "bar"): lambda f, p: {"field": _lie(f, 2)}})
 
 
 def _entry_js_1_8(alpha) -> OracleEntry:
@@ -711,53 +734,42 @@ def _entry_js_1_8(alpha) -> OracleEntry:
                            ("xi", 1): (xi1 * xi2).scale(-1)})
     return OracleEntry(
         "JS_1_8", amb, {"D1": 1, "D2": 1}, "commutative",
-        _fd_rules({"D1": d1.apply, "D2": d2.apply}, plus=True, odd_type=True),
-        params={"alpha": alpha})
+        _fd_rules({"D1": d1, "D2": d2}, plus=True), params={"alpha": alpha})
 
 
 # -- oracle builders: anticommutative small families -----------------------
 
 
 def _entry_lw_1_2() -> OracleEntry:
-    def bar_bar(f, g):
-        fg = f * g
-        return {"fun": fg.scale(2) - _dx(fg)}
-
     return OracleEntry(
         "LW_1_2", Ambient(1, 0), {"fun": 0, "bar": 1}, "anticommutative",
-        {("fun", "bar"): lambda f, p: lambda g, q: {"bar": f * g},
-         ("bar", "fun"): lambda f, p: lambda g, q: {"bar": (f * g).scale(-1)},
-         ("bar", "bar"): lambda f, p: lambda g, q: bar_bar(f, g)})
+        {("fun", "bar"): lambda f, p: {"bar": [(f, None)]},
+         ("bar", "fun"): lambda f, p: {"bar": [(-f, None)]},
+         ("bar", "bar"): lambda f, p: {
+             "fun": [(f.scale(2) - _dx(f), None), (-f, _X1)]}})
 
 
 def _entry_lho_1_2() -> OracleEntry:
     return OracleEntry(
         "LHO_1_2", Ambient(1, 0), {"fun": 0, "bar": 1}, "anticommutative",
-        {("fun", "bar"): lambda f, p: lambda g, q: {"bar": _dx(f) * g},
-         ("bar", "fun"): lambda f, p: lambda g, q: {
-             "bar": (_dx(g) * f).scale(-1)},
-         ("bar", "bar"): lambda f, p: lambda g, q: {
-             "fun": (f * g).scale(2)}},
+        {("fun", "bar"): lambda f, p: {"bar": [(_dx(f), None)]},
+         ("bar", "fun"): lambda f, p: {"bar": [(-f, _X1)]},
+         ("bar", "bar"): lambda f, p: {"fun": [(f.scale(2), None)]}},
         excluded={"fun": {((0,), ())}})
 
 
 def _entry_lshop_2_2() -> OracleEntry:
     amb = Ambient(2, 0)
-    one = Jet.one(amb)
-    x1 = Jet.x(amb, 1)
-    d1 = lambda f: (one + x1) * f.d_even(1)
-    d2 = lambda f: f.d_even(2)
-    br = lambda f, g: d1(f) * d2(g) - d2(f) * d1(g)
+    u = Jet.one(amb) + Jet.x(amb, 1)
+    # terms of {f, g} = d1(f) d2(g) - d2(f) d1(g), d1 = u d/dx1, d2 = d/dx2
+    br = lambda f: [(u * _dx(f), _X2), (-(u * f.d_even(2)), _X1)]
     return OracleEntry(
         "LSHOp_2_2", amb, {"fun": 0, "bar": 1}, "anticommutative",
-        {("fun", "fun"): lambda f, p: lambda g, q: {
-            "fun": br(f, g).scale(-1)},
-         ("fun", "bar"): lambda f, p: lambda g, q: {
-             "bar": br(f, g) + g * d2(f)},
-         ("bar", "fun"): lambda f, p: lambda g, q: {
-             "bar": (br(g, f) + f * d2(g)).scale(-1)},
-         ("bar", "bar"): lambda f, p: lambda g, q: {
-             "fun": (f * g).scale(-2)}},
+        {("fun", "fun"): lambda f, p: {"fun": br(-f)},
+         ("fun", "bar"): lambda f, p: {
+             "bar": br(f) + [(f.d_even(2), None)]},
+         ("bar", "fun"): lambda f, p: {"bar": br(f) + [(-f, _X2)]},
+         ("bar", "bar"): lambda f, p: {"fun": [(f.scale(-2), None)]}},
         excluded={"fun": {((0, 0), ())}})
 
 
@@ -766,12 +778,11 @@ def _entry_lwa_1_2(alpha) -> OracleEntry:
     w = Jet.const(amb, alpha) + Jet.x(amb, 1)
     return OracleEntry(
         "LWa_1_2", amb, {"field": 0, "fun": 0}, "anticommutative",
-        {("field", "field"): lambda f, p: lambda g, q: {
-            "field": _witt(f, g)},
-         ("field", "fun"): lambda f, p: lambda g, q: {
-             "field": (w * (f * g)).scale(-1), "fun": f * _dx(g)},
-         ("fun", "field"): lambda f, p: lambda g, q: {
-             "field": w * (f * g), "fun": (g * _dx(f)).scale(-1)}},
+        {("field", "field"): lambda f, p: {"field": _lie(f)},
+         ("field", "fun"): lambda f, p: {
+             "field": [(-(w * f), None)], "fun": [(f, _X1)]},
+         ("fun", "field"): lambda f, p: {
+             "field": [(w * f, None)], "fun": [(-_dx(f), None)]}},
         params={"alpha": alpha})
 
 
@@ -779,26 +790,23 @@ def _entry_ls_1_3() -> OracleEntry:
     return OracleEntry(
         "LS_1_3", Ambient(1, 0), {"field": 0, "fun": 1, "tilde": 1},
         "anticommutative",
-        {("field", "field"): lambda f, p: lambda g, q: {
-            "field": _witt(f, g)},
-         **_acting("fun", -1), **_acting("tilde", -1),
-         ("fun", "tilde"): lambda f, p: lambda g, q: {"field": f * g},
-         ("tilde", "fun"): lambda f, p: lambda g, q: {"field": f * g}})
+        {("field", "field"): lambda f, p: {"field": _lie(f)},
+         ("field", "fun"): lambda f, p: {"fun": [(f, _X1)]},
+         ("fun", "field"): lambda f, p: {"fun": [(-_dx(f), None)]},
+         ("field", "tilde"): lambda f, p: {"tilde": [(f, _X1)]},
+         ("tilde", "field"): lambda f, p: {"tilde": [(-_dx(f), None)]},
+         ("fun", "tilde"): lambda f, p: {"field": [(f, None)]},
+         ("tilde", "fun"): lambda f, p: {"field": [(f, None)]}})
 
 
 def _entry_lwa_2_2(alpha) -> OracleEntry:
     amb = Ambient(2, 0)
-    one = Jet.one(amb)
-    x1, x2 = Jet.x(amb, 1), Jet.x(amb, 2)
-
-    def cross(f, g):
-        fg = f * g
-        return {"D1": fg * (one + x1), "D2": (x2 * fg).scale(-alpha)}
-
+    d1, d2 = (VectorField.partial(amb, "x", i) for i in (1, 2))
+    cross = {"D1": Jet.one(amb) + Jet.x(amb, 1),
+             "D2": Jet.x(amb, 2).scale(-alpha)}
     return OracleEntry(
         "LWa_2_2", amb, {"D1": 0, "D2": 0}, "anticommutative",
-        _fd_rules({"D1": lambda f: f.d_even(1), "D2": lambda f: f.d_even(2)},
-                  plus=False, odd_type=False, cross=cross),
+        _fd_rules({"D1": d1, "D2": d2}, plus=False, cross=cross),
         params={"alpha": alpha})
 
 
@@ -806,12 +814,11 @@ def _entry_lsa_2_2(alpha) -> OracleEntry:
     amb = Ambient(2, 0)
     x1, x2 = Jet.x(amb, 1), Jet.x(amb, 2)
     w = Jet.one(amb) + x1.scale(alpha) + x1 * x2
+    derivs = {"D1": VectorField.partial(amb, "x", 1),
+              "D2": VectorField(amb, {("x", 2): w})}
     return OracleEntry(
         "LSa_2_2", amb, {"D1": 0, "D2": 0}, "anticommutative",
-        _fd_rules({"D1": lambda f: f.d_even(1),
-                   "D2": lambda f: w * f.d_even(2)},
-                  plus=False, odd_type=False,
-                  cross=lambda f, g: {"D1": x1 * (f * g)}),
+        _fd_rules(derivs, plus=False, cross={"D1": x1}),
         params={"alpha": alpha})
 
 
@@ -821,13 +828,12 @@ def _entry_lskop_1_2(beta) -> OracleEntry:
     x = Jet.x(amb, 1)
     return OracleEntry(
         "LSKOp_1_2", amb, {"field": 0, "bar": 1}, "anticommutative",
-        {("field", "field"): lambda f, p: lambda g, q: {
-            "field": _witt(f, g).scale(-beta)},
-         ("field", "bar"): lambda f, p: lambda g, q: {
-             "bar": (f * _dx(g)).scale(beta) - g * _dx(f)},
-         ("bar", "field"): lambda f, p: lambda g, q: {
-             "bar": f * _dx(g) - (g * _dx(f)).scale(beta)},
-         ("bar", "bar"): lambda f, p: lambda g, q: {"field": x * (f * g)}},
+        {("field", "field"): lambda f, p: {"field": _lie(f, -beta)},
+         ("field", "bar"): lambda f, p: {
+             "bar": [(f.scale(beta), _X1), (-_dx(f), None)]},
+         ("bar", "field"): lambda f, p: {
+             "bar": [(f, _X1), (_dx(f).scale(-beta), None)]},
+         ("bar", "bar"): lambda f, p: {"field": [(x * f, None)]}},
         params={"beta": beta})
 
 
@@ -848,29 +854,15 @@ def _entry_lha_1_2(alpha) -> OracleEntry:
     w = Jet.const(amb, alpha) + Jet.x(amb, 1)
     return OracleEntry(
         "LHa_1_2", amb, {"field": 0, "bar": 1}, "anticommutative",
-        {("field", "field"): lambda f, p: lambda g, q: {
-            "field": _witt(f, g)},
-         **_acting("bar", -1),
-         ("bar", "bar"): lambda f, p: lambda g, q: {
-             "field": (w * (_dx(f) * _dx(g))).scale(-2)}},
+        {("field", "field"): lambda f, p: {"field": _lie(f)},
+         ("field", "bar"): lambda f, p: {"bar": [(f, _X1)]},
+         ("bar", "field"): lambda f, p: {"bar": [(-_dx(f), None)]},
+         ("bar", "bar"): lambda f, p: {
+             "field": [((w * _dx(f)).scale(-2), _X1)]}},
         excluded={"bar": {((0,), ())}}, params={"alpha": alpha})
 
 
 # -- oracle builders: skew brackets from bivectors -------------------------
-
-
-def _quasi_entry(name: str, amb: Ambient, z_field: VectorField | None,
-                 pairs: Sequence, drop_unit: bool,
-                 params: dict) -> OracleEntry:
-    zfn = z_field.apply if z_field is not None else None
-    pfn = [(X.apply, Y.apply) for X, Y in pairs]
-    unit = ((0,) * amb.n_even, ())
-    return OracleEntry(
-        name, amb, {"fun": 0}, "anticommutative",
-        {("fun", "fun"): lambda f, p: lambda g, q: {
-            "fun": quasi_poisson(zfn, pfn, f, g)}},
-        excluded={"fun": {unit}} if drop_unit else None,
-        params=params)
 
 
 def _entry_lhoa_3_1(alpha) -> OracleEntry:
@@ -879,8 +871,10 @@ def _entry_lhoa_3_1(alpha) -> OracleEntry:
     w = x1.scale(alpha) + x1 * x1
     pairs = [(VectorField.partial(amb, "x", 1), VectorField.partial(amb, "x", 2)),
              (VectorField(amb, {("x", 1): w}), VectorField.partial(amb, "x", 3))]
-    return _quasi_entry(
-        "LHOa_3_1", amb, None, pairs, True, {"alpha": alpha})
+    return OracleEntry(
+        "LHOa_3_1", amb, {"fun": 0}, "anticommutative",
+        _bivector_rules(None, pairs), excluded={"fun": {((0, 0, 0), ())}},
+        params={"alpha": alpha})
 
 
 def _entry_lshoa_4_1(alpha) -> OracleEntry:
@@ -888,8 +882,10 @@ def _entry_lshoa_4_1(alpha) -> OracleEntry:
     w = Jet.const(amb, alpha) + Jet.x(amb, 1)
     pairs = [(VectorField.partial(amb, "x", 1), VectorField.partial(amb, "x", 2)),
              (VectorField(amb, {("x", 3): w}), VectorField.partial(amb, "x", 4))]
-    return _quasi_entry(
-        "LSHOa_4_1", amb, None, pairs, True, {"alpha": alpha})
+    return OracleEntry(
+        "LSHOa_4_1", amb, {"fun": 0}, "anticommutative",
+        _bivector_rules(None, pairs), excluded={"fun": {((0,) * 4, ())}},
+        params={"alpha": alpha})
 
 
 def _entry_lko_2_1() -> OracleEntry:
@@ -897,8 +893,8 @@ def _entry_lko_2_1() -> OracleEntry:
     z = VectorField(amb, {("x", 1): Jet.const(amb, 2)})
     w = Jet.x(amb, 1) + Jet.x(amb, 2)
     pairs = [(VectorField(amb, {("x", 1): w}), VectorField.partial(amb, "x", 2))]
-    return _quasi_entry(
-        "LKO_2_1", amb, z, pairs, False, {})
+    return OracleEntry("LKO_2_1", amb, {"fun": 0}, "anticommutative",
+                       _bivector_rules(z, pairs))
 
 
 def _entry_lskoa_3_1(alpha, beta) -> OracleEntry:
@@ -915,8 +911,9 @@ def _entry_lskoa_3_1(alpha, beta) -> OracleEntry:
     pairs = [(VectorField.partial(amb, "x", 1), VectorField.partial(amb, "x", 2)),
              (VectorField(amb, {("x", 1): w2}), VectorField.partial(amb, "x", 3)),
              (VectorField(amb, {("x", 2): w3}), VectorField.partial(amb, "x", 3))]
-    return _quasi_entry(
-        "LSKOa_3_1", amb, z, pairs, False, {"alpha": alpha, "beta": beta})
+    return OracleEntry(
+        "LSKOa_3_1", amb, {"fun": 0}, "anticommutative",
+        _bivector_rules(z, pairs), params={"alpha": alpha, "beta": beta})
 
 
 # -- oracle builders: kernel carriers --------------------------------------
@@ -931,10 +928,9 @@ def _entry_lsho(n: int) -> OracleEntry:
     pairing = _odd_pairing(amb)
 
     def rule(f1, p1):
-        bracket = bound_bracket(pairing, twist * f1)
         m = ((xi1 * f1).scale(2 * _sgn(p1 + 1))
              + buttin(w, f1).scale(2 * _sgn(p1)))
-        return lambda f2, p2: {"j": bracket(f2) + m * f2}
+        return {"j": pairing_terms(pairing, twist * f1) + [(m, None)]}
 
     return OracleEntry(
         f"LSHO_{n}_{2 ** (n - 1)}", amb, {"j": 1}, "anticommutative",
@@ -943,9 +939,8 @@ def _entry_lsho(n: int) -> OracleEntry:
 
 def _contact_rules(amb: Ambient, c, xx: Jet | None = None) -> dict:
     """The twisted contact row of LSKO_n, with c = beta (n + 1).  LSKOp_2_4
-    adds the mixed odd factor ``xx`` to the twist and its own term.  Binding
-    f1 binds the bracket of twist * f1 and gathers every term that is a
-    multiple of f2 into one jet m, so the product is {twist f1, f2} + m f2.
+    adds the mixed odd factor ``xx`` to the twist and its own term.  The
+    product is {twist f1, f2} + m f2, every multiple of f2 gathered in m.
     """
     xi1 = Jet.xi(amb, 1)
     tau = Jet.tau_gen(amb)
@@ -956,13 +951,12 @@ def _contact_rules(amb: Ambient, c, xx: Jet | None = None) -> dict:
     pairing = _odd_pairing(amb)
 
     def rule(f1, p1):
-        bracket = bound_bracket(pairing, twist * f1)
         m = xi1 * (f1.euler().scale(2) - f1.scale(c))
         m = m + k_bracket(lift, f1) - (tau * f1.d_even(1)).scale(2)
         m = m.scale(_sgn(p1 + 1))
         if xx is not None:
             m = m + (f1.d_tau() * xx).scale(2)
-        return lambda f2, p2: {"j": bracket(f2) + m * f2}
+        return {"j": pairing_terms(pairing, twist * f1) + [(m, None)]}
 
     return {("j", "j"): rule}
 
@@ -1013,8 +1007,7 @@ def _entry_series(n: int, m: int, twin: bool) -> OracleEntry:
     space = OjpSpace(n, m)
 
     def rule(f, p):
-        left, c = space.left(f), _sgn(p & twin)
-        return lambda g, q: {"j": left(g).scale(c)}
+        return {"j": space.terms(f, _sgn(p & twin))}
 
     checks = () if twin else (("operator_relations", _ojp_checks),)
     entry = OracleEntry(
@@ -1175,7 +1168,8 @@ def ideal_spot_checks(entry, seeds: Sequence | None = None,
 
     ``order`` is a positive integer: the targets are the window basis
     elements of degree at most order - 1, and there must be one.  A finite
-    entry raises CatalogError; its ideal check is ``walg.is_simple``.
+    entry, or a seed that is no element of the entry, raises CatalogError;
+    a finite entry's ideal check is ``walg.is_simple``.
 
     Seeds and products are cut back into the window (their flattened
     vectors keep the terms of degree <= order), so the closure is the
@@ -1199,6 +1193,8 @@ def ideal_spot_checks(entry, seeds: Sequence | None = None,
         raise CatalogError(f"{entry.name} is finite: its ideal check is "
                            "walg.is_simple")
     _check_order(order, 1)
+    for seed in seeds or ():
+        entry._check(seed)
 
     def window(a):
         return {k: c for k, c in entry.to_vec(a).items()
@@ -1373,6 +1369,8 @@ def make(name: str, *, alpha=None, beta=None):
     CatalogError naming the parameter, and an out-of-range one raises
     CatalogError naming the constraint.
     """
+    if not isinstance(name, str):
+        raise CatalogError(f"entry names are strings, got {name!r}")
     key = normalize_name(name)
     base, *indices = key.split("_")
     if key in _FIXED:

@@ -379,7 +379,7 @@ class FamilyRealization:
                 piece = Jet(self.ambient, {(ex, odds): c})
                 coeffs[slot] = coeffs[slot] + piece if slot in coeffs else piece
             return VectorField(self.ambient, coeffs)
-        return Jet(self.ambient, dict(v))
+        return Jet(self.ambient, v)
 
     # -- bracket -----------------------------------------------------------
 
@@ -442,5 +442,5 @@ class FamilyRealization:
             op = lambda m: odd_laplacian(Jet(amb, {m: 1})).terms
         else:
             op = lambda m: div_beta(Jet(amb, {m: 1}), self.beta).terms
-        return [Jet(amb, dict(v)) for v in nullspace(domain, op)]
+        return [Jet(amb, v) for v in nullspace(domain, op)]
 

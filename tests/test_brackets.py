@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 from functools import partial
+from typing import Callable, Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,14 +14,13 @@ from superrigid.brackets import (
     _operand,
     bound_bracket,
     buttin,
-    fd_bracket,
     gen_poisson_even,
     k_bracket,
     paired_bracket,
-    quasi_poisson,
 )
-from superrigid.catalog import OjpSpace, _sgn
-from superrigid.fields import poisson_antidiagonal
+from superrigid.catalog import (OjpSpace, OracleEntry, _bivector_rules,
+                                _fd_rules, _sgn)
+from superrigid.fields import VectorField, poisson_antidiagonal
 from superrigid.jets import Ambient, Jet, parse_jet
 
 O11 = Ambient(1, 1)
@@ -71,7 +71,7 @@ def odd_leibniz_defect(br, D, a: Jet, b: Jet, c: Jet) -> Jet:
 def jacobi_mayer(f: Jet, g: Jet) -> Jet:
     """Determinant bracket on three even generators x, y, z with fixed last
     row (0, -x, 1): x(f_x g_z - f_z g_x) + (f_x g_y - f_y g_x), the
-    reference for quasi_poisson on a bivector with two wedge pairs."""
+    reference for the bivector row with two wedge pairs."""
     amb = f.ambient
     if amb.n_even != 3 or amb.n_odd != 0:
         raise ValueError("determinant bracket lives on three even generators")
@@ -237,16 +237,16 @@ class TestJacobiMayer:
         assert jacobi_mayer(y, z).is_zero()
 
     def test_matches_bivector_form(self):
-        dx = lambda f: f.d_even(1)
-        dy = lambda f: f.d_even(2)
-        dz = lambda f: f.d_even(3)
-        xdx = lambda f: Jet.x(E30, 1) * f.d_even(1)
-        pairs = [(dx, dy), (xdx, dz)]
+        d = [VectorField.partial(E30, "x", i) for i in (1, 2, 3)]
+        xdx = VectorField(E30, {("x", 1): Jet.x(E30, 1)})
+        entry = _engine(_bivector_rules(None, [(d[0], d[1]), (xdx, d[2])]),
+                        E30, {"fun": 0})
         for mf in E30.monomials(3):
             for mg in E30.monomials(3):
                 f = Jet(E30, {mf: F(1)})
                 g = Jet(E30, {mg: F(1)})
-                assert jacobi_mayer(f, g) == quasi_poisson(None, pairs, f, g)
+                assert (entry.product({"fun": f}, {"fun": g})
+                        == _elem("fun", jacobi_mayer(f, g)))
 
 
 class TestFdBracket:
@@ -288,6 +288,55 @@ class TestFdBracket:
 # -- reference brackets ------------------------------------------------------
 # The hand-written brackets that the pairing engine replaced, kept verbatim
 # as references: each rebuilt bracket must equal its reference under ==.
+# quasi_poisson and fd_bracket are the bivector and derivation brackets that
+# the catalog's term rows replaced (TestTermRows).
+
+
+def quasi_poisson(
+    Z,
+    pairs: Sequence[tuple],
+    f: Jet,
+    g: Jet,
+) -> Jet:
+    """Bracket of a generalized bivector given by a vector field Z and
+    wedge pairs (X_i, Y_i): Z(f)g - fZ(g) + sum X_i(f)Y_i(g) - Y_i(f)X_i(g).
+    Fields are any callables from jets to jets; Z may be None."""
+    out = Jet.zero(f.ambient)
+    if Z is not None:
+        out = out + Z(f) * g - f * Z(g)
+    for X, Y in pairs:
+        out = out + X(f) * Y(g) - Y(f) * X(g)
+    return out
+
+
+def fd_bracket(
+    f1: Jet,
+    p1: int,
+    i1: int,
+    i2: int,
+    derivations: Sequence[Callable[[Jet], Jet]],
+    *,
+    plus: bool,
+    odd_type: bool,
+) -> Callable[[Jet, int], dict[int, Jet]]:
+    """The map (f2, p2) -> bracket of the coefficient-times-derivation terms
+    f1 D_{i1} and f2 D_{i2}:
+    f1 D_{i1}(f2) D_{i2} +/- (-1)^eps f2 D_{i2}(f1) D_{i1}, with eps the
+    product of the coefficient parities p1 and p2, shifted by one each when
+    the derivations are odd.  D_{i2}(f1) is taken once.  Each map returns
+    slot -> coefficient."""
+    d2f1 = derivations[i2](f1)
+    d1 = derivations[i1]
+
+    def bracket(f2: Jet, p2: int) -> dict[int, Jet]:
+        eps = (p1 ^ odd_type) & (p2 ^ odd_type)
+        sign = (1 if plus else -1) * (-1 if eps else 1)
+        out = {i2: f1 * d1(f2)}
+        second = (f2 * d2f1).scale(sign)
+        out[i1] = out[i1] + second if i1 in out else second
+        return {i: c for i, c in out.items() if not c.is_zero()}
+
+    return bracket
 
 
 def _homogeneous(f: Jet):
@@ -538,9 +587,9 @@ class TestBoundBracket:
         bound f with no xi-derivative no xi-operand of its x-partner."""
         made = []
 
-        def counted(h, key, euler):
+        def counted(h, key):
             made.append((h, key))
-            return _operand(h, key, euler)
+            return _operand(h, key)
 
         monkeypatch.setattr("superrigid.brackets._operand", counted)
         amb = Ambient(2, 2)
@@ -554,3 +603,98 @@ class TestBoundBracket:
         made.clear()
         assert bound(g) == _buttin_reference(f, g)
         assert sorted(key for _, key in made) == [("xi", 1), ("xi", 2)]
+
+
+# -- term rows against the reference brackets --------------------------------
+
+
+def _engine(rules, amb, slot_parity):
+    """An oracle entry over ``rules``, so the rows run through the engine."""
+    return OracleEntry("rows", amb, slot_parity, "anticommutative", rules)
+
+
+def _elem(slot, f):
+    return {slot: f} if not f.is_zero() else {}
+
+
+def _js_1_8_derivations(alpha):
+    """JS_1_8's odd derivations D1 and D2."""
+    amb = Ambient(1, 2)
+    one, x = Jet.one(amb), Jet.x(amb, 1)
+    xi1, xi2 = Jet.xi(amb, 1), Jet.xi(amb, 2)
+    return (VectorField(amb, {("xi", 1): one,
+                              ("x", 1): xi1 + xi2.scale(alpha)}),
+            VectorField(amb, {("xi", 2): one, ("x", 1): x * xi2,
+                              ("xi", 1): (xi1 * xi2).scale(-1)}))
+
+
+def _even_derivations():
+    """Two even derivations on an ambient with an odd generator."""
+    amb = Ambient(2, 1)
+    w = Jet.one(amb) + Jet.x(amb, 1) * Jet.x(amb, 2)
+    return (VectorField.partial(amb, "x", 1), VectorField(amb, {("x", 2): w}))
+
+
+FD_CASES = {"odd_alpha_0": lambda: _js_1_8_derivations(0),
+            "odd_alpha_1": lambda: _js_1_8_derivations(1),
+            "even": _even_derivations}
+
+
+def _bivector_case(name):
+    """(ambient, Z, wedge pairs) of a bivector."""
+    if name == "jacobi_mayer":
+        d = [VectorField.partial(E30, "x", i) for i in (1, 2, 3)]
+        return E30, None, [(d[0], d[1]),
+                           (VectorField(E30, {("x", 1): Jet.x(E30, 1)}), d[2])]
+    if name == "translation":
+        amb = Ambient(2, 0)
+        w = Jet.x(amb, 1) + Jet.x(amb, 2)
+        return amb, VectorField(amb, {("x", 1): Jet.const(amb, 2)}), [
+            (VectorField(amb, {("x", 1): w}), VectorField.partial(amb, "x", 2))]
+    amb = O12
+    xi1, tau = Jet.xi(amb, 1), Jet.tau_gen(amb)
+    return amb, VectorField(amb, {("x", 1): xi1, ("xi", 2): tau}), [
+        (VectorField.partial(amb, "xi", 1),
+         VectorField(amb, {("xi", 2): Jet.x(amb, 1)})),
+        (VectorField(amb, {("x", 1): tau, ("xi", 1): Jet.one(amb)}),
+         VectorField.partial(amb, "x", 1))]
+
+
+class TestTermRows:
+    """The catalog's term rows, run through the engine, equal the brackets
+    they replaced on every pair of parities of f and g."""
+
+    @pytest.mark.parametrize("pf", [0, 1])
+    @pytest.mark.parametrize("pg", [0, 1])
+    @pytest.mark.parametrize("plus", [True, False])
+    @pytest.mark.parametrize("case", sorted(FD_CASES))
+    def test_fd_rows_match_fd_bracket(self, case, plus, pf, pg):
+        d1, d2 = FD_CASES[case]()
+        amb, odd = d1.ambient, d1.parity()
+        names = ("D1", "D2")
+        entry = _engine(_fd_rules({"D1": d1, "D2": d2}, plus=plus), amb,
+                        {"D1": odd, "D2": odd})
+        rng = random.Random(7 * pf + 3 * pg + plus)
+        for _ in range(6):
+            f = random_jet(amb, rng, parity=pf, n_terms=rng.randint(0, 3))
+            g = random_jet(amb, rng, parity=pg, n_terms=rng.randint(0, 3))
+            for i1 in (0, 1):
+                for i2 in (0, 1):
+                    want = fd_bracket(f, pf, i1, i2, [d1.apply, d2.apply],
+                                      plus=plus, odd_type=bool(odd))(g, pg)
+                    got = entry.product({names[i1]: f}, {names[i2]: g})
+                    assert got == {names[i]: c for i, c in want.items()}
+
+    @pytest.mark.parametrize("case, pf, pg", [
+        ("jacobi_mayer", 0, 0), ("translation", 0, 0), ("odd", 0, 0),
+        ("odd", 0, 1), ("odd", 1, 0), ("odd", 1, 1)])
+    def test_bivector_rows_match_quasi_poisson(self, case, pf, pg):
+        amb, z, pairs = _bivector_case(case)
+        entry = _engine(_bivector_rules(z, pairs), amb, {"fun": 0})
+        fns = [(X.apply, Y.apply) for X, Y in pairs]
+        rng = random.Random(5 * pf + pg)
+        for _ in range(8):
+            f = random_jet(amb, rng, parity=pf)
+            g = random_jet(amb, rng, parity=pg)
+            want = quasi_poisson(None if z is None else z.apply, fns, f, g)
+            assert entry.product({"fun": f}, {"fun": g}) == _elem("fun", want)

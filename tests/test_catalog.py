@@ -8,8 +8,6 @@ import pytest
 from superrigid import catalog
 from superrigid.catalog import (
     CatalogError,
-    elem_add,
-    elem_scale,
     ideal_spot_checks,
     make,
     normalize_name,
@@ -23,6 +21,17 @@ from superrigid.linalg import (Subspace, _accept, closure_under,
                                ideal_closure, nullspace, span_reduce)
 from superrigid.walg import (FinSuperAlg, _one_step_orbit,
                              check_admissible_findim, is_rigid, tkk)
+
+
+def elem_add(a, b):
+    out = dict(a)
+    for s, f in b.items():
+        out[s] = out[s] + f if s in out else f
+    return out
+
+
+def elem_scale(a, c):
+    return {s: f.scale(c) for s, f in a.items()}
 
 
 # JW_0_8 fails its rigidity check; test_jw_0_8_orbit_deficit pins how.
@@ -449,6 +458,61 @@ def test_product_from_mu_rejects_grading(family, spec, mu, reason):
         product_from_mu(family, spec, mu)
 
 
+# Bad input raises CatalogError: never an AttributeError, a failure deep
+# inside a product, or a report for a seed from another ambient.
+@pytest.mark.parametrize("mu", [None, w03_xi(1),
+                                parse_field([("xi1", "dxi1")], Ambient(0, 2))],
+                         ids=["none", "jet", "other_ambient"])
+def test_product_from_mu_rejects_non_fields(mu):
+    with pytest.raises(CatalogError,
+                       match=r"mu must be a VectorField on Ambient\(0, 3\)"):
+        product_from_mu("W", W03_SPEC, mu)
+
+
+@pytest.mark.parametrize("name", [5, None, ("JS_1_1",)])
+def test_make_rejects_non_string_names(name):
+    with pytest.raises(CatalogError, match="entry names are strings"):
+        make(name)
+
+
+# (left factor, right factor, message) on OJP_1_1, whose ambient is
+# Ambient(2, 2); x stands for the jet x1 there, y for 1 on Ambient(2, 0).
+BAD_ELEMENTS = {
+    "left_value": ({"j": 5}, {"j": 5},
+                   r"slot 'j' needs a jet on Ambient\(2, 2\), got 5"),
+    "right_value": ({"j": "x"}, {"j": 5}, "got 5"),
+    "right_ambient": ({"j": "x"}, {"j": "y"}, r"got a jet on Ambient\(2, 0\)"),
+    "left_slot": ({"k": "x"}, {"j": "x"}, r"has slots \('j',\), not 'k'"),
+    "right_slot": ({"j": "x"}, {"k": "x"}, r"has slots \('j',\), not 'k'"),
+    "right_not_dict": ({"j": "x"}, "x", "elements are slot dicts"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_ELEMENTS)
+def test_oracle_product_rejects_bad_elements(case):
+    entry = make("OJP_1_1")
+    jets = {"x": Jet.x(entry.ambient, 1), "y": Jet.one(Ambient(2, 0))}
+
+    def element(a):
+        if isinstance(a, str):
+            return jets[a]
+        return {s: jets.get(f, f) for s, f in a.items()}
+
+    a, b, match = BAD_ELEMENTS[case]
+    with pytest.raises(CatalogError, match=match):
+        entry.product(element(a), element(b))
+
+
+@pytest.mark.parametrize("seed, match", [
+    ({"field": Jet.one(Ambient(2, 0))}, r"got a jet on Ambient\(2, 0\)"),
+    ({"fun": Jet.one(Ambient(1, 0))}, r"has slots \('field',\), not 'fun'"),
+    ({"field": F(1)}, "got Fraction"),
+], ids=["other_ambient", "unknown_slot", "not_a_jet"])
+def test_spot_check_rejects_bad_seeds(seed, match):
+    with pytest.raises(CatalogError, match=match):
+        ideal_spot_checks(make("JS_1_1"), seeds=[seed])
+
+
 # sha256 over sorted(to_vec(a o b).items()) for every ordered pair of
 # entry.basis(2): the exact structure constants of each oracle entry at the
 # parameters the registry covers, and of the family instances verified below.
@@ -558,15 +622,19 @@ def test_prepared_left_matches_product(name, kw):
             assert left(b) == entry.product(a, b)
 
 
-def with_post(entry, row, post):
-    """entry with the rule of ``row`` followed by post(f, g, element)."""
+def with_negated_row(entry, row):
+    """entry with every term of the rule of ``row`` negated."""
     rule = entry.rules[row]
+    entry.rules[row] = lambda f, p: {
+        s: [(t.scale(-1), op) for t, op in terms]
+        for s, terms in rule(f, p).items()}
+    return entry
 
-    def bound(f, p):
-        inner = rule(f, p)
-        return lambda g, q: post(f, g, inner(g, q))
 
-    entry.rules[row] = bound
+def with_post(entry, post):
+    """entry with each product a o b followed by post(a, b, a o b)."""
+    left = entry.left
+    entry.left = lambda a: lambda b: post(a, b, left(a)(b))
     return entry
 
 
@@ -575,8 +643,7 @@ def check_details(rep):
 
 
 def test_verify_entry_negated_mirror_row():
-    entry = with_post(make("LW_1_2"), ("bar", "fun"),
-                      lambda f, g, r: elem_scale(r, -1))
+    entry = with_negated_row(make("LW_1_2"), ("bar", "fun"))
     assert check_details(catalog.verify_entry(entry)) == [
         ("symmetry", False, "broken at fun: 1 | bar: 1"),
         ("closure", True, "48 pairs")]
@@ -597,8 +664,8 @@ def test_verify_entry_first_failure_in_sample_order(name, symmetry, closure):
     lo = lo[::max(1, len(lo) // 18)][:18]
     bad = {(lo[5]["j"], lo[2]["j"]), (lo[3]["j"], lo[4]["j"])}
     x1 = Jet.x(entry.ambient, 1)
-    entry = with_post(entry, ("j", "j"), lambda f, g, r: elem_add(
-        r, {"j": x1 * f * g}) if (f, g) in bad else r)
+    entry = with_post(entry, lambda a, b, r: elem_add(
+        r, {"j": x1 * a["j"] * b["j"]}) if (a["j"], b["j"]) in bad else r)
     assert check_details(catalog.verify_entry(entry)) == [
         ("symmetry", False, symmetry), ("closure", False, closure)]
 
