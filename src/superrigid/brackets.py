@@ -76,7 +76,7 @@ def bind_terms(terms: dict) -> Callable[[Jet, dict], None]:
             acc = out.setdefault(s, {})
             for ft, op in pairs:
                 if dg[op]:
-                    _mul_into(acc, ft, dg[op], False)
+                    _mul_into(acc, ft, dg[op])
 
     return add
 

@@ -77,11 +77,11 @@ class OracleEntry:
     symmetry.  ``product`` extends the table bilinearly and applies the
     quotient reduction.
 
-    ``left(a)`` prepares a left factor once: it splits a by parity, runs each
-    matching rule and binds the terms by s2.  The map it returns takes each
-    b whole, so a caller that multiplies one a by many b's does a's share
-    once.  An element whose slots are unknown, or whose values are not jets
-    on the entry's ambient, raises CatalogError.
+    ``left(elems)`` binds many left factors once: each a split by parity,
+    its terms keyed by (index of a, output slot).  The map it returns sends
+    b to [a o b for a in elems] and takes each operand of b once.  An
+    element whose slots are unknown, or whose values are not jets on the
+    entry's ambient, raises CatalogError.
 
     Each slot carries the monomials outside ``excluded[slot]``, or, with
     ``kernel=(op, dropped_key)``, the kernel of ``op`` with the component
@@ -184,33 +184,36 @@ class OracleEntry:
                 raise CatalogError(f"{self.name}: slot {s!r} needs a jet on "
                                    f"{amb!r}, got {got}")
 
-    def left(self, a: Element) -> Callable[[Element], Element]:
-        """The map b -> a o b, with a's terms bound once by right slot."""
-        self._check(a)
-        rows: dict = {}  # s2 -> output slot -> terms
-        for s1, f1 in a.items():
-            for part, p in f1.parity_parts():
-                for (r1, s2), rule in self.rules.items():
-                    if r1 == s1:
-                        row = rows.setdefault(s2, {})
-                        for s, terms in rule(part, p).items():
-                            row.setdefault(s, []).extend(terms)
+    def left(self, elems):
+        """The map b -> [a o b for a in elems]."""
+        rows: dict = {}  # s2 -> (index of a, output slot) -> terms
+        for k, a in enumerate(elems):
+            self._check(a)
+            for s1, f1 in a.items():
+                for part, p in f1.parity_parts():
+                    for (r1, s2), rule in self.rules.items():
+                        if r1 == s1:
+                            row = rows.setdefault(s2, {})
+                            for s, terms in rule(part, p).items():
+                                row.setdefault((k, s), []).extend(terms)
         adds = [(s2, bind_terms(row)) for s2, row in rows.items()]
         amb = self.ambient
 
-        def product(b: Element) -> Element:
+        def products(b: Element) -> list[Element]:
             self._check(b)
             out: dict = {}
             for s2, add in adds:
                 if s2 in b:
                     add(b[s2], out)
-            return elem_clean(self.reduce(
-                {s: Jet._clean(amb, t) for s, t in out.items()}))
+            ab: list = [{} for _ in elems]
+            for (k, s), t in out.items():
+                ab[k][s] = Jet._clean(amb, t)
+            return [elem_clean(self.reduce(c)) for c in ab]
 
-        return product
+        return products
 
     def product(self, a: Element, b: Element) -> Element:
-        return self.left(a)(b)
+        return self.left([a])(b)[0]
 
     # -- flattening --------------------------------------------------------
 
@@ -1081,50 +1084,35 @@ def verify_entry(entry, order: int | None = None,
     lo = entry.basis(min(2, eff))
     step = max(1, len(lo) // 18)
     lo = lo[::step][:18]
-    pairs = [(a, b) for a in lo for b in lo]
-    for _ in range(12):
-        pairs.append((rng.choice(hi), rng.choice(hi)))
+    n = len(lo)
+    # Pairs index sample: the lo x lo block, then 12 pairs drawn from hi.
+    sample = lo + [hi[rng.randrange(len(hi))] for _ in range(24)]
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    pairs += [(k, k + 1) for k in range(n, n + 24, 2)]
 
-    # Index in pairs of each check's first failure; len(pairs) while none.
-    first = {"symmetry": len(pairs), "closure": len(pairs)}
+    # Each ordered product once, the lo x lo block a column per right factor.
+    left = entry.left(lo)
+    prods = {(i, j): ab for j in range(n) for i, ab in enumerate(left(lo[j]))}
+    for i, j in pairs[n * n:]:
+        prods[i, j] = entry.product(sample[i], sample[j])
+        prods[j, i] = entry.product(sample[j], sample[i])
+    flat = {k: entry.to_vec(ab) for k, ab in prods.items()}
+    parity = [entry.parity(a) for a in sample]
+
     details = {}
     sym_sign = 1 if entry.symmetry == "commutative" else -1
-
-    def check(k, a, b, ab, ba):
-        """Record the failures of pairs[k] = (a, b), with ab = a o b and ba
-        = b o a (None once symmetry has failed before k)."""
-        if k < first["symmetry"]:
-            mirror = entry.to_vec(ba)
-            if sym_sign * _sgn(entry.parity(a) & entry.parity(b)) < 0:
+    for i, j in pairs:
+        a, b = sample[i], sample[j]
+        if "symmetry" not in details:
+            mirror = flat[j, i]
+            if sym_sign * _sgn(parity[i] & parity[j]) < 0:
                 mirror = {key: -c for key, c in mirror.items()}
-            if entry.to_vec(ab) != mirror:
-                first["symmetry"] = k
+            if flat[i, j] != mirror:
                 details["symmetry"] = (f"broken at {entry.format(a)} | "
                                        f"{entry.format(b)}")
-        if k < first["closure"] and not entry.member(ab):
-            first["closure"] = k
+        if "closure" not in details and not entry.member(prods[i, j]):
             details["closure"] = (f"product of {entry.format(a)} and "
                                   f"{entry.format(b)} leaves the carrier")
-
-    # The lo x lo block: each ordered product is made once and serves the
-    # pair (i, j) and its mirror (j, i).  Every pair before (i, j) is checked
-    # by then, and symmetry holds at (i, j) exactly when it holds at (j, i),
-    # so the first symmetry failure is final; a closure failure at a mirror
-    # can still give way to a pair before it.
-    n = len(lo)
-    lefts = [entry.left(a) for a in lo]
-    for i in range(n):
-        for j in range(i, n):
-            ab = lefts[i](lo[j])
-            ba = ab if i == j else lefts[j](lo[i])
-            check(i * n + j, lo[i], lo[j], ab, ba)
-            if i != j:
-                check(j * n + i, lo[j], lo[i], ba, ab)
-    for k in range(n * n, len(pairs)):
-        a, b = pairs[k]
-        ab = entry.product(a, b)
-        ba = entry.product(b, a) if k < first["symmetry"] else None
-        check(k, a, b, ab, ba)
     checks = [Check(name, name not in details,
                     details.get(name, f"{len(pairs)} pairs"))
               for name in ("symmetry", "closure")]
@@ -1167,9 +1155,10 @@ def ideal_spot_checks(entry, seeds: Sequence | None = None,
     oracle entry and report which window basis elements it reaches.
 
     ``order`` is a positive integer: the targets are the window basis
-    elements of degree at most order - 1, and there must be one.  A finite
-    entry, or a seed that is no element of the entry, raises CatalogError;
-    a finite entry's ideal check is ``walg.is_simple``.
+    elements of degree at most order - 1, and there must be one.  Seeds
+    default to ``entry.default_seeds``.  A finite entry, no seed, or a seed
+    that is no element of the entry raises CatalogError; a finite entry's
+    ideal check is ``walg.is_simple``.
 
     Seeds and products are cut back into the window (their flattened
     vectors keep the terms of degree <= order), so the closure is the
@@ -1178,7 +1167,8 @@ def ideal_spot_checks(entry, seeds: Sequence | None = None,
     products with every partner first, right products too only while that
     span stays proper.  That is exact for any product; the entry's symmetry
     is never assumed, it only makes the right products idle when a
-    homogeneous seed fills the window.
+    homogeneous seed fills the window.  A queued vector is converted and
+    bound once for all partners on each side.
 
     Each SeedReach's ``dim`` is the dimension of that closure.  It can
     exceed the dimension of the window basis's span: truncating a product
@@ -1193,6 +1183,8 @@ def ideal_spot_checks(entry, seeds: Sequence | None = None,
         raise CatalogError(f"{entry.name} is finite: its ideal check is "
                            "walg.is_simple")
     _check_order(order, 1)
+    if seeds is not None and not seeds:
+        raise CatalogError(f"{entry.name}: the spot check needs a seed")
     for seed in seeds or ():
         entry._check(seed)
 
@@ -1202,15 +1194,18 @@ def ideal_spot_checks(entry, seeds: Sequence | None = None,
 
     basis = entry.basis(order)
     vecs = [window(b) for b in basis]
-    # The left and right product with each partner, converted once.
     partners = [entry.from_vec(p) for p in span_reduce(vecs).rows]
-    lefts = [lambda v, left=entry.left(u): window(left(entry.from_vec(v)))
-             for u in partners]
-    rights = [lambda v, u=u: window(entry.product(entry.from_vec(v), u))
-              for u in partners]
+    by_partners = entry.left(partners)
+
+    def lefts(v):
+        return [window(uv) for uv in by_partners(entry.from_vec(v))]
+
+    def rights(v):
+        by_v = entry.left([entry.from_vec(v)])
+        return [window(by_v(u)[0]) for u in partners]
 
     if seeds is None:
-        seeds = getattr(entry, "default_seeds", None)
+        seeds = entry.default_seeds
         if seeds is None:
             seeds = [basis[0], {}] if basis else [{}]
 

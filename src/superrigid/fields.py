@@ -125,7 +125,7 @@ class VectorField:
         for (kind, idx), c in self.coeffs.items():
             df = f.d_even(idx) if kind == "x" else f.d_odd(idx)
             if df.terms:
-                _mul_into(out, c.terms, df.terms, False)
+                _mul_into(out, c.terms, df.terms)
         return Jet._clean(self.ambient, out)
 
     __call__ = apply

@@ -257,7 +257,7 @@ class Jet:
         if other.ambient is not self.ambient:
             _same_ambient(self, other)
         out: dict = {}
-        _mul_into(out, self.terms, other.terms, False)
+        _mul_into(out, self.terms, other.terms)
         return Jet._clean(self.ambient, out)
 
     def __rmul__(self, other):
@@ -338,13 +338,11 @@ class Jet:
         return Jet._clean(self.ambient, out)
 
 
-def _mul_into(out: dict, a: dict, b: dict, negate: bool) -> None:
-    """out += a*b, or out -= a*b when negate is set, in place over term dicts
-    of one ambient: keys that cancel are dropped and a whole sum is stored as
-    an int.  The one product kernel of jets, vector fields and brackets."""
+def _mul_into(out: dict, a: dict, b: dict) -> None:
+    """out += a*b in place over term dicts of one ambient: keys that cancel
+    are dropped and a whole sum is stored as an int.  The one product kernel
+    of jets, vector fields and brackets."""
     for (ex1, od1), c1 in a.items():
-        if negate:
-            c1 = -c1
         for (ex2, od2), c2 in b.items():
             sign, odds = merge_sign(od1, od2)
             if not sign:

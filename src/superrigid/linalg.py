@@ -18,18 +18,20 @@ from the other rows.  span_reduce, Subspace.extended and closure_under all grow
 their spans this way.  The step clears each pivot from one copy of the vector
 in place.  Rows are copy-on-write: spans grown from a Subspace share its row
 dicts, so the step replaces a row it changes.  closure_under is the one closure
-routine: the smallest span holding a seed that a list of linear maps sends into
-itself.  A caller closing under a bilinear operation binds each partner into a
-unary map once.  A caller that knows a finite coordinate space holding the seed
-and every image of the maps may pass its dimension as ``full_dim``; the closure
-then stops once the span fills that space, which is exact because a span of
-full dimension is the whole space.  The bound must hold every image, not just
-the vectors the caller cares about.  ideal_closure builds the two-sided ideal
-of a seed from closure_under walks: under left products first, then, only when
-that span is proper, under left and right products together.  A full span is
-the whole space and holds every right image, and a proper one lies inside the
-ideal, so the result is exact for any product; a symmetric product only makes
-the second walk rare.  nullspace reads a kernel off span_reduce of an
+routine: the smallest span holding a seed that some linear maps send into
+itself.  The maps come as one callable that returns a vector's images under
+all of them, so a caller closing under a bilinear operation does each
+vector's share of the work once for all partners.  A caller that knows a
+finite coordinate space holding the seed and every image of the maps may pass
+its dimension as ``full_dim``; the closure then stops once the span fills
+that space, which is exact because a span of full dimension is the whole
+space.  The bound must hold every image, not just the vectors the caller
+cares about.  ideal_closure builds the two-sided ideal of a seed from
+closure_under walks: under left products first, then, only when that span is
+proper, under left and right products together.  A full span is the whole
+space and holds every right image, and a proper one lies inside the ideal, so
+the result is exact for any product; a symmetric product only makes the
+second walk rare.  nullspace reads a kernel off span_reduce of an
 operator's graph, so it grows its span through the same step.  split_parity
 is the one parity splitter, for jets, vector fields and flattened
 multilinear maps.
@@ -195,15 +197,14 @@ ZERO = Subspace({})
 
 def closure_under(
     seed: Subspace,
-    maps: Sequence[Callable[[Vec], Vec]],
+    maps: Callable[[Vec], Iterable[Vec]],
     full_dim: int | None = None,
-    seed_skip: int = 0,
 ) -> Subspace:
-    """Smallest subspace containing seed that each linear map in maps sends
-    into itself.
+    """Smallest subspace containing seed that each of some linear maps sends
+    into itself; maps(v) returns v's images under every one of them.
 
-    A worklist starts with the seed rows.  Each popped vector is sent through
-    every map, and the remainder of each image outside the span so far joins
+    A worklist starts with the seed rows.  Each popped vector goes through
+    maps once, and the remainder of each image outside the span so far joins
     the span and the worklist.  Every vector that joined is popped, so each
     map sends a spanning set, and by linearity the whole span, into the
     result; every vector that joined lies in any invariant space holding the
@@ -215,19 +216,14 @@ def closure_under(
     reaches it: a span of that dimension inside that space is the whole
     space, which every map sends into itself.  The stop is exact only under
     that promise; a bound that some image can leave gives a span too small.
-
-    The seed rows skip the first ``seed_skip`` maps, which the caller
-    vouches send the seed into itself; vectors that join later go through
-    every map.
     """
     rows = dict(seed._by_pivot)
     queue = list(seed.rows)
-    n_seed, seed_maps = len(queue), maps[seed_skip:]
-    for k, v in enumerate(queue):  # the queue grows while it is walked
+    for v in queue:  # the queue grows while it is walked
         if len(rows) == full_dim:
             break
-        for m in seed_maps if k < n_seed else maps:
-            r = _accept(rows, m(v))
+        for w in maps(v):
+            r = _accept(rows, w)
             if r:
                 queue.append(r)
                 if len(rows) == full_dim:
@@ -237,29 +233,27 @@ def closure_under(
 
 def ideal_closure(
     seed: Subspace,
-    lefts: Sequence[Callable[[Vec], Vec]],
-    rights: Sequence[Callable[[Vec], Vec]],
+    lefts: Callable[[Vec], Iterable[Vec]],
+    rights: Callable[[Vec], Iterable[Vec]],
     full_dim: int,
 ) -> Subspace:
-    """Smallest subspace containing seed that every map in lefts and rights
-    sends into itself: the two-sided ideal a seed generates.
+    """Smallest subspace containing seed that every left and right product
+    sends into itself: the two-sided ideal a seed generates.  lefts(v) and
+    rights(v) return v's left and right products with every partner.
 
     The seed is first closed under lefts alone.  A span that fills
     ``full_dim`` (as in closure_under) is the whole space, which every map
     sends into itself, so it is returned.  Otherwise the walk goes on from
-    that span: its rows go through the rights only, since the lefts already
-    send it into itself, and every vector the rights add goes through lefts
-    and rights together.  The first span lies inside the two-sided closure,
-    so the result is that closure, for any maps.
+    that span under lefts and rights together.  The first span lies inside
+    the two-sided closure, so the result is that closure, for any maps.
     With a supercommutative or anticommutative product and a homogeneous
-    seed each right product is +- a left one, so no right map runs when the
+    seed each right product is +- a left one, so rights never runs when the
     left closure fills the space.
     """
     span = closure_under(seed, lefts, full_dim)
     if span.dim == full_dim:
         return span
-    return closure_under(span, list(lefts) + list(rights), full_dim,
-                         seed_skip=len(lefts))
+    return closure_under(span, lambda v: [*lefts(v), *rights(v)], full_dim)
 
 
 def nullspace(

@@ -566,8 +566,7 @@ def _bracket_closure(seed: Subspace, maps) -> Subspace:
     """Smallest span holding seed that w_bracket with each map sends into
     itself, each bracket applied by _bracket_flat to the flattened vectors
     as they are."""
-    return closure_under(seed, [lambda v, f=f: _bracket_flat(f, v)
-                                for f in maps])
+    return closure_under(seed, lambda v: [_bracket_flat(f, v) for f in maps])
 
 
 def _one_step_orbit(mu: MultiLinMap, ops: Subspace) -> Subspace:
@@ -675,8 +674,8 @@ def is_simple(J: FinSuperAlg) -> SimplicityReport:
         return SimplicityReport(False, None)
     # Left and right multiplication by each basis vector.
     units = [{i: 1} for i in range(n)]
-    lefts = [lambda v, e=e: J.mult_vec(e, v) for e in units]
-    rights = [lambda v, e=e: J.mult_vec(v, e) for e in units]
+    lefts = lambda v: [J.mult_vec(e, v) for e in units]
+    rights = lambda v: [J.mult_vec(v, e) for e in units]
     rng = random.Random(11)
     candidates = list(units)
     for _ in range(_PROBES):

@@ -5,9 +5,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from superrigid import catalog
+from superrigid import brackets, catalog, linalg
 from superrigid.catalog import (
     CatalogError,
+    OracleEntry,
     ideal_spot_checks,
     make,
     normalize_name,
@@ -124,8 +125,8 @@ def test_spot_check_is_two_sided():
     # right products give x - y, so only both sides reach x and y.
     J = FinSuperAlg((0, 1, 1, 1, 0), 0, {(2, 0): {3: 1}, (2, 1): {4: 1}})
     units = [{i: F(1)} for i in range(J.dim)]
-    lefts = [lambda v, e=e: J.mult_vec(e, v) for e in units]
-    rights = [lambda v, e=e: J.mult_vec(v, e) for e in units]
+    lefts = lambda v: [J.mult_vec(e, v) for e in units]
+    rights = lambda v: [J.mult_vec(v, e) for e in units]
     seed = span_reduce([{0: F(1), 1: F(1)}])
     assert closure_under(seed, lefts).dim == 2
     closed = ideal_closure(seed, lefts, rights, full_dim=J.dim)
@@ -201,15 +202,55 @@ def test_spot_reach(name):
 
 def unbounded_closure(seed, maps):
     """closure_under without its saturation stop: every queued vector goes
-    through every map."""
+    through maps, which lists its images under every map."""
     rows = dict(seed._by_pivot)
     queue = list(seed.rows)
     for v in queue:
-        for m in maps:
-            r = _accept(rows, m(v))
+        for w in maps(v):
+            r = _accept(rows, w)
             if r:
                 queue.append(r)
     return Subspace(rows)
+
+
+def test_spot_check_converts_each_vector_once(monkeypatch):
+    # LSKOp_2_4's default spot check has 40 partners.  Each call of the
+    # closure's maps converts its vector once, and a left call takes each
+    # operand of the vector's slots once for all the partners.
+    entry = probe("LSKOp_2_4")
+    calls = []  # per map call: its side, from_vec count and operand keys
+    from_vec, operand = OracleEntry.from_vec, brackets._operand
+
+    def counted_from_vec(self, v):
+        if calls:
+            calls[-1][1].append(v)
+        return from_vec(self, v)
+
+    def counted_operand(h, key):
+        if calls:
+            calls[-1][2].append((tuple(sorted(h.terms.items())), key))
+        return operand(h, key)
+
+    def opened(side, maps):
+        def call(v):
+            calls.append((side, [], []))
+            return maps(v)
+        return call
+
+    def spy(seed, lefts, rights, full_dim):
+        return linalg.ideal_closure(seed, opened("left", lefts),
+                                    opened("right", rights), full_dim)
+
+    monkeypatch.setattr(OracleEntry, "from_vec", counted_from_vec)
+    monkeypatch.setattr(brackets, "_operand", counted_operand)
+    monkeypatch.setattr(catalog, "ideal_closure", spy)
+    rep = ideal_spot_checks(entry)
+    assert rep.passed and rep.seeds[0].dim == 80
+    assert any(side == "left" for side, _, _ in calls)
+    for side, converted, operands in calls:
+        assert len(converted) == 1
+        if side == "left":
+            assert operands and len(set(operands)) == len(operands)
 
 
 # Entries that drop the unit monomial from one slot.  A seed holding it has
@@ -228,7 +269,7 @@ def test_spot_seed_outside_window_coordinates(name, monkeypatch):
 
     def unbounded_ideal(seed, lefts, rights, full_dim):
         calls.append(seed)
-        return unbounded_closure(seed, list(lefts) + list(rights))
+        return unbounded_closure(seed, lambda v: [*lefts(v), *rights(v)])
 
     monkeypatch.setattr(catalog, "ideal_closure", unbounded_ideal)
     assert got == ideal_spot_checks(entry, seeds=seeds)
@@ -503,14 +544,15 @@ def test_oracle_product_rejects_bad_elements(case):
         entry.product(element(a), element(b))
 
 
-@pytest.mark.parametrize("seed, match", [
-    ({"field": Jet.one(Ambient(2, 0))}, r"got a jet on Ambient\(2, 0\)"),
-    ({"fun": Jet.one(Ambient(1, 0))}, r"has slots \('field',\), not 'fun'"),
-    ({"field": F(1)}, "got Fraction"),
-], ids=["other_ambient", "unknown_slot", "not_a_jet"])
-def test_spot_check_rejects_bad_seeds(seed, match):
+@pytest.mark.parametrize("seeds, match", [
+    ([{"field": Jet.one(Ambient(2, 0))}], r"got a jet on Ambient\(2, 0\)"),
+    ([{"fun": Jet.one(Ambient(1, 0))}], r"has slots \('field',\), not 'fun'"),
+    ([{"field": F(1)}], "got Fraction"),
+    ([], "needs a seed"),
+], ids=["other_ambient", "unknown_slot", "not_a_jet", "no_seed"])
+def test_spot_check_rejects_bad_seeds(seeds, match):
     with pytest.raises(CatalogError, match=match):
-        ideal_spot_checks(make("JS_1_1"), seeds=[seed])
+        ideal_spot_checks(make("JS_1_1"), seeds=seeds)
 
 
 # sha256 over sorted(to_vec(a o b).items()) for every ordered pair of
@@ -608,18 +650,18 @@ def test_structure_constants(name, kw, digest):
 @pytest.mark.parametrize("name, kw", [(n, kw) for n, kw, _ in
                                       STRUCTURE_DIGESTS])
 def test_prepared_left_matches_product(name, kw):
-    # One prepared factor serves every b in turn, so nothing it keeps for
-    # one b may leak into the next.  The sum of the basis has a part in
-    # every slot and parity.
+    # One prepared map serves every b in turn, so nothing it keeps for one
+    # b may leak into the next, nor one left factor's terms into another's.
+    # The sum of the basis has a part in every slot and parity.
     entry = make(name, **kw)
     basis = entry.basis(2)
     total = {}
     for a in basis:
         total = elem_add(total, a)
-    for a in basis + [total]:
-        left = entry.left(a)
-        for b in basis:
-            assert left(b) == entry.product(a, b)
+    elems = basis + [total]
+    left = entry.left(elems)
+    for b in basis:
+        assert left(b) == [entry.product(a, b) for a in elems]
 
 
 def with_negated_row(entry, row):
@@ -634,7 +676,8 @@ def with_negated_row(entry, row):
 def with_post(entry, post):
     """entry with each product a o b followed by post(a, b, a o b)."""
     left = entry.left
-    entry.left = lambda a: lambda b: post(a, b, left(a)(b))
+    entry.left = lambda elems: lambda b: [
+        post(a, b, ab) for a, ab in zip(elems, left(elems)(b))]
     return entry
 
 
@@ -649,9 +692,9 @@ def test_verify_entry_negated_mirror_row():
         ("closure", True, "48 pairs")]
 
 
-# verify_entry makes each ordered product of its sample block once, for the
-# pair and its mirror, so it meets (lo[5], lo[2]) before (lo[3], lo[4]).
-# The details must still name the first failing pair in sample order.
+# verify_entry makes the products of its sample block a column at a time,
+# so it makes (lo[5], lo[2]) before (lo[3], lo[4]).  The details must still
+# name the first failing pair in sample order.
 @pytest.mark.parametrize("name, symmetry, closure", [
     ("LSHO_2_2", "broken at j: xi2 | j: x2^2",
      "product of j: x2 and j: x2*xi1 leaves the carrier"),

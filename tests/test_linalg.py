@@ -155,12 +155,12 @@ class TestClosure:
     def test_closure_fixed_point(self):
         for seed in (span_reduce([v(((2,), 1))]),
                      span_reduce([v(((1,), 1)), v(((2,), 3))])):
-            assert closure_under(seed, [shift]) == seed
+            assert closure_under(seed, lambda a: [shift(a)]) == seed
 
     def test_closure_grows(self):
         # e0 + e2 reaches e1 and then e2 through the shift alone
         seed = span_reduce([v(((0,), 1), ((2,), 1))])
-        out = closure_under(seed, [shift])
+        out = closure_under(seed, lambda a: [shift(a)])
         assert out == span_reduce([v(((i,), 1)) for i in range(3)])
         assert all(out.contains(shift(r)) for r in out.rows)
 
@@ -186,7 +186,7 @@ class TestClosure:
 
         e, f = v(((0,), 1)), v(((1,), 1))
         out = closure_under(span_reduce([e, f]),
-                            [lambda x: br(e, x), lambda x: br(f, x)])
+                            lambda x: [br(e, x), br(f, x)])
         assert out.dim == 3
         assert all(not out.reduce(br(a, b)) for a in out.rows for b in out.rows)
 
@@ -200,24 +200,21 @@ class TestClosure:
 
         calls = []
 
-        def counted(m):
-            def call(a):
-                calls.append(m)
-                return m(a)
-            return call
+        def both(a):
+            calls.append(a)
+            return [shift(a), swap(a)]
 
         seed = span_reduce([v(((0,), 1))])
-        unbounded = closure_under(seed, [counted(shift), counted(swap)])
+        unbounded = closure_under(seed, both)
         n_unbounded = len(calls)
         calls.clear()
-        stopped = closure_under(seed, [counted(shift), counted(swap)],
-                                full_dim=3)
+        stopped = closure_under(seed, both, full_dim=3)
         assert stopped == unbounded == span_reduce(
             [v(((i,), 1)) for i in range(3)])
         assert len(calls) < n_unbounded
         # A seed that already fills the space sends nothing through a map.
         calls.clear()
-        assert closure_under(stopped, [counted(shift)], full_dim=3) == stopped
+        assert closure_under(stopped, both, full_dim=3) == stopped
         assert calls == []
 
 
@@ -242,10 +239,11 @@ class TestRowsAreNotWritten:
         seed = span_reduce(base)
         inputs, rows = deepcopy((base, more)), deepcopy(seed.rows)
         # The identity hands the seed's own rows back to the elimination.
-        maps = [self.shift, lambda a: a, self.reverse]
+        lefts = lambda a: [self.shift(a), a]
+        rights = lambda a: [self.reverse(a)]
         grown = [span_reduce(base + more), seed.extended(more),
-                 closure_under(seed, maps),
-                 ideal_closure(seed, maps[:2], maps[2:], full_dim=6)]
+                 closure_under(seed, lambda a: [*lefts(a), *rights(a)]),
+                 ideal_closure(seed, lefts, rights, full_dim=6)]
         assert (base, more) == inputs
         assert seed.rows == rows
         assert grown[0] == grown[1]
@@ -253,13 +251,17 @@ class TestRowsAreNotWritten:
 
 
 def counted(maps, calls):
-    """The maps, each appending to calls when it runs."""
-    def wrap(m):
-        def call(a):
-            calls.append(m)
-            return m(a)
-        return call
-    return [wrap(m) for m in maps]
+    """maps, appending each image it makes to calls."""
+    def call(a):
+        images = maps(a)
+        calls.extend(images)
+        return images
+    return call
+
+
+def both(lefts, rights):
+    """The images under lefts and rights together."""
+    return lambda a: [*lefts(a), *rights(a)]
 
 
 def random_product(rng, kind):
@@ -309,8 +311,8 @@ def table_product(table):
 def sides(mult, n):
     """Left and right multiplication by each of the n basis vectors."""
     units = [{i: F(1)} for i in range(n)]
-    return ([lambda w, e=e: mult(e, w) for e in units],
-            [lambda w, e=e: mult(w, e) for e in units])
+    return (lambda w: [mult(e, w) for e in units],
+            lambda w: [mult(w, e) for e in units])
 
 
 class TestIdealClosure:
@@ -336,7 +338,7 @@ class TestIdealClosure:
         start = span_reduce([sv])
         right_calls = []
         got = ideal_closure(start, lefts, counted(rights, right_calls), n)
-        assert got == closure_under(start, lefts + rights)
+        assert got == closure_under(start, both(lefts, rights))
         if kind != "arbitrary" and seed_kind != "mixed":
             # Right products are +- left ones: the left closure is the ideal.
             assert got == closure_under(start, lefts)
@@ -363,11 +365,11 @@ class TestIdealClosure:
         assert len(dims) > 8 and all(d == full for d, full in dims)
         assert right_calls == []
 
-    def test_left_closed_span_skips_left_maps(self):
+    def test_proper_left_closure_adds_right_maps(self):
         # is_simple's first candidate on JS_0_2 + JS_0_8 spans a proper
-        # left closure, so the walk goes on with the right maps.  Each left
-        # map runs once per row of the first walk and never on a row it
-        # already closed: 2 rows, 10 maps.
+        # left closure, so the walk goes on with the right maps.  Each of
+        # the 2 rows goes through the 10 left maps in the first walk, and
+        # through the 10 left and 10 right maps in the second.
         J = direct_sum(catalog.make("JS_0_2").algebra,
                             catalog.make("JS_0_8").algebra)
         n = J.dim
@@ -376,9 +378,9 @@ class TestIdealClosure:
         start = span_reduce([{0: F(1)}])
         got = ideal_closure(start, counted(lefts, left_calls),
                             counted(rights, right_calls), n)
-        assert got == closure_under(start, lefts + rights)
+        assert got == closure_under(start, both(lefts, rights))
         assert got.dim == 2 < n
-        assert (len(left_calls), len(right_calls)) == (20, 20)
+        assert (len(left_calls), len(right_calls)) == (40, 20)
 
     def test_right_products_feed_left_ones(self):
         # s.e = x and e.x = y with nothing else: the left closure of s is
@@ -467,10 +469,10 @@ def _frac_reduce(vectors):
 
 def _frac_closure(vectors, maps):
     """Reference: the span of the vectors grown by every map's images of
-    its rows until it stops growing."""
+    its rows, maps(r) listing them, until it stops growing."""
     rows = _frac_reduce(vectors)
     while True:
-        grown = _frac_reduce(rows + [m(r) for r in rows for m in maps])
+        grown = _frac_reduce(rows + [w for r in rows for w in maps(r)])
         if len(grown) == len(rows):
             return grown
         rows = grown
@@ -530,7 +532,7 @@ class TestWholeCoefficients:
                                                 max_size=2))
     @settings(max_examples=150, deadline=None)
     def test_matches_fraction_reference(self, vs, mats):
-        maps = [lambda v, m=m: self.apply(m, v) for m in mats]
+        maps = lambda v: [self.apply(m, v) for m in mats]
         span = span_reduce(vs)
         assert list(span.rows) == _frac_reduce(vs)
         want = _frac_closure(vs, maps)

@@ -1475,12 +1475,12 @@ class TestSimplicity:
             (1, 2): {2: -1, 3: -3}, (1, 3): {3: 2}, (2, 2): {1: -1},
             (2, 3): {1: 1}, (3, 3): {1: -1}})
         basis = [{i: F(1)} for i in range(4)]
-        sides = [lambda u, e=e: J.mult_vec(e, u) for e in basis]
-        sides += [lambda u, e=e: J.mult_vec(u, e) for e in basis]
+        lefts = lambda u: [J.mult_vec(e, u) for e in basis]
+        sides = lambda u: [*lefts(u), *(J.mult_vec(u, e) for e in basis)]
         assert all(closure_under(span_reduce([e]), sides).dim == 4
                    for e in basis)
         probe = {0: F(1), 1: F(2), 2: F(1), 3: F(1)}
-        left = closure_under(span_reduce([probe]), sides[:4])
+        left = closure_under(span_reduce([probe]), lefts)
         assert left == span_reduce([probe])
         rep = is_simple(J)
         assert not rep.simple
