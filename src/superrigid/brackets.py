@@ -3,11 +3,12 @@
 Every bracket here, and every product of the catalog's oracle entries, is a
 sum of terms F * op(g): F is a jet made from the left factor f alone (its
 f-side factor) and op is one of a few operators on the right factor g, g
-itself, a partial derivative, or the contact operator E-2.  ``bind_terms``
-evaluates such a term list for any g: it takes each operand of g once and
-adds every product into one term dict (jets._mul_into).  The f-side factor
-always comes first, so every sign depends on the parity of f alone and g is
-never split by parity.
+itself, its parity involution P (odd monomials negated), a partial
+derivative, or the contact operator E-2.  ``bind_terms`` evaluates such a
+term list for any g: it takes each operand of g once and adds every product
+into one term dict (jets._mul_into).  The f-side factor always comes first,
+so every sign depends on the parity of f alone and g is never split by
+parity.
 
 A Pairing lists the generator pairs of a bracket:
   even-even (p, q):  d_p f d_q g - d_q f d_p g;
@@ -20,7 +21,8 @@ it names, each as often as it is listed: odd tau adds (E-2)(f) dg/dtau +
 their map g -> {f, g} and ``paired_bracket`` that map applied once.  The
 brackets of H, K, HO, SHO, KO and SKO are each a Pairing and that call, and
 so is the catalog's series product (OjpSpace), an odd contact bracket of KO
-type.
+type.  The superbracket of vector fields (fields.lie_bracket) is one term
+list per slot of its right factor.
 
 Parity conventions: signs use the parity of the function argument itself;
 operations that need a homogeneous argument raise ParityError on mixed input.
@@ -30,7 +32,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
-from .jets import Ambient, Jet, _mul_into, _same_ambient
+from .jets import Ambient, Jet, _mul_into, _odd, _same_ambient
 
 
 class ParityError(ValueError):
@@ -62,7 +64,8 @@ def bind_terms(terms: dict) -> Callable[[Jet, dict], None]:
     ``terms`` maps an output slot to (f-side jet, g operand) pairs.  The
     returned add(g, out) adds f-side * operand(g) for every pair into the
     term dict out[slot], the f-side factor first; each distinct operand of g
-    is computed once per call.  An operand is None (g itself), ("x", i) or
+    is computed once per call.  An operand is None (g itself), "P" (the
+    parity involution, which negates the odd monomials of g), ("x", i) or
     ("xi", j) (a partial derivative) or ("E", euler), the contact operator
     E-2 with E counting the (even, odd) indices of euler.
     """
@@ -140,6 +143,9 @@ def _plan(spec: Pairing) -> tuple:
 def _operand(h: Jet, key) -> Jet:
     if key is None:
         return h
+    if key == "P":
+        return Jet._clean(h.ambient, {m: -c if _odd(m) else c
+                                      for m, c in h.terms.items()})
     kind, i = key
     if kind == "x":
         return h.d_even(i)

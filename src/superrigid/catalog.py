@@ -39,7 +39,7 @@ from .brackets import (Pairing, _odd_pairing, bind_terms, buttin, k_bracket,
 from .fields import (FamilyRealization, GradingSpec, VectorField, format_field,
                      parse_field)
 from .jets import Ambient, Jet, div_beta, format_jet, odd_laplacian
-from .linalg import ideal_closure, nullspace, span_reduce
+from .linalg import ideal_closure, nullspace, span_reduce, vec_parity
 from .walg import FinSuperAlg, format_product, is_rigid, is_simple
 
 
@@ -86,7 +86,9 @@ class OracleEntry:
     Each slot carries the monomials outside ``excluded[slot]``, or, with
     ``kernel=(op, dropped_key)``, the kernel of ``op`` with the component
     along ``dropped_key`` (None for none) removed.  The slot order is the key
-    order of ``slot_parity``.
+    order of ``slot_parity``.  ``extra_checks`` holds (name, fn) pairs that
+    verify_entry runs after its sampled checks, fn(entry) giving (passed,
+    detail).
     """
 
     kind = "oracle"
@@ -156,15 +158,8 @@ class OracleEntry:
     # -- algebra ----------------------------------------------------------
 
     def parity(self, a: Element) -> int | None:
-        seen = set()
-        for s, f in elem_clean(a).items():
-            p = f.parity()
-            if p is None:
-                return None
-            seen.add(p ^ (self.slot_parity[s] & 1))
-        if len(seen) != 1:
-            return None
-        return seen.pop()
+        return vec_parity(self.to_vec(a), lambda k: (
+            self.slot_parity[self.slots[k[0]]] + len(k[2])) & 1)
 
     def _check(self, a: Element) -> None:
         """Raise CatalogError unless a maps known slots to jets on the
@@ -400,14 +395,13 @@ class RelationReport:
 
 
 def ojp_relation_suite(space: OjpSpace, vw_pairs: Sequence,
-                       probe_pairs: Sequence,
-                       constants: Sequence = (0, 1)) -> RelationReport:
+                       probe_pairs: Sequence) -> RelationReport:
     """Check the structure-operator identities of the series product.
 
     ``vw_pairs`` supplies the homogeneous subscript elements, ``probe_pairs``
     the homogeneous nonzero arguments the resulting operators are evaluated
     on; other elements raise CatalogError.  The integration constant of
-    every antiderivative is swept over ``constants``; the identities must
+    every antiderivative is swept over 0 and 1; the identities must
     hold for any choice.  Each left factor is prepared by ``space.left``
     once and each distinct product made once per call, and the terms free
     of the constant are made before the sweep.
@@ -493,7 +487,7 @@ def ojp_relation_suite(space: OjpSpace, vw_pairs: Sequence,
                           lm.scale(_sgn(pv + 1))
                           - _brmu_sum(mul, _ops(mul, "mu", vw), a, b, pa),
                           ml.is_zero(), mm))
-        for const in constants:
+        for const in (0, 1):
             tag = f", constant={const}"
 
             def block(prime):
@@ -523,15 +517,14 @@ def ojp_relation_suite(space: OjpSpace, vw_pairs: Sequence,
     return RelationReport(repr(space), len(vw_pairs), results, failures)
 
 
-def ojp_probe_pairs(space: OjpSpace, count: int, seed: int = 9) -> list:
+def ojp_probe_pairs(space: OjpSpace, count: int) -> list:
     """Deterministic homogeneous probe pairs of low even degree."""
     singles = [Jet(space.ambient, {m: 1})
                for m in sorted(space.ambient.monomials(1))]
     pairs = [(a, b) for a in singles for b in singles]
     if len(pairs) <= count:
         return pairs
-    rng = random.Random(seed)
-    return rng.sample(pairs, count)
+    return random.Random(9).sample(pairs, count)
 
 
 # -- finite builders -------------------------------------------------------
@@ -583,19 +576,18 @@ def _graded_summary(name: str) -> str:
             f"{weights}, with x o y = [[mu, x], y] for an even mu in g_1")
 
 
-def product_from_mu(family: str, spec: GradingSpec, mu, order: int = 4,
-                    beta=None) -> FinSuperAlg:
+def product_from_mu(family: str, spec: GradingSpec, mu) -> FinSuperAlg:
     """The product x o y = [[mu, x], y] on the bottom component g_-1 of a
     graded family, as a table over its monomial basis.
 
     ``mu`` must be even and of pure weighted degree one, and g_-2 must
     vanish; then the product is supersymmetric.  Basis vectors are ordered
     by slot and even exponents, then by their odd monomial's degree and
-    indices, and labelled with their printed form.  ``order`` caps the
-    coefficients' x-degrees; a basis that is not monomial, or a product
+    indices, and labelled with their printed form.  The coefficients'
+    x-degrees are capped at 4; a basis that is not monomial, or a product
     leaving that window, raises CatalogError.
     """
-    real = FamilyRealization(family, spec, beta=beta)
+    real = FamilyRealization(family, spec)
     kind = VectorField if real.field_side else Jet
     if not isinstance(mu, kind) or mu.ambient != real.ambient:
         raise CatalogError(f"mu must be a {kind.__name__} on "
@@ -605,10 +597,10 @@ def product_from_mu(family: str, spec: GradingSpec, mu, order: int = 4,
     if real.degrees(mu) != {1}:
         raise CatalogError(
             f"mu must have pure degree 1, found degrees {real.degrees(mu)}")
-    if real.basis_of_degree(-2, order):
+    if real.basis_of_degree(-2, 4):
         raise CatalogError("g_-2 must vanish for a supersymmetric product")
     keys = []
-    for x in real.basis_of_degree(-1, order):
+    for x in real.basis_of_degree(-1, 4):
         vec = real.to_vec(x)
         if list(vec.values()) != [1]:
             raise CatalogError(f"g_-1 basis vector {x!r} is not a monomial")
@@ -995,10 +987,10 @@ def _entry_lskop_2_4() -> OracleEntry:
 # -- oracle builders: series products over an odd Poisson carrier ----------
 
 
-def _ojp_checks(entry: OracleEntry, order: int, rng) -> tuple[bool, str]:
+def _ojp_checks(entry: OracleEntry) -> tuple[bool, str]:
     space = entry.space
     pairs = ojp_probe_pairs(space, 6)
-    rep = ojp_relation_suite(space, pairs, pairs[:3], constants=(0, 1))
+    rep = ojp_relation_suite(space, pairs, pairs[:3])
     if rep.passed:
         return True, f"{rep.samples} subscript pairs, both constants"
     bad = ", ".join(f"{k}: {v}" for k, v in rep.failures.items())
@@ -1116,8 +1108,9 @@ def verify_entry(entry, order: int | None = None,
     checks = [Check(name, name not in details,
                     details.get(name, f"{len(pairs)} pairs"))
               for name in ("symmetry", "closure")]
+    del prods, flat
     for name, fn in entry.extra_checks:
-        ok, detail = fn(entry, eff, rng)
+        ok, detail = fn(entry)
         checks.append(Check(name, ok, detail))
     stats = {"window_dim": len(hi), "sample_pairs": len(pairs),
              "seed": seed}

@@ -17,7 +17,7 @@ from . import brackets as br
 from .brackets import poisson_antidiagonal
 from .jets import (Ambient, Jet, _check_generator, _mul_into, _same_ambient,
                    div_beta, format_jet, odd_laplacian, parse_jet)
-from .linalg import nullspace
+from .linalg import nullspace, vec_parity
 
 F = Fraction
 
@@ -25,15 +25,24 @@ Slot = tuple  # ('x', i) or ('xi', j)
 
 
 class VectorField:
-    """Derivation of the jet algebra: sum of coefficient * partial-slot."""
+    """Derivation of the jet algebra: sum of coefficient * partial-slot, each
+    slot ('x', i) or ('xi', j) naming a generator and each coefficient a jet
+    on the ambient; anything else raises a ValueError naming the slot."""
 
     __slots__ = ("ambient", "coeffs")
 
     def __init__(self, ambient: Ambient, coeffs: dict | None = None):
         self.ambient = ambient
-        self.coeffs = {
-            s: c for s, c in (coeffs or {}).items() if not c.is_zero()
-        }
+        coeffs = coeffs or {}
+        for s, c in coeffs.items():
+            if type(s) is not tuple or len(s) != 2 or s[0] not in ("x", "xi"):
+                raise ValueError(f"unknown slot {s!r}")
+            _check_generator(ambient, *s)
+            if not isinstance(c, Jet) or (c.ambient is not ambient
+                                          and c.ambient != ambient):
+                raise ValueError(f"slot {s!r} needs a jet on {ambient!r}, "
+                                 f"got {c!r}")
+        self.coeffs = {s: c for s, c in coeffs.items() if not c.is_zero()}
 
     # -- constructors ------------------------------------------------------
 
@@ -43,9 +52,6 @@ class VectorField:
 
     @classmethod
     def partial(cls, amb: Ambient, kind: str, idx: int) -> "VectorField":
-        if kind not in ("x", "xi"):
-            raise ValueError(f"unknown slot kind {kind!r}")
-        _check_generator(amb, kind, idx)
         return cls(amb, {(kind, idx): Jet.one(amb)})
 
     # -- basics ------------------------------------------------------------
@@ -55,25 +61,7 @@ class VectorField:
 
     def parity(self) -> int | None:
         """Slot parity plus coefficient parity, when consistent."""
-        ps = set()
-        for (kind, _), c in self.coeffs.items():
-            pslot = 0 if kind == "x" else 1
-            for m in c.terms:
-                ps.add((len(m[1]) + pslot) & 1)
-        if len(ps) == 1:
-            return ps.pop()
-        return None
-
-    def parity_parts(self) -> list[tuple["VectorField", int]]:
-        """Parity-homogeneous parts as (part, parity) pairs: none for zero,
-        the field itself when it is homogeneous."""
-        parts: dict = {}
-        for s, c in self.coeffs.items():
-            for part, p in c.parity_parts():
-                parts.setdefault(p ^ (s[0] == "xi"), {})[s] = part
-        if len(parts) == 1:
-            return [(self, p) for p in parts]
-        return [(VectorField(self.ambient, cs), p) for p, cs in parts.items()]
+        return vec_parity(_flat(self), lambda k: (k[0] + len(k[3])) & 1)
 
     def __eq__(self, other) -> bool:
         return (
@@ -118,7 +106,7 @@ class VectorField:
 
     # -- action ------------------------------------------------------------
 
-    def apply(self, f: Jet) -> Jet:
+    def __call__(self, f: Jet) -> Jet:
         if f.ambient is not self.ambient:
             _same_ambient(self, f)
         out: dict = {}
@@ -128,24 +116,41 @@ class VectorField:
                 _mul_into(out, c.terms, df.terms)
         return Jet._clean(self.ambient, out)
 
-    __call__ = apply
+
+def _flat(X: VectorField) -> dict:
+    """X as a vector on (slot tag, slot index, even exponents, odd indices)
+    keys, tag 0 for an x slot and 1 for a xi slot."""
+    return {(0 if s[0] == "x" else 1, s[1]) + m: c
+            for s, f in X.coeffs.items() for m, c in f.terms.items()}
 
 
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
-    """Superbracket of derivations, in coefficient form; extends bilinearly
-    over mixed-parity inputs."""
-    out = VectorField.zero(X.ambient)
-    for Xh, px in X.parity_parts():
-        for Yh, py in Y.parity_parts():
-            sign = -1 if px and py else 1
-            coeffs = {}
-            for s, c in Yh.coeffs.items():
-                coeffs[s] = Xh.apply(c)
-            for s, c in Xh.coeffs.items():
-                v = Yh.apply(c).scale(-sign)
-                coeffs[s] = coeffs[s] + v if s in coeffs else v
-            out = out + VectorField(X.ambient, coeffs)
-    return out
+    """Superbracket [X, Y] = X Y - (-1)^{p(X)p(Y)} Y X of derivations, in
+    coefficient form, bilinear over mixed-parity inputs.
+
+    Each slot t of Y binds one term list (brackets.bind_terms), X's factor
+    first.  X(Y_t) goes into slot t as the terms (X_s, d_s); a part of X_s
+    of jet parity p adds -(-1)^{t(p+s)} d_t(part) P^{s+t}(Y_t) to slot s,
+    s and t being slot parities (0 for x, 1 for xi) and P the parity
+    involution, which negates odd monomials.  No sign reads Y's parity, so
+    Y is never split; X is split once per call."""
+    amb = X.ambient
+    if Y.ambient is not amb:
+        _same_ambient(X, Y)
+    parts = [(s, part, p ^ (s[0] == "xi"))
+             for s, c in X.coeffs.items() for part, p in c.parity_parts()]
+    out: dict = {}
+    for t, c in Y.coeffs.items():
+        odd_t = t[0] == "xi"
+        terms = {t: [(f, s) for s, f in X.coeffs.items()]}
+        for s, part, px in parts:
+            d = br._operand(part, t)
+            terms.setdefault(s, []).append(
+                (d if odd_t and px else -d,
+                 "P" if odd_t ^ (s[0] == "xi") else None))
+        br.bind_terms(terms)(c, out)
+    return VectorField(amb, {s: Jet._clean(amb, acc)
+                             for s, acc in out.items()})
 
 
 def divergence(X: VectorField) -> Jet:
@@ -363,22 +368,16 @@ class FamilyRealization:
 
     def to_vec(self, a) -> dict:
         if self.field_side:
-            out = {}
-            for (kind, idx), c in a.coeffs.items():
-                tag = 0 if kind == "x" else 1
-                for m, v in c.terms.items():
-                    out[(tag, idx, m[0], m[1])] = v
-            return out
+            return _flat(a)
         return dict(a.terms)
 
     def from_vec(self, v: dict):
         if self.field_side:
-            coeffs: dict[Slot, Jet] = {}
+            terms: dict = {}
             for (tag, idx, ex, odds), c in v.items():
-                slot = ("x" if tag == 0 else "xi", idx)
-                piece = Jet(self.ambient, {(ex, odds): c})
-                coeffs[slot] = coeffs[slot] + piece if slot in coeffs else piece
-            return VectorField(self.ambient, coeffs)
+                terms.setdefault(("xi" if tag else "x", idx), {})[ex, odds] = c
+            return VectorField(self.ambient, {
+                s: Jet(self.ambient, t) for s, t in terms.items()})
         return Jet(self.ambient, v)
 
     # -- bracket -----------------------------------------------------------

@@ -20,7 +20,7 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Iterator
 
-from .linalg import _coeff, _whole, split_parity, vec_scale
+from .linalg import _coeff, _whole, split_parity, vec_parity, vec_scale
 
 # monomial: (tuple of even exponents, strictly increasing tuple of odd indices)
 Monomial = tuple
@@ -75,6 +75,11 @@ def _check_generator(amb: Ambient, kind: str, i) -> None:
     if type(i) is not int or not 1 <= i <= (
             amb.n_even if kind == "x" else amb.n_odd):
         raise ValueError(f"{kind}{i!r} not in {amb!r}")
+
+
+def _odd(m) -> int:
+    """The parity of a monomial: its odd degree mod 2."""
+    return len(m[1]) & 1
 
 
 def _subsets(n: int) -> Iterator[tuple]:
@@ -186,16 +191,13 @@ class Jet:
 
     def parity(self) -> int | None:
         """0 or 1 for parity-homogeneous jets, None for mixed or zero."""
-        ps = {len(m[1]) & 1 for m in self.terms}
-        if len(ps) == 1:
-            return ps.pop()
-        return None
+        return vec_parity(self.terms, _odd)
 
     def parity_parts(self) -> list[tuple["Jet", int]]:
         """Parity-homogeneous parts as (part, parity) pairs: none for zero,
         the jet itself when it is homogeneous."""
         return [(self if t is self.terms else Jet._clean(self.ambient, t), p)
-                for t, p in split_parity(self.terms, lambda m: len(m[1]) & 1)]
+                for t, p in split_parity(self.terms, _odd)]
 
     def even_degree(self) -> int:
         """Largest total degree in the commuting generators (0 if zero)."""

@@ -34,7 +34,8 @@ the result is exact for any product; a symmetric product only makes the
 second walk rare.  nullspace reads a kernel off span_reduce of an
 operator's graph, so it grows its span through the same step.  split_parity
 is the one parity splitter, for jets, vector fields and flattened
-multilinear maps.
+multilinear maps, and vec_parity, which reads a parity off it, the one
+parity reader of jets, vector fields and oracle elements.
 """
 from __future__ import annotations
 
@@ -105,6 +106,12 @@ def split_parity(v: Vec, parity_of: Callable[[Key], int]) -> list:
     for k, c in v.items():
         parts[parity_of(k)][k] = c
     return [(parts[p], p), (parts[1 - p], 1 - p)]
+
+
+def vec_parity(v: Vec, parity_of: Callable[[Key], int]) -> int | None:
+    """The parity of v when v is nonzero and homogeneous, otherwise None."""
+    parts = split_parity(v, parity_of)
+    return parts[0][1] if len(parts) == 1 else None
 
 
 class Subspace:

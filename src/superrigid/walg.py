@@ -1,11 +1,12 @@
 """Finite-dimensional superalgebras and the graded algebra of multilinear maps.
 
-A FinSuperAlg stores exact structure constants of a supersymmetric product,
-checked in its one constructor.  An anticommutative product enters through
-from_anticommutative, which twists each given entry by the parity of its
-first factor and hands the result, its parity-reversed partner, to that same
-constructor: the partner is supersymmetric exactly when the original is
-anticommutative, so one set of checks serves both presentations.
+A FinSuperAlg stores exact structure constants of a supersymmetric product
+as one binary MultiLinMap, checked as it is built.  An anticommutative
+product enters through from_anticommutative, which twists each given entry
+by the parity of its first factor and hands the result, its parity-reversed
+partner, to that same constructor: the partner is supersymmetric exactly
+when the original is anticommutative, so one set of checks serves both
+presentations.
 
 MultiLinMap models k-argument supersymmetric multilinear maps on the
 underlying superspace, each checked as it is built.  The insertion product
@@ -35,9 +36,10 @@ one integer accumulator on canonical keys.
 Each map has one table: its common denominator, its first-argument and
 output rows, and the terms each key it has met gives against its output
 rows.  The table is built on first use and kept on the map, so a map met by
-many partners is tabled once.  An algebra keeps one memo (see _kept) of
-what several readers share: its product map, Str's generators, Str and R.
-So is_rigid, tkk and check_admissible_findim on one algebra close Str once.
+many partners is tabled once.  An algebra stores its product once, as its
+binary map, and keeps one memo (see _kept) of what several readers share:
+Str's generators, Str and R.  So is_rigid, tkk and check_admissible_findim
+on one algebra close Str once.
 """
 from __future__ import annotations
 
@@ -144,12 +146,12 @@ class MultiLinMap:
         for skey, out in self.entries.items():
             base = sum(self.parities[a] for a in skey)
             for k in out:
-                if not 0 <= k < n:
+                if type(k) is not int or not 0 <= k < n:
                     raise ValueError(
-                        f"entry {skey}->{k} has an output out of range")
+                        f"entry {skey}->{k!r} has an output out of range")
                 if (base + self.parities[k]) % 2 != self.parity:
-                    raise ValueError(
-                        f"entry {skey}->{k} violates parity {self.parity}")
+                    raise ValueError(f"entry {skey}->{k} has an output of "
+                                     "the wrong parity")
 
     @classmethod
     def vector(cls, v, parities):
@@ -390,8 +392,9 @@ def _index_pair(key, n):
 
 
 def _kept(J, key, build):
-    """J's memoised value for key, built by build() on first read and kept:
-    exact, since J's table never changes after the constructor."""
+    """J's memoised value for key ("gens", "str" or "r"), built by build()
+    on first read and kept: exact, since J's product never changes after the
+    constructor."""
     if key not in J._memo:
         J._memo[key] = build()
     return J._memo[key]
@@ -400,20 +403,22 @@ def _kept(J, key, build):
 class FinSuperAlg:
     """Finite-dimensional superalgebra with exact structure constants.
 
-    The stored product is always supersymmetric, and this constructor is the
-    one place a table is checked.  Anticommutative products enter through
-    from_anticommutative as their parity-reversed partners; the flag
-    anticommutative_presentation records that the user-facing product is
-    the anticommutative original, and words the errors for it.
+    The stored product is always supersymmetric.  Anticommutative products
+    enter through from_anticommutative as their parity-reversed partners;
+    the flag anticommutative_presentation records that the user-facing
+    product is the anticommutative original, and words the errors for it.
 
-    Every coefficient is stored exactly, an int when it is whole and a
-    Fraction otherwise (linalg._coeff), so whole-number tables keep the
-    kernels on int arithmetic; zeros are dropped.  The table is not changed
+    The product is stored once, as the binary MultiLinMap ``mu``, which
+    canonicalises the table, stores each coefficient exactly (an int when it
+    is whole, see linalg._coeff) and checks the outputs; ``table`` is its
+    entries.  This constructor checks only what is particular to an
+    algebra: the keys, the coefficients, a product given twice with
+    clashing values and a nonzero odd square.  The product is not changed
     once built, so one memo (_memo, see _kept) keeps what several readers
-    share: the product map, Str's generators, Str and R.
+    share: Str's generators, Str and R.
     """
 
-    __slots__ = ("parities", "product_parity", "table", "labels",
+    __slots__ = ("parities", "product_parity", "mu", "labels",
                  "anticommutative_presentation", "_memo")
 
     def __init__(self, parities, product_parity, table, labels=None, *,
@@ -426,41 +431,28 @@ class FinSuperAlg:
         anti = self.anticommutative_presentation = bool(
             anticommutative_presentation)
         self._memo = {}
-        n = len(self.parities)
         canon: dict = {}
         for key, out in table.items():
-            i, j = _index_pair(key, n)
+            i, j = _index_pair(key, len(self.parities))
             out = {k: _coeff(c, f"product of {i},{j} at {k}")
                    for k, c in out.items()}
             out = {k: c for k, c in out.items() if c}
-            if i > j:
-                sign = -1 if (self.parities[i] and self.parities[j]) else 1
-                i, j = j, i
-                out = {k: sign * c for k, c in out.items()}
+            sign, (i, j) = _sort_sign((i, j), self.parities)
+            if not sign and out:
+                raise ValueError(
+                    f"even basis vector {i} cannot have a nonzero square in "
+                    "an anticommutative product" if anti else
+                    f"odd basis vector {i} cannot have a nonzero square in a "
+                    "supersymmetric product")
+            if sign < 0:
+                out = {k: -c for k, c in out.items()}
             # A zero row is kept until here, so a nonzero mirror of it clashes.
             if canon.setdefault((i, j), out) != out:
                 raise ValueError(
                     f"products of {i},{j} and {j},{i} break anticommutativity"
                     if anti else f"product of basis vectors {i},{j} given "
                     "twice with values that break supersymmetry")
-        canon = {key: out for key, out in canon.items() if out}
-        for (i, j), out in canon.items():
-            if i == j and self.parities[i]:
-                raise ValueError(
-                    f"even basis vector {i} cannot have a nonzero square in "
-                    "an anticommutative product" if anti else
-                    f"odd basis vector {i} cannot have a nonzero square in a "
-                    "supersymmetric product")
-            want = (self.parities[i] + self.parities[j]
-                    + self.product_parity) % 2
-            for k in out:
-                if type(k) is not int or not 0 <= k < n:
-                    raise ValueError(
-                        f"product of {i},{j} hits {k!r}, out of range")
-                if self.parities[k] != want:
-                    raise ValueError(
-                        f"product of {i},{j} hits {k} of the wrong parity")
-        self.table = canon
+        self.mu = MultiLinMap(2, self.product_parity, self.parities, canon)
 
     @classmethod
     def from_anticommutative(cls, parities, product_parity, table, labels=None):
@@ -486,33 +478,29 @@ class FinSuperAlg:
     def dim(self) -> int:
         return len(self.parities)
 
-    def _stored(self, i, j):
-        """The stored row for e_i e_j, or None, and its sign: the table
-        keeps i <= j, and swapping two odd factors negates."""
-        if i <= j:
-            return self.table.get((i, j)), 1
-        sign = -1 if (self.parities[i] and self.parities[j]) else 1
-        return self.table.get((j, i)), sign
+    @property
+    def table(self) -> dict:
+        """The product's entries, e_i e_j on the keys (i, j) with i <= j."""
+        return self.mu.entries
 
     def product(self, i, j) -> Vec:
-        out, sign = self._stored(i, j)
-        if not out:
-            return {}
-        return dict(out) if sign > 0 else {k: -c for k, c in out.items()}
+        return self.mu(i, j)
 
     def mult_vec(self, u: Vec, v: Vec) -> Vec:
         out: Vec = {}
+        table, pars = self.mu.entries, self.parities
         for i, a in u.items():
             for j, b in v.items():
-                row, sign = self._stored(i, j)
+                # The table keeps i <= j; swapping two odd factors negates.
+                row = table.get((i, j) if i <= j else (j, i))
                 if row:
-                    _add_into(out, row, a * b if sign > 0 else -a * b)
+                    _add_into(out, row, -a * b if i > j and pars[i]
+                              and pars[j] else a * b)
         return out
 
     def mu_map(self) -> MultiLinMap:
-        """The product as a binary map, kept in the memo."""
-        return _kept(self, "mu", lambda: MultiLinMap(
-            2, self.product_parity, self.parities, self.table))
+        """The product as a binary map."""
+        return self.mu
 
     def __eq__(self, other):
         return (isinstance(other, FinSuperAlg)

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -59,6 +60,44 @@ class TestApply:
         assert X(f * g) == X(f) * g + (f * X(g)).scale(sign)
 
 
+def _parity_parts(X: VectorField) -> list:
+    """Parity-homogeneous parts of a field as (part, parity) pairs: none for
+    zero, the field itself when it is homogeneous."""
+    parts: dict = {}
+    for s, c in X.coeffs.items():
+        for part, p in c.parity_parts():
+            parts.setdefault(p ^ (s[0] == "xi"), {})[s] = part
+    if len(parts) == 1:
+        return [(X, p) for p in parts]
+    return [(VectorField(X.ambient, cs), p) for p, cs in parts.items()]
+
+
+def lie_bracket_reference(X: VectorField, Y: VectorField) -> VectorField:
+    """Superbracket of derivations, in coefficient form; extends bilinearly
+    over mixed-parity inputs.  Both fields are split by parity, and each
+    pair of parts is bracketed as X Y - (-1)^{p(X)p(Y)} Y X."""
+    out = VectorField.zero(X.ambient)
+    for Xh, px in _parity_parts(X):
+        for Yh, py in _parity_parts(Y):
+            sign = -1 if px and py else 1
+            coeffs = {}
+            for s, c in Yh.coeffs.items():
+                coeffs[s] = Xh(c)
+            for s, c in Xh.coeffs.items():
+                v = Yh(c).scale(-sign)
+                coeffs[s] = coeffs[s] + v if s in coeffs else v
+            out = out + VectorField(X.ambient, coeffs)
+    return out
+
+
+def _mixed_field(amb: Ambient, rng: random.Random) -> VectorField:
+    """A field whose coefficients may each mix even and odd terms."""
+    slots = [("x", i) for i in range(1, amb.n_even + 1)]
+    slots += [("xi", k) for k in range(1, amb.n_odd + 1)]
+    return VectorField(amb, {s: random_jet(amb, rng, n_terms=rng.randint(0, 3))
+                             for s in rng.sample(slots, rng.randint(1, 3))})
+
+
 class TestLieBracket:
     def test_even_pair(self):
         X = dx(A11)
@@ -87,6 +126,28 @@ class TestLieBracket:
         rhs = X(Y(f)) + (Y(X(f))).scale(-sign)
         assert lhs == rhs
 
+    @given(st.integers(0, 2**30),
+           st.sampled_from([Ambient(2, 2), Ambient(1, 3),
+                            Ambient(1, 2, tau=True)]))
+    @settings(max_examples=150)
+    def test_matches_reference(self, seed, amb):
+        """The bracket through brackets.bind_terms equals the reference on
+        homogeneous and mixed fields, on ambients with both slot kinds,
+        where the parity involution of its second half is used."""
+        rng = random.Random(seed)
+        X, Y = (random_field(amb, rng, parity=p) if p is not None
+                else _mixed_field(amb, rng)
+                for p in (rng.choice([0, 1, None]) for _ in range(2)))
+        assert lie_bracket(X, Y) == lie_bracket_reference(X, Y)
+
+    @pytest.mark.parametrize("a, b", [(A11, Ambient(2, 1)),
+                                      (Ambient(2, 1), A11)])
+    def test_different_ambients_raise(self, a, b):
+        with pytest.raises(ValueError, match="do not combine"):
+            lie_bracket(dx(a), dxi(b))
+        with pytest.raises(ValueError, match="do not combine"):
+            lie_bracket(VectorField.zero(a), dx(b))
+
     def test_super_jacobi_on_monomial_fields(self):
         amb = A12
         fields = []
@@ -108,6 +169,27 @@ class TestLieBracket:
                 Y, lie_bracket(X, Z)
             ).scale(sign)
             assert lhs == rhs
+
+
+class TestFieldInput:
+    """A slot that is no generator of the ambient, or a coefficient that is
+    no jet on it, raises a ValueError naming the slot."""
+
+    @pytest.mark.parametrize("slot, coeff, named", [
+        (("x", 7), Jet.x(Ambient(1, 0), 1), "x7"),
+        (("y", 1), Jet.x(Ambient(1, 0), 1), "('y', 1)"),
+        (("x", 1), 3, "('x', 1)"),
+        (("x", 1), Jet.x(Ambient(2, 0), 1), "('x', 1)"),
+    ], ids=["index", "kind", "int coefficient", "other ambient"])
+    def test_bad_input_is_named(self, slot, coeff, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            VectorField(Ambient(1, 0), {slot: coeff})
+
+    def test_partial_checks_its_slot(self):
+        with pytest.raises(ValueError, match="unknown slot"):
+            VectorField.partial(A11, "y", 1)
+        with pytest.raises(ValueError, match="xi2"):
+            VectorField.partial(A11, "xi", 2)
 
 
 class TestDivergence:

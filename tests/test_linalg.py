@@ -18,6 +18,7 @@ from superrigid.linalg import (
     split_parity,
     vec_add,
     vec_clean,
+    vec_parity,
 )
 from superrigid.walg import FinSuperAlg
 
@@ -134,16 +135,34 @@ class TestSplitParity:
     @given(st.integers(0, 2**30), st.sampled_from([0, 1, None]))
     @settings(max_examples=60)
     def test_field_parts(self, seed, parity):
+        """VectorField.parity gives each parity part of a field, split here
+        coefficient by coefficient, its own parity, and gives the field the
+        parity of its one part, or None when it has none or two."""
         amb = Ambient(2, 2)
         X = random_field(amb, random.Random(seed), parity=parity)
-        parts = X.parity_parts()
+        parts: dict = {}
+        for s, c in X.coeffs.items():
+            for part, p in c.parity_parts():
+                parts.setdefault(p ^ (s[0] == "xi"), {})[s] = part
         total = VectorField.zero(amb)
-        for part, p in parts:
+        for p, coeffs in parts.items():
+            part = VectorField(amb, coeffs)
             assert part.parity() == p
             total = total + part
         assert total == X
-        if X.parity() is not None:
-            assert parts == [(X, X.parity())] and parts[0][0] is X
+        assert X.parity() == (next(iter(parts)) if len(parts) == 1 else None)
+        if parity is not None and not X.is_zero():
+            assert X.parity() == parity
+
+    @given(vecs)
+    @settings(max_examples=60)
+    def test_vec_parity(self, u):
+        """vec_parity is the one parity of u's keys, and None for a zero or
+        mixed vector."""
+        ps = {self.key_parity(k) for k in u}
+        want = ps.pop() if len(ps) == 1 else None
+        assert vec_parity(u, self.key_parity) == want
+        assert vec_parity({}, self.key_parity) is None
 
 
 def shift(a):
