@@ -39,7 +39,7 @@ from .brackets import (Pairing, _odd_pairing, bind_terms, buttin, k_bracket,
 from .fields import (FamilyRealization, GradingSpec, VectorField, format_field,
                      parse_field)
 from .jets import Ambient, Jet, div_beta, format_jet, odd_laplacian
-from .linalg import ideal_closure, nullspace, span_reduce, vec_parity
+from .linalg import _coeff, ideal_closure, nullspace, span_reduce, vec_parity
 from .walg import FinSuperAlg, format_product, is_rigid, is_simple
 
 
@@ -1353,9 +1353,9 @@ def make(name: str, *, alpha=None, beta=None):
     Names are normalized first, so decorated spellings resolve to the same
     entry.  Parametrized entries take exact rationals for alpha and beta;
     a parameter the entry does not take raises CatalogError naming the ones
-    it does, a value that Fraction cannot take (inf, nan, "x") raises
-    CatalogError naming the parameter, and an out-of-range one raises
-    CatalogError naming the constraint.
+    it does, a value that is no exact rational (a bool, inf, nan, "x",
+    "1/0", see linalg._coeff) raises CatalogError naming the parameter, and
+    an out-of-range one raises CatalogError naming the constraint.
     """
     if not isinstance(name, str):
         raise CatalogError(f"entry names are strings, got {name!r}")
@@ -1378,8 +1378,8 @@ def make(name: str, *, alpha=None, beta=None):
             raise CatalogError(f"{key} needs an explicit beta")
         else:
             try:
-                kwargs[p] = F(0 if val is None else val)
-            except (ValueError, TypeError, OverflowError) as exc:
+                kwargs[p] = F(0 if val is None else _coeff(val, p))
+            except ValueError as exc:
                 raise CatalogError(f"{key}: {p} must be an exact rational, "
                                    f"got {val!r}") from exc
     if key in _FIXED:

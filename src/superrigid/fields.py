@@ -230,6 +230,11 @@ class GradingSpec:
     even_weights: tuple
     odd_weights: tuple
 
+    def __post_init__(self):
+        for w in (*self.even_weights, *self.odd_weights):
+            if type(w) is not int:
+                raise ValueError(f"weight {w!r} is not an integer")
+
     def wdeg(self, mono) -> int:
         ex, odds = mono
         w = sum(e * a for e, a in zip(ex, self.even_weights))
@@ -396,6 +401,8 @@ class FamilyRealization:
     # -- bases -------------------------------------------------------------
 
     def basis_of_degree(self, k: int, order: int) -> list:
+        if type(k) is not int:
+            raise ValueError(f"degree {k!r} is not an integer")
         if self.field_side:
             return self._field_basis(k, order)
         return self._function_basis(k, order)

@@ -33,9 +33,9 @@ space and holds every right image, and a proper one lies inside the ideal, so
 the result is exact for any product; a symmetric product only makes the
 second walk rare.  nullspace reads a kernel off span_reduce of an
 operator's graph, so it grows its span through the same step.  split_parity
-is the one parity splitter, for jets, vector fields and flattened
-multilinear maps, and vec_parity, which reads a parity off it, the one
-parity reader of jets, vector fields and oracle elements.
+is the one parity splitter, for jets and vector fields, and vec_parity,
+which reads a parity off it, the one parity reader of jets, vector fields
+and oracle elements.
 """
 from __future__ import annotations
 
@@ -49,8 +49,11 @@ Key = Hashable
 def _coeff(c, where):
     """c as an exact coefficient under the one rule: an int when it is whole
     and a Fraction otherwise, the form that vectors, structure constants,
-    maps and jets store; None, inf, nan or text that is no rational number
-    raise a ValueError naming where c was given."""
+    maps and jets store; a bool, None, inf, nan or text that is no rational
+    number raise a ValueError naming where c was given."""
+    if type(c) is bool:
+        raise ValueError(f"coefficient {c!r} of {where} is a bool, not an "
+                         "exact rational number")
     try:
         return _whole(Fraction(c))
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):

@@ -1,12 +1,12 @@
 """Finite-dimensional superalgebras and the graded algebra of multilinear maps.
 
-A FinSuperAlg stores exact structure constants of a supersymmetric product
-as one binary MultiLinMap, checked as it is built.  An anticommutative
-product enters through from_anticommutative, which twists each given entry
-by the parity of its first factor and hands the result, its parity-reversed
-partner, to that same constructor: the partner is supersymmetric exactly
-when the original is anticommutative, so one set of checks serves both
-presentations.
+A FinSuperAlg is its product: one binary MultiLinMap mu of exact structure
+constants, checked as it is built, from which its parities, product parity
+and table are read.  An anticommutative product enters through
+from_anticommutative, which twists each given entry by the parity of its
+first factor and hands the result, its parity-reversed partner, to that
+same constructor: the partner is supersymmetric exactly when the original
+is anticommutative, so one set of checks serves both presentations.
 
 MultiLinMap models k-argument supersymmetric multilinear maps on the
 underlying superspace, each checked as it is built.  The insertion product
@@ -26,20 +26,22 @@ under the generators is invariant under all of Str.
 
 One kernel, _bracket_flat, computes every bracket: w_bracket itself, both
 closures, the one-step orbit of the product, the graded expansion and its
-admissibility check.  Its left operand is a map and its right one a
-flattened vector, taken as it is: only a left operand becomes a map, and no
-map is built per step.  It is driven by stored entries: each entry of the
-flattened operand meets only the rows of the other map's table that it
-hits, each output key is a merge of two sorted runs, and all terms go into
-one integer accumulator on canonical keys.
+admissibility check.  Its operands are rows of graded superspaces: Str, R
+and each component of the expansion.  Every row of a graded space's reduced
+echelon basis is homogeneous, as the echelon bases of its even and odd parts
+together are reduced and that basis is unique.  So each left row becomes one
+map, whose parity check (MultiLinMap.from_vec) refuses a mixed row, and each
+right row is taken as it is.  The kernel is driven by stored entries: each
+entry of the flattened operand meets only the rows of the other map's table
+that it hits, each output key is a merge of two sorted runs, and all terms
+go into one integer accumulator on canonical keys.
 
 Each map has one table: its common denominator, its first-argument and
 output rows, and the terms each key it has met gives against its output
 rows.  The table is built on first use and kept on the map, so a map met by
-many partners is tabled once.  An algebra stores its product once, as its
-binary map, and keeps one memo (see _kept) of what several readers share:
-Str's generators, Str and R.  So is_rigid, tkk and check_admissible_findim
-on one algebra close Str once.
+many partners is tabled once.  An algebra keeps one memo (see _kept) of
+what several readers share: Str's generators, Str and R.  So is_rigid, tkk
+and check_admissible_findim on one algebra close Str once.
 """
 from __future__ import annotations
 
@@ -58,7 +60,6 @@ from .linalg import (
     closure_under,
     ideal_closure,
     span_reduce,
-    split_parity,
     vec_clean,
 )
 
@@ -308,8 +309,9 @@ def _outer_terms(K, outs, pars):
 def _bracket_flat(f: MultiLinMap, v: Vec) -> Vec:
     """w_bracket(f, g) = f o g - (-1)^{|f||g|} g o f for a map f and a
     flattened g = v {(key, m): c} on canonical keys, of any arities and
-    parities, flattened onto canonical keys.  A mixed-parity v gives the sum
-    of the brackets with its homogeneous parts.
+    parities, flattened onto canonical keys.  v is taken as it is: a row of
+    a graded space is homogeneous, and a mixed-parity v gives the sum of
+    the brackets with its homogeneous parts.
 
     f o g inserts g into the first slot of f, summed over shuffles.  The sums
     are driven by the entries of v and f's one table (see _tables), built on
@@ -408,51 +410,53 @@ class FinSuperAlg:
     the flag anticommutative_presentation records that the user-facing
     product is the anticommutative original, and words the errors for it.
 
-    The product is stored once, as the binary MultiLinMap ``mu``, which
-    canonicalises the table, stores each coefficient exactly (an int when it
-    is whole, see linalg._coeff) and checks the outputs; ``table`` is its
-    entries.  This constructor checks only what is particular to an
-    algebra: the keys, the coefficients, a product given twice with
-    clashing values and a nonzero odd square.  The product is not changed
-    once built, so one memo (_memo, see _kept) keeps what several readers
-    share: Str's generators, Str and R.
+    The algebra is its product, the binary MultiLinMap ``mu``, which holds
+    the parities, sorts and signs each key, stores each coefficient exactly
+    (linalg._coeff) and checks the outputs; ``parities``, ``product_parity``
+    and ``table`` read it.  The constructor checks only the keys, the
+    coefficients, a nonzero odd square and a product given twice with
+    clashing values: mu gets one key of each mirrored pair as given, and the
+    other is checked against mu.  The product is not changed once built, so
+    one memo (_memo, see _kept) keeps what several readers share: Str's
+    generators, Str and R.
     """
 
-    __slots__ = ("parities", "product_parity", "mu", "labels",
-                 "anticommutative_presentation", "_memo")
+    __slots__ = ("mu", "labels", "anticommutative_presentation", "_memo")
 
     def __init__(self, parities, product_parity, table, labels=None, *,
                  anticommutative_presentation=False):
-        self.parities = tuple(_parity(p) for p in parities)
-        self.product_parity = _parity(product_parity)
+        parities = tuple(parities)
+        n = len(parities)
         self.labels = tuple(labels) if labels else None
-        if self.labels and len(self.labels) != len(self.parities):
+        if self.labels and len(self.labels) != n:
             raise ValueError("labels do not match dimension")
         anti = self.anticommutative_presentation = bool(
             anticommutative_presentation)
         self._memo = {}
-        canon: dict = {}
+        given, mirrors = {}, []
         for key, out in table.items():
-            i, j = _index_pair(key, len(self.parities))
-            out = {k: _coeff(c, f"product of {i},{j} at {k}")
-                   for k, c in out.items()}
-            out = {k: c for k, c in out.items() if c}
-            sign, (i, j) = _sort_sign((i, j), self.parities)
-            if not sign and out:
+            i, j = _index_pair(key, n)
+            out = {k: c if type(c) is int else _coeff(
+                c, f"product of {i},{j} at {k}") for k, c in out.items()}
+            if (j, i) in given:
+                mirrors.append((i, j, vec_clean(out)))
+            else:
+                given[i, j] = out
+        mu = self.mu = MultiLinMap(2, product_parity, parities, given)
+        for (i, j), out in given.items():
+            if i == j and mu.parities[i] and any(out.values()):
                 raise ValueError(
                     f"even basis vector {i} cannot have a nonzero square in "
                     "an anticommutative product" if anti else
                     f"odd basis vector {i} cannot have a nonzero square in a "
                     "supersymmetric product")
-            if sign < 0:
-                out = {k: -c for k, c in out.items()}
-            # A zero row is kept until here, so a nonzero mirror of it clashes.
-            if canon.setdefault((i, j), out) != out:
+        for i, j, out in mirrors:
+            if mu(i, j) != out:  # a zero product clashes with a nonzero one
+                i, j = sorted((i, j))
                 raise ValueError(
                     f"products of {i},{j} and {j},{i} break anticommutativity"
                     if anti else f"product of basis vectors {i},{j} given "
                     "twice with values that break supersymmetry")
-        self.mu = MultiLinMap(2, self.product_parity, self.parities, canon)
 
     @classmethod
     def from_anticommutative(cls, parities, product_parity, table, labels=None):
@@ -474,9 +478,9 @@ class FinSuperAlg:
         return cls(tuple(1 - p for p in parities), 1 - _parity(product_parity),
                    partner, labels, anticommutative_presentation=True)
 
-    @property
-    def dim(self) -> int:
-        return len(self.parities)
+    parities = property(lambda self: self.mu.parities)
+    product_parity = property(lambda self: self.mu.parity)
+    dim = property(lambda self: len(self.mu.parities))
 
     @property
     def table(self) -> dict:
@@ -498,15 +502,9 @@ class FinSuperAlg:
                               and pars[j] else a * b)
         return out
 
-    def mu_map(self) -> MultiLinMap:
-        """The product as a binary map."""
-        return self.mu
-
     def __eq__(self, other):
-        return (isinstance(other, FinSuperAlg)
-                and self.parities == other.parities
+        return (isinstance(other, FinSuperAlg) and self.mu == other.mu
                 and self.product_parity == other.product_parity
-                and self.table == other.table
                 and self.anticommutative_presentation
                 == other.anticommutative_presentation)
 
@@ -525,29 +523,21 @@ def left_mult_op(J: FinSuperAlg, i) -> MultiLinMap:
                        {(j,): J.product(i, j) for j in range(J.dim)})
 
 
-def _parts(space: Subspace, parities) -> list:
-    """(part, parity) for each homogeneous part of each row of a space of
-    flattened maps, in row order: the kernel's right operands as they are."""
-    key_parity = lambda key: _key_parity(key, parities)
-    return [pp for row in space.rows for pp in split_parity(row, key_parity)]
+def _row_maps(space: Subspace, arity, parities) -> list[MultiLinMap]:
+    """The map of each row of a graded space, in row order: the kernel's
+    left operands.  A mixed row raises from_vec's ValueError."""
+    return [MultiLinMap.from_vec(row, arity, parities) for row in space.rows]
 
 
-def _homogeneous_maps(parts, arity, parities) -> list[MultiLinMap]:
-    """A map for each (part, parity) of _parts, at the same index: the
-    kernel's left operands."""
-    return [MultiLinMap.from_vec(part, arity, parities, p)
-            for part, p in parts]
+def _splitting_brackets(lefts, rows, same: bool) -> list[Vec]:
+    """_bracket_flat of each left map with each right row.
 
-
-def _splitting_brackets(lefts, parts, same: bool) -> list[Vec]:
-    """_bracket_flat of each left map with each right (part, parity).
-
-    With same, lefts[a] is the map of parts[a] and meets parts[a:] only:
+    With same, lefts[a] is the map of rows[a] and meets rows[a:] only:
     w_bracket(v, u) = -(-1)^{|u||v|} w_bracket(u, v), so each unordered
     pair of one degree is bracketed once.
     """
     return [_bracket_flat(u, v) for a, u in enumerate(lefts)
-            for v, _ in parts[a if same else 0:]]
+            for v in rows[a if same else 0:]]
 
 
 def _bracket_closure(seed: Subspace, maps) -> Subspace:
@@ -560,12 +550,12 @@ def _bracket_closure(seed: Subspace, maps) -> Subspace:
 def _one_step_orbit(mu: MultiLinMap, ops: Subspace) -> Subspace:
     """Span of a product and its images under a space of operators.
 
-    The image of each homogeneous part f of an operator row is [f, mu] =
-    -(-1)^{|f||mu|} [mu, f], a multiple of the kernel applied as mu on f's
-    flattened entries: mu is tabled once, and no operator becomes a map.
+    The image of each operator row f is [f, mu] = -(-1)^{|f||mu|} [mu, f],
+    a multiple of the kernel applied as mu on the row as it is: mu is
+    tabled once, and no operator becomes a map.
     """
-    return span_reduce([mu.as_vec()] + [
-        _bracket_flat(mu, part) for part, _ in _parts(ops, mu.parities)])
+    return span_reduce([mu.as_vec()]
+                       + [_bracket_flat(mu, row) for row in ops.rows])
 
 
 def _str_generators(J: FinSuperAlg) -> tuple[Subspace, list[MultiLinMap]]:
@@ -606,7 +596,7 @@ def related_products(J: FinSuperAlg) -> Subspace:
     Str.  Kept in J's memo.
     """
     return _kept(J, "r", lambda: _bracket_closure(
-        span_reduce([J.mu_map().as_vec()]), _str_generators(J)[1]))
+        span_reduce([J.mu.as_vec()]), _str_generators(J)[1]))
 
 
 @dataclass
@@ -627,7 +617,7 @@ def is_rigid(J: FinSuperAlg) -> RigidityReport:
     structure product (its image under Str plus its scalar line)."""
     S = str_algebra(J)
     R = related_products(J)
-    one_step = _one_step_orbit(J.mu_map(), S)
+    one_step = _one_step_orbit(J.mu, S)
     rigid = one_step == R
     reds = () if rigid else filter(None, map(one_step.reduce, R.rows))
     red = next(iter(reds), None)
@@ -699,23 +689,21 @@ def tkk(J: FinSuperAlg, depth_cap: int = 6) -> GradedLie:
     Degree -1 is the space itself, degree 0 its structure operators, degree 1
     the related products, and each further degree the bracket of degree 1 with
     the previous one, up to depth_cap or the first zero component.  Each
-    step is one _splitting_brackets of the degree-1 maps with the parts
-    of the previous degree; degree 2 brackets each unordered pair once.
+    step is one _splitting_brackets of the degree-1 maps with the rows of
+    the previous degree; degree 2 brackets each unordered pair once.
     """
     if type(depth_cap) is not int:
         raise ValueError(f"depth_cap must be an integer, got {depth_cap!r}")
     if depth_cap < 1:
         raise ValueError("depth_cap must be at least 1")
-    pars = J.parities
     comps = {-1: span_reduce([{i: 1} for i in range(J.dim)]),
              0: str_algebra(J), 1: related_products(J)}
-    prev = _parts(comps[1], pars)
-    g1_maps = _homogeneous_maps(prev, 2, pars)
+    g1_maps = _row_maps(comps[1], 2, J.parities)
     for k in range(1, depth_cap):
         if comps[k].dim == 0:
             break
-        comps[k + 1] = span_reduce(_splitting_brackets(g1_maps, prev, k == 1))
-        prev = _parts(comps[k + 1], pars)
+        comps[k + 1] = span_reduce(
+            _splitting_brackets(g1_maps, comps[k].rows, k == 1))
     return GradedLie(J, comps)
 
 
@@ -742,14 +730,14 @@ def check_admissible_findim(G: GradedLie) -> AdmissibleFindimReport:
     The brackets [e_i, mu] are +-L_i, so degree 0 is generated by them when
     they span Str's generators and g0 is str_algebra, their closure, read
     from J's memo.  A zero product generates nothing.  The splittings of
-    each degree go through _splitting_brackets, as in tkk.
+    each degree go through _splitting_brackets, as in tkk, so a component
+    with a mixed row raises a ValueError.
     """
     J = G.J
     pars = J.parities
-    mu = J.mu_map()
     g0 = G.components[0]
-    degree_one_spanned = _one_step_orbit(mu, g0) == G.components[1]
-    seeds = span_reduce([w_bracket(MultiLinMap.vector({i: 1}, pars), mu)
+    degree_one_spanned = _one_step_orbit(J.mu, g0) == G.components[1]
+    seeds = span_reduce([w_bracket(MultiLinMap.vector({i: 1}, pars), J.mu)
                          for i in range(J.dim)])
     degree_zero_generated = (seeds.dim > 0 and seeds == _str_generators(J)[0]
                              and str_algebra(J) == g0)
@@ -758,18 +746,17 @@ def check_admissible_findim(G: GradedLie) -> AdmissibleFindimReport:
     # right only for j < top, so the top degree is neither.
     chain_consistent = True
     top = max(G.components)
-    parts = {k: _parts(G.components[k], pars)
-             for k in G.components if 1 <= k < top}
-    lefts = {k: _homogeneous_maps(parts[k], k + 1, pars)
-             for k in parts if 2 * k <= top}
+    lefts = {k: _row_maps(G.components[k], k + 1, pars)
+             for k in G.components if 1 <= k <= top // 2}
     for k in sorted(G.components):
         if k < 2:
             continue
         # Each unordered splitting i + j = k is bracketed once: i <= j.
         vecs = []
         for i in range(1, k // 2 + 1):
-            if i in lefts and k - i in parts:
-                vecs += _splitting_brackets(lefts[i], parts[k - i], 2 * i == k)
+            if i in lefts and k - i in G.components:
+                vecs += _splitting_brackets(lefts[i], G.components[k - i].rows,
+                                            2 * i == k)
         if span_reduce(vecs) != G.components[k]:
             chain_consistent = False
     return AdmissibleFindimReport(degree_one_spanned, degree_zero_generated,

@@ -56,7 +56,7 @@ def test_jw_0_8_orbit_deficit():
     J = make("JW_0_8").algebra
     rep = is_rigid(J)
     assert (rep.dim_str, rep.dim_r, rep.rigid) == (24, 24, False)
-    assert _one_step_orbit(J.mu_map(), rep.str_space).dim == 23
+    assert _one_step_orbit(J.mu, rep.str_space).dim == 23
     assert rep.witness is not None
 
 
@@ -362,7 +362,8 @@ def test_make_rejects_parameters_not_taken(name, kw, takes):
         make(name, **kw)
 
 
-@pytest.mark.parametrize("value", [float("inf"), float("nan"), "x"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), "x", "1/0",
+                                   True, False])
 @pytest.mark.parametrize("name, param", [("JS_1_8", "alpha"),
                                          ("LSKOp_1_2", "beta")])
 def test_make_rejects_non_rational_parameters(name, param, value):

@@ -280,6 +280,24 @@ class TestGradingSpec:
         f = parse_jet("x2*xi2", amb)
         assert spec.wdeg(next(iter(f.terms))) == 0
 
+    @pytest.mark.parametrize("even, odd, bad", [
+        ((), ("a", 1), "'a'"), ((), (1.5, 1), "1.5"), ((True,), (1,), "True"),
+    ])
+    def test_weights_are_integers(self, even, odd, bad):
+        # ("a", 1) raised a bare TypeError inside basis_of_degree, and with
+        # (1.5, 1) basis_of_degree(-1, 2) dropped dxi1.
+        with pytest.raises(ValueError, match=f"weight {re.escape(bad)} is "
+                                             "not an integer"):
+            GradingSpec(even, odd)
+
+    @pytest.mark.parametrize("family", ["W", "HO"])
+    @pytest.mark.parametrize("k", ["a", 1.0, True])
+    def test_degree_is_an_integer(self, family, k):
+        # basis_of_degree("a", 1) returned [].
+        real = FamilyRealization(family, GradingSpec((1, 1), (1, 1)))
+        with pytest.raises(ValueError, match=f"degree {re.escape(repr(k))}"):
+            real.basis_of_degree(k, 1)
+
 
 class TestBasisOfDegree:
     def test_full_family_small_degree(self):

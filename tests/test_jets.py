@@ -223,16 +223,16 @@ class TestBadInput:
             div_beta(f, beta)
 
     @pytest.mark.parametrize("c", ["1/0", "one", None, float("nan"),
-                                   float("inf"), "x1", [1]])
+                                   float("inf"), "x1", [1], True])
     def test_constructor_coefficient(self, c):
-        # Jet(amb, {m: "one"}) stored the text, and a None was dropped.
+        # Jet(amb, {m: "one"}) stored the text, a None was dropped and a
+        # True was stored as 1.
         amb = Ambient(2, 1)
         with pytest.raises(ValueError, match=re.escape(repr(c))):
             Jet(amb, {((1, 0), ()): c})
 
     @pytest.mark.parametrize("c, want", [
-        ("1/2", F(1, 2)), (0.5, F(1, 2)), ("3", 3), (F(4, 2), 2), (True, 1),
-        (-2.0, -2)])
+        ("1/2", F(1, 2)), (0.5, F(1, 2)), ("3", 3), (F(4, 2), 2), (-2.0, -2)])
     def test_constructor_converts_exact_values(self, c, want):
         # A string or a float was stored as it was given.
         m = ((1, 0), ())

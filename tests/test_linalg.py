@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import direct_sum, random_field, random_jet, whole_as_int
@@ -571,3 +572,10 @@ class TestWholeCoefficients:
         assert [list(map(type, r.values())) for r in s.rows] == [
             [int, F], [int, F]]
         assert all(whole_as_int(r) for r in s.rows)
+
+    @pytest.mark.parametrize("c", [True, False])
+    def test_a_bool_is_no_coefficient(self, c):
+        # A True was stored as 1 by every reader of the coefficient rule.
+        with pytest.raises(ValueError, match=f"coefficient {c} of the seat "
+                                             "is a bool"):
+            linalg._coeff(c, "the seat")

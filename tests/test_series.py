@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_jet
+from superrigid import catalog
 from superrigid.brackets import Pairing, paired_bracket
 from superrigid.catalog import (
     CatalogError,
@@ -17,6 +18,7 @@ from superrigid.catalog import (
     make,
     ojp_probe_pairs,
     ojp_relation_suite,
+    verify_entry,
 )
 from superrigid.jets import Jet
 
@@ -174,3 +176,34 @@ def test_relation_suite_makes_each_product_once(nm, monkeypatch):
     assert prepared and evaluated
     assert len(set(prepared)) == len(prepared)
     assert len(set(evaluated)) == len(evaluated)
+
+
+class _NoEtaTerm(OjpSpace):
+    """The series product less its first term, 2 eta u v: a wrong product
+    that the relation suite must catch."""
+
+    def terms(self, u, sign=1):
+        return super().terms(u, sign)[1:]
+
+
+@pytest.mark.parametrize("nm, failed", [
+    ((1, 1), {"op_mul_mul", "op_mul_left", "unit_product", "nested_left_left",
+              "nested_left_mul", "nested_mul_left", "nested_mul_mul"}),
+    ((1, 2), {"unit_product"}),
+    ((2, 2), {"op_mul_mul", "op_mul_left", "unit_product"}),
+])
+def test_relation_suite_fails_without_the_eta_term(nm, failed):
+    """The suite can fail: without 2 eta u v, exactly these identities fail
+    on the probes that verify_entry uses."""
+    space = _NoEtaTerm(*nm)
+    pairs = ojp_probe_pairs(space, 6)
+    rep = ojp_relation_suite(space, pairs, pairs[:3])
+    assert {k for k, ok in rep.results.items() if not ok} == failed
+    assert set(rep.failures) == failed and not rep.passed
+
+
+def test_verify_entry_reports_failed_operator_relations(monkeypatch):
+    monkeypatch.setattr(catalog, "OjpSpace", _NoEtaTerm)
+    rep = verify_entry(make("OJP_1_1"))
+    assert {c.name: c.passed for c in rep.checks}["operator_relations"] is False
+    assert not rep.passed

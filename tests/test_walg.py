@@ -20,6 +20,7 @@ from superrigid.linalg import (
     span_reduce,
     split_parity,
     vec_add,
+    vec_parity,
 )
 from superrigid.walg import (
     FinSuperAlg,
@@ -294,7 +295,8 @@ class TestFinSuperAlg:
         with pytest.raises(ValueError, match="wrong parity"):
             FinSuperAlg.from_anticommutative((0, 1), 1, {(1, 0): {1: 1}})
 
-    @pytest.mark.parametrize("c", [float("inf"), float("nan"), None, "x"])
+    @pytest.mark.parametrize("c", [float("inf"), float("nan"), None, "x",
+                                   True])
     def test_bad_coefficient_is_named(self, c):
         with pytest.raises(ValueError, match=r"product of 0,0 at 1"):
             FinSuperAlg((0, 0), 0, {(0, 0): {1: c}})
@@ -504,7 +506,8 @@ class TestMultiLinMap:
         with pytest.raises(ValueError, match="arity"):
             MultiLinMap(arity, 0, (0,))
 
-    @pytest.mark.parametrize("c", [float("inf"), float("nan"), None, "x"])
+    @pytest.mark.parametrize("c", [float("inf"), float("nan"), None, "x",
+                                   True])
     def test_bad_coefficient_is_named(self, c):
         with pytest.raises(ValueError, match=r"entry \(0,\)->0"):
             MultiLinMap(1, 0, (0,), {(0,): {0: c}})
@@ -546,7 +549,7 @@ class TestBox:
 
     def test_product_bracket_vector_is_left_mult(self):
         J = js02()
-        mu = J.mu_map()
+        mu = J.mu
         a = MultiLinMap.vector({0: F(1)}, J.parities)
         m = wb(mu, a)
         assert m(0) == {1: F(1)}  # a*a = b
@@ -911,14 +914,14 @@ def act(f: MultiLinMap, B: MultiLinMap) -> MultiLinMap:
 class TestAct:
     def test_identity_acts_as_minus_mu(self):
         J = js02()
-        mu = J.mu_map()
+        mu = J.mu
         out = act(identity_op(J.parities), mu)
         assert out == mlm_scale(mu, -1)
 
     def test_zero_operator(self):
         J = js02()
         z = MultiLinMap(1, 0, J.parities)
-        assert act(z, J.mu_map()).is_zero()
+        assert act(z, J.mu).is_zero()
 
     def test_agrees_with_w_bracket(self):
         rng = random.Random(23)
@@ -933,7 +936,7 @@ class TestAct:
 @pytest.mark.parametrize("name", ["JS_0_8", "LW_0_2"])
 def test_act_agrees_with_w_bracket_on_str(name):
     J = make(name).algebra
-    mu = J.mu_map()
+    mu = J.mu
     # A row of mixed parity would fail the parity check.
     ops = [MultiLinMap.from_vec(row, 1, J.parities)
            for row in str_algebra(J).rows]
@@ -1020,7 +1023,7 @@ class TestBracketFlat:
             kinds |= {type(c) for c in out.values()}
         assert kinds == {int, F}
         J = make("JS_0_8").algebra
-        mu = J.mu_map()
+        mu = J.mu
         for i in range(J.dim):
             out = _bracket_flat(left_mult_op(J, i), mu.as_vec())
             assert out and all(type(c) is int for c in out.values())
@@ -1098,8 +1101,8 @@ def test_str_algebra_builds_no_map_per_step(monkeypatch):
 
 def test_product_map_is_built_once():
     J = make("JS_0_8").algebra
-    assert J.mu_map() is J.mu_map()
-    assert J.mu_map() == MultiLinMap(2, J.product_parity, J.parities, J.table)
+    assert J.mu is J.mu
+    assert J.mu == MultiLinMap(2, J.product_parity, J.parities, J.table)
 
 
 def test_only_left_operands_become_maps(monkeypatch):
@@ -1147,7 +1150,7 @@ def test_degree_zero_seeds_span_str_generators(name, seed):
     if seed is not None:
         J = _permuted(J, seed)
     units = [MultiLinMap.vector({i: F(1)}, J.parities) for i in range(J.dim)]
-    seeds = span_reduce([w_bracket(e, J.mu_map()) for e in units])
+    seeds = span_reduce([w_bracket(e, J.mu) for e in units])
     assert seeds == walg._str_generators(J)[0]
 
 
@@ -1169,7 +1172,7 @@ def _stabiliser_count(J):
     """(dim Str, dim stab, mu outside [Str, mu], dim orbit): stab = {D in
     Str : [D, mu] = 0}, the kernel of D -> [mu, D] over Str's homogeneous
     rows, as [D, mu] = -(-1)^{|D||mu|} [mu, D]."""
-    mu = J.mu_map()
+    mu = J.mu
     S = str_algebra(J)
     stab = nullspace(range(S.dim), lambda j: _bracket_flat(mu, S.rows[j]))
     brackets = span_reduce([_bracket_flat(mu, row) for row in S.rows])
@@ -1180,7 +1183,7 @@ def _stabiliser_count(J):
 def _derivations(J):
     """Der(J), the kernel of D -> [D, mu] over all n^2 operators, as the
     kernels of D -> [mu, D] over the even and the odd ones."""
-    mu, pars, n = J.mu_map(), J.parities, J.dim
+    mu, pars, n = J.mu, J.parities, J.dim
     return [nullspace([((k,), m) for k in range(n) for m in range(n)
                        if pars[k] ^ pars[m] == p],
                       lambda key: _bracket_flat(mu, {key: F(1)}))
@@ -1246,7 +1249,7 @@ def test_even_orbit_tangent(name):
     even operator algebra, Str plus Der(J) included, makes JW_0_8 rigid on
     the part of R with mu's parity."""
     J = make(name).algebra
-    mu, pars, n = J.mu_map(), J.parities, J.dim
+    mu, pars, n = J.mu, J.parities, J.dim
     r0 = span_reduce([part for row in related_products(J).rows
                       for part, p in split_parity(
                           row, lambda key: _key_parity(key, pars))
@@ -1265,6 +1268,44 @@ def _invariants(J):
     rep = is_rigid(J)
     return ((rep.rigid, rep.dim_str, rep.dim_r), is_simple(J).simple,
             tkk(J, 4).dims, _stabiliser_count(J))
+
+
+def _row_parities(space: Subspace, pars) -> list:
+    """The parity of each row of a space of flattened maps, None for a row
+    that mixes parities."""
+    return [vec_parity(row, lambda key: _key_parity(key, pars))
+            for row in space.rows]
+
+
+@pytest.mark.parametrize("name, seed", [(name, None) for name in FINITE] + [
+    (name, seed) for name in ("JS_0_2", "LW_0_2", "JW_0_4", "JS_0_8", "JW_0_8")
+    for seed in (1, 2, 3)])
+def test_graded_spaces_have_homogeneous_rows(name, seed):
+    """Str, R and every tkk component are graded superspaces, so each row of
+    their reduced echelon bases is homogeneous, and the kernel brackets the
+    rows as they are: on the six finite entries, and on even conjugates
+    (density 0.3) of the five small ones."""
+    J = make(name).algebra
+    if seed is not None:
+        J = conjugate(J, random.Random(seed), 0.3)
+    G = tkk(J, 4)
+    spaces = [str_algebra(J), related_products(J)] + [
+        G.components[k] for k in sorted(G.components) if k >= 0]
+    for space in spaces:
+        assert None not in _row_parities(space, J.parities)
+
+
+def test_admissible_check_refuses_a_mixed_row():
+    """A component with a row of mixed parity is no graded space: the check
+    makes each left row a map, whose parity check raises."""
+    J = make("JW_0_4").algebra
+    G = tkk(J, 4)
+    rows = dict(zip(_row_parities(G.components[1], J.parities),
+                    G.components[1].rows))
+    G.components[1] = span_reduce([vec_add(rows[0], rows[1])])
+    assert _row_parities(G.components[1], J.parities) == [None]
+    with pytest.raises(ValueError, match="wrong parity"):
+        check_admissible_findim(G)
 
 
 @pytest.mark.parametrize("name",
@@ -1340,7 +1381,7 @@ class TestGeneratorShortcut:
     def test_related_products_under_all_of_str(self, J):
         pars = J.parities
         S = str_algebra(J)
-        R = _closure_reference(span_reduce([J.mu_map().as_vec()]),
+        R = _closure_reference(span_reduce([J.mu.as_vec()]),
                                [_lifted(act, 1, 2, pars)], S)
         assert R == related_products(J)
 
@@ -1531,8 +1572,7 @@ class TestTkk:
         pars = G.J.parities
 
         def maps(k):
-            return walg._homogeneous_maps(walg._parts(G.components[k], pars),
-                                          k + 1, pars)
+            return walg._row_maps(G.components[k], k + 1, pars)
         for i in (1, 2):
             for j in (1, 2):
                 if i + j not in G.components:
@@ -1579,7 +1619,7 @@ def _tkk_reference(J, depth_cap):
     comps = {-1: span_reduce([{i: F(1)} for i in range(J.dim)]),
              0: str_algebra(J), 1: related_products(J)}
     def maps(k):
-        return walg._homogeneous_maps(walg._parts(comps[k], pars), k + 1, pars)
+        return walg._row_maps(comps[k], k + 1, pars)
     g1 = maps(1)
     prev = g1
     for k in range(1, depth_cap):
@@ -1599,7 +1639,7 @@ def test_tkk_matches_every_ordered_pair(name):
 class TestStructureConstantRecovery:
     def test_double_bracket_reproduces_products(self):
         for J in (js02(), lw02(), sl2()):
-            mu = J.mu_map()
+            mu = J.mu
             pars = J.parities
             for i in range(J.dim):
                 for j in range(i, J.dim):
@@ -1648,7 +1688,7 @@ class TestAdmissibleFindim:
         # so degree 2 is spanned by its bracket with itself alone.
         J = FinSuperAlg((0, 1, 1, 0), 1,
                         {(0, 0): {2: 1}, (0, 1): {3: 1}, (2, 3): {0: 1}})
-        mu = J.mu_map()
+        mu = J.mu
         square = w_bracket(mu, mu)
         assert square
         G = GradedLie(J, {0: str_algebra(J), 1: span_reduce([mu.as_vec()]),
@@ -1670,7 +1710,7 @@ class TestOddSquareZeroGivesLie:
     def reversed_jacobi_defects(J):
         """Defects of super-skew and super-Jacobi for the derived bracket
         [i,j] = (-1)^(flipped parity of i) * mu(i,j) on the flipped parities."""
-        mu = J.mu_map()
+        mu = J.mu
         rev = [1 - p for p in J.parities]
 
         def br(i, j):
@@ -1710,18 +1750,18 @@ class TestOddSquareZeroGivesLie:
         for _ in range(10):
             J = self.make_square_zero(F(rng.randint(-3, 3)),
                                       F(rng.randint(-3, 3)))
-            mu = J.mu_map()
+            mu = J.mu
             assert not w_bracket(mu, mu)
             assert all(not d for d in self.reversed_jacobi_defects(J))
 
     def test_nonzero_square_breaks_jacobi(self):
         J = self.make_square_zero(F(1), F(1), gamma=F(1))
-        mu = J.mu_map()
+        mu = J.mu
         assert w_bracket(mu, mu)
         assert any(self.reversed_jacobi_defects(J))
 
     def test_sl2_partner_squares_to_zero(self):
-        mu = sl2().mu_map()
+        mu = sl2().mu
         assert not w_bracket(mu, mu)
 
 
