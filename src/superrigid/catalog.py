@@ -1,9 +1,9 @@
 """Catalog of the classified simple rigid products.
 
 Entries come in two kinds.  Finite entries carry exact structure constants
-in a FinSuperAlg and run the full simplicity and rigidity machinery.  Each is
-either a small table or a graded row: a vector-field family, its odd weights
-and an even mu in g_1, with x o y = [[mu, x], y] on g_-1 (``product_from_mu``).
+in a FinSuperAlg and run the full simplicity and rigidity machinery.  All but
+LW_0_2, a hand table, are graded rows: a family, its even and odd weights and
+a mu in g_1, with x o y = [[mu, x], y] on g_-1 (``product_from_mu``).
 Oracle entries describe infinite-dimensional products through jet
 coefficients: a carrier (an ambient, a kernel, or a quotient), a named slot
 layout, and a table of product rules keyed by ordered slot pair.  Every rule
@@ -36,9 +36,9 @@ from typing import Callable, Iterable, Sequence
 
 from .brackets import (Pairing, _odd_pairing, bind_terms, buttin, k_bracket,
                        pairing_terms, term_map)
-from .fields import (FamilyRealization, GradingSpec, VectorField, format_field,
-                     parse_field)
-from .jets import Ambient, Jet, div_beta, format_jet, odd_laplacian
+from .fields import (FIELD_FAMILIES, FamilyRealization, GradingSpec,
+                     VectorField, family_ambient, format_field, parse_field)
+from .jets import Ambient, Jet, div_beta, format_jet, odd_laplacian, parse_jet
 from .linalg import _coeff, ideal_closure, nullspace, span_reduce, vec_parity
 from .walg import FinSuperAlg, format_product, is_rigid, is_simple
 
@@ -530,12 +530,6 @@ def ojp_probe_pairs(space: OjpSpace, count: int) -> list:
 # -- finite builders -------------------------------------------------------
 
 
-def _entry_js_0_2() -> FiniteEntry:
-    alg = FinSuperAlg((0, 0), 0, {(0, 0): {1: 1}, (1, 1): {0: 1}},
-                      ("a", "b"))
-    return FiniteEntry("JS_0_2", alg)
-
-
 def _entry_lw_0_2() -> FiniteEntry:
     alg = FinSuperAlg.from_anticommutative(
         (0, 1), 0,
@@ -544,56 +538,68 @@ def _entry_lw_0_2() -> FiniteEntry:
     return FiniteEntry("LW_0_2", alg)
 
 
-# name -> (family, odd weights, mu as (coefficient, slot) pairs).  On each
-# row the even part of g_1 maps injectively to tables, so mu is the only
-# element of it that gives the entry's table.
+# name -> (family, even weights, odd weights, mu): mu is a jet's text for a
+# function family and (coefficient, slot) pairs for a field family.  On each
+# row the part of g_1 of mu's parity maps injectively to tables, so mu is the
+# only element of it that gives the entry's table.  LW_0_2 stays a hand
+# table: W(1|1) with weights (1|0) and the odd mu = -1/2*x1^2*xi1*dx1 -
+# x1*dxi1 gives its table with the two basis vectors swapped, and no row of
+# W, S, H, K, HO, SHO or KO on up to (2|2) generators, weights -1..2 and 60
+# random odd mu each gave it in its stored basis order.
 _GRADED: dict = {
-    "JW_0_4": ("W", (1, 1, 0), (
+    "JS_0_2": ("H", (1, 1), (), "1/6*x1^3 + 1/6*x2^3"),
+    "JW_0_4": ("W", (), (1, 1, 0), (
         ("-xi1*xi2*xi3", "dxi1"), ("-xi1*xi2*xi3", "dxi2"), ("-xi1", "dxi3"))),
-    "JW_0_8": ("W", (1, 1, 0, 0), (
+    "JW_0_8": ("W", (), (1, 1, 0, 0), (
         ("-xi1*xi2*xi3", "dxi1"), ("-xi1*xi2*xi3", "dxi2"),
         ("-xi1 - xi2*xi3*xi4", "dxi3"), ("-xi2", "dxi4"))),
-    "JS_0_8": ("S", (1, 1, 0, 0), (
+    "JS_0_8": ("S", (), (1, 1, 0, 0), (
         ("-xi1*xi2*xi3 - xi1*xi2*xi4", "dxi1"), ("-xi1*xi2*xi3", "dxi2"),
         ("-xi1 - xi2*xi3*xi4", "dxi3"),
         ("-xi2 - xi1*xi3*xi4 + xi2*xi3*xi4", "dxi4"))),
-    "JS_0_16": ("S", (1, 1, 0, 0, 0), (
+    "JS_0_16": ("S", (), (1, 1, 0, 0, 0), (
         ("-xi1 - xi2*xi3*xi4", "dxi3"), ("-xi2", "dxi4"),
         ("-xi1*xi3*xi4 - xi2*xi3*xi4 - xi2*xi4*xi5", "dxi5"))),
 }
 
 
 def _graded_entry(name: str) -> FiniteEntry:
-    family, weights, pairs = _GRADED[name]
-    mu = parse_field(pairs, Ambient(0, len(weights)))
-    alg = product_from_mu(family, GradingSpec((), weights), mu)
-    return FiniteEntry(name, alg)
+    family, even, odd, text = _GRADED[name]
+    spec = GradingSpec(even, odd)
+    parse = parse_field if family in FIELD_FAMILIES else parse_jet
+    mu = parse(text, family_ambient(family, spec))
+    return FiniteEntry(name, product_from_mu(family, spec, mu))
 
 
 def _graded_summary(name: str) -> str:
-    family, weights, _ = _GRADED[name]
-    return (f"g_-1 of {family}(0|{len(weights)}) graded by odd weights "
-            f"{weights}, with x o y = [[mu, x], y] for an even mu in g_1")
+    family, even, odd, _ = _GRADED[name]
+    return (f"g_-1 of {family}({len(even)}|{len(odd)}) graded by even weights "
+            f"{even} and odd weights {odd}, with x o y = [[mu, x], y] for a "
+            "mu in g_1")
 
 
 def product_from_mu(family: str, spec: GradingSpec, mu) -> FinSuperAlg:
     """The product x o y = [[mu, x], y] on the bottom component g_-1 of a
     graded family, as a table over its monomial basis.
 
-    ``mu`` must be even and of pure weighted degree one, and g_-2 must
-    vanish; then the product is supersymmetric.  Basis vectors are ordered
-    by slot and even exponents, then by their odd monomial's degree and
-    indices, and labelled with their printed form.  The coefficients'
-    x-degrees are capped at 4; a basis that is not monomial, or a product
-    leaving that window, raises CatalogError.
+    ``mu`` must be parity-homogeneous and of pure weighted degree one, and
+    g_-2 must vanish; then the product is supersymmetric, of mu's parity.
+    An odd mu gives an anticommutative algebra, stored as from_anticommutative
+    stores one: the supersymmetric product on g_-1 with
+    anticommutative_presentation set.  Basis vectors are ordered by slot and
+    even exponents, then by their odd monomial's degree and indices, and
+    labelled with their printed form.  The coefficients' x-degrees are capped
+    at 4; a basis that is not monomial, or a product leaving that window,
+    raises CatalogError.
     """
     real = FamilyRealization(family, spec)
     kind = VectorField if real.field_side else Jet
     if not isinstance(mu, kind) or mu.ambient != real.ambient:
         raise CatalogError(f"mu must be a {kind.__name__} on "
                            f"{real.ambient!r}, got {mu!r}")
-    if real.parity(mu) != 0:
-        raise CatalogError("mu must be parity-homogeneous and even")
+    parity = real.parity(mu)
+    if parity is None:
+        raise CatalogError("mu must be parity-homogeneous")
     if real.degrees(mu) != {1}:
         raise CatalogError(
             f"mu must have pure degree 1, found degrees {real.degrees(mu)}")
@@ -621,7 +627,8 @@ def product_from_mu(family: str, spec: GradingSpec, mu) -> FinSuperAlg:
                                        "leaves the degree -1 window")
                 cell[index[k]] = c
             table[(i, j)] = cell
-    return FinSuperAlg([real.parity(x) for x in basis], 0, table, labels)
+    return FinSuperAlg([real.parity(x) for x in basis], parity, table, labels,
+                       anticommutative_presentation=parity)
 
 
 # -- oracle builders: shared rows -------------------------------------------
@@ -1230,19 +1237,11 @@ def ideal_spot_checks(entry, seeds: Sequence | None = None,
 
 # name -> (params, constraints, kind, summary, builder).  registry_listing
 # reads kind and summary here, and make attaches the summary to the entry
-# it builds, so listing the registry builds nothing.
+# it builds, so listing the registry builds nothing.  The finite rows are the
+# graded rows, then LW_0_2's hand table.
 _FIXED: dict = {
-    "JS_0_2": ((), "", "finite",
-        "two even elements whose squares swap them and whose mixed "
-        "product vanishes", _entry_js_0_2),
-    "JW_0_4": ((), "", "finite", _graded_summary("JW_0_4"),
-        partial(_graded_entry, "JW_0_4")),
-    "JW_0_8": ((), "", "finite", _graded_summary("JW_0_8"),
-        partial(_graded_entry, "JW_0_8")),
-    "JS_0_8": ((), "", "finite", _graded_summary("JS_0_8"),
-        partial(_graded_entry, "JS_0_8")),
-    "JS_0_16": ((), "", "finite", _graded_summary("JS_0_16"),
-        partial(_graded_entry, "JS_0_16")),
+    **{name: ((), "", "finite", _graded_summary(name),
+              partial(_graded_entry, name)) for name in _GRADED},
     "LW_0_2": ((), "", "finite",
         "even element acting on an odd copy whose square returns it",
         _entry_lw_0_2),

@@ -17,7 +17,7 @@ from . import brackets as br
 from .brackets import poisson_antidiagonal
 from .jets import (Ambient, Jet, _check_generator, _mul_into, _same_ambient,
                    div_beta, format_jet, odd_laplacian, parse_jet)
-from .linalg import nullspace, vec_parity
+from .linalg import _coeff, nullspace, vec_parity
 
 F = Fraction
 
@@ -343,7 +343,7 @@ class FamilyRealization:
         if family == "SKO":
             if beta is None:
                 raise ValueError("SKO needs beta")
-            beta = F(beta)
+            beta = F(_coeff(beta, "SKO's beta"))
         self.family = family
         self.spec = spec
         self.beta = beta

@@ -59,6 +59,7 @@ from .linalg import (
     _whole,
     closure_under,
     ideal_closure,
+    nullspace,
     span_reduce,
     vec_clean,
 )
@@ -153,19 +154,6 @@ class MultiLinMap:
                 if (base + self.parities[k]) % 2 != self.parity:
                     raise ValueError(f"entry {skey}->{k} has an output of "
                                      "the wrong parity")
-
-    @classmethod
-    def vector(cls, v, parities):
-        """Arity-0 map holding one homogeneous vector of the space."""
-        for i in v:
-            if not (isinstance(i, int) and 0 <= i < len(parities)):
-                raise ValueError(f"vector index {i!r} is not a basis index of "
-                                 f"a {len(parities)}-dimensional space")
-        pars = {parities[i] for i in v}
-        if len(pars) > 1:
-            raise ValueError("mixed parity vector")
-        parity = pars.pop() if pars else 0
-        return cls(0, parity, parities, {(): v})
 
     @classmethod
     def from_vec(cls, vec, arity, parities, parity=None):
@@ -563,7 +551,7 @@ def _str_generators(J: FinSuperAlg) -> tuple[Subspace, list[MultiLinMap]]:
     generators and the operators of both closures.  Each L_i is homogeneous,
     and a space invariant under the L_i is invariant under their span.
     Kept in J's memo, so the two closures share the maps and their kernel
-    tables."""
+    tables, and is_simple reads the annihilator off them."""
     def build():
         ops = [left_mult_op(J, i) for i in range(J.dim)]
         return span_reduce([f.as_vec() for f in ops]), ops
@@ -639,13 +627,16 @@ def is_simple(J: FinSuperAlg) -> SimplicityReport:
     check of a finite algebra.
 
     Checks the two-sided ideal of every basis vector and of ``_PROBES``
-    deterministic pseudo-random vectors; any proper ideal is returned as a
-    witness, which proves J is not simple.  A "simple" verdict is not a
-    proof: a proper ideal can avoid every seed.  Each ideal comes from
-    ``linalg.ideal_closure``: the closure under left multiplications,
-    closed under right ones too only when it is proper.  That is exact for
-    any table; the table's supersymmetry only makes the right maps idle.  A
-    zero product is never simple.
+    deterministic pseudo-random vectors, then the square J^2 and the
+    annihilator, which are ideals whatever the seeds; any proper ideal is
+    returned as a witness, which proves J is not simple.  A "simple"
+    verdict is not a proof: a proper ideal can avoid every seed and be
+    neither.  Each seed's ideal comes from ``linalg.ideal_closure``: the
+    closure under left multiplications, closed under right ones too only
+    when it is proper.  That is exact for any table; the table's
+    supersymmetry only makes the right maps idle.  The annihilator is the
+    kernel of e_k -> L_k, read off Str's generators in J's memo.  A zero
+    product is never simple.
     """
     n = J.dim
     if n <= 1 and not J.table:
@@ -664,6 +655,13 @@ def is_simple(J: FinSuperAlg) -> SimplicityReport:
         closed = ideal_closure(span_reduce([v]), lefts, rights, full_dim=n)
         if closed.dim < n:
             return SimplicityReport(False, closed)
+    square = span_reduce(J.table.values())
+    if square.dim < n:
+        return SimplicityReport(False, square)
+    gens, ops = _str_generators(J)
+    if gens.dim < n:
+        ann = nullspace(range(n), lambda k: ops[k].as_vec())
+        return SimplicityReport(False, span_reduce(ann))
     return SimplicityReport(True, None)
 
 
@@ -727,20 +725,17 @@ def check_admissible_findim(G: GradedLie) -> AdmissibleFindimReport:
     higher component equal to the span of all bracket splittings of lower
     positive degrees.
 
-    The brackets [e_i, mu] are +-L_i, so degree 0 is generated by them when
-    they span Str's generators and g0 is str_algebra, their closure, read
-    from J's memo.  A zero product generates nothing.  The splittings of
-    each degree go through _splitting_brackets, as in tkk, so a component
-    with a mixed row raises a ValueError.
+    The brackets [e_i, mu] are +-L_i, Str's generators, so degree 0 is
+    generated by them when g0 is str_algebra, their closure, read from J's
+    memo.  A zero product generates nothing.  The splittings of each degree
+    go through _splitting_brackets, as in tkk, so a component with a mixed
+    row raises a ValueError.
     """
     J = G.J
     pars = J.parities
     g0 = G.components[0]
     degree_one_spanned = _one_step_orbit(J.mu, g0) == G.components[1]
-    seeds = span_reduce([w_bracket(MultiLinMap.vector({i: 1}, pars), J.mu)
-                         for i in range(J.dim)])
-    degree_zero_generated = (seeds.dim > 0 and seeds == _str_generators(J)[0]
-                             and str_algebra(J) == g0)
+    degree_zero_generated = bool(J.table) and str_algebra(J) == g0
 
     # Degree i sits on the left only for i <= top // 2 and degree j on the
     # right only for j < top, so the top degree is neither.

@@ -15,13 +15,13 @@ from superrigid.catalog import (
     product_from_mu,
     registry_listing,
 )
-from superrigid.fields import (FamilyRealization, GradingSpec, VectorField,
-                               parse_field)
-from superrigid.jets import Ambient, Jet
+from superrigid.fields import (FIELD_FAMILIES, FamilyRealization, GradingSpec,
+                               VectorField, parse_field)
+from superrigid.jets import Ambient, Jet, parse_jet
 from superrigid.linalg import (Subspace, _accept, closure_under,
                                ideal_closure, nullspace, span_reduce)
 from superrigid.walg import (FinSuperAlg, _one_step_orbit,
-                             check_admissible_findim, is_rigid, tkk)
+                             check_admissible_findim, is_rigid, is_simple, tkk)
 
 
 def elem_add(a, b):
@@ -77,6 +77,7 @@ def test_graded_expansion(name):
 
 # The pinned expansion of each graded row's entry.
 ROW_TKK = {
+    "JS_0_2": GRADED["JS_0_2"][0],
     "JW_0_4": {-1: 4, 0: 10, 1: 8, 2: 2, 3: 0},
     "JW_0_8": {-1: 8, 0: 24, 1: 24, 2: 8, 3: 0},
     "JS_0_8": GRADED["JS_0_8"][0],
@@ -103,21 +104,63 @@ def test_jw_0_8_graded_expansion():
 
 @pytest.mark.parametrize("name", catalog._GRADED)
 def test_graded_row_certificate(name):
-    family, weights, _ = catalog._GRADED[name]
-    spec = GradingSpec((), weights)
+    family, even, odd, text = catalog._GRADED[name]
+    spec = GradingSpec(even, odd)
     real = FamilyRealization(family, spec)
-    # The entry's expansion is the row's family, component by component.
-    assert ROW_TKK[name] == {k: len(real.basis_of_degree(k, 0))
-                             for k in range(-1, 4)}
-    # mu -> table is injective on the even part of g_1, so the row's mu is
-    # the only one that gives the entry's table.
-    even = [x for x in real.basis_of_degree(1, 0) if real.parity(x) == 0]
+    # The entry's expansion is the row's family, component by component; a
+    # degree-k component has x-degree at most k + 2.
+    assert ROW_TKK[name] == {k: len(real.basis_of_degree(k, k + 3))
+                             for k in ROW_TKK[name]}
+    # mu -> table is injective on the part of g_1 of mu's parity, so the
+    # row's mu is the only one that gives the entry's table.
+    parse = parse_field if family in FIELD_FAMILIES else parse_jet
+    p = real.parity(parse(text, real.ambient))
+    same = [x for x in real.basis_of_degree(1, 4) if real.parity(x) == p]
 
     def table(i):
-        cells = product_from_mu(family, spec, even[i]).table.items()
+        cells = product_from_mu(family, spec, same[i]).table.items()
         return {(ij, k): c for ij, cell in cells for k, c in cell.items()}
 
-    assert even and nullspace(range(len(even)), table) == []
+    assert same and nullspace(range(len(same)), table) == []
+
+
+# W(1|1) graded by weights (1|0), with an odd mu: LW_0_2 with its two basis
+# vectors swapped, so LW_0_2 keeps its hand table (see catalog._GRADED).
+W11_SPEC = GradingSpec((1,), (0,))
+
+
+def lw_row():
+    mu = parse_field([("-1/2*x1^2*xi1", "dx1"), ("-x1", "dxi1")],
+                     Ambient(1, 1))
+    return product_from_mu("W", W11_SPEC, mu)
+
+
+def test_lw_0_2_is_the_w11_row_swapped():
+    row, alg = lw_row(), make("LW_0_2").algebra
+    swap = (1, 0)
+    assert row.labels == ("dx1", "xi1*dx1")
+    assert row.parities == (0, 1) == tuple(alg.parities[s] for s in swap)
+    assert row.product_parity == alg.product_parity == 1
+    assert row.anticommutative_presentation
+    assert alg.anticommutative_presentation
+    for i in range(2):
+        for j in range(2):
+            assert row.product(i, j) == {
+                swap[k]: c for k, c in alg.product(swap[i], swap[j]).items()}
+    assert row.table != alg.table
+
+
+# The first seven components of each row's expansion are its family's.
+@pytest.mark.parametrize("build, family, spec, dims", [
+    (lambda: make("JS_0_2").algebra, "H", GradingSpec((1, 1), ()),
+     [2, 3, 4, 5, 6, 7, 8]),
+    (lw_row, "W", W11_SPEC, [2, 4, 4, 4, 4, 4, 4]),
+], ids=["JS_0_2", "LW_0_2_row"])
+def test_row_expansion_is_its_family(build, family, spec, dims):
+    G = tkk(build(), depth_cap=5)
+    real = FamilyRealization(family, spec)
+    assert [G.dims[k] for k in range(-1, 6)] == dims == [
+        len(real.basis_of_degree(k, k + 3)) for k in range(-1, 6)]
 
 
 def test_spot_check_is_two_sided():
@@ -473,11 +516,40 @@ def test_product_from_mu():
      "mu must be parity-homogeneous"),
     (w03_xi(1, 2, 3) * w03_d(1) + w03_xi(3) * w03_d(3),
      r"pure degree 1, found degrees"),
-    (w03_xi(1, 3) * w03_d(3), "mu must be parity-homogeneous and even"),
 ])
 def test_product_from_mu_rejects(mu, reason):
     with pytest.raises(CatalogError, match=reason):
         product_from_mu("W", W03_SPEC, mu)
+
+
+def test_product_from_mu_accepts_odd_mu():
+    # An odd mu gives an odd product, presented as anticommutative.
+    mu = w03_xi(1, 3) * w03_d(3)
+    alg = product_from_mu("W", W03_SPEC, mu)
+    basis = [w03_d(1), w03_xi(3) * w03_d(1), w03_d(2), w03_xi(3) * w03_d(2)]
+    assert alg.parities == (1, 0, 1, 0)
+    assert (alg.product_parity, alg.anticommutative_presentation) == (1, True)
+    assert alg.table
+    real = FamilyRealization("W", W03_SPEC)
+    for i, x in enumerate(basis):
+        for j, y in enumerate(basis):
+            got = VectorField.zero(W03)
+            for k, c in alg.product(i, j).items():
+                got = got + basis[k].scale(c)
+            assert got == real.bracket(real.bracket(mu, x), y)
+
+
+def test_odd_row_square_is_an_ideal():
+    # W(0|2) graded by weights (1, 1) with an odd mu: J^2 is the line of
+    # e0 + 3 e1, a proper ideal that no seed of is_simple generates.
+    mu = parse_field([("xi1*xi2", "dxi1"), ("3*xi1*xi2", "dxi2")],
+                     Ambient(0, 2))
+    alg = product_from_mu("W", GradingSpec((), (1, 1)), mu)
+    assert alg == FinSuperAlg((1, 1), 1, {(0, 1): {0: -1, 1: -3}},
+                              anticommutative_presentation=True)
+    rep = is_simple(alg)
+    assert not rep.simple
+    assert rep.witness.rows == ({0: 1, 1: 3},)
 
 
 # W(0|2) with odd weights (2, 1), whose g_-2 holds dxi1; W(1|3) with odd

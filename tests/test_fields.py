@@ -428,6 +428,12 @@ class TestRealizationBasics:
         with pytest.raises(ValueError):
             FamilyRealization("nope", GradingSpec((1,), (1,)))
 
+    @pytest.mark.parametrize("beta", ["1/0", True, "x"])
+    def test_bad_beta_is_named(self, beta):
+        with pytest.raises(ValueError, match="SKO's beta"):
+            FamilyRealization("SKO", GradingSpec((0, 1), (0, -1, 0)),
+                              beta=beta)
+
     def test_shift_validation(self):
         with pytest.raises(ValueError):
             FamilyRealization("HO", GradingSpec((1, 0), (1, 1)))
