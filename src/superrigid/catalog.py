@@ -36,10 +36,9 @@ from typing import Callable, Iterable, Sequence
 
 from .brackets import (Pairing, _odd_pairing, bind_terms, buttin, k_bracket,
                        pairing_terms, term_map)
-from .fields import (FIELD_FAMILIES, FamilyRealization, GradingSpec,
-                     VectorField, family_ambient, format_field, parse_field)
-from .jets import Ambient, Jet, div_beta, format_jet, odd_laplacian, parse_jet
-from .linalg import _coeff, ideal_closure, nullspace, span_reduce, vec_parity
+from .fields import FamilyRealization, GradingSpec, VectorField, kernel_basis
+from .jets import Ambient, Jet, div_beta, format_jet, odd_laplacian
+from .linalg import _coeff, ideal_closure, span_reduce, vec_parity
 from .walg import FinSuperAlg, format_product, is_rigid, is_simple
 
 
@@ -119,15 +118,11 @@ class OracleEntry:
     # -- carrier ----------------------------------------------------------
 
     def slot_jets(self, slot: str, max_deg: int) -> list[Jet]:
-        amb = self.ambient
-        monos = sorted(amb.monomials(max_deg))
-        if self.kernel is None:
-            excl = self.excluded.get(slot, ())
-            return [Jet(amb, {m: 1}) for m in monos if m not in excl]
-        op, dropped = self.kernel
-        vec_of = lambda key: dict(op(Jet(amb, {key: 1})).terms)
-        return [Jet(amb, v) for v in
-                nullspace([m for m in monos if m != dropped], vec_of)]
+        op, dropped = self.kernel or (None, None)
+        excl = self.excluded.get(slot, ())
+        keys = [m for m in sorted(self.ambient.monomials(max_deg))
+                if m not in excl and m != dropped]
+        return kernel_basis(keys, partial(Jet, self.ambient), op)
 
     def basis(self, max_deg: int) -> list[Element]:
         return [{s: f} for s in self.slots for f in self.slot_jets(s, max_deg)]
@@ -566,8 +561,7 @@ _GRADED: dict = {
 def _graded_entry(name: str) -> FiniteEntry:
     family, even, odd, text = _GRADED[name]
     spec = GradingSpec(even, odd)
-    parse = parse_field if family in FIELD_FAMILIES else parse_jet
-    mu = parse(text, family_ambient(family, spec))
+    mu = FamilyRealization(family, spec).parse(text)
     return FiniteEntry(name, product_from_mu(family, spec, mu))
 
 
@@ -590,13 +584,15 @@ def product_from_mu(family: str, spec: GradingSpec, mu) -> FinSuperAlg:
     even exponents, then by their odd monomial's degree and indices, and
     labelled with their printed form.  The coefficients' x-degrees are capped
     at 4; a basis that is not monomial, or a product leaving that window,
-    raises CatalogError.
+    raises CatalogError, as do an unknown family, a spec that is no
+    GradingSpec and a mu that is no element of the family.  The family's
+    realization supplies mu's kind, the parser and the labels' format.
     """
-    real = FamilyRealization(family, spec)
-    kind = VectorField if real.field_side else Jet
-    if not isinstance(mu, kind) or mu.ambient != real.ambient:
-        raise CatalogError(f"mu must be a {kind.__name__} on "
-                           f"{real.ambient!r}, got {mu!r}")
+    try:
+        real = FamilyRealization(family, spec)
+        real.check(mu, "mu")
+    except ValueError as e:
+        raise CatalogError(*e.args) from None
     parity = real.parity(mu)
     if parity is None:
         raise CatalogError("mu must be parity-homogeneous")
@@ -614,8 +610,7 @@ def product_from_mu(family: str, spec: GradingSpec, mu) -> FinSuperAlg:
     keys.sort(key=lambda k: (k[:-1], len(k[-1]), k[-1]))
     index = {k: i for i, k in enumerate(keys)}
     basis = [real.from_vec({k: 1}) for k in keys]
-    fmt = format_field if real.field_side else format_jet
-    labels = [fmt(x) for x in basis]
+    labels = [real.format(x) for x in basis]
     table = {}
     for i, x in enumerate(basis):
         mux = real.bracket(mu, x)

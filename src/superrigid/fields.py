@@ -2,9 +2,18 @@
 realizations used by the admissibility checks.
 
 A VectorField stores one Jet coefficient per derivative slot ('x', i) or
-('xi', j).  Families come in two flavors: W and S are honest vector-field
-algebras; H, K, HO, SHO, KO and SKO are carried by function spaces (jets
-modulo stated monomial exclusions) with brackets from the brackets module.
+('xi', j).  The families are the rows of one table, FAMILIES: W and S are
+vector-field algebras, and H, K, HO, SHO, KO and SKO are carried by function
+spaces, with brackets from the brackets module.  A row gives the family's
+bracket, the parity shift of a function element (0 for H and K, 1 for the
+odd families, None for W and S), the carrier operator whose kernel the
+family is (divergence, odd_laplacian, div_beta, or None for the whole space)
+and the keys it drops: the unit for H, HO and SHO, SHO's top monomial,
+S(1|n)'s top field and SKO's two special-beta monomials.
+
+A FamilyRealization flattens elements onto keys, (slot tag, slot index, even
+exponents, odd indices) for a field and a monomial for a function, and reads
+degrees, parities and the basis of each degree off the keys alone.
 """
 from __future__ import annotations
 
@@ -191,7 +200,7 @@ _SLOT = re.compile(r"d(x|xi|tau)(\d*)$")
 
 
 def parse_slot(text: str, amb: Ambient) -> Slot:
-    m = _SLOT.match(text.strip())
+    m = isinstance(text, str) and _SLOT.match(text.strip())
     if not m:
         raise ValueError(f"bad slot {text!r}")
     kind, idx = m.group(1), m.group(2)
@@ -240,26 +249,8 @@ class GradingSpec:
         w = sum(e * a for e, a in zip(ex, self.even_weights))
         return w + sum(self.odd_weights[j - 1] for j in odds)
 
-    def slot_weight(self, slot: Slot) -> int:
-        kind, idx = slot
-        ws = self.even_weights if kind == "x" else self.odd_weights
-        return ws[idx - 1]
-
-    def jet_degrees(self, f: Jet, shift: int = 0) -> set:
-        return {self.wdeg(m) - shift for m in f.terms}
-
-    def field_degrees(self, X: VectorField) -> set:
-        out = set()
-        for slot, c in X.coeffs.items():
-            w = self.slot_weight(slot)
-            out |= {self.wdeg(m) - w for m in c.terms}
-        return out
-
 
 # -- family realizations ---------------------------------------------------
-
-FIELD_FAMILIES = ("W", "S")
-FUNCTION_FAMILIES = ("H", "K", "HO", "SHO", "KO", "SKO")
 
 
 def family_ambient(family: str, spec: GradingSpec) -> Ambient:
@@ -314,32 +305,73 @@ def _drop_unit(f: Jet) -> Jet:
     return Jet(f.ambient, t)
 
 
-def _excluded_monomials(family: str, amb: Ambient, beta) -> set:
-    """Monomials removed from the carrier by quotients and derived-algebra
-    descriptions."""
-    out = set()
-    zero_ex = (0,) * amb.n_even
-    if family in ("H", "HO", "SHO"):
-        out.add((zero_ex, ()))
-    if family == "SHO":
-        out.add((zero_ex, tuple(range(1, amb.n_odd + 1))))
-    if family == "SKO":
-        n = amb.n_even
-        top = tuple(range(1, amb.n_odd))  # xi_1..xi_n, tau excluded
-        if beta == 1:
-            out.add((zero_ex, top + (amb.n_odd,)))
-        if n != 0 and F(beta) == F(n - 2, n):
-            out.add((zero_ex, top))
+def kernel_basis(keys: list, build, op) -> list:
+    """build(v) for each v of a basis of the kernel of op on the span of the
+    keys, op taking build({key: 1}) to a jet; with op None, build({key: 1})
+    for each key."""
+    if op is None:
+        return [build({key: 1}) for key in keys]
+    return [build(v)
+            for v in nullspace(keys, lambda key: op(build({key: 1})).terms)]
+
+
+def _unit(m: int, n: int, beta) -> set:
+    return {((0,) * m, ())}
+
+
+def _sho_drops(m: int, n: int, beta) -> set:
+    return _unit(m, n, beta) | {((0,) * m, tuple(range(1, n + 1)))}
+
+
+def _s_drops(m: int, n: int, beta) -> set:
+    return {(0, 1, (0,), tuple(range(1, n + 1)))} if m == 1 else set()
+
+
+def _sko_drops(m: int, n: int, beta) -> set:
+    """xi_1...xi_m tau at beta = 1 and xi_1...xi_m at beta = (m-2)/m."""
+    zero, top = (0,) * m, tuple(range(1, n))  # xi_1..xi_m; tau is xi_n
+    out = {(zero, top + (n,))} if beta == 1 else set()
+    if m and beta == F(m - 2, m):
+        out.add((zero, top))
     return out
+
+
+# family -> (bracket, parity shift of a function element or None for a field
+# family, carrier(x, beta) whose kernel is the family or None for the whole
+# space, drops(m, n, beta) giving the keys left out on m even and n odd
+# generators or None for none).
+FAMILIES: dict = {
+    "W": (lie_bracket, None, None, None),
+    "S": (lie_bracket, None, lambda X, beta: divergence(X), _s_drops),
+    "H": (poisson_antidiagonal, 0, None, _unit),
+    "K": (br.gen_poisson_even, 0, None, None),
+    "HO": (br.buttin, 1, None, _unit),
+    "SHO": (br.buttin, 1, lambda f, beta: odd_laplacian(f), _sho_drops),
+    "KO": (br.k_bracket, 1, None, None),
+    "SKO": (br.k_bracket, 1, div_beta, _sko_drops),
+}
+FIELD_FAMILIES = tuple(f for f, row in FAMILIES.items() if row[1] is None)
 
 
 class FamilyRealization:
     """Graded Lie-superalgebra window for one family: basis extraction by
-    degree, bracket, parity, and flattening to linalg vectors."""
+    degree, bracket, parity, and flattening to linalg vectors.
+
+    The family's row of FAMILIES gives its bracket, the parity shift of a
+    function element, its carrier operator and the keys it drops.  Elements
+    are VectorFields for W and S and Jets for the rest, flattened onto keys
+    as the module docstring says.  A key's degree is its monomial's weight
+    less its prefix's weight, the slot's weight or the family shift; its
+    parity is its odd degree plus the prefix's parity, the slot tag or the
+    parity shift.  The degree-k basis is the kept keys of degree k, as unit
+    vectors or as the kernel of the carrier operator.  A dropped unit is a
+    quotient by the constants, so the bracket drops the unit too."""
 
     def __init__(self, family: str, spec: GradingSpec, beta=None):
-        if family not in FIELD_FAMILIES + FUNCTION_FAMILIES:
+        if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
+        if not isinstance(spec, GradingSpec):
+            raise ValueError(f"spec must be a GradingSpec, got {spec!r}")
         if family == "SKO":
             if beta is None:
                 raise ValueError("SKO needs beta")
@@ -347,106 +379,80 @@ class FamilyRealization:
         self.family = family
         self.spec = spec
         self.beta = beta
-        self.ambient = family_ambient(family, spec)
-        self.field_side = family in FIELD_FAMILIES
-        if not self.field_side:
-            self.shift = family_shift(family, spec)
+        self.ambient = amb = family_ambient(family, spec)
+        self._bracket, shift, self._carrier, drops = FAMILIES[family]
+        if shift is None:
+            self.kind = VectorField
+            self._prefixes = {
+                (tag, i): (w, tag)
+                for tag, ws in enumerate((spec.even_weights, spec.odd_weights))
+                for i, w in enumerate(ws, 1)}
+        else:
+            self.kind = Jet
+            self._prefixes = {(): (family_shift(family, spec), shift)}
+        self._dropped = drops(amb.n_even, amb.n_odd, beta) if drops else set()
+        self._quotient = ((0,) * amb.n_even, ()) in self._dropped
+
+    # -- elements and keys -------------------------------------------------
+
+    def check(self, a, name: str = "element") -> None:
+        """Raise ValueError, naming the argument, unless a is an element of
+        the family's kind on its ambient."""
+        if not (isinstance(a, self.kind) and a.ambient == self.ambient):
+            raise ValueError(f"{name} must be a {self.kind.__name__} on "
+                             f"{self.ambient!r}, got {a!r}")
+
+    def to_vec(self, a) -> dict:
+        self.check(a)
+        return _flat(a) if self.kind is VectorField else dict(a.terms)
+
+    def from_vec(self, v: dict):
+        if self.kind is Jet:
+            return Jet(self.ambient, v)
+        terms: dict = {}
+        for (tag, idx, ex, odds), c in v.items():
+            terms.setdefault(("xi" if tag else "x", idx), {})[ex, odds] = c
+        return VectorField(self.ambient, {
+            s: Jet(self.ambient, t) for s, t in terms.items()})
+
+    def parse(self, text):
+        """An element from its text: (coefficient, slot) pairs for a field
+        family, a jet's text for a function family."""
+        if self.kind is Jet:
+            return parse_jet(text, self.ambient)
+        return parse_field(text, self.ambient)
+
+    def format(self, a) -> str:
+        return format_field(a) if self.kind is VectorField else format_jet(a)
+
+    def _degree(self, key) -> int:
+        return self.spec.wdeg(key[-2:]) - self._prefixes[key[:-2]][0]
+
+    def _key_parity(self, key) -> int:
+        return (self._prefixes[key[:-2]][1] + len(key[-1])) & 1
 
     # -- degrees and parity -----------------------------------------------
 
     def parity(self, a) -> int | None:
-        if self.field_side:
-            return a.parity()
-        p = a.parity()
-        if p is None:
-            return None
-        if self.family in ("H", "K"):
-            return p
-        return p ^ 1
+        return vec_parity(self.to_vec(a), self._key_parity)
 
     def degrees(self, a) -> set:
-        if self.field_side:
-            return self.spec.field_degrees(a)
-        return self.spec.jet_degrees(a, self.shift)
-
-    # -- vector flattening -------------------------------------------------
-
-    def to_vec(self, a) -> dict:
-        if self.field_side:
-            return _flat(a)
-        return dict(a.terms)
-
-    def from_vec(self, v: dict):
-        if self.field_side:
-            terms: dict = {}
-            for (tag, idx, ex, odds), c in v.items():
-                terms.setdefault(("xi" if tag else "x", idx), {})[ex, odds] = c
-            return VectorField(self.ambient, {
-                s: Jet(self.ambient, t) for s, t in terms.items()})
-        return Jet(self.ambient, v)
+        return {self._degree(key) for key in self.to_vec(a)}
 
     # -- bracket -----------------------------------------------------------
 
     def bracket(self, a, b):
-        if self.field_side:
-            return lie_bracket(a, b)
-        if self.family == "H":
-            return _drop_unit(poisson_antidiagonal(a, b))
-        if self.family == "K":
-            return br.gen_poisson_even(a, b)
-        if self.family in ("HO", "SHO"):
-            return _drop_unit(br.buttin(a, b))
-        return br.k_bracket(a, b)
+        c = self._bracket(a, b)
+        return _drop_unit(c) if self._quotient else c
 
     # -- bases -------------------------------------------------------------
 
     def basis_of_degree(self, k: int, order: int) -> list:
         if type(k) is not int:
             raise ValueError(f"degree {k!r} is not an integer")
-        if self.field_side:
-            return self._field_basis(k, order)
-        return self._function_basis(k, order)
-
-    def _slots(self) -> list[Slot]:
-        amb = self.ambient
-        return [("x", i) for i in range(1, amb.n_even + 1)] + [
-            ("xi", j) for j in range(1, amb.n_odd + 1)
-        ]
-
-    def _field_basis(self, k: int, order: int) -> list[VectorField]:
-        amb = self.ambient
-        domain = []
-        for slot in self._slots():
-            w = self.spec.slot_weight(slot)
-            for m in amb.monomials(order):
-                if self.spec.wdeg(m) - w == k:
-                    tag = 0 if slot[0] == "x" else 1
-                    domain.append((tag, slot[1], m[0], m[1]))
-        domain.sort()
-        if self.family == "S" and amb.n_even == 1:
-            top = (0, 1, (0,), tuple(range(1, amb.n_odd + 1)))
-            domain = [key for key in domain if key != top]
-        if self.family == "W":
-            return [self.from_vec({key: 1}) for key in domain]
-
-        def op(key):
-            return divergence(self.from_vec({key: 1})).terms
-
-        return [self.from_vec(v) for v in nullspace(domain, op)]
-
-    def _function_basis(self, k: int, order: int) -> list[Jet]:
-        amb = self.ambient
-        excluded = _excluded_monomials(self.family, amb, self.beta)
-        domain = sorted(
-            m
-            for m in amb.monomials(order)
-            if self.spec.wdeg(m) - self.shift == k and m not in excluded
-        )
-        if self.family in ("H", "K", "HO", "KO"):
-            return [Jet(amb, {m: 1}) for m in domain]
-        if self.family == "SHO":
-            op = lambda m: odd_laplacian(Jet(amb, {m: 1})).terms
-        else:
-            op = lambda m: div_beta(Jet(amb, {m: 1}), self.beta).terms
-        return [Jet(amb, v) for v in nullspace(domain, op)]
-
+        keys = sorted(
+            key for m in self.ambient.monomials(order)
+            for key in (p + m for p in self._prefixes)
+            if key not in self._dropped and self._degree(key) == k)
+        op = self._carrier and (lambda x: self._carrier(x, self.beta))
+        return kernel_basis(keys, self.from_vec, op)

@@ -10,7 +10,7 @@ is anticommutative, so one set of checks serves both presentations.
 
 MultiLinMap models k-argument supersymmetric multilinear maps on the
 underlying superspace, each checked as it is built.  The insertion product
-and its commutator bracket, w_bracket, organize these maps into a Z-graded
+and its commutator bracket [f, g] organize these maps into a Z-graded
 Lie superalgebra with the space itself in degree -1, operators in degree 0,
 and supersymmetric products in degree 1.  On top of that live the structure
 operators of an algebra, the orbit of its product under them, rigidity and
@@ -20,21 +20,21 @@ Str and the related products R are closures under the n left
 multiplications L_i alone, each bound once into a unary map.  Str is the Lie
 superalgebra the L_i generate, the smallest space holding them that ad L_i
 sends into itself.  R is the smallest space holding the product that
-w_bracket with each L_i sends into itself: operators act on products by
-w_bracket, a representation of the operator algebra, so a subspace invariant
+[L_i, .] sends into itself for each L_i: operators act on products by the
+bracket, a representation of the operator algebra, so a subspace invariant
 under the generators is invariant under all of Str.
 
-One kernel, _bracket_flat, computes every bracket: w_bracket itself, both
-closures, the one-step orbit of the product, the graded expansion and its
-admissibility check.  Its operands are rows of graded superspaces: Str, R
-and each component of the expansion.  Every row of a graded space's reduced
-echelon basis is homogeneous, as the echelon bases of its even and odd parts
-together are reduced and that basis is unique.  So each left row becomes one
-map, whose parity check (MultiLinMap.from_vec) refuses a mixed row, and each
-right row is taken as it is.  The kernel is driven by stored entries: each
-entry of the flattened operand meets only the rows of the other map's table
-that it hits, each output key is a merge of two sorted runs, and all terms
-go into one integer accumulator on canonical keys.
+One kernel, _bracket_flat, computes every bracket: both closures, the
+one-step orbit of the product, the graded expansion and its admissibility
+check.  Its operands are rows of graded superspaces: Str, R and each
+component of the expansion.  Every row of a graded space's reduced echelon
+basis is homogeneous, as the echelon bases of its even and odd parts
+together are reduced and that basis is unique.  So each left row becomes
+one map, whose parity check (MultiLinMap.from_vec) refuses a mixed row, and
+each right row is taken as it is.  The kernel is driven by stored entries:
+each entry of the flattened operand meets only the rows of the other map's
+table that it hits, each output key is a merge of two sorted runs, and all
+terms go into one integer accumulator on canonical keys.
 
 Each map has one table: its common denominator, its first-argument and
 output rows, and the terms each key it has met gives against its output
@@ -295,7 +295,7 @@ def _outer_terms(K, outs, pars):
 
 
 def _bracket_flat(f: MultiLinMap, v: Vec) -> Vec:
-    """w_bracket(f, g) = f o g - (-1)^{|f||g|} g o f for a map f and a
+    """[f, g] = f o g - (-1)^{|f||g|} g o f for a map f and a
     flattened g = v {(key, m): c} on canonical keys, of any arities and
     parities, flattened onto canonical keys.  v is taken as it is: a row of
     a graded space is homogeneous, and a mixed-parity v gives the sum of
@@ -346,21 +346,6 @@ def _bracket_flat(f: MultiLinMap, v: Vec) -> Vec:
     den = df * dv
     return {(key, m): c // den if not c % den else F(c, den)
             for key, slot in acc.items() for m, c in slot.items() if c}
-
-
-def w_bracket(f: MultiLinMap, g: MultiLinMap) -> Vec:
-    """Graded commutator of the insertion product, flattened:
-    f o g - (-1)^{|f||g|} g o f as {(key, m): c} on canonical keys.
-
-    A map with a arguments sits in degree a-1; the bracket lives in the degree
-    sum, so two degree -1 maps underflow.  The bracket is _bracket_flat on
-    g's flattened entries.
-    """
-    if f.arity + g.arity < 1:
-        raise ValueError("arity underflow: both operands are plain vectors")
-    if f.parities != g.parities:
-        raise ValueError("operands live over different spaces")
-    return _bracket_flat(f, g.as_vec())
 
 
 def _parity(p) -> int:
@@ -521,7 +506,7 @@ def _splitting_brackets(lefts, rows, same: bool) -> list[Vec]:
     """_bracket_flat of each left map with each right row.
 
     With same, lefts[a] is the map of rows[a] and meets rows[a:] only:
-    w_bracket(v, u) = -(-1)^{|u||v|} w_bracket(u, v), so each unordered
+    [v, u] = -(-1)^{|u||v|} [u, v], so each unordered
     pair of one degree is bracketed once.
     """
     return [_bracket_flat(u, v) for a, u in enumerate(lefts)
@@ -529,8 +514,8 @@ def _splitting_brackets(lefts, rows, same: bool) -> list[Vec]:
 
 
 def _bracket_closure(seed: Subspace, maps) -> Subspace:
-    """Smallest span holding seed that w_bracket with each map sends into
-    itself, each bracket applied by _bracket_flat to the flattened vectors
+    """Smallest span holding seed that [f, .] sends into itself for each
+    map f, each bracket applied by _bracket_flat to the flattened vectors
     as they are."""
     return closure_under(seed, lambda v: [_bracket_flat(f, v) for f in maps])
 
@@ -574,13 +559,13 @@ def str_algebra(J: FinSuperAlg) -> Subspace:
 
 def related_products(J: FinSuperAlg) -> Subspace:
     """Smallest space of supersymmetric products containing the structure
-    product that every structure operator sends into itself by w_bracket.
+    product that every structure operator sends into itself by the bracket.
 
     Invariance under Str follows from invariance under the left
-    multiplications alone: by the graded Jacobi identity w_bracket is a
+    multiplications alone: by the graded Jacobi identity the bracket is a
     representation of the operator algebra on binary products, and the
     operators that keep a subspace invariant form a Lie subalgebra.  The
-    closure's maps are therefore w_bracket(L_i, .), not those of all of
+    closure's maps are therefore [L_i, .], not those of all of
     Str.  Kept in J's memo.
     """
     return _kept(J, "r", lambda: _bracket_closure(

@@ -4,7 +4,6 @@ its own tests use is deleted, or moved into the tests when it is a reference
 for library code.  Every private function and method has a caller outside
 its own definition, so a helper left behind by a refactor is caught."""
 import ast
-import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,16 +63,22 @@ def private_definitions():
                 yield path, f"{cls.name}.{name}", first, last
 
 
-def word_sites(pattern=r"\w+"):
-    """Word -> (file, line number) of each line of Python in src/ and
-    perfbench/ that holds a match of pattern; the word is the match's first
-    group, or the whole match when pattern has no group."""
+def word_sites(dotted=False):
+    """Word -> (file, line number) of each use of it in the code of src/ and
+    perfbench/: each name and each attribute after a dot, or with dotted,
+    each attribute alone.  Docstrings, comments and strings hold no use, so
+    a name that only prose mentions is caught."""
     sites = {}
     for top in (ROOT / "src", ROOT / "perfbench"):
         for path in sorted(top.rglob("*.py")):
-            for k, text in enumerate(path.read_text().splitlines(), 1):
-                for word in set(re.findall(pattern, text)):
-                    sites.setdefault(word, []).append((path, k))
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute):
+                    word = node.attr
+                elif isinstance(node, ast.Name) and not dotted:
+                    word = node.id
+                else:
+                    continue
+                sites.setdefault(word, []).append((path, node.lineno))
     return sites
 
 
@@ -97,7 +102,7 @@ def test_every_public_method_has_a_caller():
     """A method counts as called where its name follows a dot."""
     defs = list(public_methods())
     assert len(defs) > 30
-    unused = _unused(defs, word_sites(r"\.(\w+)"),
+    unused = _unused(defs, word_sites(dotted=True),
                      lambda name: name.rpartition(".")[2])
     assert unused == [], (
         "public methods with no caller in src/ or perfbench/: "
@@ -123,7 +128,7 @@ def test_every_private_name_has_a_caller():
     methods = [d for d in defs if "." in d[1]]
     assert len(functions) > 50 and len(methods) > 5
     unused = (_unused(functions, word_sites(), lambda name: name)
-              + _unused(methods, word_sites(r"\.(\w+)"),
+              + _unused(methods, word_sites(dotted=True),
                         lambda name: name.rpartition(".")[2]))
     assert unused == [], (
         "private names with no caller outside their definition: "
@@ -155,7 +160,7 @@ def test_every_slot_is_read():
     caught."""
     defs = list(slot_definitions())
     assert len(defs) > 10
-    unused = _unused(defs, word_sites(r"\.(\w+)"),
+    unused = _unused(defs, word_sites(dotted=True),
                      lambda name: name.rpartition(".")[2])
     assert unused == [], (
         "slots read nowhere outside their class's __init__: "

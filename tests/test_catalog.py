@@ -566,6 +566,9 @@ W13 = Ambient(1, 3)
      r"\[\[mu, dxi1\], x1\^4\*dxi2\] leaves the degree -1 window"),
     ("S", GradingSpec((), (-1, 0, 0)), w03_xi(2) * w03_d(1),
      "is not a monomial"),
+    # spec None raised a bare AttributeError.
+    ("W", None, w03_d(1), "spec must be a GradingSpec, got None"),
+    ("V", W03_SPEC, w03_d(1), "unknown family 'V'"),
 ])
 def test_product_from_mu_rejects_grading(family, spec, mu, reason):
     with pytest.raises(CatalogError, match=reason):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 from fractions import Fraction as F
@@ -256,8 +257,11 @@ class TestFormatting:
         assert parse_slot("dx2", amb) == ("x", 2)
         assert parse_slot("dxi1", amb) == ("xi", 1)
         assert parse_slot("dtau", amb) == ("xi", 3)
-        with pytest.raises(ValueError):
-            parse_slot("dq1", amb)
+        # 5 raised a bare AttributeError.
+        for text in ("dq1", 5, None, ("dx1",)):
+            with pytest.raises(ValueError,
+                               match=re.escape(f"bad slot {text!r}")):
+                parse_slot(text, amb)
         with pytest.raises(ValueError):
             parse_slot("dtau", A22)
         # tau has one name, as in parse_jet
@@ -397,6 +401,50 @@ class TestBasisOfDegree:
         assert span.contains(real.to_vec(mu))
 
 
+# sha256 over repr of [sorted((key, Fraction(c)) for each key and coefficient
+# of to_vec(x)) for x in basis_of_degree(k, 4)], for k = -2..2 in turn: the
+# exact bases, in order, of one grading per family.  Each dropped key falls in
+# a pinned degree: H's unit at -2, S(1|2)'s top field xi1*xi2*dx1 at 0, HO's
+# and SHO's unit at -1 and SHO's top monomial xi1*xi2 at 0, and SKO's special
+# monomials xi1*xi2 (beta = (n-2)/n = 0) at 0 and xi1*xi2*tau (beta = 1) at 2.
+BASIS_DIGESTS = [
+    ("W", (1,), (0,), None,
+     "13b251db2472fce632ad0c3aece845001025a98f0033c3a0e94c75e174ff0bbe"),
+    ("S", (1,), (0, 1), None,
+     "217851f045607c16d7f6332c764688557e6d388b3a744644f38a8c26249d1479"),
+    ("H", (1, 1), (1,), None,
+     "932755e2a7b377ff3f22bfe873f9bb39b591fad66fa5855d872e4cabb6cac20d"),
+    ("K", (2,), (1, 1), None,
+     "749a7abac27aeaa73546f2faa57b3f1fa0b650d0bfd433f2818c102ac8e0c70d"),
+    ("HO", (1, 0), (0, 1), None,
+     "8887a75522b38ef308905fabf3c9cbc8853b427a16e2d84b916b9ca343e5c620"),
+    ("SHO", (1, 0), (0, 1), None,
+     "1f2cc1cec79e67a4d087a247f56a975abfb0abc300036b7469888e37853e0467"),
+    ("KO", (1,), (1, 2), None,
+     "6cdec68db9ed6df66995899727ec9029f8f7a9ad59299f2ef25aec06197100ad"),
+    ("SKO", (1, 1), (1, 1, 2), 0,
+     "737b90706dd642d49d31292d7e487b3a811e69170015762ad031582f132ce01f"),
+    ("SKO", (1, 1), (1, 1, 2), 1,
+     "7929ac12950d34e4b772da59af5c884fdfa81c6a8fcd050d628d4fe21877e9f8"),
+]
+
+
+@pytest.mark.parametrize("family, even, odd, beta, digest", BASIS_DIGESTS,
+                         ids=[f"{r[0]}_beta_{r[3]}" if r[3] is not None
+                              else r[0] for r in BASIS_DIGESTS])
+def test_basis_digest(family, even, odd, beta, digest):
+    real = FamilyRealization(family, GradingSpec(even, odd), beta)
+    h = hashlib.sha256()
+    for k in range(-2, 3):
+        basis = real.basis_of_degree(k, 4)
+        for x in basis:
+            assert real.degrees(x) == {k}
+            assert real.parity(x) in (0, 1)
+        h.update(repr([sorted((key, F(c)) for key, c in real.to_vec(x).items())
+                       for x in basis]).encode())
+    assert h.hexdigest() == digest
+
+
 class TestRealizationBasics:
     def test_parity_reversal(self):
         spec = GradingSpec((1, 1), (1, 1))
@@ -433,6 +481,29 @@ class TestRealizationBasics:
         with pytest.raises(ValueError, match="SKO's beta"):
             FamilyRealization("SKO", GradingSpec((0, 1), (0, -1, 0)),
                               beta=beta)
+
+    def test_spec_is_named(self):
+        # A pair of weight tuples raised a bare AttributeError.
+        with pytest.raises(ValueError, match=re.escape(
+                "spec must be a GradingSpec, got ((1,), ())")):
+            FamilyRealization("W", ((1,), ()))
+
+    @pytest.mark.parametrize("reader", ["to_vec", "degrees", "parity"])
+    @pytest.mark.parametrize("family, spec, a, named", [
+        ("W", GradingSpec((1,), ()), Jet.one(Ambient(1, 0)),
+         "a VectorField on Ambient(1, 0)"),
+        ("W", GradingSpec((1,), ()), VectorField.partial(A11, "x", 1),
+         "a VectorField on Ambient(1, 0)"),
+        ("H", GradingSpec((1, 1), ()),
+         VectorField.partial(Ambient(2, 0), "x", 1), "a Jet on Ambient(2, 0)"),
+    ], ids=["jet_for_field", "other_ambient", "field_for_jet"])
+    def test_element_kind_is_checked(self, reader, family, spec, a, named):
+        # A jet raised a bare AttributeError in to_vec and degrees, and
+        # parity read the element's own parity whatever its kind.
+        real = FamilyRealization(family, spec)
+        with pytest.raises(ValueError,
+                           match=re.escape(f"element must be {named}")):
+            getattr(real, reader)(a)
 
     def test_shift_validation(self):
         with pytest.raises(ValueError):
